@@ -31,7 +31,13 @@ from .qsearch import instance_from_table, iteration_count, run_search
 from .routing import build_tables, evaluate_all_pairs, resolve
 from .rng import stream_seed
 from .serialize import dump_json, load_json, scheme_from_dict, scheme_to_dict
-from .topology import all_neighborhoods, generate_graph, load_graph, save_graph
+from .topology import (
+    all_neighborhoods,
+    all_pairs_optimal,
+    generate_graph,
+    load_graph,
+    save_graph,
+)
 
 
 def _parse_params(pairs: list[str]) -> dict:
@@ -67,7 +73,8 @@ def cmd_cluster(args) -> int:
     plan = assign_addresses(graph.n_e, 0)
     graph.plan = plan
     k = args.k if args.k is not None else neighborhood_size(graph.n_e, args.m)
-    neighborhoods = all_neighborhoods(graph, metric, k)
+    pair_costs = all_pairs_optimal(graph, metric)
+    neighborhoods = all_neighborhoods(graph, metric, k, pair_costs)
 
     anchors = tracked = None
     if args.scheme == "partial":
@@ -93,6 +100,7 @@ def cmd_cluster(args) -> int:
         ebit_budget=args.ebit_budget,
         capacity_cap=args.capacity_cap,
         plan=plan,
+        pair_costs=pair_costs,
     )
     dump_json(scheme_to_dict(tables, args.metric, _parse_params(args.metric_param)), args.out)
     sizes = [len(t) for t in tables.tables]

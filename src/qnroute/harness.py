@@ -37,7 +37,7 @@ from .routing import (
     table_size_stats,
     verify_bound_chain,
 )
-from .topology import all_neighborhoods, generate_graph
+from .topology import all_neighborhoods, all_pairs_optimal, generate_graph
 
 OUTPUT_DIR_ENV = "QNROUTE_OUTPUT_DIR"
 SCHEMA_VERSION = 1
@@ -184,7 +184,11 @@ class StretchReport:
 
 
 def build_scheme_for_trial(config: ExperimentConfig, seed: int):
-    """Deterministically construct the scheme instance for one trial seed."""
+    """Deterministically construct the scheme instance for one trial seed.
+
+    The pair costs are computed once, by ``all_pairs_optimal``; the
+    e-neighborhoods and the tables are derived from that one table.
+    """
     metric = metric_by_name(config.metric, **config.metric_params)
     plan = assign_addresses(config.n_e, 0)
     graph = generate_graph(
@@ -195,8 +199,8 @@ def build_scheme_for_trial(config: ExperimentConfig, seed: int):
         seed=stream_seed(seed, "graph"),
     )
     graph.plan = plan
-    k = config.effective_k()
-    neighborhoods = all_neighborhoods(graph, metric, k)
+    pair_costs = all_pairs_optimal(graph, metric)
+    neighborhoods = all_neighborhoods(graph, metric, config.effective_k(), pair_costs)
 
     anchors = None
     tracked = None
@@ -224,6 +228,7 @@ def build_scheme_for_trial(config: ExperimentConfig, seed: int):
         ebit_budget=config.ebit_budget,
         capacity_cap=config.capacity_cap,
         plan=plan,
+        pair_costs=pair_costs,
     )
     return tables, coverage
 
@@ -244,7 +249,7 @@ def _sample_chain_checks(tables, config: ExperimentConfig, seed: int) -> int:
             break
         path = resolve(tables, i, d)
         if path.case in (Case.CASE_II, Case.CASE_III):
-            verify_bound_chain(path, tables.graph, tables.metric, pair_costs=tables.pair_costs)
+            verify_bound_chain(path, tables.metric, tables.pair_costs)
             checked += 1
     return checked
 

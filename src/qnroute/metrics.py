@@ -142,7 +142,7 @@ def check_axioms(
     the definiteness axiom, which for min composition would make the
     comparison vacuous.
     """
-    from .topology import optimal_cost
+    from .topology import all_pairs_optimal
 
     nodes = list(range(graph.n_e))
     n = len(nodes)
@@ -156,13 +156,10 @@ def check_axioms(
             return override(graph, i, j)
 
     else:
-        cache: dict[tuple[int, int], float] = {}
+        table = all_pairs_optimal(graph, metric)
 
         def cost(i: int, j: int) -> float:
-            key = (i, j)
-            if key not in cache:
-                cache[key] = optimal_cost(graph, metric, i, j)[0]
-            return cache[key]
+            return table[(i, j)]
 
     violations: list[tuple[str, tuple[int, ...]]] = []
     checked = 0

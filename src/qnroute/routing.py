@@ -204,6 +204,7 @@ def build_tables(
     ebit_budget: int = 4,
     capacity_cap: int | None = None,
     plan: AddressPlan | None = None,
+    pair_costs: dict[tuple[int, int], float] | None = None,
 ) -> SchemeTables:
     """Populate every node's routing table for one scheme.
 
@@ -211,6 +212,8 @@ def build_tables(
     with assignments. The default capacity cap of 4k never evicts e-neighbor
     entries; when a table overflows, reverse-neighbor entries are dropped
     costliest-first and recorded in the table's dropped list.
+    ``pair_costs`` is the trial's ``all_pairs_optimal`` table, computed here
+    when absent; the returned tables keep it for resolution and fallback.
     """
     if (anchors is None) == (tracked is None):
         raise ValueError("pass exactly one of anchors / tracked")
@@ -220,7 +223,8 @@ def build_tables(
 
     k = neighborhoods[0].k if neighborhoods else 0
     cap = capacity_cap if capacity_cap is not None else max(1, 4 * k)
-    pair_costs = all_pairs_optimal(graph, metric)
+    if pair_costs is None:
+        pair_costs = all_pairs_optimal(graph, metric)
     by_owner = {nb.owner: nb for nb in neighborhoods}
     anchor_ids = anchors.members if anchors is not None else frozenset()
 
@@ -371,7 +375,7 @@ def _fallback_or_failure(
     tables: SchemeTables, i: int, d: int, reason: str, allow_fallback: bool
 ) -> EntangledPath:
     if allow_fallback:
-        cost, nodes = optimal_cost(tables.graph, tables.metric, i, d)
+        cost, nodes = optimal_cost(tables.graph, tables.metric, i, d, tables.pair_costs)
         return EntangledPath(
             source=i,
             dest=d,
@@ -587,17 +591,10 @@ class PairEvaluation:
         )
 
 
-def evaluate_all_pairs(
-    tables: SchemeTables,
-    graph: NetworkGraph | None = None,
-    metric: EntanglingMetric | None = None,
-) -> PairEvaluation:
+def evaluate_all_pairs(tables: SchemeTables) -> PairEvaluation:
     """Resolve every ordered pair, with segment costs re-checked against the
     optimal-cost oracle; fallback pairs are excluded from the stretch figures
     and reported separately."""
-    graph = graph or tables.graph
-    metric = metric or tables.metric
-
     rows = []
     case_counts: Counter = Counter()
     hist: Counter = Counter()
@@ -675,9 +672,8 @@ class ChainTrace:
 
 def verify_bound_chain(
     path: EntangledPath,
-    graph: NetworkGraph,
     metric: EntanglingMetric,
-    pair_costs: dict[tuple[int, int], float] | None = None,
+    pair_costs: dict[tuple[int, int], float],
 ) -> ChainTrace:
     """Numerically replay the inequality chain certifying the stretch bound.
 
@@ -685,18 +681,14 @@ def verify_bound_chain(
     one-repeater paths against the three-fold one; every intermediate
     inequality is evaluated on the concrete instance and a violation raises,
     since it means a neighborhood or cover precondition was broken upstream.
-    A precomputed all-pairs cost table may be passed to skip re-deriving
-    optimal costs per query.
+    Optimal costs are read from ``pair_costs``, an ``all_pairs_optimal``
+    table.
     """
     if path.case not in (Case.CASE_II, Case.CASE_III):
         raise ValueError(f"chain applies to case II/III paths, got {path.case}")
 
-    cache: dict[tuple[int, int], float] = {} if pair_costs is None else pair_costs
-
     def w(a: int, b: int) -> float:
-        if (a, b) not in cache:
-            cache[(a, b)] = optimal_cost(graph, metric, a, b)[0]
-        return cache[(a, b)]
+        return pair_costs[(a, b)]
 
     i, d = path.source, path.dest
     wid = w(i, d)

@@ -1,7 +1,7 @@
 """Backbone graph model, generators, optimal entangling cost, e-neighborhoods.
 
 Vertices are ESP indices 0..n_e-1 (ascending index equals ascending quantum
-address). Edges are undirected with one nonnegative cost each. The optimal
+address). Edges are undirected with one positive cost each. The optimal
 entangling cost between two nodes is the least composed cost over repeater
 sequences; for additive composition that is the classic shortest path, while
 for min composition the least composed value over walks is attained by any
@@ -19,6 +19,7 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from .addressing import AddressPlan
 from .errors import GenerationFailedError, NeighborhoodSizeError, UnreachableError
@@ -45,8 +46,8 @@ class NetworkGraph:
     def add_edge(self, i: int, j: int, cost: float) -> None:
         if i == j:
             raise ValueError("self-loops are not allowed")
-        if cost < 0:
-            raise ValueError("link costs must be nonnegative")
+        if not cost > 0:
+            raise ValueError("link costs must be positive")
         self.adjacency[i][j] = cost
         self.adjacency[j][i] = cost
 
@@ -230,9 +231,7 @@ def generate_graph(
 
     if metric is not None:
         for i, j, _ in graph.edges():
-            graph.adjacency[i][j] = graph.adjacency[j][i] = float(
-                metric.sample_cost(rng)
-            )
+            graph.add_edge(i, j, float(metric.sample_cost(rng)))
     return graph
 
 
@@ -268,23 +267,49 @@ def _augment_connectivity(graph: NetworkGraph, rng: random.Random) -> None:
 # Optimal entangling cost
 
 
-def _dijkstra(graph: NetworkGraph, source: int) -> tuple[dict[int, float], dict[int, int]]:
+def _dijkstra(graph: NetworkGraph, source: int) -> dict[int, float]:
+    """Optimal additive cost from ``source`` to every node it reaches.
+
+    The relaxation order does not matter: with positive link costs each
+    distance is the least of its neighbours' distances plus the link cost.
+    """
+    adjacency = graph.adjacency
     dist = {source: 0.0}
-    parent: dict[int, int] = {}
-    done: set[int] = set()
     heap = [(0.0, source)]
     while heap:
         d, v = heapq.heappop(heap)
-        if v in done:
+        if d > dist[v]:
             continue
-        done.add(v)
-        for u in graph.neighbors(v):
-            nd = d + graph.cost(v, u)
+        for u, c in adjacency[v].items():
+            nd = d + c
             if u not in dist or nd < dist[u]:
                 dist[u] = nd
-                parent[u] = v
                 heapq.heappush(heap, (nd, u))
-    return dist, parent
+    return dist
+
+
+def _walk_back(
+    graph: NetworkGraph, pair_costs: dict[tuple[int, int], float], i: int, j: int
+) -> list[int]:
+    """Cheapest route from ``i`` to ``j`` read off the cost row of ``i``.
+
+    Each step goes back from ``u`` to the neighbour ``v`` with
+    ``cost(i, v) + link(v, u) == cost(i, u)``, the smallest ``(cost(i, v), v)``
+    among several. Dijkstra settles nodes in ``(cost, index)`` order, so this
+    is the parent it would record: the first settled node to reach ``u`` at
+    its final cost.
+    """
+    path = [j]
+    u = j
+    while u != i:
+        du = pair_costs[(i, u)]
+        u = min(
+            (pair_costs[(i, v)], v)
+            for v, c in graph.adjacency[u].items()
+            if pair_costs[(i, v)] + c == du
+        )[1]
+        path.append(u)
+    return path[::-1]
 
 
 def _hop_path(graph: NetworkGraph, source: int, target: int) -> list[int]:
@@ -318,27 +343,32 @@ def _min_edge(graph: NetworkGraph) -> tuple[int, int, float]:
 
 
 def optimal_cost(
-    graph: NetworkGraph, metric: EntanglingMetric, i: int, j: int
+    graph: NetworkGraph,
+    metric: EntanglingMetric,
+    i: int,
+    j: int,
+    pair_costs: dict[tuple[int, int], float] | None = None,
 ) -> tuple[float, list[int]]:
     """Minimum composed cost between ``i`` and ``j`` plus one witness route.
 
     Returns ``(cost, nodes)`` where nodes is the full repeater sequence
     including both endpoints, or an empty list when i == j (cost 0 by
-    definiteness). Additive composition runs Dijkstra, licensed by
-    isotonicity plus the triangle inequality; min composition returns a walk
-    through the cheapest component edge, whose composed value that edge's
-    cost is.
+    definiteness). Additive composition, licensed by isotonicity plus the
+    triangle inequality, walks back from ``j`` over the cost row of ``i``:
+    from ``pair_costs`` (an ``all_pairs_optimal`` table) when given, else
+    from one Dijkstra pass. The witness is the route Dijkstra's parent
+    pointers give, ties going to the neighbour settled first. Min
+    composition returns a walk through the cheapest component edge, whose
+    composed value that edge's cost is.
     """
     if i == j:
         return 0.0, []
     if metric.composition is Composition.ADDITIVE:
-        dist, parent = _dijkstra(graph, i)
-        if j not in dist:
+        if pair_costs is None:
+            pair_costs = {(i, u): d for u, d in _dijkstra(graph, i).items()}
+        if (i, j) not in pair_costs:
             raise UnreachableError(f"no path from {i} to {j}")
-        path = [j]
-        while path[-1] != i:
-            path.append(parent[path[-1]])
-        return dist[j], path[::-1]
+        return pair_costs[(i, j)], _walk_back(graph, pair_costs, i, j)
 
     u, v, c = _min_edge(graph)
     # Orient the cheapest edge to keep the witness walk short.
@@ -356,11 +386,17 @@ def optimal_cost(
 def all_pairs_optimal(
     graph: NetworkGraph, metric: EntanglingMetric
 ) -> dict[tuple[int, int], float]:
-    """Optimal cost for every ordered node pair (diagonal included, cost 0)."""
+    """Optimal cost for every ordered node pair (diagonal included, cost 0).
+
+    This is the one cost pass of a scheme build: e-neighborhoods, table
+    entries, fallback witnesses, chain replays and axiom checks all read the
+    table it returns. Additive composition runs Dijkstra from every node;
+    min composition gives every distinct pair the cheapest edge's cost.
+    """
     out: dict[tuple[int, int], float] = {}
     if metric.composition is Composition.ADDITIVE:
         for i in range(graph.n_e):
-            dist, _ = _dijkstra(graph, i)
+            dist = _dijkstra(graph, i)
             if len(dist) != graph.n_e:
                 raise UnreachableError(f"graph disconnected at node {i}")
             for j, d in dist.items():
@@ -397,6 +433,13 @@ class ENeighborhood:
         raise KeyError(member)
 
 
+def _nearest(owner: int, row: Iterable[tuple[int, float]], k: int) -> ENeighborhood:
+    """The k cheapest ``(node, cost)`` of one cost row, ties going to the
+    lower index."""
+    ranked = heapq.nsmallest(k, ((c, u) for u, c in row if u != owner))
+    return ENeighborhood(owner=owner, members=tuple((u, c) for c, u in ranked))
+
+
 def e_neighborhood(
     graph: NetworkGraph, metric: EntanglingMetric, v: int, k: int
 ) -> ENeighborhood:
@@ -408,19 +451,32 @@ def e_neighborhood(
     if k >= graph.n_e:
         raise NeighborhoodSizeError(f"k={k} must be smaller than n_e={graph.n_e}")
     if metric.composition is Composition.ADDITIVE:
-        dist, _ = _dijkstra(graph, v)
+        row = _dijkstra(graph, v)
     else:
         _, _, c = _min_edge(graph)
-        dist = {u: c for u in range(graph.n_e)}
-    ranked = sorted((dist[u], u) for u in range(graph.n_e) if u != v and u in dist)
-    members = tuple((u, c) for c, u in ranked[:k])
-    return ENeighborhood(owner=v, members=members)
+        row = {u: c for u in range(graph.n_e)}
+    return _nearest(v, row.items(), k)
 
 
 def all_neighborhoods(
-    graph: NetworkGraph, metric: EntanglingMetric, k: int
+    graph: NetworkGraph,
+    metric: EntanglingMetric,
+    k: int,
+    pair_costs: dict[tuple[int, int], float] | None = None,
 ) -> list[ENeighborhood]:
-    return [e_neighborhood(graph, metric, v, k) for v in range(graph.n_e)]
+    """The e-neighborhood of every node, ranked as ``e_neighborhood`` ranks.
+
+    ``pair_costs`` is the trial's ``all_pairs_optimal`` table; it is
+    computed here when absent.
+    """
+    n = graph.n_e
+    if k >= n:
+        raise NeighborhoodSizeError(f"k={k} must be smaller than n_e={n}")
+    if pair_costs is None:
+        pair_costs = all_pairs_optimal(graph, metric)
+    return [
+        _nearest(v, ((u, pair_costs[(v, u)]) for u in range(n)), k) for v in range(n)
+    ]
 
 
 def reverse_neighborhood(neighborhoods: list[ENeighborhood], v: int) -> set[int]:

@@ -1,3 +1,4 @@
+import heapq
 import itertools
 
 import pytest
@@ -40,6 +41,33 @@ def brute_force_optimal(graph: NetworkGraph, metric, i: int, j: int) -> float:
         return best
     assert graph.is_connected()
     return min(c for _, _, c in graph.edges())
+
+
+def reference_dijkstra(
+    graph: NetworkGraph, source: int
+) -> tuple[dict[int, float], dict[int, int]]:
+    """Parent-tracking Dijkstra: the reference for optimal-cost witnesses.
+
+    Neighbours are relaxed in index order and a parent changes only on a
+    strict improvement, so each node's parent is the first node settled, in
+    ``(cost, index)`` order, that reaches it at its final cost.
+    """
+    dist = {source: 0.0}
+    parent: dict[int, int] = {}
+    done: set[int] = set()
+    heap = [(0.0, source)]
+    while heap:
+        d, v = heapq.heappop(heap)
+        if v in done:
+            continue
+        done.add(v)
+        for u in graph.neighbors(v):
+            nd = d + graph.cost(v, u)
+            if u not in dist or nd < dist[u]:
+                dist[u] = nd
+                parent[u] = v
+                heapq.heappush(heap, (nd, u))
+    return dist, parent
 
 
 def path_graph(costs: list[float]) -> NetworkGraph:

@@ -137,7 +137,7 @@ def test_c05_bound_chain_clean_on_hundred_case_three_paths():
                 path = resolve(tables, i, d)
                 if path.case is Case.CASE_III:
                     trace = verify_bound_chain(
-                        path, tables.graph, tables.metric, pair_costs=tables.pair_costs
+                        path, tables.metric, tables.pair_costs
                     )
                     assert trace.ok
                     verified += 1

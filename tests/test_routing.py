@@ -275,7 +275,7 @@ def test_chain_holds_on_case_three_with_five_fold_bound():
     tabs = build_partial_scheme(g, HOP, k=4, capacity_cap=10**9)
     checked = 0
     for path in _paths_by_case(tabs, Case.CASE_III):
-        trace = verify_bound_chain(path, g, HOP, pair_costs=tabs.pair_costs)
+        trace = verify_bound_chain(path, HOP, tabs.pair_costs)
         assert trace.ok
         if len(path.repeaters) == 2:
             assert trace.bound_factor == 5
@@ -292,7 +292,7 @@ def test_chain_case_two_three_fold_bound():
     tabs = build_partial_scheme(g, HOP, k=4)
     checked = 0
     for path in _paths_by_case(tabs, Case.CASE_II):
-        trace = verify_bound_chain(path, g, HOP, pair_costs=tabs.pair_costs)
+        trace = verify_bound_chain(path, HOP, tabs.pair_costs)
         assert trace.bound_factor == 3
         assert path.total_cost <= 3 * tabs.pair_costs[(path.source, path.dest)] + 1e-9
         checked += 1
@@ -314,7 +314,7 @@ def test_chain_boundary_equality_when_hub_cost_matches_target_cost():
         wid = tabs.pair_costs[(path.source, path.dest)]
         wil = tabs.pair_costs[(path.source, l)]
         if wil == wid:
-            trace = verify_bound_chain(path, g, HOP, pair_costs=tabs.pair_costs)
+            trace = verify_bound_chain(path, HOP, tabs.pair_costs)
             step = next(s for s in trace.steps if "entry hub" in s.label)
             assert step.lhs == step.rhs
             found = True
@@ -327,7 +327,7 @@ def test_chain_rejects_case_one_paths():
     tabs = build_partial_scheme(g, HOP, k=4)
     path = next(_paths_by_case(tabs, Case.CASE_I))
     with pytest.raises(ValueError):
-        verify_bound_chain(path, g, HOP)
+        verify_bound_chain(path, HOP, tabs.pair_costs)
 
 
 def test_chain_violation_raised_for_fabricated_far_hub():
@@ -350,7 +350,7 @@ def test_chain_violation_raised_for_fabricated_far_hub():
         case=Case.CASE_III,
     )
     with pytest.raises(ChainViolationError) as err:
-        verify_bound_chain(fake, g, HOP, pair_costs=costs)
+        verify_bound_chain(fake, HOP, costs)
     assert err.value.trace is not None
 
 

@@ -16,7 +16,7 @@ from qnroute.topology import (
     save_graph,
 )
 
-from conftest import brute_force_optimal, path_graph
+from conftest import brute_force_optimal, path_graph, reference_dijkstra
 
 
 HOP = hop_count_metric()
@@ -102,6 +102,41 @@ def test_derived_costs_satisfy_triangle_inequality(metric):
         assert costs[(i, j)] <= compose(metric, costs[(i, k)], costs[(k, j)]) + 1e-9
 
 
+# Hop costs give many equally cheap routes per pair; the uniform Waxman case
+# checks float costs.
+TIE_HEAVY = [
+    ("erdos_renyi", 40, {"edge_prob": 0.15}, HOP),
+    ("grid_torus", 36, {}, HOP),
+    ("waxman", 40, {}, uniform_weight_metric()),
+]
+
+
+@pytest.mark.parametrize("model,n,params,metric", TIE_HEAVY)
+def test_witness_is_the_dijkstra_parent_route(model, n, params, metric):
+    g = generate_graph(model, n, params, metric, seed=3)
+    costs = all_pairs_optimal(g, metric)
+    for i in range(n):
+        dist, parent = reference_dijkstra(g, i)
+        for j in range(n):
+            if i == j:
+                continue
+            route = [j]
+            while route[-1] != i:
+                route.append(parent[route[-1]])
+            expected = (dist[j], route[::-1])
+            assert optimal_cost(g, metric, i, j, costs) == expected
+            assert optimal_cost(g, metric, i, j) == expected
+
+
+@pytest.mark.parametrize("model,n,params,metric", TIE_HEAVY)
+def test_neighborhoods_from_pair_costs_match_per_node_ranking(model, n, params, metric):
+    g = generate_graph(model, n, params, metric, seed=3)
+    k = 6
+    shared = all_neighborhoods(g, metric, k, pair_costs=all_pairs_optimal(g, metric))
+    assert shared == all_neighborhoods(g, metric, k)
+    assert shared == [e_neighborhood(g, metric, v, k) for v in range(n)]
+
+
 def test_all_pairs_matches_pointwise_queries():
     g = generate_graph("waxman", 12, {}, uniform_weight_metric(), seed=4)
     metric = uniform_weight_metric()
@@ -169,6 +204,21 @@ def test_reverse_neighborhood_can_be_empty():
     g = path_graph([1.0, 1.0, 10.0])
     nbs = all_neighborhoods(g, uniform_weight_metric(), 1)
     assert reverse_neighborhood(nbs, 3) == set()
+
+
+@pytest.mark.parametrize("cost", [0.0, -1.0])
+def test_add_edge_rejects_nonpositive_cost(cost):
+    g = NetworkGraph(n_e=2)
+    with pytest.raises(ValueError, match="positive"):
+        g.add_edge(0, 1, cost)
+    assert not g.has_edge(0, 1) and not g.has_edge(1, 0)
+
+
+def test_graph_file_with_zero_cost_link_is_rejected(tmp_path):
+    path = tmp_path / "zero.graph"
+    path.write_text("n_e 3\n0 2 1.0\n2 1 0.0\n")
+    with pytest.raises(ValueError, match="positive"):
+        load_graph(str(path))
 
 
 def test_graph_file_round_trip(tmp_path):

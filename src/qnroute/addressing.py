@@ -83,9 +83,6 @@ class AddressPlan:
             out.update(members)
         return out
 
-    def esp_index(self, esp: QuantumAddress) -> int:
-        return self.esp_addresses.index(esp)
-
     def to_dict(self) -> dict:
         return {
             "n": self.n,

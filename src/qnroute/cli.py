@@ -25,7 +25,7 @@ from .clustering import (
     build_tracked_sets,
     neighborhood_size,
 )
-from .errors import QnrouteError
+from .errors import InvalidRequestError, QnrouteError
 from .metrics import metric_by_name
 from .qsearch import instance_from_table, iteration_count, run_search
 from .routing import build_tables, evaluate_all_pairs, resolve
@@ -51,6 +51,13 @@ def _parse_params(pairs: list[str]) -> dict:
         except json.JSONDecodeError:
             out[key] = raw
     return out
+
+
+def _check_node(tables, flag: str, v: int) -> None:
+    if not 0 <= v < tables.n_e:
+        raise InvalidRequestError(
+            f"{flag} {v}: the scheme has nodes 0 to {tables.n_e - 1}"
+        )
 
 
 def _out_dir(path: str | None) -> str:
@@ -116,6 +123,10 @@ def cmd_route(args) -> int:
     from .serialize import write_delivery_log
 
     tables, _, _ = scheme_from_dict(load_json(args.scheme))
+    _check_node(tables, "--source", args.source)
+    _check_node(tables, "--dest", args.dest)
+    if args.source == args.dest:
+        raise InvalidRequestError("--source and --dest must name different nodes")
     path = resolve(
         tables, args.source, args.dest, allow_fallback=not args.no_fallback
     )
@@ -187,6 +198,8 @@ def cmd_eval(args) -> int:
 
 def cmd_qsearch(args) -> int:
     tables, _, _ = scheme_from_dict(load_json(args.scheme))
+    _check_node(tables, "--owner", args.owner)
+    _check_node(tables, "--target", args.target)
     table = tables.table(args.owner)
     instance = instance_from_table(table, tables.plan)
     target_index = tables.plan.esp_addresses[args.target].index

@@ -11,6 +11,7 @@ guarantees are probabilistic.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import random
 from dataclasses import dataclass, field
@@ -134,16 +135,17 @@ class TrackedSets:
     def block_capacity(self) -> int:
         return max(len(b) for b in self.blocks)
 
-    def block_of_target(self, node: int) -> int:
-        """Index of the block that contains ``node``."""
-        for idx, block in enumerate(self.blocks):
-            if node in block:
-                return idx
-        raise KeyError(node)
-
     def tracked_by(self, v: int) -> tuple[int, ...]:
         """The nodes v proactively entangles with: its chosen block."""
         return self.blocks[self.assignment[v]]
+
+    def tracks(self, v: int, target: int) -> bool:
+        """Whether ``target`` lies in the block v tracks."""
+        return target in self._block_sets[self.assignment[v]]
+
+    @functools.cached_property
+    def _block_sets(self) -> tuple[frozenset[int], ...]:
+        return tuple(frozenset(block) for block in self.blocks)
 
 
 def build_tracked_sets(plan: AddressPlan | None, n_e: int) -> TrackedSets:

@@ -58,3 +58,15 @@ class ConfigError(QnrouteError):
 
 class MismatchedSeedsError(QnrouteError):
     """Paired comparison requires both configurations to share seeds."""
+
+
+class DuplicateEntryError(QnrouteError):
+    """A routing table already holds an entry for the peer being added."""
+
+
+class InvalidRequestError(QnrouteError):
+    """A route or lookup request names an unknown node or a degenerate pair."""
+
+
+class InputFileError(QnrouteError):
+    """An input file cannot be read or is not valid JSON."""

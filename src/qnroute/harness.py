@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 from .addressing import assign_addresses
 from .clustering import (
@@ -166,7 +166,7 @@ class StretchReport:
             "note": "graph families are synthetic stand-ins; no agreed-on "
             "backbone topology model exists yet",
             "trials": [
-                {k: v for k, v in asdict(t).items() if k != "rows"}
+                {k: v for k, v in asdict(replace(t, rows=[])).items() if k != "rows"}
                 for t in self.trials
             ],
             "overall": {

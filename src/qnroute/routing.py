@@ -18,6 +18,7 @@ fallback rather than folded into the stretch statistics.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import statistics
 from collections import Counter
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 
 from .addressing import AddressPlan, QuantumAddress
 from .clustering import AnchorSet, Scheme, TrackedSets
-from .errors import ChainViolationError, DepletedLinkError
+from .errors import ChainViolationError, DepletedLinkError, DuplicateEntryError
 from .metrics import EntanglingMetric, compose, fold
 from .qsearch import partition_neighborhood
 from .topology import ENeighborhood, NetworkGraph, all_pairs_optimal, optimal_cost
@@ -63,33 +64,59 @@ class TableEntry:
     partitions: tuple[frozenset[int], ...]
     anchor_flag: bool
     origin: Origin
-    marked_for_replenish: bool = False
-    _reach: frozenset[int] | None = field(default=None, repr=False, compare=False)
 
-    @property
+    @functools.cached_property
     def reach(self) -> frozenset[int]:
-        if self._reach is None:
-            self._reach = frozenset().union(*self.partitions)
-        return self._reach
-
-    @property
-    def usable(self) -> bool:
-        return self.ebits >= 1
+        return frozenset().union(*self.partitions)
 
 
 @dataclass
 class RoutingTable:
+    """One node's entries in table order, indexed by peer.
+
+    ``entries`` keeps insertion order; search labels are positions in it.
+    ``add`` and ``drop`` are its only writers: they keep the peer index and
+    ``e_neighbors``, the e-neighbor entries in table order, in step with it.
+    """
+
     owner: int
     scheme: Scheme
     entries: list[TableEntry] = field(default_factory=list)
     capacity_cap: int | None = None
     dropped: list[tuple[int, str]] = field(default_factory=list)
+    e_neighbors: list[TableEntry] = field(
+        init=False, default_factory=list, repr=False, compare=False
+    )
+    _by_peer: dict[int, TableEntry] = field(
+        init=False, default_factory=dict, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        entries, self.entries = self.entries, []
+        for entry in entries:
+            self.add(entry)
+
+    def add(self, entry: TableEntry) -> None:
+        """Append ``entry``; a second entry for the same peer is rejected."""
+        if entry.e_hop in self._by_peer:
+            raise DuplicateEntryError(
+                f"node {self.owner} already has an entry for peer {entry.e_hop}"
+            )
+        self.entries.append(entry)
+        self._by_peer[entry.e_hop] = entry
+        if entry.origin is Origin.E_NEIGHBOR:
+            self.e_neighbors.append(entry)
+
+    def drop(self, peer: int) -> TableEntry:
+        """Remove and return the entry for ``peer``; later entries move up."""
+        entry = self._by_peer.pop(peer)
+        self.entries.remove(entry)
+        if entry.origin is Origin.E_NEIGHBOR:
+            self.e_neighbors.remove(entry)
+        return entry
 
     def find(self, peer: int) -> TableEntry | None:
-        for entry in self.entries:
-            if entry.e_hop == peer:
-                return entry
-        return None
+        return self._by_peer.get(peer)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -227,81 +254,49 @@ def build_tables(
         pair_costs = all_pairs_optimal(graph, metric)
     by_owner = {nb.owner: nb for nb in neighborhoods}
     anchor_ids = anchors.members if anchors is not None else frozenset()
+    reverse_of: dict[int, list[int]] = {v: [] for v in range(graph.n_e)}
+    for nb in neighborhoods:
+        for peer, _ in nb.members:
+            reverse_of[peer].append(nb.owner)
+    mirrors: dict[int, tuple[frozenset[int], ...]] = {}
 
-    def is_anchor_hop(peer: int) -> bool:
+    def entry(peer: int, cost: float, origin: Origin) -> TableEntry:
         # In the full-anchor scheme every node plays the hub role.
-        return scheme is Scheme.FULL_ANCHOR or peer in anchor_ids
-
-    def mirror(peer: int) -> tuple[frozenset[int], ...]:
-        return partition_neighborhood(by_owner[peer].member_ids, f)
+        anchor_flag = scheme is Scheme.FULL_ANCHOR or peer in anchor_ids
+        if peer not in mirrors:
+            mirrors[peer] = partition_neighborhood(by_owner[peer].member_ids, f)
+        return TableEntry(
+            e_hop=peer,
+            cost=cost,
+            ebits=ebit_budget,
+            partitions=mirrors[peer],
+            anchor_flag=anchor_flag,
+            origin=origin,
+        )
 
     tables: list[RoutingTable] = []
     for v in range(graph.n_e):
         table = RoutingTable(owner=v, scheme=scheme, capacity_cap=cap)
-        covered: set[int] = set()
 
         forward = sorted(by_owner[v].members, key=lambda mc: (mc[1], mc[0]))
         for peer, cost in forward:
-            table.entries.append(
-                TableEntry(
-                    e_hop=peer,
-                    cost=cost,
-                    ebits=ebit_budget,
-                    partitions=mirror(peer),
-                    anchor_flag=is_anchor_hop(peer),
-                    origin=Origin.E_NEIGHBOR,
-                )
-            )
-            covered.add(peer)
+            table.add(entry(peer, cost, Origin.E_NEIGHBOR))
 
         reverse_owners = sorted(
-            (pair_costs[(v, u)], u)
-            for u in range(graph.n_e)
-            if u != v and u not in covered and v in by_owner[u].member_ids
+            (pair_costs[(v, u)], u) for u in reverse_of[v] if table.find(u) is None
         )
         for cost, peer in reverse_owners:
-            table.entries.append(
-                TableEntry(
-                    e_hop=peer,
-                    cost=cost,
-                    ebits=ebit_budget,
-                    partitions=mirror(peer),
-                    anchor_flag=is_anchor_hop(peer),
-                    origin=Origin.REVERSE_NEIGHBOR,
-                )
-            )
-            covered.add(peer)
+            table.add(entry(peer, cost, Origin.REVERSE_NEIGHBOR))
 
         if scheme is Scheme.PARTIAL_ANCHOR and v in anchor_ids:
-            for peer in sorted(anchor_ids):
-                if peer == v or peer in covered:
-                    continue
-                table.entries.append(
-                    TableEntry(
-                        e_hop=peer,
-                        cost=pair_costs[(v, peer)],
-                        ebits=ebit_budget,
-                        partitions=mirror(peer),
-                        anchor_flag=True,
-                        origin=Origin.ANCHOR_LINK,
-                    )
-                )
-                covered.add(peer)
+            long_range, origin = sorted(anchor_ids), Origin.ANCHOR_LINK
         elif scheme is Scheme.FULL_ANCHOR:
-            for peer in tracked.tracked_by(v):
-                if peer == v or peer in covered:
-                    continue
-                table.entries.append(
-                    TableEntry(
-                        e_hop=peer,
-                        cost=pair_costs[(v, peer)],
-                        ebits=ebit_budget,
-                        partitions=mirror(peer),
-                        anchor_flag=True,
-                        origin=Origin.TRACKED_LINK,
-                    )
-                )
-                covered.add(peer)
+            long_range, origin = tracked.tracked_by(v), Origin.TRACKED_LINK
+        else:
+            long_range, origin = (), None
+        for peer in long_range:
+            if peer != v and table.find(peer) is None:
+                table.add(entry(peer, pair_costs[(v, peer)], origin))
 
         _enforce_cap(table, cap)
         tables.append(table)
@@ -333,7 +328,7 @@ def _enforce_cap(table: RoutingTable, cap: int) -> None:
     for entry in reverses:
         if len(table.entries) <= cap:
             break
-        table.entries.remove(entry)
+        table.drop(entry.e_hop)
         table.dropped.append((entry.e_hop, "capacity"))
 
 
@@ -344,16 +339,13 @@ def _link_usable(
     tables: SchemeTables, a: int, b: int, blocked: frozenset[frozenset[int]]
 ) -> bool:
     """A link is usable when no existing endpoint entry is depleted."""
-    if frozenset((a, b)) in blocked:
+    if blocked and frozenset((a, b)) in blocked:
         return False
-    ea = tables.table(a).find(b)
-    eb = tables.table(b).find(a)
-    if ea is None and eb is None:
-        return False
-    for e in (ea, eb):
-        if e is not None and not e.usable:
-            return False
-    return True
+    ea = tables.tables[a]._by_peer.get(b)
+    eb = tables.tables[b]._by_peer.get(a)
+    if ea is None:
+        return eb is not None and eb.ebits >= 1
+    return ea.ebits >= 1 and (eb is None or eb.ebits >= 1)
 
 
 def _finish(
@@ -403,8 +395,7 @@ def _fallback_or_failure(
 def _case_one(
     tables: SchemeTables, i: int, d: int, blocked: frozenset
 ) -> EntangledPath | None:
-    entry = tables.table(i).find(d)
-    if entry is not None and entry.usable and _link_usable(tables, i, d, blocked):
+    if d in tables.tables[i]._by_peer and _link_usable(tables, i, d, blocked):
         return _finish(tables, i, d, [i, d], Case.CASE_I)
     return None
 
@@ -420,20 +411,16 @@ def _case_two(
     then at most the optimal source-target cost.
     """
     metric = tables.metric
+    full_anchor = tables.scheme is Scheme.FULL_ANCHOR
     candidates: list[tuple[float, int, float]] = []
-    for entry in tables.table(i).entries:
-        if entry.origin is not Origin.E_NEIGHBOR or not entry.usable:
-            continue
+    for entry in tables.tables[i].e_neighbors:
         j = entry.e_hop
+        if d not in entry.reach and not (full_anchor and tables.tracked.tracks(j, d)):
+            continue
         if not _link_usable(tables, i, j, blocked):
             continue
-        reaches = d in entry.reach
-        if not reaches and tables.scheme is Scheme.FULL_ANCHOR:
-            reaches = d in tables.tracked.tracked_by(j)
-        if not reaches:
-            continue
-        hop = tables.table(j).find(d)
-        if hop is None or not hop.usable or not _link_usable(tables, j, d, blocked):
+        hop = tables.tables[j]._by_peer.get(d)
+        if hop is None or not _link_usable(tables, j, d, blocked):
             continue
         candidates.append((compose(metric, entry.cost, hop.cost), j, entry.cost))
     if not candidates:
@@ -444,11 +431,11 @@ def _case_two(
 
 def _anchor_hubs_near(tables: SchemeTables, v: int, blocked: frozenset) -> list[int]:
     """Usable anchors inside v's e-neighborhood, cheapest first."""
-    ranked = []
-    for entry in tables.table(v).entries:
-        if entry.origin is Origin.E_NEIGHBOR and entry.anchor_flag and entry.usable:
-            if _link_usable(tables, v, entry.e_hop, blocked):
-                ranked.append((entry.cost, entry.e_hop))
+    ranked = [
+        (entry.cost, entry.e_hop)
+        for entry in tables.tables[v].e_neighbors
+        if entry.anchor_flag and _link_usable(tables, v, entry.e_hop, blocked)
+    ]
     return [hop for _, hop in sorted(ranked)]
 
 
@@ -608,30 +595,24 @@ def evaluate_all_pairs(tables: SchemeTables) -> PairEvaluation:
                 continue
             total += 1
             path = resolve(tables, i, d)
-            case_counts[path.case.value] += 1
-            for (a, b), seg in zip(zip(path.nodes, path.nodes[1:]), path.segment_costs):
-                if path.case is not Case.FALLBACK:
+            case = path.case
+            case_counts[case.value] += 1
+            if case is not Case.FALLBACK:
+                nodes = path.nodes
+                for (a, b), seg in zip(zip(nodes, nodes[1:]), path.segment_costs):
                     oracle = tables.pair_costs[(a, b)]
                     if abs(seg - oracle) > 1e-9:
                         raise AssertionError(
                             f"segment ({a},{b}) cost {seg} != optimal {oracle}"
                         )
+            stretch = path.stretch
             if path.resolved:
-                stretches.append(path.stretch)
-                all_stretches.append(path.stretch)
-                hist[round(path.stretch, 2)] += 1
-            elif path.case is Case.FALLBACK:
-                all_stretches.append(path.stretch)
-            rows.append(
-                (
-                    i,
-                    d,
-                    path.case.value,
-                    path.total_cost,
-                    path.optimal,
-                    path.stretch,
-                )
-            )
+                stretches.append(stretch)
+                all_stretches.append(stretch)
+                hist[round(stretch, 2)] += 1
+            elif case is Case.FALLBACK:
+                all_stretches.append(stretch)
+            rows.append((i, d, case.value, path.total_cost, path.optimal, stretch))
     return PairEvaluation(
         rows=rows,
         case_counts=case_counts,
@@ -753,10 +734,9 @@ def swap_and_replenish(
     """Consume one ebit per segment endpoint along the path and deliver.
 
     A depleted segment triggers exactly one re-resolution with that link
-    excluded; if the retry fails too, the delivery fails. When a consumed
-    entry reaches zero it is marked for replenishment, and a positive
-    ``replenish_rate`` immediately restores that many ebits per below-budget
-    entry (the control plane's refill step).
+    excluded; if the retry fails too, the delivery fails. A positive
+    ``replenish_rate`` then restores that many ebits per below-budget entry
+    (the control plane's refill step).
     """
     if packet.payload_ebits < 1:
         raise ValueError("packet payload must carry at least one ebit")
@@ -801,7 +781,7 @@ def _first_depleted_link(
 ) -> tuple[int, int] | None:
     for a, b in zip(path.nodes, path.nodes[1:]):
         for x, y in ((a, b), (b, a)):
-            entry = tables.table(x).find(y)
+            entry = tables.tables[x]._by_peer.get(y)
             if entry is not None and entry.ebits < 1:
                 return (a, b)
     return None
@@ -809,14 +789,12 @@ def _first_depleted_link(
 
 def _consume_link(tables: SchemeTables, a: int, b: int) -> None:
     for x, y in ((a, b), (b, a)):
-        entry = tables.table(x).find(y)
+        entry = tables.tables[x]._by_peer.get(y)
         if entry is None:
             continue
         if entry.ebits < 1:
             raise DepletedLinkError(f"link ({a},{b}) has no ebits at {x}")
         entry.ebits -= 1
-        if entry.ebits == 0:
-            entry.marked_for_replenish = True
 
 
 def replenish(tables: SchemeTables, rate: int) -> int:
@@ -832,8 +810,6 @@ def replenish(tables: SchemeTables, rate: int) -> int:
                 grant = min(rate, budget - entry.ebits)
                 entry.ebits += grant
                 added += grant
-                if entry.ebits >= budget:
-                    entry.marked_for_replenish = False
     return added
 
 

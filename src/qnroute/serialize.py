@@ -12,6 +12,7 @@ import json
 
 from .addressing import AddressPlan
 from .clustering import AnchorSet, Scheme, TrackedSets
+from .errors import InputFileError
 from .metrics import metric_by_name
 from .routing import Origin, RoutingTable, SchemeTables, TableEntry
 from .topology import ENeighborhood, NetworkGraph, all_pairs_optimal
@@ -124,7 +125,7 @@ def scheme_from_dict(doc: dict) -> tuple[SchemeTables, str, dict]:
         owner = index_of[owner_addr]
         table = RoutingTable(owner=owner, scheme=scheme, capacity_cap=doc["capacity_cap"])
         for edoc in tdoc["entries"]:
-            table.entries.append(
+            table.add(
                 TableEntry(
                     e_hop=index_of[edoc["e_hop"]],
                     cost=float(edoc["cost"]),
@@ -178,5 +179,10 @@ def dump_json(doc: dict, path: str) -> None:
 
 
 def load_json(path: str) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as err:
+        raise InputFileError(f"cannot read {path}: {err.strerror}") from None
+    except json.JSONDecodeError as err:
+        raise InputFileError(f"{path} is not valid JSON: {err}") from None

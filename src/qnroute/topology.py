@@ -13,6 +13,7 @@ a walk but not on every simple path), so walks are the intended semantics.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import logging
 import math
@@ -422,15 +423,9 @@ class ENeighborhood:
     def k(self) -> int:
         return len(self.members)
 
-    @property
+    @functools.cached_property
     def member_ids(self) -> frozenset[int]:
         return frozenset(m for m, _ in self.members)
-
-    def cost_to(self, member: int) -> float:
-        for m, c in self.members:
-            if m == member:
-                return c
-        raise KeyError(member)
 
 
 def _nearest(owner: int, row: Iterable[tuple[int, float]], k: int) -> ENeighborhood:

@@ -1,5 +1,6 @@
 import json
 import os
+from dataclasses import asdict
 
 import pytest
 
@@ -109,6 +110,18 @@ def test_summary_json_carries_schema_version_and_note(tmp_path):
     assert doc["schema_version"] == 1
     assert "synthetic" in doc["note"]
     assert doc["overall"]["passed"] is True
+
+
+def test_summary_trials_hold_every_field_but_rows(tmp_path):
+    config = torus_config(output_dir=str(tmp_path), axiom_check=True)
+    report = run_experiment(config)
+    assert report.trials[0].rows
+    expected = [
+        {k: v for k, v in asdict(t).items() if k != "rows"} for t in report.trials
+    ]
+    assert report.summary_dict()["trials"] == expected
+    doc = json.loads((tmp_path / "torus16_summary.json").read_text())
+    assert doc["trials"] == json.loads(json.dumps(expected))
 
 
 def test_graph_stream_isolated_from_tracking_stream():
@@ -307,3 +320,44 @@ def test_cli_config_file_overrides_flags(tmp_path, capsys):
     assert main(["report", "--config", str(cfg), "--n-e", "16"]) == 0
     doc = json.loads((tmp_path / "filewins_summary.json").read_text())
     assert doc["config"]["n_e"] == 9
+
+
+@pytest.fixture
+def torus_scheme_file(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    main(["generate", "--model", "grid_torus", "--n-e", "16",
+          "--metric", "hop", "--seed", "0", "--out", "net.graph"])
+    main(["cluster", "--graph", "net.graph", "--scheme", "partial",
+          "--k", "3", "--out", "scheme.json"])
+    return "scheme.json"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["route", "--source", "0", "--dest", "99"], "--dest 99"),
+        (["route", "--source", "3", "--dest", "3"], "different nodes"),
+        (["qsearch", "--owner", "0", "--target", "99"], "--target 99"),
+        (["qsearch", "--owner", "16", "--target", "0"], "--owner 16"),
+    ],
+)
+def test_cli_rejects_unknown_or_repeated_nodes(torus_scheme_file, capsys, argv, message):
+    assert main([*argv[:1], "--scheme", torus_scheme_file, *argv[1:]]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_cli_missing_scheme_file_exits_two(tmp_path, capsys):
+    missing = str(tmp_path / "absent.json")
+    assert main(["route", "--scheme", missing, "--source", "0", "--dest", "1"]) == 2
+    assert "cannot read" in capsys.readouterr().err
+
+
+def test_cli_scheme_with_duplicate_entry_exits_two(torus_scheme_file, capsys):
+    doc = load_json(torus_scheme_file)
+    entries = next(iter(doc["tables"].values()))["entries"]
+    entries.append(dict(entries[0]))
+    with open(torus_scheme_file, "w") as fh:
+        json.dump(doc, fh)
+    assert main(["route", "--scheme", torus_scheme_file, "--source", "0", "--dest", "5"]) == 2
+    assert main(["eval", "--scheme", torus_scheme_file]) == 2
+    assert "already has an entry" in capsys.readouterr().err

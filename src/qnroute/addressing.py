@@ -111,7 +111,7 @@ class AddressPlan:
         )
 
 
-def assign_addresses(n_e: int, max_cluster_size: int, seed: int = 0) -> AddressPlan:
+def assign_addresses(n_e: int, max_cluster_size: int) -> AddressPlan:
     """Build a deterministic address plan for ``n_e`` ESPs.
 
     ESP prefixes are the first ``n_e`` p-bit strings in ascending order; each
@@ -119,15 +119,11 @@ def assign_addresses(n_e: int, max_cluster_size: int, seed: int = 0) -> AddressP
     follow in ascending order. The register width is ceil(log2 n) for
     n = n_e * (1 + max_cluster_size) nodes, floored at one qubit so registers
     are never empty.
-
-    ``seed`` is accepted for future shuffled plans; assignment is currently
-    lexicographic regardless.
     """
     if n_e < 1:
         raise ValueError("n_e must be at least 1")
     if max_cluster_size < 0:
         raise ValueError("max_cluster_size must be nonnegative")
-    del seed
 
     n = n_e * (1 + max_cluster_size)
     width = max(1, _ceil_log2(n))

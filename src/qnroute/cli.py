@@ -16,28 +16,12 @@ import os
 import sys
 
 from . import harness
-from .addressing import assign_addresses
-from .clustering import (
-    Scheme,
-    assign_all_tracking,
-    build_anchor_set_greedy,
-    build_anchor_set_random,
-    build_tracked_sets,
-    neighborhood_size,
-)
 from .errors import InvalidRequestError, QnrouteError
 from .metrics import metric_by_name
-from .qsearch import instance_from_table, iteration_count, run_search
-from .routing import build_tables, evaluate_all_pairs, resolve
-from .rng import stream_seed
+from .qsearch import instance_from_table, run_search
+from .routing import evaluate_all_pairs, resolve
 from .serialize import dump_json, load_json, scheme_from_dict, scheme_to_dict
-from .topology import (
-    all_neighborhoods,
-    all_pairs_optimal,
-    generate_graph,
-    load_graph,
-    save_graph,
-)
+from .topology import generate_graph, load_graph, save_graph
 
 
 def _parse_params(pairs: list[str]) -> dict:
@@ -76,43 +60,19 @@ def cmd_generate(args) -> int:
 
 def cmd_cluster(args) -> int:
     graph = load_graph(args.graph)
-    metric = metric_by_name(args.metric, **_parse_params(args.metric_param))
-    plan = assign_addresses(graph.n_e, 0)
-    graph.plan = plan
-    k = args.k if args.k is not None else neighborhood_size(graph.n_e, args.m)
-    pair_costs = all_pairs_optimal(graph, metric)
-    neighborhoods = all_neighborhoods(graph, metric, k, pair_costs)
-
-    anchors = tracked = None
-    if args.scheme == "partial":
-        if args.anchors == "greedy":
-            anchors = build_anchor_set_greedy(neighborhoods)
-        else:
-            anchors = build_anchor_set_random(
-                neighborhoods, graph.n_e, seed=args.seed, m=args.m
-            )
-    else:
-        tracked = assign_all_tracking(
-            build_tracked_sets(plan, graph.n_e),
-            graph.n_e,
-            seed=stream_seed(args.seed, "tracking"),
-        )
-    tables = build_tables(
-        graph,
-        metric,
-        neighborhoods,
-        anchors=anchors,
-        tracked=tracked,
-        f=args.f,
-        ebit_budget=args.ebit_budget,
-        capacity_cap=args.capacity_cap,
-        plan=plan,
-        pair_costs=pair_costs,
+    metric_params = _parse_params(args.metric_param)
+    config = harness.ExperimentConfig(
+        n_e=graph.n_e, metric=args.metric, metric_params=metric_params,
+        scheme=args.scheme, anchor_method=args.anchors, m=args.m, f=args.f,
+        ebit_budget=args.ebit_budget, capacity_cap=args.capacity_cap, k_override=args.k,
     )
-    dump_json(scheme_to_dict(tables, args.metric, _parse_params(args.metric_param)), args.out)
+    config.validate()
+    metric = metric_by_name(args.metric, **metric_params)
+    tables, _ = harness.build_scheme(config, graph, metric, args.seed)
+    dump_json(scheme_to_dict(tables, args.metric, metric_params), args.out)
     sizes = [len(t) for t in tables.tables]
     print(
-        f"wrote {args.out}: scheme={args.scheme} k={k} "
+        f"wrote {args.out}: scheme={args.scheme} k={config.effective_k()} "
         f"tables max={max(sizes)} mean={sum(sizes) / len(sizes):.1f}"
     )
     return 0
@@ -203,16 +163,8 @@ def cmd_qsearch(args) -> int:
     table = tables.table(args.owner)
     instance = instance_from_table(table, tables.plan)
     target_index = tables.plan.esp_addresses[args.target].index
-    iterations = args.iterations
-    if iterations is None:
-        hits = instance.hit_labels(target_index)
-        iterations = iteration_count(instance.n_t, max(1, len(hits)))
     outcome = run_search(
-        instance,
-        target_index,
-        iterations=iterations,
-        seed=args.seed,
-        cap_qubits=args.cap_qubits,
+        instance, target_index, iterations=args.iterations, seed=args.seed
     )
     print(
         json.dumps(
@@ -334,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", type=int, required=True)
     p.add_argument("--iterations", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cap-qubits", type=int, default=22)
     p.set_defaults(func=cmd_qsearch)
 
     p = sub.add_parser("compare", help="paired-seed comparison of two configs")

@@ -70,3 +70,11 @@ class InvalidRequestError(QnrouteError):
 
 class InputFileError(QnrouteError):
     """An input file cannot be read or is not valid JSON."""
+
+
+class GraphFileError(InputFileError, ValueError):
+    """A graph file has a bad header or a malformed edge line."""
+
+
+class SchemeDocumentError(QnrouteError):
+    """A scheme document has another schema version, a missing field or an unknown address."""

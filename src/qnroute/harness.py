@@ -27,7 +27,7 @@ from .clustering import (
 )
 from .errors import ConfigError, MismatchedSeedsError
 from .metrics import Composition, metric_by_name
-from .qsearch import DEFAULT_CAP_QUBITS, instance_from_table, routing_lookup_via_search
+from .qsearch import routing_lookup_via_search
 from .rng import stream, stream_seed
 from .routing import (
     Case,
@@ -184,13 +184,8 @@ class StretchReport:
 
 
 def build_scheme_for_trial(config: ExperimentConfig, seed: int):
-    """Deterministically construct the scheme instance for one trial seed.
-
-    The pair costs are computed once, by ``all_pairs_optimal``; the
-    e-neighborhoods and the tables are derived from that one table.
-    """
+    """Deterministically construct the scheme instance for one trial seed."""
     metric = metric_by_name(config.metric, **config.metric_params)
-    plan = assign_addresses(config.n_e, 0)
     graph = generate_graph(
         config.graph_model,
         config.n_e,
@@ -198,6 +193,17 @@ def build_scheme_for_trial(config: ExperimentConfig, seed: int):
         metric,
         seed=stream_seed(seed, "graph"),
     )
+    return build_scheme(config, graph, metric, seed)
+
+
+def build_scheme(config: ExperimentConfig, graph, metric, seed: int):
+    """Build tables and coverage over a given graph from ``config``'s
+    construction fields; ``seed`` draws random anchors and tracking.
+
+    The pair costs are computed once, by ``all_pairs_optimal``; the
+    e-neighborhoods and the tables are derived from that one table.
+    """
+    plan = assign_addresses(graph.n_e, 0)
     graph.plan = plan
     pair_costs = all_pairs_optimal(graph, metric)
     neighborhoods = all_neighborhoods(graph, metric, config.effective_k(), pair_costs)
@@ -209,12 +215,12 @@ def build_scheme_for_trial(config: ExperimentConfig, seed: int):
             anchors = build_anchor_set_greedy(neighborhoods)
         else:
             anchors = build_anchor_set_random(
-                neighborhoods, config.n_e, seed=seed, m=config.m
+                neighborhoods, graph.n_e, seed=seed, m=config.m
             )
         coverage = verify_coverage(Scheme.PARTIAL_ANCHOR, neighborhoods, anchors=anchors)
     else:
         tracked = assign_all_tracking(
-            build_tracked_sets(plan, config.n_e), config.n_e, seed=stream_seed(seed, "tracking")
+            build_tracked_sets(plan, graph.n_e), graph.n_e, seed=stream_seed(seed, "tracking")
         )
         coverage = verify_coverage(Scheme.FULL_ANCHOR, neighborhoods, tracked=tracked)
 
@@ -255,7 +261,7 @@ def _sample_chain_checks(tables, config: ExperimentConfig, seed: int) -> int:
 
 
 def _qsearch_agreement(tables, seed: int, max_pairs: int = 4) -> dict | None:
-    """Quantum lookup vs classical mirror on a few pairs, when the table fits."""
+    """Quantum lookup vs classical mirror on a few owners' tables."""
     if tables.plan is None:
         return None
     rng = stream(seed, "measurement")
@@ -267,9 +273,6 @@ def _qsearch_agreement(tables, seed: int, max_pairs: int = 4) -> dict | None:
             break
         table = tables.table(owner)
         if len(table.entries) < 2:
-            continue
-        instance = instance_from_table(table, tables.plan)
-        if instance.total_qubits > DEFAULT_CAP_QUBITS:
             continue
         targets = [t for t in range(tables.n_e) if t != owner]
         target = rng.choice(targets)

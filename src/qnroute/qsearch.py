@@ -11,12 +11,11 @@ component where the register holds the target is marked, every orthogonal
 component evolves as if no oracle fired. Diffusion acts on the label register
 only.
 
-Two exact engines are provided. The gate-level engine materializes the full
-joint statevector (label x all address registers x ancilla) and is used
-whenever the qubit count fits the cap. The reduced engine tracks, per label,
-only the hit/miss split of each register that actually contains the target:
-registers the oracle never conditions on stay in product form throughout, so
-tracing them out is exact, and the two engines agree to numerical precision.
+Every lookup runs one engine: a closed form for the exact label marginal,
+polynomial in the number of entries that hold the target, so no table is too
+large to search. The gate-level engine materializes the full joint
+statevector (label x all address registers x ancilla) up to a qubit cap and
+is kept as the reference; the two agree to numerical precision.
 """
 
 from __future__ import annotations
@@ -32,18 +31,13 @@ from .rng import stream_seed
 
 DEFAULT_CAP_QUBITS = 22
 
-# branch bookkeeping in the reduced engine is 2^h wide
-MAX_HIT_ENTRIES = 20
-
 NORM_TOL = 1e-12
 
 
-def partition_neighborhood(members, f: int, seed: int | None = None):
+def partition_neighborhood(members, f: int):
     """Split ``members`` into f disjoint parts, round-robin by sorted value.
 
     Part sizes differ by at most one and the union is exactly ``members``.
-    ``seed`` is reserved for future shuffled splits; the split is currently
-    deterministic regardless.
     """
     if f < 1:
         raise PartitionCountError("partition count must be at least 1")
@@ -52,7 +46,6 @@ def partition_neighborhood(members, f: int, seed: int | None = None):
         raise PartitionCountError(
             f"cannot split {len(members)} members into {f} nonempty partitions"
         )
-    del seed
     return tuple(frozenset(members[l::f]) for l in range(f))
 
 
@@ -316,42 +309,52 @@ def apply_diffusion(state: SearchState) -> SearchState:
 
 
 # ---------------------------------------------------------------------------
-# Reduced exact engine
+# Closed-form exact engine
+
 
 def _reduced_distribution(
     instance: SearchInstance, target: int, iterations: int
 ) -> np.ndarray:
-    """Exact label marginal without materializing untouched registers.
+    """Exact label marginal in closed form.
 
     Per hitting entry j the state splits into an inverting branch (weight
-    alpha_j, its register collapsed onto the target) and a non-inverting one.
-    Branches never mix: the oracle only flips the sign of label j inside
-    branches where register j is on the target, and diffusion acts on the
-    label axis independently per branch. Registers without the target stay
-    exactly in their initial product state and drop out of the marginal.
+    alpha_j, its register on the target) and a non-inverting one; registers
+    without the target stay in product form and drop out. Branches never
+    mix, so the state is a mixture over marked sets S of hit labels, and each
+    branch is plain multi-target Grover: a label in S ends at
+    sin^2((2t+1)theta_s)/s, any other at cos^2((2t+1)theta_s)/(n_T - s), with
+    theta_s = asin sqrt(s/n_T) and s = |S| (Boyer, Brassard, Hoyer & Tapp,
+    1998). Only the Poisson-binomial pmf of s is needed: over all hits for a
+    label that is not hit, over the other hits for hit label j.
     """
     hits = instance.hit_alphas(target)
     h = len(hits)
-    if h > MAX_HIT_ENTRIES:
-        raise DimensionCapError(f"{h} hitting entries exceed the branch cap")
     n_t = instance.n_t
-    amps = np.zeros((n_t, 2**h), dtype=np.float64)
-    base = 1.0 / math.sqrt(n_t)
-    for b in range(2**h):
-        weight = base
-        for j, (_, alpha) in enumerate(hits):
-            weight *= math.sqrt(alpha) if (b >> j) & 1 else math.sqrt(1.0 - alpha)
-        amps[:, b] = weight
+    alphas = np.array([alpha for _, alpha in hits])
+    sizes = np.arange(h + 1)
+    angle = (2 * iterations + 1) * np.arcsin(np.sqrt(sizes / n_t))
+    marked = np.zeros(h + 1)
+    marked[1:] = np.sin(angle[1:]) ** 2 / sizes[1:]
+    unmarked = np.zeros(h + 1)
+    rest = n_t - sizes
+    np.divide(np.cos(angle) ** 2, rest, out=unmarked, where=rest > 0)
 
-    for _ in range(iterations):
-        for j, (label, _) in enumerate(hits):
-            for b in range(2**h):
-                if (b >> j) & 1:
-                    amps[label, b] *= -1.0
-        mean = amps.mean(axis=0)
-        amps = 2.0 * mean[np.newaxis, :] - amps
+    # row j < h: pmf of |S| over the hits other than j; row h: over all hits
+    add = np.tile(alphas, (h + 1, 1))
+    np.fill_diagonal(add, 0.0)
+    keep = 1.0 - add
+    pmf = np.zeros((h + 1, h + 1))
+    pmf[:, 0] = 1.0
+    for j in range(h):
+        pmf[:, 1:] = pmf[:, 1:] * keep[:, j, None] + pmf[:, :-1] * add[:, j, None]
+        pmf[:, 0] *= keep[:, j]
 
-    return np.sum(amps**2, axis=1)
+    probs = np.full(n_t, pmf[h] @ unmarked)
+    others = pmf[:h, :h]
+    probs[[label for label, _ in hits]] = (
+        alphas * (others @ marked[1:]) + (1.0 - alphas) * (others @ unmarked[:h])
+    )
+    return probs
 
 
 # ---------------------------------------------------------------------------
@@ -389,25 +392,22 @@ def run_search(
     target: int,
     iterations: int | None = None,
     seed: int = 0,
-    engine: str = "auto",
-    cap_qubits: int = DEFAULT_CAP_QUBITS,
+    engine: str = "reduced",
 ) -> SearchOutcome:
     """Run the amplified lookup and sample one label from the exact marginal.
 
-    ``engine="full"`` forces the gate-level statevector (raising when the
-    joint register exceeds the cap); ``"reduced"`` forces the branch engine;
-    ``"auto"`` uses the full engine whenever it fits. Both engines produce
-    the same exact distribution; sampling is seeded and shot noise only
-    enters through the single reported measurement.
+    ``engine="reduced"`` is the closed form and serves every table;
+    ``"full"`` runs the gate-level statevector instead, as a reference, and
+    raises ``DimensionCapError`` when the joint register exceeds its cap.
+    Both produce the same exact distribution; sampling is seeded and shot
+    noise only enters through the single reported measurement.
     """
     hits = instance.hit_labels(target)
     if iterations is None:
         iterations = iteration_count(instance.n_t, max(1, len(hits)))
 
-    if engine == "auto":
-        engine = "full" if instance.total_qubits <= cap_qubits else "reduced"
     if engine == "full":
-        state = init_search(instance, cap_qubits=cap_qubits)
+        state = init_search(instance)
         for _ in range(iterations):
             apply_oracle(state, target)
             apply_diffusion(state)
@@ -459,10 +459,14 @@ def analytic_success_probability(
 class LookupResult:
     entry_label: int | None
     found: bool
-    classical_fallback: bool
     attempts: int
     success_probability: float
     measured: tuple[int, ...]
+
+    @property
+    def classical_fallback(self) -> bool:
+        """Always False: every table is searched, none is read classically."""
+        return False
 
 
 def routing_lookup_via_search(
@@ -472,29 +476,18 @@ def routing_lookup_via_search(
     iterations: int | None = None,
     seed: int = 0,
     repeats: int = 1,
-    cap_qubits: int = DEFAULT_CAP_QUBITS,
 ) -> LookupResult:
     """Locate a table entry whose mirrored neighborhood holds the target.
 
     Each attempt re-prepares fresh state, runs the search, and verifies the
     measured label against the classical mirror; misses are legitimate
-    probabilistic outcomes and are reported through the attempt count. Tables
-    whose joint register exceeds both engines fall back to the classical
-    mirror with the fallback flag set.
+    probabilistic outcomes and are reported through the attempt count.
     """
     if tables.plan is None:
         raise ValueError("tables need an address plan for basis conversion")
     table = tables.table(owner)
     target_index = tables.plan.esp_addresses[target].index
     instance = instance_from_table(table, tables.plan)
-
-    hits_possible = instance.hit_labels(target_index)
-    reduced_feasible = len(hits_possible) <= MAX_HIT_ENTRIES
-    if instance.total_qubits > cap_qubits and not reduced_feasible:
-        for label, entry in enumerate(table.entries):
-            if target in entry.reach:
-                return LookupResult(label, True, True, 0, 1.0, ())
-        return LookupResult(None, False, True, 0, 0.0, ())
 
     measured: list[int] = []
     success = 0.0
@@ -504,7 +497,6 @@ def routing_lookup_via_search(
             target_index,
             iterations=iterations,
             seed=stream_seed(seed, f"attempt:{attempt}"),
-            cap_qubits=cap_qubits,
         )
         success = outcome.success_probability
         measured.append(outcome.measured)
@@ -512,7 +504,6 @@ def routing_lookup_via_search(
             return LookupResult(
                 entry_label=outcome.measured,
                 found=True,
-                classical_fallback=False,
                 attempts=attempt + 1,
                 success_probability=success,
                 measured=tuple(measured),
@@ -520,7 +511,6 @@ def routing_lookup_via_search(
     return LookupResult(
         entry_label=None,
         found=False,
-        classical_fallback=False,
         attempts=repeats,
         success_probability=success,
         measured=tuple(measured),

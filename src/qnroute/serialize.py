@@ -12,7 +12,7 @@ import json
 
 from .addressing import AddressPlan
 from .clustering import AnchorSet, Scheme, TrackedSets
-from .errors import InputFileError
+from .errors import InputFileError, SchemeDocumentError
 from .metrics import metric_by_name
 from .routing import Origin, RoutingTable, SchemeTables, TableEntry
 from .topology import ENeighborhood, NetworkGraph, all_pairs_optimal
@@ -79,7 +79,28 @@ def scheme_to_dict(tables: SchemeTables, metric_name: str, metric_params: dict |
 
 
 def scheme_from_dict(doc: dict) -> tuple[SchemeTables, str, dict]:
-    """Rebuild a SchemeTables plus the metric name/params it was built with."""
+    """Rebuild a SchemeTables plus the metric name/params it was built with.
+
+    Another schema version, a missing field, an invalid value or an address
+    the plan does not assign raises ``SchemeDocumentError``.
+    """
+    version = doc.get("schema_version")
+    if version != SCHEMA_VERSION:
+        raise SchemeDocumentError(
+            f"scheme document has schema_version {version!r}; "
+            f"only {SCHEMA_VERSION} is supported"
+        )
+    try:
+        return _read_scheme(doc)
+    except KeyError as err:
+        raise SchemeDocumentError(
+            f"scheme document: missing field or unknown address {err.args[0]!r}"
+        ) from None
+    except ValueError as err:
+        raise SchemeDocumentError(f"scheme document: {err}") from None
+
+
+def _read_scheme(doc: dict) -> tuple[SchemeTables, str, dict]:
     plan = AddressPlan.from_dict(doc["plan"])
     index_of = {a.bits: i for i, a in enumerate(plan.esp_addresses)}
 
@@ -89,7 +110,10 @@ def scheme_from_dict(doc: dict) -> tuple[SchemeTables, str, dict]:
 
     metric_name = doc["metric"]["name"]
     metric_params = doc["metric"].get("params", {})
-    metric = metric_by_name(metric_name, **metric_params)
+    try:
+        metric = metric_by_name(metric_name, **metric_params)
+    except KeyError as err:
+        raise SchemeDocumentError(err.args[0]) from None
 
     neighborhoods = [
         ENeighborhood(

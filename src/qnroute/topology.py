@@ -23,7 +23,13 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .addressing import AddressPlan
-from .errors import GenerationFailedError, NeighborhoodSizeError, UnreachableError
+from .errors import (
+    GenerationFailedError,
+    GraphFileError,
+    InputFileError,
+    NeighborhoodSizeError,
+    UnreachableError,
+)
 from .metrics import Composition, EntanglingMetric, fold
 
 logger = logging.getLogger(__name__)
@@ -95,16 +101,30 @@ def save_graph(graph: NetworkGraph, path: str) -> None:
 
 
 def load_graph(path: str) -> NetworkGraph:
-    with open(path) as fh:
+    """Read the text format written by ``save_graph``.
+
+    An unreadable file raises ``InputFileError``; a bad header or edge line
+    raises ``GraphFileError`` naming the line.
+    """
+    try:
+        fh = open(path)
+    except OSError as err:
+        raise InputFileError(f"cannot read {path}: {err.strerror}") from None
+    with fh:
         header = fh.readline().split()
-        if len(header) != 2 or header[0] != "n_e":
-            raise ValueError(f"bad graph header in {path}")
+        if len(header) != 2 or header[0] != "n_e" or not header[1].isdigit():
+            raise GraphFileError(f"{path}:1: expected the header 'n_e <count>'")
         graph = NetworkGraph(n_e=int(header[1]))
-        for line in fh:
-            if not line.strip():
-                continue
-            i, j, c = line.split()
-            graph.add_edge(int(i), int(j), float(c))
+        for lineno, line in enumerate(fh, start=2):
+            try:
+                if line.strip():
+                    i, j, c = line.split()
+                    i, j = int(i), int(j)
+                    if not (0 <= i < graph.n_e and 0 <= j < graph.n_e):
+                        raise ValueError(f"node ids must lie in [0, {graph.n_e})")
+                    graph.add_edge(i, j, float(c))
+            except ValueError as err:
+                raise GraphFileError(f"{path}:{lineno}: {err}") from None
     return graph
 
 

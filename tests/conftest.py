@@ -1,6 +1,8 @@
 import heapq
 import itertools
+import math
 
+import numpy as np
 import pytest
 
 from qnroute.addressing import assign_addresses
@@ -68,6 +70,35 @@ def reference_dijkstra(
                 parent[u] = v
                 heapq.heappush(heap, (nd, u))
     return dist, parent
+
+
+def reference_branch_distribution(instance, target: int, iterations: int) -> np.ndarray:
+    """Branch-enumeration oracle for the exact label marginal.
+
+    Per hitting entry j the state splits into an inverting branch (weight
+    alpha_j) and a non-inverting one; all 2^h branches are run through the
+    oracle sign flip and the inversion about the mean, one column each.
+    """
+    hits = instance.hit_alphas(target)
+    h = len(hits)
+    n_t = instance.n_t
+    amps = np.zeros((n_t, 2**h), dtype=np.float64)
+    base = 1.0 / math.sqrt(n_t)
+    for b in range(2**h):
+        weight = base
+        for j, (_, alpha) in enumerate(hits):
+            weight *= math.sqrt(alpha) if (b >> j) & 1 else math.sqrt(1.0 - alpha)
+        amps[:, b] = weight
+
+    for _ in range(iterations):
+        for j, (label, _) in enumerate(hits):
+            for b in range(2**h):
+                if (b >> j) & 1:
+                    amps[label, b] *= -1.0
+        mean = amps.mean(axis=0)
+        amps = 2.0 * mean[np.newaxis, :] - amps
+
+    return np.sum(amps**2, axis=1)
 
 
 def path_graph(costs: list[float]) -> NetworkGraph:

@@ -16,6 +16,7 @@ from qnroute.harness import (
 )
 from qnroute.routing import resolve
 from qnroute.serialize import load_json, scheme_from_dict, scheme_to_dict
+from qnroute.topology import save_graph
 
 
 def torus_config(**overrides) -> ExperimentConfig:
@@ -361,3 +362,95 @@ def test_cli_scheme_with_duplicate_entry_exits_two(torus_scheme_file, capsys):
     assert main(["route", "--scheme", torus_scheme_file, "--source", "0", "--dest", "5"]) == 2
     assert main(["eval", "--scheme", torus_scheme_file]) == 2
     assert "already has an entry" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("n_e 4\n0 1 1.0\n1 2\n", ":3: not enough values to unpack"),
+        ("n_e 4\n0 one 1.0\n", ":2: invalid literal"),
+        ("n_e 4\n0 1 1.0\n2 4 1.0\n", ":3: node ids must lie in [0, 4)"),
+        ("n_e 4\n0 1 abc\n", ":2: could not convert"),
+        ("nodes 4\n0 1 1.0\n", ":1: expected the header"),
+    ],
+)
+def test_cli_malformed_graph_file_exits_two(tmp_path, capsys, body, message):
+    graph = tmp_path / "bad.graph"
+    graph.write_text(body)
+    out = str(tmp_path / "scheme.json")
+    assert main(["cluster", "--graph", str(graph), "--k", "2", "--out", out]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_cli_missing_graph_file_exits_two(tmp_path, capsys):
+    missing = str(tmp_path / "absent.graph")
+    assert main(["cluster", "--graph", missing, "--out", str(tmp_path / "s.json")]) == 2
+    assert "cannot read" in capsys.readouterr().err
+
+
+def rewrite_scheme(path, edit):
+    doc = load_json(path)
+    edit(doc)
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+
+
+def test_cli_scheme_missing_field_exits_two(torus_scheme_file, capsys):
+    rewrite_scheme(torus_scheme_file, lambda doc: doc.pop("neighborhoods"))
+    assert main(["route", "--scheme", torus_scheme_file, "--source", "0", "--dest", "5"]) == 2
+    assert "missing field or unknown address 'neighborhoods'" in capsys.readouterr().err
+
+
+def test_cli_scheme_unknown_address_exits_two(torus_scheme_file, capsys):
+    def edit(doc):
+        entries = next(iter(doc["tables"].values()))["entries"]
+        entries[0]["e_hop"] = "1111111"
+
+    rewrite_scheme(torus_scheme_file, edit)
+    assert main(["eval", "--scheme", torus_scheme_file]) == 2
+    assert "missing field or unknown address '1111111'" in capsys.readouterr().err
+
+
+def zero_cost_edge(doc):
+    doc["graph"]["edges"][0][2] = 0.0
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc: doc.update(scheme="ring"), "'ring' is not a valid Scheme"),
+        (zero_cost_edge, "link costs must be positive"),
+    ],
+)
+def test_cli_scheme_invalid_value_exits_two(torus_scheme_file, capsys, edit, message):
+    rewrite_scheme(torus_scheme_file, edit)
+    assert main(["route", "--scheme", torus_scheme_file, "--source", "0", "--dest", "5"]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("version", [2, None])
+def test_cli_scheme_other_schema_version_exits_two(torus_scheme_file, capsys, version):
+    rewrite_scheme(torus_scheme_file, lambda doc: doc.update(schema_version=version))
+    assert main(["qsearch", "--scheme", torus_scheme_file, "--owner", "0", "--target", "5"]) == 2
+    assert f"schema_version {version!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "overrides, flags",
+    [
+        (dict(scheme="partial"), ["--scheme", "partial"]),
+        (dict(scheme="partial", anchor_method="random"), ["--scheme", "partial", "--anchors", "random"]),
+        (dict(scheme="full", metric="uniform", f=2), ["--scheme", "full", "--metric", "uniform", "--f", "2"]),
+    ],
+)
+def test_cli_cluster_builds_the_harness_scheme(tmp_path, overrides, flags):
+    seed = 3
+    config = torus_config(**overrides)
+    tables, _ = build_scheme_for_trial(config, seed)
+    graph = str(tmp_path / "net.graph")
+    save_graph(tables.graph, graph)
+    out = str(tmp_path / "scheme.json")
+    assert main([
+        "cluster", "--graph", graph, "--k", "3", "--seed", str(seed), "--out", out, *flags,
+    ]) == 0
+    assert load_json(out) == json.loads(json.dumps(scheme_to_dict(tables, config.metric, {})))

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from qnroute.errors import DimensionCapError, PartitionCountError
 from qnroute.metrics import hop_count_metric
 from qnroute.qsearch import (
     SuperposedAddress,
+    _reduced_distribution,
     analytic_success_probability,
     apply_diffusion,
     apply_oracle,
@@ -20,7 +22,7 @@ from qnroute.qsearch import (
 )
 from qnroute.topology import generate_graph
 
-from conftest import build_partial_scheme
+from conftest import build_partial_scheme, complete_graph, reference_branch_distribution
 
 
 def register_vector(members, width):
@@ -262,6 +264,96 @@ def test_runs_are_deterministic_given_seed():
     a = run_search(inst, 3, iterations=1, seed=7)
     b = run_search(inst, 3, iterations=1, seed=7)
     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# closed form against the branch oracle and the gate-level engine
+
+
+def random_instance(rng, n_t, n_hits, f, width=6):
+    """``n_t`` entries of f partitions each; exactly ``n_hits`` of them hold
+    the target 0, in a partition of 1 to 3 members (branch weight 1 to 1/3)."""
+    entries = []
+    for label in range(n_t):
+        members = rng.sample(range(1, 2**width), rng.randint(f, min(3 * f, 2**width - 1)))
+        if label < n_hits:
+            members[0] = 0
+        entries.append(partition_neighborhood(members, f))
+    rng.shuffle(entries)
+    inst = make_instance(entries, address_width=width)
+    assert len(inst.hit_labels(0)) == n_hits
+    return inst, 0
+
+
+def assert_matches_oracle(inst, target, iterations):
+    closed = _reduced_distribution(inst, target, iterations)
+    oracle = reference_branch_distribution(inst, target, iterations)
+    assert np.max(np.abs(closed - oracle)) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_closed_form_matches_branch_oracle(seed):
+    rng = random.Random(seed)
+    n_t = rng.randint(2, 14)
+    inst, target = random_instance(rng, n_t, rng.randint(0, min(n_t, 12)), rng.randint(1, 3))
+    for iterations in range(5):
+        assert_matches_oracle(inst, target, iterations)
+
+
+@pytest.mark.parametrize("n_t", [2, 5, 12])
+def test_closed_form_matches_branch_oracle_when_every_label_hits(n_t):
+    # s = n_T: the branch where every register sits on the target
+    rng = random.Random(n_t)
+    inst, target = random_instance(rng, n_t, n_t, 1)
+    certain = make_instance([[{0}]] * n_t, address_width=2)
+    for iterations in range(5):
+        assert_matches_oracle(inst, target, iterations)
+        assert_matches_oracle(certain, 0, iterations)
+
+
+def test_closed_form_is_uniform_for_an_absent_target():
+    # s = 0 in every branch
+    inst, _ = random_instance(random.Random(3), 9, 0, 2)
+    for iterations in range(4):
+        assert np.allclose(_reduced_distribution(inst, 0, iterations), 1 / 9, atol=1e-15)
+        assert_matches_oracle(inst, 0, iterations)
+
+
+def test_closed_form_matches_branch_oracle_at_twelve_hits():
+    inst, target = random_instance(random.Random(12), 14, 12, 1)
+    for iterations in (1, 3):
+        assert_matches_oracle(inst, target, iterations)
+
+
+@pytest.mark.parametrize("n_t,f,width", [(4, 1, 3), (5, 1, 3), (4, 2, 2)])
+@pytest.mark.parametrize("seed", range(2))
+def test_multi_hit_success_probability_matches_full_engine(n_t, f, width, seed):
+    rng = random.Random(seed)
+    inst, target = random_instance(rng, n_t, rng.randint(2, n_t), f, width=width)
+    for iterations in (1, 2, 3):
+        full = run_search(inst, target, iterations=iterations, engine="full")
+        closed = run_search(inst, target, iterations=iterations)
+        assert closed.engine == "reduced"
+        assert closed.success_probability == pytest.approx(
+            full.success_probability, abs=1e-9
+        )
+        assert np.max(np.abs(np.subtract(closed.distribution, full.distribution))) <= 1e-12
+
+
+def test_table_with_more_than_twenty_hits_is_searched():
+    tabs = build_partial_scheme(complete_graph(32), hop_count_metric(), k=24)
+    owner, target = next(
+        (o, t)
+        for o in range(32)
+        for t in range(32)
+        if t != o and sum(t in e.reach for e in tabs.table(o).entries) >= 21
+    )
+    table = tabs.table(owner)
+    result = routing_lookup_via_search(tabs, owner, target, seed=0, repeats=3)
+    assert result.attempts >= 1
+    assert not result.classical_fallback
+    assert result.found
+    assert target in table.entries[result.entry_label].reach
 
 
 # ---------------------------------------------------------------------------

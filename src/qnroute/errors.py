@@ -48,6 +48,18 @@ class DimensionCapError(QnrouteError):
     """The joint statevector would exceed the configured qubit cap."""
 
 
+class MetricError(QnrouteError):
+    """A metric name is not registered, or its parameters do not fit it."""
+
+
+class UnknownMetricError(MetricError, KeyError):
+    """No metric is registered under the requested name."""
+
+    def __str__(self) -> str:
+        # KeyError would quote the message
+        return str(self.args[0])
+
+
 class PartitionCountError(QnrouteError):
     """More partitions requested than there are members to split."""
 

@@ -16,9 +16,12 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
+
+from .errors import MetricError, UnknownMetricError
 
 AXIOM_TOL = 1e-9
 
@@ -82,8 +85,17 @@ def hop_count_metric() -> EntanglingMetric:
     return EntanglingMetric("hop", Composition.ADDITIVE, lambda rng: 1.0)
 
 
+def _check_cost_bounds(low, high) -> None:
+    numbers = all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (low, high))
+    if not (numbers and 0 < low <= high < math.inf):
+        raise MetricError(
+            f"link cost bounds need 0 < low <= high, got low={low!r} high={high!r}"
+        )
+
+
 def uniform_weight_metric(low: float = 1.0, high: float = 10.0) -> EntanglingMetric:
     """Additive metric with link costs drawn uniformly from [low, high]."""
+    _check_cost_bounds(low, high)
     return EntanglingMetric(
         "uniform", Composition.ADDITIVE, lambda rng: rng.uniform(low, high)
     )
@@ -91,6 +103,7 @@ def uniform_weight_metric(low: float = 1.0, high: float = 10.0) -> EntanglingMet
 
 def capacity_metric(low: float = 1.0, high: float = 10.0) -> EntanglingMetric:
     """Concave (min-composed) metric with uniformly drawn link costs."""
+    _check_cost_bounds(low, high)
     return EntanglingMetric(
         "capacity", Composition.MIN, lambda rng: rng.uniform(low, high)
     )
@@ -104,14 +117,21 @@ _REGISTRY: dict[str, Callable[..., EntanglingMetric]] = {
 
 
 def metric_by_name(name: str, **params) -> EntanglingMetric:
-    """Look up a shipped metric by registry name."""
+    """Look up a shipped metric by registry name.
+
+    An unknown name raises ``UnknownMetricError`` (also a ``KeyError``); a
+    parameter the metric does not take, or a bad value, raises ``MetricError``.
+    """
     try:
         factory = _REGISTRY[name]
     except KeyError:
-        raise KeyError(
+        raise UnknownMetricError(
             f"unknown metric {name!r}; registered: {sorted(_REGISTRY)}"
         ) from None
-    return factory(**params)
+    try:
+        return factory(**params)
+    except TypeError as err:
+        raise MetricError(f"metric {name!r}: {err}") from None
 
 
 @dataclass

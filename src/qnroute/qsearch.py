@@ -103,7 +103,7 @@ class SearchInstance:
         return self.label_width + regs * self.address_width + 1
 
     def hit_labels(self, target: int) -> frozenset[int]:
-        return frozenset(e.label for e in self.entries if e.contains(target))
+        return frozenset(label for label, _ in self.hit_alphas(target))
 
     def hit_alphas(self, target: int) -> list[tuple[int, float]]:
         """(label, weight of the inverting branch) per hitting entry."""
@@ -124,18 +124,25 @@ def make_instance(partition_lists, address_width: int) -> SearchInstance:
 
 
 def instance_from_table(table, plan) -> SearchInstance:
-    """Build a search instance from a routing table's classical mirror.
+    """The search snapshot of a routing table's classical mirror.
 
-    Node ids are converted to address basis indices through the plan so the
-    register width matches the network's address width.
+    Node ids become address basis indices through the plan, so the register
+    width matches the network's address width. The snapshot is built once and
+    cached on the table with the plan it was built for; ``RoutingTable.add``
+    and ``drop`` clear it, and a call with another plan builds afresh.
     """
-    width = plan.width
-    to_idx = {i: addr.index for i, addr in enumerate(plan.esp_addresses)}
-    partition_lists = [
-        tuple(frozenset(to_idx[m] for m in part) for part in entry.partitions)
-        for entry in table.entries
-    ]
-    return make_instance(partition_lists, width)
+    cached = table.search_snapshot
+    if cached is not None and cached[0] is plan:
+        return cached[1]
+    entries = tuple(
+        SearchEntry(
+            label=lbl, partitions=tuple(plan.basis_set(p) for p in entry.partitions)
+        )
+        for lbl, entry in enumerate(table.entries)
+    )
+    instance = SearchInstance(entries=entries, address_width=plan.width)
+    table.search_snapshot = (plan, instance)
+    return instance
 
 
 # ---------------------------------------------------------------------------
@@ -229,62 +236,39 @@ def init_search(
     return state
 
 
-def _control_mask(vec_size: int, total_qubits: int, conditions) -> np.ndarray:
-    idx = np.arange(vec_size)
-    mask = np.ones(vec_size, dtype=bool)
-    for qubit, bit in conditions:
-        shift = total_qubits - 1 - qubit
-        mask &= ((idx >> shift) & 1) == bit
-    return mask
-
-
-def _oracle_conditions(state: SearchState, entry: int, partition: int, target: int):
-    """Joint control condition: label == entry AND register == target."""
-    inst = state.instance
-    conds = []
-    n_label = inst.label_width
-    for q in range(n_label):
-        bit = (entry >> (n_label - 1 - q)) & 1
-        conds.append((q, bit))
-    start, _stop = state.register_spans[(entry, partition)]
-    width = inst.address_width
-    for q in range(width):
-        bit = (target >> (width - 1 - q)) & 1
-        conds.append((start + q, bit))
-    return conds
-
-
 def apply_oracle(
     state: SearchState, target: int, use_ancilla: bool = True
 ) -> SearchState:
     """One oracle pass: the controlled phase kick for every entry register.
 
-    With ``use_ancilla`` the kick is a multi-controlled X onto the minus-state
+    The control condition is label == entry AND register == target. With
+    ``use_ancilla`` the kick is a multi-controlled X onto the minus-state
     ancilla (the circuit's realization); otherwise the amplitude signs are
     flipped directly. Both are asserted unitary and agree exactly. Registers
     whose partition cannot hold the target contribute an identity, leaving
     the state untouched on their account.
     """
+    inst = state.instance
     total = state.ancilla + 1
-    size = state.vector.size
     norm_before = state.norm()
-    for e_idx, entry in enumerate(state.instance.entries):
+    # one row per label value; columns index the qubits below the label
+    rows = state.vector.reshape(2**inst.label_width, -1)
+    columns = np.arange(rows.shape[1])
+    ancilla_bit = 1 << (total - 1 - state.ancilla)
+    width_mask = (1 << inst.address_width) - 1
+    for e_idx, entry in enumerate(inst.entries):
+        row = rows[e_idx]
         for p_idx in range(len(entry.partitions)):
-            conds = _oracle_conditions(state, e_idx, p_idx, target)
-            mask = _control_mask(size, total, conds)
-            if not mask.any():
+            _start, stop = state.register_spans[(e_idx, p_idx)]
+            marked = np.flatnonzero(((columns >> (total - stop)) & width_mask) == target)
+            if not marked.size:
                 continue
             if use_ancilla:
-                shift = total - 1 - state.ancilla
-                idx = np.arange(size)
-                lower = mask & (((idx >> shift) & 1) == 0)
-                partner = np.flatnonzero(lower) | (1 << shift)
-                low_idx = np.flatnonzero(lower)
-                tmp = state.vector[low_idx].copy()
-                state.vector[low_idx] = state.vector[partner]
-                state.vector[partner] = tmp
+                low = marked[(marked & ancilla_bit) == 0]
+                high = low | ancilla_bit
+                row[low], row[high] = row[high], row[low].copy()
             else:
-                state.vector[mask] *= -1.0
+                row[marked] *= -1.0
     assert abs(state.norm() - norm_before) < NORM_TOL
     return state
 
@@ -387,6 +371,12 @@ class SearchOutcome:
             raise AssertionError(f"label distribution sums to {total}")
 
 
+def measure(distribution, seed: int) -> int:
+    """Sample one label from ``distribution`` with the seed's measurement stream."""
+    rng = random.Random(stream_seed(seed, "measurement"))
+    return rng.choices(range(len(distribution)), weights=distribution)[0]
+
+
 def run_search(
     instance: SearchInstance,
     target: int,
@@ -419,12 +409,11 @@ def run_search(
 
     probs = np.maximum(probs, 0.0)
     probs = probs / probs.sum()
-    rng = random.Random(stream_seed(seed, "measurement"))
-    measured = rng.choices(range(instance.n_t), weights=probs.tolist())[0]
+    distribution = tuple(probs.tolist())
     success = float(sum(probs[label] for label in hits))
     return SearchOutcome(
-        distribution=tuple(float(p) for p in probs),
-        measured=measured,
+        distribution=distribution,
+        measured=measure(distribution, seed),
         hit_labels=hits,
         success_probability=success,
         iterations=iterations,
@@ -479,39 +468,41 @@ def routing_lookup_via_search(
 ) -> LookupResult:
     """Locate a table entry whose mirrored neighborhood holds the target.
 
-    Each attempt re-prepares fresh state, runs the search, and verifies the
-    measured label against the classical mirror; misses are legitimate
+    The exact label distribution is computed once, from the table's cached
+    search snapshot; each attempt then measures it with its own seed, which
+    is the label a fresh preparation and search would give. The measured
+    label is verified against the classical mirror; misses are legitimate
     probabilistic outcomes and are reported through the attempt count.
     """
     if tables.plan is None:
         raise ValueError("tables need an address plan for basis conversion")
-    table = tables.table(owner)
-    target_index = tables.plan.esp_addresses[target].index
-    instance = instance_from_table(table, tables.plan)
-
+    if repeats < 1:
+        raise ValueError("repeats must be at least 1")
+    instance = instance_from_table(tables.table(owner), tables.plan)
+    outcome = run_search(
+        instance,
+        tables.plan.esp_indices[target],
+        iterations=iterations,
+        seed=stream_seed(seed, "attempt:0"),
+    )
     measured: list[int] = []
-    success = 0.0
     for attempt in range(repeats):
-        outcome = run_search(
-            instance,
-            target_index,
-            iterations=iterations,
-            seed=stream_seed(seed, f"attempt:{attempt}"),
+        label = outcome.measured if attempt == 0 else measure(
+            outcome.distribution, stream_seed(seed, f"attempt:{attempt}")
         )
-        success = outcome.success_probability
-        measured.append(outcome.measured)
-        if outcome.measured in outcome.hit_labels:
+        measured.append(label)
+        if label in outcome.hit_labels:
             return LookupResult(
-                entry_label=outcome.measured,
+                entry_label=label,
                 found=True,
                 attempts=attempt + 1,
-                success_probability=success,
+                success_probability=outcome.success_probability,
                 measured=tuple(measured),
             )
     return LookupResult(
         entry_label=None,
         found=False,
         attempts=repeats,
-        success_probability=success,
+        success_probability=outcome.success_probability,
         measured=tuple(measured),
     )

@@ -67,6 +67,8 @@ class TableEntry:
 
     @functools.cached_property
     def reach(self) -> frozenset[int]:
+        if len(self.partitions) == 1:
+            return self.partitions[0]
         return frozenset().union(*self.partitions)
 
 
@@ -76,7 +78,9 @@ class RoutingTable:
 
     ``entries`` keeps insertion order; search labels are positions in it.
     ``add`` and ``drop`` are its only writers: they keep the peer index and
-    ``e_neighbors``, the e-neighbor entries in table order, in step with it.
+    ``e_neighbors``, the e-neighbor entries in table order, in step with it,
+    and clear ``search_snapshot``, the ``(plan, instance)`` pair that
+    ``qsearch.instance_from_table`` caches for this table.
     """
 
     owner: int
@@ -89,6 +93,9 @@ class RoutingTable:
     )
     _by_peer: dict[int, TableEntry] = field(
         init=False, default_factory=dict, repr=False, compare=False
+    )
+    search_snapshot: tuple | None = field(
+        init=False, default=None, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
@@ -106,6 +113,7 @@ class RoutingTable:
         self._by_peer[entry.e_hop] = entry
         if entry.origin is Origin.E_NEIGHBOR:
             self.e_neighbors.append(entry)
+        self.search_snapshot = None
 
     def drop(self, peer: int) -> TableEntry:
         """Remove and return the entry for ``peer``; later entries move up."""
@@ -113,6 +121,7 @@ class RoutingTable:
         self.entries.remove(entry)
         if entry.origin is Origin.E_NEIGHBOR:
             self.e_neighbors.remove(entry)
+        self.search_snapshot = None
         return entry
 
     def find(self, peer: int) -> TableEntry | None:

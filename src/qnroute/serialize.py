@@ -12,7 +12,7 @@ import json
 
 from .addressing import AddressPlan
 from .clustering import AnchorSet, Scheme, TrackedSets
-from .errors import InputFileError, SchemeDocumentError
+from .errors import InputFileError, MetricError, SchemeDocumentError
 from .metrics import metric_by_name
 from .routing import Origin, RoutingTable, SchemeTables, TableEntry
 from .topology import ENeighborhood, NetworkGraph, all_pairs_optimal
@@ -112,8 +112,8 @@ def _read_scheme(doc: dict) -> tuple[SchemeTables, str, dict]:
     metric_params = doc["metric"].get("params", {})
     try:
         metric = metric_by_name(metric_name, **metric_params)
-    except KeyError as err:
-        raise SchemeDocumentError(err.args[0]) from None
+    except MetricError as err:
+        raise SchemeDocumentError(f"scheme document: {err}") from None
 
     neighborhoods = [
         ENeighborhood(
@@ -144,6 +144,15 @@ def _read_scheme(doc: dict) -> tuple[SchemeTables, str, dict]:
             },
         )
 
+    # entries that announce the same mirror share one partitions tuple
+    mirrors: dict[tuple, tuple[frozenset[int], ...]] = {}
+
+    def mirror(parts: list) -> tuple[frozenset[int], ...]:
+        key = tuple(map(tuple, parts))
+        if key not in mirrors:
+            mirrors[key] = tuple(frozenset(index_of[m] for m in part) for part in parts)
+        return mirrors[key]
+
     tables = []
     for owner_addr, tdoc in sorted(doc["tables"].items(), key=lambda kv: index_of[kv[0]]):
         owner = index_of[owner_addr]
@@ -154,10 +163,7 @@ def _read_scheme(doc: dict) -> tuple[SchemeTables, str, dict]:
                     e_hop=index_of[edoc["e_hop"]],
                     cost=float(edoc["cost"]),
                     ebits=int(edoc["ebits"]),
-                    partitions=tuple(
-                        frozenset(index_of[m] for m in part)
-                        for part in edoc["partitions"]
-                    ),
+                    partitions=mirror(edoc["partitions"]),
                     anchor_flag=bool(edoc["anchor"]),
                     origin=Origin(edoc["origin"]),
                 )

@@ -5,7 +5,7 @@ from dataclasses import asdict
 import pytest
 
 from qnroute.cli import main
-from qnroute.errors import ConfigError, MismatchedSeedsError
+from qnroute.errors import ConfigError, MismatchedSeedsError, SchemeDocumentError
 from qnroute.harness import (
     ExperimentConfig,
     assertion_lines,
@@ -454,3 +454,36 @@ def test_cli_cluster_builds_the_harness_scheme(tmp_path, overrides, flags):
         "cluster", "--graph", graph, "--k", "3", "--seed", str(seed), "--out", out, *flags,
     ]) == 0
     assert load_json(out) == json.loads(json.dumps(scheme_to_dict(tables, config.metric, {})))
+
+
+def test_cli_generate_unknown_metric_exits_two(tmp_path, capsys):
+    out = str(tmp_path / "net.graph")
+    assert main(["generate", "--n-e", "8", "--metric", "bogus", "--out", out]) == 2
+    assert "unknown metric 'bogus'" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_cli_generate_bad_metric_parameter_exits_two(tmp_path, capsys):
+    out = str(tmp_path / "net.graph")
+    argv = ["generate", "--n-e", "8", "--metric", "uniform", "--metric-param", "foo=1",
+            "--out", out]
+    assert main(argv) == 2
+    assert "unexpected keyword argument 'foo'" in capsys.readouterr().err
+
+
+def test_cli_cluster_bad_metric_parameter_exits_two(torus_scheme_file, capsys):
+    argv = ["cluster", "--graph", "net.graph", "--k", "3", "--metric", "hop",
+            "--metric-param", "foo=1", "--out", "other.json"]
+    assert main(argv) == 2
+    assert "unexpected keyword argument 'foo'" in capsys.readouterr().err
+
+
+def test_cli_scheme_with_bad_metric_parameters_exits_two(torus_scheme_file, capsys):
+    def edit(doc):
+        doc["metric"] = {"name": "uniform", "params": {"low": -1}}
+
+    rewrite_scheme(torus_scheme_file, edit)
+    with pytest.raises(SchemeDocumentError, match="0 < low <= high"):
+        scheme_from_dict(load_json(torus_scheme_file))
+    assert main(["route", "--scheme", torus_scheme_file, "--source", "0", "--dest", "5"]) == 2
+    assert "0 < low <= high" in capsys.readouterr().err

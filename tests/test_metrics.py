@@ -1,5 +1,6 @@
 import pytest
 
+from qnroute.errors import MetricError, QnrouteError, UnknownMetricError
 from qnroute.metrics import (
     Composition,
     EntanglingMetric,
@@ -45,6 +46,18 @@ def test_registry_lookup():
     assert metric_by_name("capacity").composition is Composition.MIN
     with pytest.raises(KeyError):
         metric_by_name("bogus")
+
+
+def test_registry_rejects_unknown_names_and_bad_parameters():
+    with pytest.raises(UnknownMetricError, match="unknown metric 'bogus'") as err:
+        metric_by_name("bogus")
+    assert isinstance(err.value, KeyError) and isinstance(err.value, QnrouteError)
+    with pytest.raises(MetricError, match="unexpected keyword argument 'foo'"):
+        metric_by_name("hop", foo=1)
+    for params in ({"low": "abc"}, {"low": 0}, {"low": 5, "high": 2}, {"high": float("inf")}):
+        with pytest.raises(MetricError, match="0 < low <= high"):
+            metric_by_name("uniform", **params)
+    assert metric_by_name("capacity", low=2, high=2.0).composition is Composition.MIN
 
 
 def test_hop_count_satisfies_all_axioms():

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from qnroute import qsearch
 from qnroute.errors import DimensionCapError, PartitionCountError
 from qnroute.metrics import hop_count_metric
 from qnroute.qsearch import (
@@ -20,6 +21,7 @@ from qnroute.qsearch import (
     routing_lookup_via_search,
     run_search,
 )
+from qnroute.rng import stream_seed
 from qnroute.topology import generate_graph
 
 from conftest import build_partial_scheme, complete_graph, reference_branch_distribution
@@ -525,3 +527,53 @@ def test_lookup_absent_target_never_found():
             result = routing_lookup_via_search(tabs, owner, target, seed=3)
             assert not result.found
             assert result.entry_label is None
+
+
+def attempt_labels(tabs, owner, target, seed, repeats):
+    """Per-attempt oracle: a fresh search with each attempt's seed."""
+    instance = instance_from_table(tabs.table(owner), tabs.plan)
+    return [
+        run_search(instance, tabs.plan.esp_indices[target],
+                   seed=stream_seed(seed, f"attempt:{attempt}")).measured
+        for attempt in range(repeats)
+    ]
+
+
+def test_repeated_miss_computes_the_distribution_once(monkeypatch):
+    tabs = lookup_scheme()
+    owner, target = next(
+        (o, t)
+        for o in range(8)
+        for t in range(8)
+        if t != o and not any(t in e.reach for e in tabs.table(o).entries)
+    )
+    expected = attempt_labels(tabs, owner, target, seed=5, repeats=5)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _reduced_distribution(*args)
+
+    monkeypatch.setattr(qsearch, "_reduced_distribution", counted)
+    result = routing_lookup_via_search(tabs, owner, target, seed=5, repeats=5)
+    assert len(calls) == 1
+    assert not result.found
+    assert result.attempts == 5
+    assert list(result.measured) == expected
+    assert len(set(expected)) > 1, "the attempts should not all measure one label"
+
+
+def test_repeated_lookup_labels_follow_the_per_attempt_oracle():
+    tabs = lookup_scheme()
+    for owner in range(8):
+        for target in range(8):
+            if target == owner:
+                continue
+            result = routing_lookup_via_search(tabs, owner, target, seed=owner, repeats=6)
+            expected = attempt_labels(tabs, owner, target, seed=owner, repeats=6)
+            assert list(result.measured) == expected[: result.attempts]
+
+
+def test_lookup_needs_at_least_one_attempt():
+    with pytest.raises(ValueError, match="repeats"):
+        routing_lookup_via_search(lookup_scheme(), 0, 1, repeats=0)

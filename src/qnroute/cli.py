@@ -204,7 +204,7 @@ def cmd_report(args) -> int:
     csv_path = os.path.join(
         config.resolved_output_dir(), config.name + "_pairs.csv"
     )
-    print(f"outputs: {csv_path} and {config.name}_summary.json")
+    print(f"outputs: {csv_path}, {config.name}_summary.json and {config.name}_timings.json")
     return 0 if report.passed else 1
 
 

@@ -89,4 +89,5 @@ class GraphFileError(InputFileError, ValueError):
 
 
 class SchemeDocumentError(QnrouteError):
-    """A scheme document has another schema version, a missing field or an unknown address."""
+    """A scheme document has another schema version, a missing field, an invalid value
+    or an unknown address."""

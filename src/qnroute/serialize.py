@@ -14,24 +14,35 @@ from .addressing import AddressPlan
 from .clustering import AnchorSet, Scheme, TrackedSets
 from .errors import InputFileError, MetricError, SchemeDocumentError
 from .metrics import metric_by_name
-from .routing import Origin, RoutingTable, SchemeTables, TableEntry
-from .topology import ENeighborhood, NetworkGraph, all_pairs_optimal
+from .routing import SchemeTables, build_tables
+from .topology import NetworkGraph, all_neighborhoods, all_pairs_optimal
 
 SCHEMA_VERSION = 1
+SCHEME_SCHEMA_VERSION = 2
 
 
 def scheme_to_dict(tables: SchemeTables, metric_name: str, metric_params: dict | None = None) -> dict:
+    """The scheme's inputs, from which ``scheme_from_dict`` derives every
+    neighborhood and table again.
+
+    A document describes a freshly built scheme: one whose entries hold fewer
+    ebits than the budget raises ``ValueError``.
+    """
     plan = tables.plan
     if plan is None:
         raise ValueError("scheme serialization requires an address plan")
+    debited = sum(e.ebits < tables.ebit_budget for t in tables.tables for e in t.entries)
+    if debited:
+        raise ValueError(f"{debited} entries hold fewer ebits than the budget")
 
     def addr(v: int) -> str:
         return plan.esp_addresses[v].bits
 
     doc = {
-        "schema_version": SCHEMA_VERSION,
+        "schema_version": SCHEME_SCHEMA_VERSION,
         "scheme": tables.scheme.value,
         "metric": {"name": metric_name, "params": metric_params or {}},
+        "k": tables.neighborhoods[0].k,
         "f": tables.f,
         "ebit_budget": tables.ebit_budget,
         "capacity_cap": tables.capacity_cap,
@@ -39,27 +50,6 @@ def scheme_to_dict(tables: SchemeTables, metric_name: str, metric_params: dict |
         "graph": {
             "n_e": tables.graph.n_e,
             "edges": [[i, j, c] for i, j, c in tables.graph.edges()],
-        },
-        "neighborhoods": {
-            addr(nb.owner): [[addr(m), c] for m, c in nb.members]
-            for nb in tables.neighborhoods
-        },
-        "tables": {
-            addr(t.owner): {
-                "entries": [
-                    {
-                        "e_hop": addr(e.e_hop),
-                        "cost": e.cost,
-                        "ebits": e.ebits,
-                        "partitions": [sorted(addr(m) for m in p) for p in e.partitions],
-                        "anchor": e.anchor_flag,
-                        "origin": e.origin.value,
-                    }
-                    for e in t.entries
-                ],
-                "dropped": [[addr(peer), reason] for peer, reason in t.dropped],
-            }
-            for t in tables.tables
         },
     }
     if tables.anchors is not None:
@@ -71,121 +61,75 @@ def scheme_to_dict(tables: SchemeTables, metric_name: str, metric_params: dict |
     if tables.tracked is not None:
         doc["tracked"] = {
             "blocks": [[addr(v) for v in block] for block in tables.tracked.blocks],
-            "assignment": {
-                addr(v): idx for v, idx in sorted(tables.tracked.assignment.items())
-            },
+            "assignment": {addr(v): idx for v, idx in sorted(tables.tracked.assignment.items())},
         }
     return doc
 
 
 def scheme_from_dict(doc: dict) -> tuple[SchemeTables, str, dict]:
-    """Rebuild a SchemeTables plus the metric name/params it was built with.
+    """Rebuild a SchemeTables plus the metric name/params it was built with,
+    through ``all_pairs_optimal``, ``all_neighborhoods`` and ``build_tables``.
 
     Another schema version, a missing field, an invalid value or an address
     the plan does not assign raises ``SchemeDocumentError``.
     """
     version = doc.get("schema_version")
-    if version != SCHEMA_VERSION:
+    if version != SCHEME_SCHEMA_VERSION:
         raise SchemeDocumentError(
             f"scheme document has schema_version {version!r}; "
-            f"only {SCHEMA_VERSION} is supported"
+            f"only {SCHEME_SCHEMA_VERSION} is supported"
         )
     try:
         return _read_scheme(doc)
+    except (MetricError, TypeError, ValueError) as err:
+        raise SchemeDocumentError(f"scheme document: {err}") from None
     except KeyError as err:
         raise SchemeDocumentError(
             f"scheme document: missing field or unknown address {err.args[0]!r}"
         ) from None
-    except ValueError as err:
-        raise SchemeDocumentError(f"scheme document: {err}") from None
 
 
 def _read_scheme(doc: dict) -> tuple[SchemeTables, str, dict]:
     plan = AddressPlan.from_dict(doc["plan"])
     index_of = {a.bits: i for i, a in enumerate(plan.esp_addresses)}
+    n_e, k, f = doc["graph"]["n_e"], doc["k"], doc["f"]
+    if len(index_of) != n_e:
+        raise ValueError(f"the plan addresses {len(index_of)} nodes, the graph {n_e}")
+    if not 1 <= k < n_e:
+        raise ValueError(f"k {k}: must be in [1, {n_e})")
+    if not 1 <= f <= k:
+        raise ValueError(f"f {f}: must be in [1, k={k}]")
 
-    graph = NetworkGraph(n_e=doc["graph"]["n_e"], plan=plan)
+    graph = NetworkGraph(n_e=n_e, plan=plan)
     for i, j, c in doc["graph"]["edges"]:
         graph.add_edge(int(i), int(j), float(c))
-
     metric_name = doc["metric"]["name"]
     metric_params = doc["metric"].get("params", {})
-    try:
-        metric = metric_by_name(metric_name, **metric_params)
-    except MetricError as err:
-        raise SchemeDocumentError(f"scheme document: {err}") from None
+    metric = metric_by_name(metric_name, **metric_params)
 
-    neighborhoods = [
-        ENeighborhood(
-            owner=index_of[owner],
-            members=tuple((index_of[m], float(c)) for m, c in members),
-        )
-        for owner, members in sorted(
-            doc["neighborhoods"].items(), key=lambda kv: index_of[kv[0]]
-        )
-    ]
-
-    scheme = Scheme(doc["scheme"])
-    anchors = None
-    tracked = None
-    if "anchors" in doc:
+    anchors = tracked = None
+    if Scheme(doc["scheme"]) is Scheme.PARTIAL_ANCHOR:
         anchors = AnchorSet(
             members=frozenset(index_of[a] for a in doc["anchors"]["members"]),
             construction=doc["anchors"]["construction"],
             m=doc["anchors"].get("m"),
         )
-    if "tracked" in doc:
-        tracked = TrackedSets(
-            blocks=tuple(
-                tuple(index_of[v] for v in block) for block in doc["tracked"]["blocks"]
-            ),
-            assignment={
-                index_of[v]: idx for v, idx in doc["tracked"]["assignment"].items()
-            },
-        )
+    else:
+        blocks = tuple(tuple(index_of[v] for v in block) for block in doc["tracked"]["blocks"])
+        assignment = {index_of[v]: idx for v, idx in doc["tracked"]["assignment"].items()}
+        if len(assignment) != n_e:
+            raise ValueError(f"tracked.assignment covers {len(assignment)} of {n_e} nodes")
+        if not all(0 <= idx < len(blocks) for idx in assignment.values()):
+            raise ValueError(f"tracked.assignment: block indices must lie in [0, {len(blocks)})")
+        tracked = TrackedSets(blocks=blocks, assignment=assignment)
 
-    # entries that announce the same mirror share one partitions tuple
-    mirrors: dict[tuple, tuple[frozenset[int], ...]] = {}
-
-    def mirror(parts: list) -> tuple[frozenset[int], ...]:
-        key = tuple(map(tuple, parts))
-        if key not in mirrors:
-            mirrors[key] = tuple(frozenset(index_of[m] for m in part) for part in parts)
-        return mirrors[key]
-
-    tables = []
-    for owner_addr, tdoc in sorted(doc["tables"].items(), key=lambda kv: index_of[kv[0]]):
-        owner = index_of[owner_addr]
-        table = RoutingTable(owner=owner, scheme=scheme, capacity_cap=doc["capacity_cap"])
-        for edoc in tdoc["entries"]:
-            table.add(
-                TableEntry(
-                    e_hop=index_of[edoc["e_hop"]],
-                    cost=float(edoc["cost"]),
-                    ebits=int(edoc["ebits"]),
-                    partitions=mirror(edoc["partitions"]),
-                    anchor_flag=bool(edoc["anchor"]),
-                    origin=Origin(edoc["origin"]),
-                )
-            )
-        table.dropped = [(index_of[p], reason) for p, reason in tdoc["dropped"]]
-        tables.append(table)
-
-    scheme_tables = SchemeTables(
-        scheme=scheme,
-        tables=tables,
-        neighborhoods=neighborhoods,
-        graph=graph,
-        metric=metric,
-        pair_costs=all_pairs_optimal(graph, metric),
-        anchors=anchors,
-        tracked=tracked,
-        plan=plan,
-        f=doc["f"],
-        ebit_budget=doc["ebit_budget"],
-        capacity_cap=doc["capacity_cap"],
+    pair_costs = all_pairs_optimal(graph, metric)
+    tables = build_tables(
+        graph, metric, all_neighborhoods(graph, metric, k, pair_costs),
+        anchors=anchors, tracked=tracked, f=f, ebit_budget=doc["ebit_budget"],
+        capacity_cap=doc["capacity_cap"], plan=plan, pair_costs=pair_costs,
     )
-    return scheme_tables, metric_name, metric_params
+    return tables, metric_name, metric_params
 
 
 def write_delivery_log(records, path: str) -> None:

@@ -4,8 +4,14 @@ from dataclasses import asdict
 
 import pytest
 
+from qnroute import harness
 from qnroute.cli import main
-from qnroute.errors import ConfigError, MismatchedSeedsError, SchemeDocumentError
+from qnroute.errors import (
+    ChainViolationError,
+    ConfigError,
+    MismatchedSeedsError,
+    SchemeDocumentError,
+)
 from qnroute.harness import (
     ExperimentConfig,
     assertion_lines,
@@ -88,20 +94,22 @@ def test_full_scheme_min_metric_unit_stretch_column(tmp_path):
 
 
 def test_rerun_same_config_is_byte_identical(tmp_path):
-    def stripped_summary():
-        doc = json.loads((tmp_path / "torus16_summary.json").read_text())
-        for trial in doc["trials"]:
-            trial.pop("runtime_s")
-        return doc
-
     config = torus_config(output_dir=str(tmp_path))
     run_experiment(config)
     first = (tmp_path / "torus16_pairs.csv").read_bytes()
-    first_json = stripped_summary()
+    first_json = (tmp_path / "torus16_summary.json").read_bytes()
     run_experiment(config)
     assert (tmp_path / "torus16_pairs.csv").read_bytes() == first
-    # everything except wall-clock runtime is reproducible
-    assert stripped_summary() == first_json
+    assert (tmp_path / "torus16_summary.json").read_bytes() == first_json
+
+
+def test_wall_time_goes_to_the_timings_sidecar(tmp_path):
+    report = run_experiment(torus_config(output_dir=str(tmp_path)))
+    timings = json.loads((tmp_path / "torus16_timings.json").read_text())
+    assert [t["seed"] for t in timings["trials"]] == [0, 1, 2]
+    assert [t["runtime_s"] for t in timings["trials"]] == [t.runtime_s for t in report.trials]
+    summary = json.loads((tmp_path / "torus16_summary.json").read_text())
+    assert all("runtime_s" not in t for t in summary["trials"])
 
 
 def test_summary_json_carries_schema_version_and_note(tmp_path):
@@ -118,7 +126,8 @@ def test_summary_trials_hold_every_field_but_rows(tmp_path):
     report = run_experiment(config)
     assert report.trials[0].rows
     expected = [
-        {k: v for k, v in asdict(t).items() if k != "rows"} for t in report.trials
+        {k: v for k, v in asdict(t).items() if k not in ("rows", "runtime_s")}
+        for t in report.trials
     ]
     assert report.summary_dict()["trials"] == expected
     doc = json.loads((tmp_path / "torus16_summary.json").read_text())
@@ -215,9 +224,12 @@ def test_scheme_document_round_trip_preserves_resolution(tmp_path):
 def test_addresses_serialize_as_bitstrings(tmp_path):
     tables, _ = build_scheme_for_trial(torus_config(), seed=0)
     doc = scheme_to_dict(tables, "hop", {})
-    assert all(set(owner) <= {"0", "1"} for owner in doc["tables"])
-    any_entry = next(iter(doc["tables"].values()))["entries"][0]
-    assert set(any_entry["e_hop"]) <= {"0", "1"}
+    assert doc["anchors"]["members"]
+    assert all(set(a) <= {"0", "1"} for a in doc["anchors"]["members"])
+    tables, _ = build_scheme_for_trial(torus_config(scheme="full"), seed=0)
+    doc = scheme_to_dict(tables, "hop", {})
+    assert len(doc["tracked"]["assignment"]) == 16
+    assert all(set(v) <= {"0", "1"} for v in doc["tracked"]["assignment"])
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +290,39 @@ def test_cli_report_exit_code_and_lines(tmp_path, capsys):
     assert main(["report", "--config", str(cfg_path)]) == 0
     out = capsys.readouterr().out
     assert "PASS additive-partial-anchor-stretch-at-most-5" in out
+
+
+def test_broken_chain_reports_a_fail_line_with_its_witness(tmp_path, monkeypatch, capsys):
+    def broken_chain(path, metric, pair_costs):
+        raise ChainViolationError("inequality chain broken at: three-fold composed bound")
+
+    monkeypatch.setattr(harness, "verify_bound_chain", broken_chain)
+    cfg = tmp_path / "exp.json"
+    config = torus_config(seeds=[0], name="broken", output_dir=str(tmp_path))
+    cfg.write_text(json.dumps(config.to_dict()))
+    assert main(["report", "--config", str(cfg)]) == 1
+    line = next(
+        l for l in capsys.readouterr().out.splitlines() if "bound-chain-replays-clean" in l
+    )
+    assert line.startswith("FAIL bound-chain-replays-clean: 20 of 20 sampled paths broke")
+    trial = load_json(str(tmp_path / "broken_summary.json"))["trials"][0]
+    assert len(trial["chain_violations"]) == trial["chain_checked"] == 20
+    witness = trial["chain_violations"][0]
+    assert witness["broken"] == "inequality chain broken at: three-fold composed bound"
+    source, dest = witness["pair"]
+    assert witness["path"][0] == source and witness["path"][-1] == dest
+    assert len(witness["path"]) in (3, 4)
+    assert f"first: seed 0 pair ({source}, {dest}) path {witness['path']}: " in line
+
+
+def test_chain_check_with_no_sampled_path_is_vacuous(tmp_path, capsys):
+    # every pair of a 16-node torus resolves in case I, so no chain is replayed
+    argv = ["report", "--n-e", "16", "--graph-model", "grid_torus", "--seeds", "0",
+            "--out-dir", str(tmp_path)]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "VACUOUS bound-chain-replays-clean: 0 sampled paths verified" in out
+    assert "PASS bound-chain-replays-clean" not in out
 
 
 def test_cli_output_dir_env_var(tmp_path, monkeypatch):
@@ -353,17 +398,6 @@ def test_cli_missing_scheme_file_exits_two(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
-def test_cli_scheme_with_duplicate_entry_exits_two(torus_scheme_file, capsys):
-    doc = load_json(torus_scheme_file)
-    entries = next(iter(doc["tables"].values()))["entries"]
-    entries.append(dict(entries[0]))
-    with open(torus_scheme_file, "w") as fh:
-        json.dump(doc, fh)
-    assert main(["route", "--scheme", torus_scheme_file, "--source", "0", "--dest", "5"]) == 2
-    assert main(["eval", "--scheme", torus_scheme_file]) == 2
-    assert "already has an entry" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize(
     "body, message",
     [
@@ -396,15 +430,14 @@ def rewrite_scheme(path, edit):
 
 
 def test_cli_scheme_missing_field_exits_two(torus_scheme_file, capsys):
-    rewrite_scheme(torus_scheme_file, lambda doc: doc.pop("neighborhoods"))
+    rewrite_scheme(torus_scheme_file, lambda doc: doc.pop("graph"))
     assert main(["route", "--scheme", torus_scheme_file, "--source", "0", "--dest", "5"]) == 2
-    assert "missing field or unknown address 'neighborhoods'" in capsys.readouterr().err
+    assert "missing field or unknown address 'graph'" in capsys.readouterr().err
 
 
 def test_cli_scheme_unknown_address_exits_two(torus_scheme_file, capsys):
     def edit(doc):
-        entries = next(iter(doc["tables"].values()))["entries"]
-        entries[0]["e_hop"] = "1111111"
+        doc["anchors"]["members"].append("1111111")
 
     rewrite_scheme(torus_scheme_file, edit)
     assert main(["eval", "--scheme", torus_scheme_file]) == 2
@@ -415,11 +448,39 @@ def zero_cost_edge(doc):
     doc["graph"]["edges"][0][2] = 0.0
 
 
+def as_full_scheme(doc):
+    """Replace ``doc`` by the full-anchor document over the fixture's graph."""
+    assert main(["cluster", "--graph", "net.graph", "--scheme", "full", "--k", "3",
+                 "--out", "full.json"]) == 0
+    doc.clear()
+    doc.update(load_json("full.json"))
+
+
+def tracked_block_out_of_range(doc):
+    as_full_scheme(doc)
+    doc["tracked"]["assignment"][doc["plan"]["esp_addresses"][0]] = 99
+
+
+def partial_scheme_without_anchors(doc):
+    as_full_scheme(doc)
+    doc["scheme"] = "partial"
+
+
+def node_missing_from_assignment(doc):
+    as_full_scheme(doc)
+    doc["tracked"]["assignment"].pop(doc["plan"]["esp_addresses"][5])
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
         (lambda doc: doc.update(scheme="ring"), "'ring' is not a valid Scheme"),
         (zero_cost_edge, "link costs must be positive"),
+        (tracked_block_out_of_range, "block indices must lie in [0, 4)"),
+        (partial_scheme_without_anchors, "missing field or unknown address 'anchors'"),
+        (node_missing_from_assignment, "tracked.assignment covers 15 of 16 nodes"),
+        (lambda doc: doc.update(k=16), "k 16: must be in [1, 16)"),
+        (lambda doc: doc.update(f=4), "f 4: must be in [1, k=3]"),
     ],
 )
 def test_cli_scheme_invalid_value_exits_two(torus_scheme_file, capsys, edit, message):
@@ -428,7 +489,7 @@ def test_cli_scheme_invalid_value_exits_two(torus_scheme_file, capsys, edit, mes
     assert message in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("version", [2, None])
+@pytest.mark.parametrize("version", [1, None])
 def test_cli_scheme_other_schema_version_exits_two(torus_scheme_file, capsys, version):
     rewrite_scheme(torus_scheme_file, lambda doc: doc.update(schema_version=version))
     assert main(["qsearch", "--scheme", torus_scheme_file, "--owner", "0", "--target", "5"]) == 2

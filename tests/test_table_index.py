@@ -4,7 +4,7 @@ import copy
 
 import pytest
 
-from qnroute.errors import DuplicateEntryError, QnrouteError
+from qnroute.errors import DuplicateEntryError
 from qnroute.metrics import hop_count_metric
 from qnroute.routing import (
     Origin,
@@ -114,12 +114,3 @@ def test_drop_keeps_index_and_order():
     assert [e.e_hop for e in table.entries] == [p for p in order if p != first.e_hop]
     assert first not in table.e_neighbors
     assert_index_matches_entries(tabs)
-
-
-def test_scheme_document_with_duplicate_entry_is_rejected():
-    tabs = build("grid_torus", "partial", None)
-    doc = scheme_to_dict(tabs, "hop")
-    entries = next(iter(doc["tables"].values()))["entries"]
-    entries.append(dict(entries[0]))
-    with pytest.raises(QnrouteError, match="already has an entry"):
-        scheme_from_dict(doc)

@@ -62,8 +62,6 @@ from .routing import (
     make_packet,
     replenish,
     resolve,
-    resolve_full_anchor,
-    resolve_partial_anchor,
     swap_and_replenish,
     table_size_stats,
     verify_bound_chain,
@@ -73,7 +71,6 @@ from .topology import (
     NetworkGraph,
     all_neighborhoods,
     all_pairs_optimal,
-    e_neighborhood,
     generate_graph,
     load_graph,
     optimal_cost,

@@ -5,7 +5,7 @@ Subcommands mirror the pipeline stages: ``generate`` a graph file,
 against a scheme document, ``compare`` two configurations, and ``report``
 to run a full experiment from a config file. Exit code 0 means every
 enabled assertion passed. Precedence: built-in defaults, then command-line
-flags, then the config file.
+flags, then the config file's values; a null in the file sets nothing.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import os
 import sys
 
 from . import harness
-from .errors import InvalidRequestError, QnrouteError
+from .errors import ConfigError, InvalidRequestError, QnrouteError
 from .metrics import metric_by_name
 from .qsearch import instance_from_table, run_search
 from .routing import evaluate_all_pairs, resolve
@@ -195,8 +195,10 @@ def cmd_compare(args) -> int:
 
 def cmd_report(args) -> int:
     doc = load_json(args.config) if args.config else {}
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{args.config}: a config must be a JSON object")
     config = harness.ExperimentConfig.from_dict(
-        {**_config_flags(args), **doc}
+        {**_config_flags(args), **{k: v for k, v in doc.items() if v is not None}}
     )
     report = harness.run_experiment(config)
     for line in harness.assertion_lines(report):

@@ -47,43 +47,23 @@ class AnchorSet:
     members: frozenset[int]
     construction: str  # "random" | "greedy"
     m: float | None = None
-    uncovered_at_build: tuple[int, ...] = ()
 
     @property
     def size(self) -> int:
         return len(self.members)
 
 
-def _uncovered(neighborhoods: list[ENeighborhood], anchors: frozenset[int]) -> list[int]:
-    # An anchor never needs covering: it reaches the hub mesh directly, so
-    # only non-anchor owners must see an anchor inside their neighborhood.
-    return sorted(
-        nb.owner
-        for nb in neighborhoods
-        if nb.owner not in anchors and not (nb.member_ids & anchors)
-    )
-
-
-def build_anchor_set_random(
-    neighborhoods: list[ENeighborhood],
-    n_e: int,
-    seed: int,
-    m: float | None = None,
-) -> AnchorSet:
+def build_anchor_set_random(n_e: int, seed: int, m: float | None = None) -> AnchorSet:
     """Sample ceil(sqrt(n_e)) anchors uniformly without replacement.
 
-    Coverage of the e-neighborhoods is recorded, not enforced: the covering
-    guarantee is only high-probability and poor draws are legitimate data.
+    Coverage of the e-neighborhoods is not enforced: the covering guarantee
+    is only high-probability, and ``verify_coverage`` reports poor draws as
+    data.
     """
     target = min(n_e, math.ceil(math.sqrt(n_e)))
     rng = random.Random(stream_seed(seed, "cover"))
     members = frozenset(rng.sample(range(n_e), target))
-    return AnchorSet(
-        members=members,
-        construction="random",
-        m=m,
-        uncovered_at_build=tuple(_uncovered(neighborhoods, members)),
-    )
+    return AnchorSet(members=members, construction="random", m=m)
 
 
 def build_anchor_set_greedy(neighborhoods: list[ENeighborhood]) -> AnchorSet:
@@ -107,12 +87,7 @@ def build_anchor_set_greedy(neighborhoods: list[ENeighborhood]) -> AnchorSet:
             for owner, members in uncovered.items()
             if best not in members
         }
-    members = frozenset(chosen)
-    return AnchorSet(
-        members=members,
-        construction="greedy",
-        uncovered_at_build=tuple(_uncovered(neighborhoods, members)),
-    )
+    return AnchorSet(members=frozenset(chosen), construction="greedy")
 
 
 def greedy_size_bound(n_e: int, k: int) -> float:
@@ -210,7 +185,14 @@ def verify_coverage(
     if scheme is Scheme.PARTIAL_ANCHOR:
         if anchors is None:
             raise ValueError("partial-anchor coverage requires an AnchorSet")
-        uncovered = tuple(_uncovered(neighborhoods, anchors.members))
+        # An anchor never needs covering: it reaches the hub mesh directly,
+        # so only non-anchor owners must see an anchor in their neighborhood.
+        members = anchors.members
+        uncovered = tuple(sorted(
+            nb.owner
+            for nb in neighborhoods
+            if nb.owner not in members and not (nb.member_ids & members)
+        ))
         return CoverageReport(
             scheme=scheme, uncovered=uncovered, total_checks=len(neighborhoods)
         )

@@ -27,7 +27,8 @@ from .clustering import (
     verify_coverage,
 )
 from .errors import ChainViolationError, ConfigError, MismatchedSeedsError
-from .metrics import Composition, metric_by_name
+from . import metrics, topology
+from .metrics import Composition, check_axioms, metric_by_name
 from .qsearch import routing_lookup_via_search
 from .rng import stream, stream_seed
 from .routing import (
@@ -43,8 +44,6 @@ from .topology import all_neighborhoods, all_pairs_optimal, generate_graph
 OUTPUT_DIR_ENV = "QNROUTE_OUTPUT_DIR"
 SCHEMA_VERSION = 1
 
-_GRAPH_MODELS = {"erdos_renyi", "waxman", "barabasi_albert", "grid_torus"}
-_METRICS = {"hop", "uniform", "capacity"}
 _SCHEMES = {"partial", "full"}
 _ANCHOR_METHODS = {"greedy", "random"}
 
@@ -75,9 +74,9 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.n_e < 2:
             raise ConfigError("n_e: must be at least 2")
-        if self.graph_model not in _GRAPH_MODELS:
+        if self.graph_model not in topology._GENERATORS:
             raise ConfigError(f"graph_model: unknown {self.graph_model!r}")
-        if self.metric not in _METRICS:
+        if self.metric not in metrics._REGISTRY:
             raise ConfigError(f"metric: unknown {self.metric!r}")
         if self.scheme not in _SCHEMES:
             raise ConfigError(f"scheme: must be one of {sorted(_SCHEMES)}")
@@ -217,7 +216,7 @@ def build_scheme(config: ExperimentConfig, graph, metric, seed: int):
     plan = assign_addresses(graph.n_e, 0)
     graph.plan = plan
     pair_costs = all_pairs_optimal(graph, metric)
-    neighborhoods = all_neighborhoods(graph, metric, config.effective_k(), pair_costs)
+    neighborhoods = all_neighborhoods(graph, config.effective_k(), pair_costs)
 
     anchors = None
     tracked = None
@@ -225,9 +224,7 @@ def build_scheme(config: ExperimentConfig, graph, metric, seed: int):
         if config.anchor_method == "greedy":
             anchors = build_anchor_set_greedy(neighborhoods)
         else:
-            anchors = build_anchor_set_random(
-                neighborhoods, graph.n_e, seed=seed, m=config.m
-            )
+            anchors = build_anchor_set_random(graph.n_e, seed=seed, m=config.m)
         coverage = verify_coverage(Scheme.PARTIAL_ANCHOR, neighborhoods, anchors=anchors)
     else:
         tracked = assign_all_tracking(
@@ -239,13 +236,13 @@ def build_scheme(config: ExperimentConfig, graph, metric, seed: int):
         graph,
         metric,
         neighborhoods,
+        pair_costs,
         anchors=anchors,
         tracked=tracked,
         f=config.f,
         ebit_budget=config.ebit_budget,
         capacity_cap=config.capacity_cap,
         plan=plan,
-        pair_costs=pair_costs,
     )
     return tables, coverage
 
@@ -317,10 +314,8 @@ def run_trial(config: ExperimentConfig, seed: int) -> TrialResult:
     qsearch_stats = _qsearch_agreement(tables, seed) if config.qsearch_check else None
     axiom_doc = None
     if config.axiom_check:
-        from .metrics import check_axioms
-
         report = check_axioms(
-            tables.metric, tables.graph, seed=stream_seed(seed, "axioms")
+            tables.metric, tables.pair_costs, seed=stream_seed(seed, "axioms")
         )
         axiom_doc = {
             "passed": report.passed,

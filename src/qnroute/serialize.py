@@ -125,9 +125,9 @@ def _read_scheme(doc: dict) -> tuple[SchemeTables, str, dict]:
 
     pair_costs = all_pairs_optimal(graph, metric)
     tables = build_tables(
-        graph, metric, all_neighborhoods(graph, metric, k, pair_costs),
+        graph, metric, all_neighborhoods(graph, k, pair_costs), pair_costs,
         anchors=anchors, tracked=tracked, f=f, ebit_budget=doc["ebit_budget"],
-        capacity_cap=doc["capacity_cap"], plan=plan, pair_costs=pair_costs,
+        capacity_cap=doc["capacity_cap"], plan=plan,
     )
     return tables, metric_name, metric_params
 

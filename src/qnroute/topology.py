@@ -20,7 +20,6 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from .addressing import AddressPlan
 from .errors import (
@@ -44,7 +43,6 @@ class NetworkGraph:
     n_e: int
     adjacency: dict[int, dict[int, float]] = field(default_factory=dict)
     plan: AddressPlan | None = None
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         for v in range(self.n_e):
@@ -152,7 +150,6 @@ def _waxman(
             d = math.dist(positions[i], positions[j])
             if rng.random() < beta * math.exp(-d / (alpha * scale)):
                 graph.add_edge(i, j, 1.0)
-    graph.meta["positions"] = positions
     return graph
 
 
@@ -219,10 +216,12 @@ def generate_graph(
     Structure is drawn first, then costs per edge in sorted edge order, so
     the edge set depends only on (model, params, seed). Generators retry on
     disconnection up to CONNECTIVITY_RETRIES, then augment the last attempt
-    by chaining its components with random inter-component links.
+    by chaining its components with random inter-component links. An
+    ``n_e`` below 2, a parameter the model does not take, or a bad value
+    raises ``GenerationFailedError``.
     """
     if n_e < 2:
-        raise ValueError("n_e must be at least 2")
+        raise GenerationFailedError(f"n_e={n_e}: must be at least 2")
     try:
         factory = _GENERATORS[model]
     except KeyError:
@@ -235,7 +234,10 @@ def generate_graph(
     graph = None
     attempts = 0
     for attempts in range(1, CONNECTIVITY_RETRIES + 1):
-        graph = factory(n_e, rng, **params)
+        try:
+            graph = factory(n_e, rng, **params)
+        except (TypeError, ValueError) as err:
+            raise GenerationFailedError(f"model {model!r}: {err}") from None
         if graph.is_connected():
             break
     else:
@@ -246,7 +248,6 @@ def generate_graph(
             CONNECTIVITY_RETRIES,
         )
         _augment_connectivity(graph, rng)
-    graph.meta["attempts"] = attempts
     if attempts > 1:
         logger.info("%s n_e=%d needed %d attempts for connectivity", model, n_e, attempts)
 
@@ -281,7 +282,6 @@ def _augment_connectivity(graph: NetworkGraph, rng: random.Random) -> None:
     rng.shuffle(comps)
     for a, b in zip(comps, comps[1:]):
         graph.add_edge(rng.choice(a), rng.choice(b), 1.0)
-    graph.meta["augmented"] = True
 
 
 # ---------------------------------------------------------------------------
@@ -368,30 +368,29 @@ def optimal_cost(
     metric: EntanglingMetric,
     i: int,
     j: int,
-    pair_costs: dict[tuple[int, int], float] | None = None,
+    pair_costs: dict[tuple[int, int], float],
 ) -> tuple[float, list[int]]:
     """Minimum composed cost between ``i`` and ``j`` plus one witness route.
 
     Returns ``(cost, nodes)`` where nodes is the full repeater sequence
     including both endpoints, or an empty list when i == j (cost 0 by
-    definiteness). Additive composition, licensed by isotonicity plus the
-    triangle inequality, walks back from ``j`` over the cost row of ``i``:
-    from ``pair_costs`` (an ``all_pairs_optimal`` table) when given, else
-    from one Dijkstra pass. The witness is the route Dijkstra's parent
-    pointers give, ties going to the neighbour settled first. Min
-    composition returns a walk through the cheapest component edge, whose
-    composed value that edge's cost is.
+    definiteness). The cost is read from ``pair_costs``, the trial's
+    ``all_pairs_optimal`` table. Additive composition, licensed by
+    isotonicity plus the triangle inequality, walks back from ``j`` over the
+    cost row of ``i``: the witness is the route Dijkstra's parent pointers
+    give, ties going to the neighbour settled first. Min composition returns
+    a walk through the cheapest component edge, whose composed value that
+    edge's cost is.
     """
     if i == j:
         return 0.0, []
+    if (i, j) not in pair_costs:
+        raise UnreachableError(f"no path from {i} to {j}")
+    cost = pair_costs[(i, j)]
     if metric.composition is Composition.ADDITIVE:
-        if pair_costs is None:
-            pair_costs = {(i, u): d for u, d in _dijkstra(graph, i).items()}
-        if (i, j) not in pair_costs:
-            raise UnreachableError(f"no path from {i} to {j}")
-        return pair_costs[(i, j)], _walk_back(graph, pair_costs, i, j)
+        return cost, _walk_back(graph, pair_costs, i, j)
 
-    u, v, c = _min_edge(graph)
+    u, v, _ = _min_edge(graph)
     # Orient the cheapest edge to keep the witness walk short.
     forward = _hop_path(graph, i, u) + _hop_path(graph, v, j)
     backward = _hop_path(graph, i, v) + _hop_path(graph, u, j)
@@ -400,8 +399,8 @@ def optimal_cost(
     for node in walk[1:]:
         if node != cleaned[-1]:
             cleaned.append(node)
-    assert fold(metric, [graph.cost(a, b) for a, b in zip(cleaned, cleaned[1:])]) == c
-    return c, cleaned
+    assert fold(metric, [graph.cost(a, b) for a, b in zip(cleaned, cleaned[1:])]) == cost
+    return cost, cleaned
 
 
 def all_pairs_optimal(
@@ -448,50 +447,23 @@ class ENeighborhood:
         return frozenset(m for m, _ in self.members)
 
 
-def _nearest(owner: int, row: Iterable[tuple[int, float]], k: int) -> ENeighborhood:
-    """The k cheapest ``(node, cost)`` of one cost row, ties going to the
-    lower index."""
-    ranked = heapq.nsmallest(k, ((c, u) for u, c in row if u != owner))
-    return ENeighborhood(owner=owner, members=tuple((u, c) for c, u in ranked))
-
-
-def e_neighborhood(
-    graph: NetworkGraph, metric: EntanglingMetric, v: int, k: int
-) -> ENeighborhood:
-    """The k nodes with smallest optimal cost from ``v``.
+def all_neighborhoods(
+    graph: NetworkGraph, k: int, pair_costs: dict[tuple[int, int], float]
+) -> list[ENeighborhood]:
+    """The k nodes of smallest optimal cost from every node, read from
+    ``pair_costs``, the trial's ``all_pairs_optimal`` table.
 
     Ties break by ascending address integer, which for ESP nodes coincides
-    with ascending node index. Membership is deterministic and stable.
-    """
-    if k >= graph.n_e:
-        raise NeighborhoodSizeError(f"k={k} must be smaller than n_e={graph.n_e}")
-    if metric.composition is Composition.ADDITIVE:
-        row = _dijkstra(graph, v)
-    else:
-        _, _, c = _min_edge(graph)
-        row = {u: c for u in range(graph.n_e)}
-    return _nearest(v, row.items(), k)
-
-
-def all_neighborhoods(
-    graph: NetworkGraph,
-    metric: EntanglingMetric,
-    k: int,
-    pair_costs: dict[tuple[int, int], float] | None = None,
-) -> list[ENeighborhood]:
-    """The e-neighborhood of every node, ranked as ``e_neighborhood`` ranks.
-
-    ``pair_costs`` is the trial's ``all_pairs_optimal`` table; it is
-    computed here when absent.
+    with ascending node index, so membership is deterministic and stable.
     """
     n = graph.n_e
     if k >= n:
         raise NeighborhoodSizeError(f"k={k} must be smaller than n_e={n}")
-    if pair_costs is None:
-        pair_costs = all_pairs_optimal(graph, metric)
-    return [
-        _nearest(v, ((u, pair_costs[(v, u)]) for u in range(n)), k) for v in range(n)
-    ]
+    out = []
+    for v in range(n):
+        ranked = heapq.nsmallest(k, ((pair_costs[(v, u)], u) for u in range(n) if u != v))
+        out.append(ENeighborhood(owner=v, members=tuple((u, c) for c, u in ranked)))
+    return out
 
 
 def reverse_neighborhood(neighborhoods: list[ENeighborhood], v: int) -> set[int]:

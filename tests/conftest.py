@@ -13,7 +13,7 @@ from qnroute.clustering import (
 )
 from qnroute.metrics import Composition, fold
 from qnroute.routing import SchemeTables, build_tables
-from qnroute.topology import NetworkGraph, all_neighborhoods
+from qnroute.topology import NetworkGraph, all_neighborhoods, all_pairs_optimal
 
 
 def brute_force_optimal(graph: NetworkGraph, metric, i: int, j: int) -> float:
@@ -129,11 +129,12 @@ def build_partial_scheme(
     capacity_cap: int | None = None,
 ) -> SchemeTables:
     """Full partial-anchor pipeline with greedy (always-covering) anchors."""
-    nbs = all_neighborhoods(graph, metric, k)
+    costs = all_pairs_optimal(graph, metric)
+    nbs = all_neighborhoods(graph, k, costs)
     anchors = build_anchor_set_greedy(nbs)
     plan = assign_addresses(graph.n_e, 0)
     return build_tables(
-        graph, metric, nbs, anchors=anchors, f=f, ebit_budget=ebit_budget,
+        graph, metric, nbs, costs, anchors=anchors, f=f, ebit_budget=ebit_budget,
         capacity_cap=capacity_cap, plan=plan,
     )
 
@@ -142,12 +143,13 @@ def build_full_scheme(
     graph: NetworkGraph, metric, k: int, tracking_seed: int = 0, f: int = 1,
     ebit_budget: int = 4, capacity_cap: int | None = None,
 ) -> SchemeTables:
-    nbs = all_neighborhoods(graph, metric, k)
+    costs = all_pairs_optimal(graph, metric)
+    nbs = all_neighborhoods(graph, k, costs)
     plan = assign_addresses(graph.n_e, 0)
     tracked = assign_all_tracking(
         build_tracked_sets(plan, graph.n_e), graph.n_e, seed=tracking_seed
     )
     return build_tables(
-        graph, metric, nbs, tracked=tracked, f=f, ebit_budget=ebit_budget,
+        graph, metric, nbs, costs, tracked=tracked, f=f, ebit_budget=ebit_budget,
         capacity_cap=capacity_cap, plan=plan,
     )

@@ -33,7 +33,7 @@ from qnroute.qsearch import (
     run_search,
 )
 from qnroute.routing import Case, evaluate_all_pairs, resolve, verify_bound_chain
-from qnroute.topology import all_neighborhoods, generate_graph
+from qnroute.topology import all_neighborhoods, all_pairs_optimal, generate_graph
 
 EXACT = 0.0
 TOL = 1e-9
@@ -150,6 +150,7 @@ def test_c05_bound_chain_clean_on_hundred_case_three_paths():
 def test_c06_randomized_cover_trend_and_greedy_exactness():
     n = 64
     graph = generate_graph("erdos_renyi", n, {"edge_prob": 0.15}, hop_count_metric(), seed=0)
+    costs = all_pairs_optimal(graph, hop_count_metric())
 
     # The derived neighborhood size clamps to n-1 at this scale for both
     # oversampling values, which degenerates the comparison, so the trend
@@ -157,12 +158,12 @@ def test_c06_randomized_cover_trend_and_greedy_exactness():
     means = {}
     for m in (1.0, 2.0):
         k = math.ceil((1 + m) * math.sqrt(n))
-        nbs = all_neighborhoods(graph, hop_count_metric(), k)
+        nbs = all_neighborhoods(graph, k, costs)
         fractions = [
             verify_coverage(
                 Scheme.PARTIAL_ANCHOR,
                 nbs,
-                anchors=build_anchor_set_random(nbs, n, seed=s, m=m),
+                anchors=build_anchor_set_random(n, seed=s, m=m),
             ).failure_fraction
             for s in range(200)
         ]
@@ -173,7 +174,7 @@ def test_c06_randomized_cover_trend_and_greedy_exactness():
 
     # greedy also exact at the formula-derived (full) neighborhood size
     k_formula = neighborhood_size(n, 1.0)
-    nbs_full = all_neighborhoods(graph, hop_count_metric(), k_formula)
+    nbs_full = all_neighborhoods(graph, k_formula, costs)
     greedy_full = build_anchor_set_greedy(nbs_full)
     assert verify_coverage(
         Scheme.PARTIAL_ANCHOR, nbs_full, anchors=greedy_full
@@ -196,12 +197,13 @@ def test_c07_table_compactness_and_address_width_scaling():
         metric = hop_count_metric()
         graph = generate_graph(model, n, params, metric, seed=0)
         k = neighborhood_size(n, 1.0)
-        nbs = all_neighborhoods(graph, metric, k)
+        costs = all_pairs_optimal(graph, metric)
+        nbs = all_neighborhoods(graph, k, costs)
         anchors = build_anchor_set_greedy(nbs)
         from qnroute.routing import build_tables, table_size_stats
 
         tables = build_tables(
-            graph, metric, nbs, anchors=anchors, f=1, plan=assign_addresses(n, 0)
+            graph, metric, nbs, costs, anchors=anchors, f=1, plan=assign_addresses(n, 0)
         )
         stats = table_size_stats(tables)
         assert stats["max_over_sqrt_log"] <= 4.0
@@ -330,12 +332,14 @@ def test_c11_success_non_decreasing_in_partition_count():
 
 def test_c12_quantum_lookup_agrees_with_classical_mirror():
     graph = generate_graph("erdos_renyi", 8, {"edge_prob": 0.4}, hop_count_metric(), seed=1)
-    nbs = all_neighborhoods(graph, hop_count_metric(), 3)
+    costs = all_pairs_optimal(graph, hop_count_metric())
+    nbs = all_neighborhoods(graph, 3, costs)
     anchors = build_anchor_set_greedy(nbs)
     from qnroute.routing import build_tables
 
     tables = build_tables(
-        graph, hop_count_metric(), nbs, anchors=anchors, f=1, plan=assign_addresses(8, 0)
+        graph, hop_count_metric(), nbs, costs, anchors=anchors, f=1,
+        plan=assign_addresses(8, 0),
     )
 
     verified = 0

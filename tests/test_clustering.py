@@ -16,7 +16,12 @@ from qnroute.clustering import (
     verify_coverage,
 )
 from qnroute.metrics import hop_count_metric
-from qnroute.topology import ENeighborhood, all_neighborhoods, generate_graph
+from qnroute.topology import (
+    ENeighborhood,
+    all_neighborhoods,
+    all_pairs_optimal,
+    generate_graph,
+)
 
 HOP = hop_count_metric()
 
@@ -52,14 +57,13 @@ def test_neighborhood_size_two_nodes():
 
 
 def test_random_anchor_count_is_sqrt():
-    nbs = full_neighborhoods(16)
-    anchors = build_anchor_set_random(nbs, 16, seed=5)
+    anchors = build_anchor_set_random(16, seed=5)
     assert anchors.size == 4
 
 
 def test_full_neighborhoods_make_any_anchor_set_cover():
     nbs = full_neighborhoods(12)
-    anchors = build_anchor_set_random(nbs, 12, seed=1)
+    anchors = build_anchor_set_random(12, seed=1)
     report = verify_coverage(Scheme.PARTIAL_ANCHOR, nbs, anchors=anchors)
     assert report.failure_fraction == 0.0
     # even a singleton hub set covers: every other neighborhood contains it
@@ -72,10 +76,10 @@ def test_full_neighborhoods_make_any_anchor_set_cover():
 def test_random_cover_failure_rate_low_at_desk_scale():
     g = generate_graph("erdos_renyi", 64, {"edge_prob": 0.15}, HOP, seed=0)
     k = neighborhood_size(64, 1.0)
-    nbs = all_neighborhoods(g, HOP, k)
+    nbs = all_neighborhoods(g, k, all_pairs_optimal(g, HOP))
     fractions = []
     for seed in range(200):
-        anchors = build_anchor_set_random(nbs, 64, seed=seed)
+        anchors = build_anchor_set_random(64, seed=seed)
         fractions.append(
             verify_coverage(Scheme.PARTIAL_ANCHOR, nbs, anchors=anchors).failure_fraction
         )
@@ -91,7 +95,7 @@ def test_greedy_cover_single_anchor_for_full_neighborhoods():
 
 def test_greedy_cover_on_torus_respects_size_bound():
     g = generate_graph("grid_torus", 16, {}, HOP, seed=0)
-    nbs = all_neighborhoods(g, HOP, 4)
+    nbs = all_neighborhoods(g, 4, all_pairs_optimal(g, HOP))
     anchors = build_anchor_set_greedy(nbs)
     report = verify_coverage(Scheme.PARTIAL_ANCHOR, nbs, anchors=anchors)
     assert report.failure_fraction == 0.0
@@ -111,14 +115,14 @@ def test_greedy_covers_disjoint_cliques_with_one_anchor_each():
     for a, b in itertools.combinations(range(4, 8), 2):
         g.add_edge(a, b, 1.0)
     g.add_edge(3, 4, 10.0)
-    nbs = all_neighborhoods(g, HOP, 2)
+    nbs = all_neighborhoods(g, 2, all_pairs_optimal(g, HOP))
     anchors = build_anchor_set_greedy(nbs)
     assert verify_coverage(Scheme.PARTIAL_ANCHOR, nbs, anchors=anchors).passed
     assert anchors.size == 2
     # a randomized draw can easily land both anchors in one clique and miss
     misses = 0
     for seed in range(50):
-        rnd = build_anchor_set_random(nbs, 8, seed=seed)
+        rnd = build_anchor_set_random(8, seed=seed)
         if not verify_coverage(Scheme.PARTIAL_ANCHOR, nbs, anchors=rnd).passed:
             misses += 1
     assert misses > 0
@@ -197,7 +201,7 @@ def test_full_anchor_coverage_pathological_shared_block():
 def test_full_anchor_coverage_healthy_assignment():
     n = 16
     g = generate_graph("erdos_renyi", n, {"edge_prob": 0.4}, HOP, seed=2)
-    nbs = all_neighborhoods(g, HOP, neighborhood_size(n, 1.0))
+    nbs = all_neighborhoods(g, neighborhood_size(n, 1.0), all_pairs_optimal(g, HOP))
     tracked = assign_all_tracking(build_tracked_sets(None, n), n, seed=4)
     report = verify_coverage(Scheme.FULL_ANCHOR, nbs, tracked=tracked)
     # random block choices miss a given target's block from a 15-neighborhood
@@ -213,10 +217,10 @@ def test_randomized_coverage_monotone_in_oversampling():
     means = []
     for m in (1.0, 2.0):
         k = math.ceil((1 + m) * math.sqrt(64))
-        nbs = all_neighborhoods(g, HOP, k)
+        nbs = all_neighborhoods(g, k, all_pairs_optimal(g, HOP))
         fractions = [
             verify_coverage(
-                Scheme.PARTIAL_ANCHOR, nbs, anchors=build_anchor_set_random(nbs, 64, seed=s)
+                Scheme.PARTIAL_ANCHOR, nbs, anchors=build_anchor_set_random(64, seed=s)
             ).failure_fraction
             for s in range(200)
         ]

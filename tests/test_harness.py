@@ -548,3 +548,58 @@ def test_cli_scheme_with_bad_metric_parameters_exits_two(torus_scheme_file, caps
         scheme_from_dict(load_json(torus_scheme_file))
     assert main(["route", "--scheme", torus_scheme_file, "--source", "0", "--dest", "5"]) == 2
     assert "0 < low <= high" in capsys.readouterr().err
+
+
+def test_cli_generate_unknown_model_parameter_exits_two(tmp_path, capsys):
+    out = str(tmp_path / "net.graph")
+    assert main(["generate", "--n-e", "8", "--param", "foo=1", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "model 'erdos_renyi'" in err and "unexpected keyword argument 'foo'" in err
+    assert not os.path.exists(out)
+
+
+def test_cli_generate_bad_model_parameter_value_exits_two(tmp_path, capsys):
+    out = str(tmp_path / "net.graph")
+    argv = ["generate", "--model", "barabasi_albert", "--n-e", "8", "--param", "attach=9",
+            "--out", out]
+    assert main(argv) == 2
+    assert "model 'barabasi_albert': attach must be in [1, n_e)" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_cli_generate_too_few_nodes_exits_two(tmp_path, capsys):
+    out = str(tmp_path / "net.graph")
+    assert main(["generate", "--n-e", "1", "--out", out]) == 2
+    assert "n_e=1: must be at least 2" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_cli_report_config_that_is_not_an_object_exits_two(tmp_path, capsys):
+    cfg = tmp_path / "exp.json"
+    cfg.write_text("[16]")
+    assert main(["report", "--config", str(cfg)]) == 2
+    assert "a config must be a JSON object" in capsys.readouterr().err
+
+
+def test_cli_report_unknown_graph_parameter_exits_two(tmp_path, capsys):
+    config = torus_config(graph_model="erdos_renyi", graph_params={"foo": 1},
+                          output_dir=str(tmp_path))
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps(config.to_dict()))
+    assert main(["report", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "model 'erdos_renyi'" in err and "unexpected keyword argument 'foo'" in err
+    assert not os.path.exists(tmp_path / "torus16_summary.json")
+
+
+def test_cli_out_dir_flag_beats_a_null_output_dir_in_the_config(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(harness.OUTPUT_DIR_ENV, raising=False)
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps(torus_config(seeds=[0]).to_dict()))
+    assert json.loads(cfg.read_text())["output_dir"] is None
+    out_dir = tmp_path / "out"
+    assert main(["report", "--config", str(cfg), "--out-dir", str(out_dir)]) == 0
+    assert (out_dir / "torus16_summary.json").exists()
+    assert (out_dir / "torus16_pairs.csv").exists()
+    assert not (tmp_path / "torus16_summary.json").exists()

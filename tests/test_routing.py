@@ -14,13 +14,16 @@ from qnroute.routing import (
     make_packet,
     replenish,
     resolve,
-    resolve_full_anchor,
-    resolve_partial_anchor,
     swap_and_replenish,
     table_size_stats,
     verify_bound_chain,
 )
-from qnroute.topology import all_neighborhoods, generate_graph, reverse_neighborhood
+from qnroute.topology import (
+    all_neighborhoods,
+    all_pairs_optimal,
+    generate_graph,
+    reverse_neighborhood,
+)
 
 from conftest import build_full_scheme, build_partial_scheme
 
@@ -69,7 +72,7 @@ def test_partitions_disjoint_and_union_is_neighborhood():
 def test_table_sizes_within_structural_budget():
     g = generate_graph("erdos_renyi", 64, {"edge_prob": 0.12}, HOP, seed=9)
     k = 8
-    nbs = all_neighborhoods(g, HOP, k)
+    nbs = all_neighborhoods(g, k, all_pairs_optimal(g, HOP))
     tabs = build_partial_scheme(g, HOP, k=k, capacity_cap=10**9)
     for v in range(64):
         reverse = reverse_neighborhood(nbs, v)
@@ -116,7 +119,7 @@ def test_direct_neighbor_resolves_case_one_with_unit_stretch():
     tabs = build_partial_scheme(g, HOP, k=4)
     i = 0
     d = next(iter(tabs.neighborhoods[0].member_ids))
-    path = resolve_partial_anchor(tabs, i, d)
+    path = resolve(tabs, i, d)
     assert path.case is Case.CASE_I
     assert path.stretch == 1.0
     assert path.nodes == (i, d)
@@ -130,7 +133,7 @@ def test_torus_case_three_paths_within_bound_of_oracle():
         for d in range(16):
             if i == d:
                 continue
-            path = resolve_partial_anchor(tabs, i, d)
+            path = resolve(tabs, i, d)
             if path.resolved:
                 assert path.total_cost >= tabs.pair_costs[(i, d)]
                 assert path.stretch <= 5.0
@@ -147,7 +150,7 @@ def test_anchor_source_gets_tighter_bound():
             for d in range(32):
                 if i == d:
                     continue
-                path = resolve_partial_anchor(tabs, i, d)
+                path = resolve(tabs, i, d)
                 if path.case is Case.CASE_III:
                     assert path.stretch <= 3.0 + 1e-9
 
@@ -156,7 +159,7 @@ def test_self_resolution_rejected():
     g = generate_graph("grid_torus", 9, {"rows": 3, "cols": 3}, HOP, seed=0)
     tabs = build_partial_scheme(g, HOP, k=2)
     with pytest.raises(ValueError):
-        resolve_partial_anchor(tabs, 4, 4)
+        resolve(tabs, 4, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +174,7 @@ def test_tracked_target_resolves_case_one():
         for d in tabs.tracked.tracked_by(i):
             if d == i:
                 continue
-            path = resolve_full_anchor(tabs, i, d)
+            path = resolve(tabs, i, d)
             assert path.case is Case.CASE_I
             assert path.stretch == 1.0
             hit = True

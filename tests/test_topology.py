@@ -5,10 +5,10 @@ import pytest
 from qnroute.errors import NeighborhoodSizeError
 from qnroute.metrics import capacity_metric, fold, hop_count_metric, uniform_weight_metric
 from qnroute.topology import (
+    ENeighborhood,
     NetworkGraph,
     all_neighborhoods,
     all_pairs_optimal,
-    e_neighborhood,
     generate_graph,
     load_graph,
     optimal_cost,
@@ -60,19 +60,19 @@ def test_sparse_er_connectivity_enforced_over_many_seeds():
 
 def test_optimal_cost_same_node_is_free():
     g = path_graph([1.0, 2.0])
-    assert optimal_cost(g, HOP, 1, 1) == (0.0, [])
-    assert optimal_cost(g, MIN, 1, 1) == (0.0, [])
+    assert optimal_cost(g, HOP, 1, 1, all_pairs_optimal(g, HOP)) == (0.0, [])
+    assert optimal_cost(g, MIN, 1, 1, all_pairs_optimal(g, MIN)) == (0.0, [])
 
 
 def test_triangle_additive_goes_through_middle(triangle_graph):
-    cost, path = optimal_cost(triangle_graph, HOP, 0, 2)
+    cost, path = optimal_cost(triangle_graph, HOP, 0, 2, all_pairs_optimal(triangle_graph, HOP))
     assert cost == 2.0
     assert path == [0, 1, 2]
     assert cost == brute_force_optimal(triangle_graph, HOP, 0, 2)
 
 
 def test_triangle_min_composition_prefers_two_hop(triangle_graph):
-    cost, path = optimal_cost(triangle_graph, MIN, 0, 2)
+    cost, path = optimal_cost(triangle_graph, MIN, 0, 2, all_pairs_optimal(triangle_graph, MIN))
     assert cost == 1.0
     assert cost == brute_force_optimal(triangle_graph, MIN, 0, 2)
     # witness walk composes to the returned cost
@@ -84,8 +84,9 @@ def test_triangle_min_composition_prefers_two_hop(triangle_graph):
 @pytest.mark.parametrize("metric", [HOP, MIN, uniform_weight_metric()])
 def test_optimal_cost_matches_brute_force_on_small_graphs(metric, seed):
     g = generate_graph("erdos_renyi", 7, {"edge_prob": 0.45}, metric, seed=seed)
+    costs = all_pairs_optimal(g, metric)
     for i, j in itertools.permutations(range(7), 2):
-        cost, path = optimal_cost(g, metric, i, j)
+        cost, path = optimal_cost(g, metric, i, j, costs)
         assert cost == pytest.approx(brute_force_optimal(g, metric, i, j), abs=1e-12)
         assert path[0] == i and path[-1] == j
         segs = [g.cost(a, b) for a, b in zip(path, path[1:])]
@@ -125,16 +126,17 @@ def test_witness_is_the_dijkstra_parent_route(model, n, params, metric):
                 route.append(parent[route[-1]])
             expected = (dist[j], route[::-1])
             assert optimal_cost(g, metric, i, j, costs) == expected
-            assert optimal_cost(g, metric, i, j) == expected
 
 
 @pytest.mark.parametrize("model,n,params,metric", TIE_HEAVY)
 def test_neighborhoods_from_pair_costs_match_per_node_ranking(model, n, params, metric):
     g = generate_graph(model, n, params, metric, seed=3)
     k = 6
-    shared = all_neighborhoods(g, metric, k, pair_costs=all_pairs_optimal(g, metric))
-    assert shared == all_neighborhoods(g, metric, k)
-    assert shared == [e_neighborhood(g, metric, v, k) for v in range(n)]
+    shared = all_neighborhoods(g, k, all_pairs_optimal(g, metric))
+    for v in range(n):
+        dist, _ = reference_dijkstra(g, v)
+        ranked = sorted((c, u) for u, c in dist.items() if u != v)[:k]
+        assert shared[v] == ENeighborhood(owner=v, members=tuple((u, c) for c, u in ranked))
 
 
 def test_all_pairs_matches_pointwise_queries():
@@ -142,21 +144,21 @@ def test_all_pairs_matches_pointwise_queries():
     metric = uniform_weight_metric()
     table = all_pairs_optimal(g, metric)
     for i, j in [(0, 5), (3, 11), (7, 2)]:
-        assert table[(i, j)] == optimal_cost(g, metric, i, j)[0]
+        assert table[(i, j)] == reference_dijkstra(g, i)[0][j]
 
 
 def test_e_neighborhood_full_when_k_is_n_minus_one():
     g = generate_graph("grid_torus", 9, {"rows": 3, "cols": 3}, HOP, seed=0)
-    nb = e_neighborhood(g, HOP, 4, 8)
+    nb = all_neighborhoods(g, 8, all_pairs_optimal(g, HOP))[4]
     assert nb.member_ids == frozenset(set(range(9)) - {4})
 
 
 def test_e_neighborhood_path_graph_two_closest():
     g = path_graph([1.0, 1.0, 1.0])  # a-b-c-d
-    nb = e_neighborhood(g, HOP, 0, 2)
+    nb = all_neighborhoods(g, 2, all_pairs_optimal(g, HOP))[0]
     assert [m for m, _ in nb.members] == [1, 2]
     # brute force: sort all optimal costs
-    ranked = sorted((optimal_cost(g, HOP, 0, u)[0], u) for u in range(1, 4))
+    ranked = sorted((brute_force_optimal(g, HOP, 0, u), u) for u in range(1, 4))
     assert nb.member_ids == {u for _, u in ranked[:2]}
 
 
@@ -165,28 +167,28 @@ def test_e_neighborhood_tie_breaks_by_lower_address():
     g.add_edge(0, 1, 1.0)
     g.add_edge(0, 2, 1.0)
     g.add_edge(1, 2, 1.0)
-    nb = e_neighborhood(g, HOP, 0, 1)
+    nb = all_neighborhoods(g, 1, all_pairs_optimal(g, HOP))[0]
     assert nb.member_ids == {1}
 
 
 def test_e_neighborhood_rejects_oversized_k():
     g = path_graph([1.0])
     with pytest.raises(NeighborhoodSizeError):
-        e_neighborhood(g, HOP, 0, 2)
+        all_neighborhoods(g, 2, all_pairs_optimal(g, HOP))
 
 
 def test_neighborhood_membership_is_stable_across_calls():
     g = generate_graph("erdos_renyi", 12, {"edge_prob": 0.4}, uniform_weight_metric(), seed=2)
     metric = uniform_weight_metric()
-    first = e_neighborhood(g, metric, 3, 5)
-    second = e_neighborhood(g, metric, 3, 5)
+    first = all_neighborhoods(g, 5, all_pairs_optimal(g, metric))[3]
+    second = all_neighborhoods(g, 5, all_pairs_optimal(g, metric))[3]
     assert first == second
     assert first.k == 5
 
 
 def test_reverse_neighborhood_on_torus_equals_forward():
     g = generate_graph("grid_torus", 16, {}, HOP, seed=0)
-    nbs = all_neighborhoods(g, HOP, 4)
+    nbs = all_neighborhoods(g, 4, all_pairs_optimal(g, HOP))
     for v in range(16):
         assert reverse_neighborhood(nbs, v) == set(nbs[v].member_ids)
 
@@ -195,14 +197,14 @@ def test_reverse_neighborhood_star_hub_collects_all_leaves():
     g = NetworkGraph(n_e=5)
     for leaf in range(1, 5):
         g.add_edge(0, leaf, 1.0)
-    nbs = all_neighborhoods(g, HOP, 1)
+    nbs = all_neighborhoods(g, 1, all_pairs_optimal(g, HOP))
     assert reverse_neighborhood(nbs, 0) == {1, 2, 3, 4}
 
 
 def test_reverse_neighborhood_can_be_empty():
     # 0-1-2-3 with an expensive pendant edge: nobody's single closest is 3
     g = path_graph([1.0, 1.0, 10.0])
-    nbs = all_neighborhoods(g, uniform_weight_metric(), 1)
+    nbs = all_neighborhoods(g, 1, all_pairs_optimal(g, uniform_weight_metric()))
     assert reverse_neighborhood(nbs, 3) == set()
 
 

@@ -9,7 +9,6 @@ ESP's cluster. Clusters partition the whole basis set by construction.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -77,27 +76,6 @@ class AddressPlan:
     width: int
     esp_addresses: tuple[QuantumAddress, ...]
     cluster_map: dict[QuantumAddress, tuple[QuantumAddress, ...]] = field(repr=False)
-
-    @functools.cached_property
-    def esp_indices(self) -> tuple[int, ...]:
-        """Basis-state index of every ESP address, by node id."""
-        return tuple(a.index for a in self.esp_addresses)
-
-    @functools.cached_property
-    def _basis_sets(self) -> dict[frozenset[int], frozenset[int]]:
-        return {}
-
-    def basis_set(self, nodes: frozenset[int]) -> frozenset[int]:
-        """Basis indices of a set of node ids.
-
-        Equal node sets share one result, so every search snapshot over this
-        plan holds one copy of each distinct partition.
-        """
-        out = self._basis_sets.get(nodes)
-        if out is None:
-            to_idx = self.esp_indices
-            out = self._basis_sets[nodes] = frozenset(to_idx[m] for m in nodes)
-        return out
 
     def assigned(self) -> set[QuantumAddress]:
         out = set(self.esp_addresses)

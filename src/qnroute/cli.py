@@ -160,11 +160,9 @@ def cmd_qsearch(args) -> int:
     tables, _, _ = scheme_from_dict(load_json(args.scheme))
     _check_node(tables, "--owner", args.owner)
     _check_node(tables, "--target", args.target)
-    table = tables.table(args.owner)
-    instance = instance_from_table(table, tables.plan)
-    target_index = tables.plan.esp_addresses[args.target].index
+    instance = instance_from_table(tables.table(args.owner), tables.plan)
     outcome = run_search(
-        instance, target_index, iterations=args.iterations, seed=args.seed
+        instance, args.target, iterations=args.iterations, seed=args.seed
     )
     print(
         json.dumps(

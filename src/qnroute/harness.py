@@ -214,7 +214,6 @@ def build_scheme(config: ExperimentConfig, graph, metric, seed: int):
     e-neighborhoods and the tables are derived from that one table.
     """
     plan = assign_addresses(graph.n_e, 0)
-    graph.plan = plan
     pair_costs = all_pairs_optimal(graph, metric)
     neighborhoods = all_neighborhoods(graph, config.effective_k(), pair_costs)
 
@@ -276,10 +275,8 @@ def _sample_chain_checks(tables, config: ExperimentConfig, seed: int) -> tuple[i
     return checked, violations
 
 
-def _qsearch_agreement(tables, seed: int, max_pairs: int = 4) -> dict | None:
+def _qsearch_agreement(tables, seed: int, max_pairs: int = 4) -> dict:
     """Quantum lookup vs classical mirror on a few owners' tables."""
-    if tables.plan is None:
-        return None
     rng = stream(seed, "measurement")
     owners = list(range(tables.n_e))
     rng.shuffle(owners)

@@ -45,11 +45,6 @@ class EntanglingMetric:
     composition: Composition
     sample_cost: Callable[[random.Random], float] = field(default=lambda rng: 1.0)
 
-    @property
-    def identity(self) -> float:
-        """Neutral element of the composition operator."""
-        return 0.0 if self.composition is Composition.ADDITIVE else float("inf")
-
 
 def compose(metric: EntanglingMetric, a: float, b: float) -> float:
     """Compose two costs: a + b for additive metrics, min(a, b) for concave."""

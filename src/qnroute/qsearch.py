@@ -1,15 +1,16 @@
 """Amplitude-amplified lookup over superposed address registers.
 
-The searchable object is a routing-table snapshot: n_T entries, each
-announcing f disjoint partitions of its peer's e-neighborhood as uniform
-superpositions over address basis states. A label register holds the entry
-indices in equal superposition; the oracle is a multi-controlled phase kick,
-conditioned jointly on the label matching an entry and on that entry's
-address register matching the target (X-conjugation pattern derived from the
-target's bits), so the phase inversion itself rides in superposition: the
-component where the register holds the target is marked, every orthogonal
-component evolves as if no oracle fired. Diffusion acts on the label register
-only.
+The searchable object is a routing table's classical mirror: n_T entries,
+each announcing f disjoint partitions of its peer's e-neighborhood as uniform
+superpositions over basis states. Registers hold node ids (n_e <= 2^width);
+which basis state names which node is a naming choice, and relabeling them
+by the address plan changes no label probability. A label register holds the
+entry indices in equal superposition; the oracle is a multi-controlled phase
+kick, conditioned jointly on the label matching an entry and on that entry's
+address register matching the target, so the phase inversion itself rides in
+superposition: the component where the register holds the target is marked,
+every orthogonal component evolves as if no oracle fired. Diffusion acts on
+the label register only.
 
 Every lookup runs one engine: a closed form for the exact label marginal,
 polynomial in the number of entries that hold the target, so no table is too
@@ -68,30 +69,15 @@ class SuperposedAddress:
 
 
 @dataclass(frozen=True)
-class SearchEntry:
-    label: int
-    partitions: tuple[frozenset[int], ...]
-
-    def contains(self, target: int) -> bool:
-        return any(target in p for p in self.partitions)
-
-    def hitting_partition(self, target: int) -> int | None:
-        for idx, p in enumerate(self.partitions):
-            if target in p:
-                return idx
-        return None
-
-
-@dataclass(frozen=True)
 class SearchInstance:
-    """Immutable snapshot of the searchable table content."""
+    """The searchable table content: each label's partitions of node ids."""
 
-    entries: tuple[SearchEntry, ...]
+    partitions: tuple[tuple[frozenset[int], ...], ...]
     address_width: int
 
     @property
     def n_t(self) -> int:
-        return len(self.entries)
+        return len(self.partitions)
 
     @property
     def label_width(self) -> int:
@@ -99,7 +85,7 @@ class SearchInstance:
 
     @property
     def total_qubits(self) -> int:
-        regs = sum(len(e.partitions) for e in self.entries)
+        regs = sum(len(parts) for parts in self.partitions)
         return self.label_width + regs * self.address_width + 1
 
     def hit_labels(self, target: int) -> frozenset[int]:
@@ -108,41 +94,26 @@ class SearchInstance:
     def hit_alphas(self, target: int) -> list[tuple[int, float]]:
         """(label, weight of the inverting branch) per hitting entry."""
         out = []
-        for e in self.entries:
-            idx = e.hitting_partition(target)
-            if idx is not None:
-                out.append((e.label, 1.0 / len(e.partitions[idx])))
+        for label, parts in enumerate(self.partitions):
+            for part in parts:
+                if target in part:
+                    out.append((label, 1.0 / len(part)))
+                    break
         return out
 
 
 def make_instance(partition_lists, address_width: int) -> SearchInstance:
-    entries = tuple(
-        SearchEntry(label=lbl, partitions=tuple(frozenset(p) for p in parts))
-        for lbl, parts in enumerate(partition_lists)
-    )
-    return SearchInstance(entries=entries, address_width=address_width)
+    parts = tuple(tuple(frozenset(p) for p in e) for e in partition_lists)
+    return SearchInstance(parts, address_width)
 
 
 def instance_from_table(table, plan) -> SearchInstance:
-    """The search snapshot of a routing table's classical mirror.
+    """A routing table's classical mirror as a search instance.
 
-    Node ids become address basis indices through the plan, so the register
-    width matches the network's address width. The snapshot is built once and
-    cached on the table with the plan it was built for; ``RoutingTable.add``
-    and ``drop`` clear it, and a call with another plan builds afresh.
+    Labels are positions in the table and registers hold node ids at the
+    plan's address width; the instance shares the entries' partitions.
     """
-    cached = table.search_snapshot
-    if cached is not None and cached[0] is plan:
-        return cached[1]
-    entries = tuple(
-        SearchEntry(
-            label=lbl, partitions=tuple(plan.basis_set(p) for p in entry.partitions)
-        )
-        for lbl, entry in enumerate(table.entries)
-    )
-    instance = SearchInstance(entries=entries, address_width=plan.width)
-    table.search_snapshot = (plan, instance)
-    return instance
+    return SearchInstance(tuple(e.partitions for e in table.entries), plan.width)
 
 
 # ---------------------------------------------------------------------------
@@ -153,27 +124,22 @@ def instance_from_table(table, plan) -> SearchInstance:
 class SearchState:
     """Joint statevector over label register, address registers, ancilla.
 
-    Qubit 0 is the most significant bit of the joint basis index; each
-    register occupies a contiguous qubit span recorded in ``register_spans``.
+    Qubit 0 is the most significant bit of the joint basis index; the label
+    register leads, and each address register occupies a contiguous qubit
+    span recorded in ``register_spans``.
     """
 
     instance: SearchInstance
     vector: np.ndarray
-    label_span: tuple[int, int]
     register_spans: dict[tuple[int, int], tuple[int, int]] = field(repr=False)
     ancilla: int = 0
-
-    @property
-    def total_qubits(self) -> int:
-        return self.ancilla + 1
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.vector))
 
     def label_distribution(self) -> np.ndarray:
         """Exact marginal over the first n_T labels."""
-        n_label = self.label_span[1] - self.label_span[0]
-        mat = self.vector.reshape(2**n_label, -1)
+        mat = self.vector.reshape(2**self.instance.label_width, -1)
         probs = np.sum(np.abs(mat) ** 2, axis=1)
         return probs[: self.instance.n_t]
 
@@ -188,7 +154,7 @@ class SearchState:
         psi = self.vector.reshape(before, mid, after)
         rho = np.einsum("aib,ajb->ij", psi, psi.conj())
         ref = SuperposedAddress(
-            self.instance.entries[entry].partitions[partition], width
+            self.instance.partitions[entry][partition], width
         ).vector()
         return float(np.real(ref.conj() @ rho @ ref))
 
@@ -215,8 +181,8 @@ def init_search(
     vector = label
     register_spans: dict[tuple[int, int], tuple[int, int]] = {}
     offset = n_label
-    for e_idx, entry in enumerate(instance.entries):
-        for p_idx, part in enumerate(entry.partitions):
+    for e_idx, parts in enumerate(instance.partitions):
+        for p_idx, part in enumerate(parts):
             reg = SuperposedAddress(part, instance.address_width).vector()
             vector = np.kron(vector, reg)
             register_spans[(e_idx, p_idx)] = (offset, offset + instance.address_width)
@@ -228,7 +194,6 @@ def init_search(
     state = SearchState(
         instance=instance,
         vector=vector,
-        label_span=(0, n_label),
         register_spans=register_spans,
         ancilla=offset,
     )
@@ -256,9 +221,9 @@ def apply_oracle(
     columns = np.arange(rows.shape[1])
     ancilla_bit = 1 << (total - 1 - state.ancilla)
     width_mask = (1 << inst.address_width) - 1
-    for e_idx, entry in enumerate(inst.entries):
+    for e_idx, parts in enumerate(inst.partitions):
         row = rows[e_idx]
-        for p_idx in range(len(entry.partitions)):
+        for p_idx in range(len(parts)):
             _start, stop = state.register_spans[(e_idx, p_idx)]
             marked = np.flatnonzero(((columns >> (total - stop)) & width_mask) == target)
             if not marked.size:
@@ -297,9 +262,10 @@ def apply_diffusion(state: SearchState) -> SearchState:
 
 
 def _reduced_distribution(
-    instance: SearchInstance, target: int, iterations: int
+    hits: list[tuple[int, float]], n_t: int, iterations: int
 ) -> np.ndarray:
-    """Exact label marginal in closed form.
+    """Exact label marginal in closed form, from ``hit_alphas`` of an
+    instance with ``n_t`` labels.
 
     Per hitting entry j the state splits into an inverting branch (weight
     alpha_j, its register on the target) and a non-inverting one; registers
@@ -311,9 +277,7 @@ def _reduced_distribution(
     1998). Only the Poisson-binomial pmf of s is needed: over all hits for a
     label that is not hit, over the other hits for hit label j.
     """
-    hits = instance.hit_alphas(target)
     h = len(hits)
-    n_t = instance.n_t
     alphas = np.array([alpha for _, alpha in hits])
     sizes = np.arange(h + 1)
     angle = (2 * iterations + 1) * np.arcsin(np.sqrt(sizes / n_t))
@@ -392,7 +356,8 @@ def run_search(
     Both produce the same exact distribution; sampling is seeded and shot
     noise only enters through the single reported measurement.
     """
-    hits = instance.hit_labels(target)
+    hits = instance.hit_alphas(target)
+    hit_labels = frozenset(label for label, _ in hits)
     if iterations is None:
         iterations = iteration_count(instance.n_t, max(1, len(hits)))
 
@@ -403,18 +368,18 @@ def run_search(
             apply_diffusion(state)
         probs = state.label_distribution()
     elif engine == "reduced":
-        probs = _reduced_distribution(instance, target, iterations)
+        probs = _reduced_distribution(hits, instance.n_t, iterations)
     else:
         raise ValueError(f"unknown engine {engine!r}")
 
     probs = np.maximum(probs, 0.0)
     probs = probs / probs.sum()
     distribution = tuple(probs.tolist())
-    success = float(sum(probs[label] for label in hits))
+    success = float(sum(probs[label] for label in hit_labels))
     return SearchOutcome(
         distribution=distribution,
         measured=measure(distribution, seed),
-        hit_labels=hits,
+        hit_labels=hit_labels,
         success_probability=success,
         iterations=iterations,
         engine=engine,
@@ -468,20 +433,18 @@ def routing_lookup_via_search(
 ) -> LookupResult:
     """Locate a table entry whose mirrored neighborhood holds the target.
 
-    The exact label distribution is computed once, from the table's cached
-    search snapshot; each attempt then measures it with its own seed, which
+    The exact label distribution is computed once, from the table's
+    classical mirror; each attempt then measures it with its own seed, which
     is the label a fresh preparation and search would give. The measured
     label is verified against the classical mirror; misses are legitimate
     probabilistic outcomes and are reported through the attempt count.
     """
-    if tables.plan is None:
-        raise ValueError("tables need an address plan for basis conversion")
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
     instance = instance_from_table(tables.table(owner), tables.plan)
     outcome = run_search(
         instance,
-        tables.plan.esp_indices[target],
+        target,
         iterations=iterations,
         seed=stream_seed(seed, "attempt:0"),
     )

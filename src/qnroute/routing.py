@@ -78,9 +78,7 @@ class RoutingTable:
 
     ``entries`` keeps insertion order; search labels are positions in it.
     ``add`` and ``drop`` are its only writers: they keep the peer index and
-    ``e_neighbors``, the e-neighbor entries in table order, in step with it,
-    and clear ``search_snapshot``, the ``(plan, instance)`` pair that
-    ``qsearch.instance_from_table`` caches for this table.
+    ``e_neighbors``, the e-neighbor entries in table order, in step with it.
     """
 
     owner: int
@@ -93,9 +91,6 @@ class RoutingTable:
     )
     _by_peer: dict[int, TableEntry] = field(
         init=False, default_factory=dict, repr=False, compare=False
-    )
-    search_snapshot: tuple | None = field(
-        init=False, default=None, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
@@ -113,7 +108,6 @@ class RoutingTable:
         self._by_peer[entry.e_hop] = entry
         if entry.origin is Origin.E_NEIGHBOR:
             self.e_neighbors.append(entry)
-        self.search_snapshot = None
 
     def drop(self, peer: int) -> TableEntry:
         """Remove and return the entry for ``peer``; later entries move up."""
@@ -121,7 +115,6 @@ class RoutingTable:
         self.entries.remove(entry)
         if entry.origin is Origin.E_NEIGHBOR:
             self.e_neighbors.remove(entry)
-        self.search_snapshot = None
         return entry
 
     def find(self, peer: int) -> TableEntry | None:
@@ -141,9 +134,9 @@ class SchemeTables:
     graph: NetworkGraph
     metric: EntanglingMetric
     pair_costs: dict[tuple[int, int], float]
+    plan: AddressPlan
     anchors: AnchorSet | None = None
     tracked: TrackedSets | None = None
-    plan: AddressPlan | None = None
     f: int = 1
     ebit_budget: int = 4
     capacity_cap: int = 0
@@ -219,11 +212,15 @@ def make_packet(
 
 @dataclass
 class DeliveryRecord:
+    """``consumed``: segments debited at an overlay entry; ``on_demand``:
+    segments with no entry at either endpoint, generated on demand."""
+
     path: EntangledPath
     consumed: list[tuple[int, int]]
     success: bool
     retried: bool = False
     detail: str = ""
+    on_demand: list[tuple[int, int]] = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +237,8 @@ def build_tables(
     f: int = 1,
     ebit_budget: int = 4,
     capacity_cap: int | None = None,
-    plan: AddressPlan | None = None,
+    *,
+    plan: AddressPlan,
 ) -> SchemeTables:
     """Populate every node's routing table for one scheme.
 
@@ -692,7 +690,7 @@ def swap_and_replenish(
     packet: QuantumPacket,
     replenish_rate: int = 0,
 ) -> DeliveryRecord:
-    """Consume one ebit per segment endpoint along the path and deliver.
+    """Consume one ebit per segment endpoint entry along the path and deliver.
 
     A depleted segment triggers exactly one re-resolution with that link
     excluded; if the retry fails too, the delivery fails. A positive
@@ -729,8 +727,10 @@ def swap_and_replenish(
             return record
 
     for a, b in zip(path.nodes, path.nodes[1:]):
-        _consume_link(tables, a, b)
-        record.consumed.append((a, b))
+        if _consume_link(tables, a, b):
+            record.consumed.append((a, b))
+        else:
+            record.on_demand.append((a, b))
     record.success = True
     if replenish_rate > 0:
         replenish(tables, replenish_rate)
@@ -748,7 +748,9 @@ def _first_depleted_link(
     return None
 
 
-def _consume_link(tables: SchemeTables, a: int, b: int) -> None:
+def _consume_link(tables: SchemeTables, a: int, b: int) -> bool:
+    """Debit the segment's entry at each endpoint; False if it has none."""
+    debited = False
     for x, y in ((a, b), (b, a)):
         entry = tables.tables[x]._by_peer.get(y)
         if entry is None:
@@ -756,6 +758,8 @@ def _consume_link(tables: SchemeTables, a: int, b: int) -> None:
         if entry.ebits < 1:
             raise DepletedLinkError(f"link ({a},{b}) has no ebits at {x}")
         entry.ebits -= 1
+        debited = True
+    return debited
 
 
 def replenish(tables: SchemeTables, rate: int) -> int:

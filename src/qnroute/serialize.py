@@ -19,6 +19,7 @@ from .topology import NetworkGraph, all_neighborhoods, all_pairs_optimal
 
 SCHEMA_VERSION = 1
 SCHEME_SCHEMA_VERSION = 2
+DELIVERY_LOG_SCHEMA_VERSION = 2
 
 
 def scheme_to_dict(tables: SchemeTables, metric_name: str, metric_params: dict | None = None) -> dict:
@@ -29,8 +30,6 @@ def scheme_to_dict(tables: SchemeTables, metric_name: str, metric_params: dict |
     ebits than the budget raises ``ValueError``.
     """
     plan = tables.plan
-    if plan is None:
-        raise ValueError("scheme serialization requires an address plan")
     debited = sum(e.ebits < tables.ebit_budget for t in tables.tables for e in t.entries)
     if debited:
         raise ValueError(f"{debited} entries hold fewer ebits than the budget")
@@ -100,7 +99,7 @@ def _read_scheme(doc: dict) -> tuple[SchemeTables, str, dict]:
     if not 1 <= f <= k:
         raise ValueError(f"f {f}: must be in [1, k={k}]")
 
-    graph = NetworkGraph(n_e=n_e, plan=plan)
+    graph = NetworkGraph(n_e=n_e)
     for i, j, c in doc["graph"]["edges"]:
         graph.add_edge(int(i), int(j), float(c))
     metric_name = doc["metric"]["name"]
@@ -134,15 +133,19 @@ def _read_scheme(doc: dict) -> tuple[SchemeTables, str, dict]:
 
 def write_delivery_log(records, path: str) -> None:
     """Delivery log CSV: one row per routed packet."""
+
+    def segments(pairs) -> str:
+        return ";".join(f"{a}-{b}" for a, b in pairs)
+
     with open(path, "w", newline="\n") as fh:
-        fh.write(f"# schema_version={SCHEMA_VERSION}\n")
-        fh.write("request,source,dest,case,nodes,success,retried,consumed,detail\n")
+        fh.write(f"# schema_version={DELIVERY_LOG_SCHEMA_VERSION}\n")
+        fh.write("request,source,dest,case,nodes,success,retried,consumed,on_demand,detail\n")
         for idx, rec in enumerate(records):
             nodes = "-".join(str(n) for n in rec.path.nodes)
-            consumed = ";".join(f"{a}-{b}" for a, b in rec.consumed)
             fh.write(
                 f"{idx},{rec.path.source},{rec.path.dest},{rec.path.case.value},"
-                f"{nodes},{int(rec.success)},{int(rec.retried)},{consumed},{rec.detail}\n"
+                f"{nodes},{int(rec.success)},{int(rec.retried)},{segments(rec.consumed)},"
+                f"{segments(rec.on_demand)},{rec.detail}\n"
             )
 
 

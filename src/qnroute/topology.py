@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import functools
 import heapq
+import inspect
 import logging
 import math
 import random
+import typing
 from collections import deque
 from dataclasses import dataclass, field
 
-from .addressing import AddressPlan
 from .errors import (
     GenerationFailedError,
     GraphFileError,
@@ -42,7 +43,6 @@ class NetworkGraph:
 
     n_e: int
     adjacency: dict[int, dict[int, float]] = field(default_factory=dict)
-    plan: AddressPlan | None = None
 
     def __post_init__(self):
         for v in range(self.n_e):
@@ -229,6 +229,7 @@ def generate_graph(
             f"unknown model {model!r}; available: {sorted(_GENERATORS)}"
         ) from None
     params = dict(params or {})
+    _check_params(model, factory, params)
     rng = random.Random(seed)
 
     graph = None
@@ -255,6 +256,25 @@ def generate_graph(
         for i, j, _ in graph.edges():
             graph.add_edge(i, j, float(metric.sample_cost(rng)))
     return graph
+
+
+def _check_params(model: str, factory, params: dict) -> None:
+    """Each name must be a keyword of ``factory`` and each value of its
+    annotated type; an int passes for a float."""
+    hints = typing.get_type_hints(factory)
+    accepted = list(inspect.signature(factory).parameters)[2:]
+    for name, value in params.items():
+        if name not in accepted:
+            raise GenerationFailedError(
+                f"model {model!r} has no parameter {name!r}; it takes {', '.join(accepted)}"
+            )
+        types = typing.get_args(hints[name]) or (hints[name],)
+        allowed = (*types, int) if float in types else types
+        if isinstance(value, bool) or not isinstance(value, allowed):
+            wanted = " or ".join("null" if t is type(None) else t.__name__ for t in types)
+            raise GenerationFailedError(
+                f"model {model!r}: parameter {name!r} must be {wanted}, got {value!r}"
+            )
 
 
 def _components(graph: NetworkGraph) -> list[list[int]]:

@@ -75,13 +75,19 @@ def reference_dijkstra(
 def reference_branch_distribution(instance, target: int, iterations: int) -> np.ndarray:
     """Branch-enumeration oracle for the exact label marginal.
 
+    Hits are read off the partitions directly, not through ``hit_alphas``.
     Per hitting entry j the state splits into an inverting branch (weight
     alpha_j) and a non-inverting one; all 2^h branches are run through the
     oracle sign flip and the inversion about the mean, one column each.
     """
-    hits = instance.hit_alphas(target)
+    hits = [
+        (label, 1.0 / len(part))
+        for label, parts in enumerate(instance.partitions)
+        for part in parts
+        if target in part
+    ]
     h = len(hits)
-    n_t = instance.n_t
+    n_t = len(instance.partitions)
     amps = np.zeros((n_t, 2**h), dtype=np.float64)
     base = 1.0 / math.sqrt(n_t)
     for b in range(2**h):

@@ -271,7 +271,10 @@ def test_cli_route_send_writes_delivery_log(tmp_path, monkeypatch):
         "--send", "3", "--replenish-rate", "1", "--delivery-log", "dl.csv",
     ]) == 0
     lines = (tmp_path / "dl.csv").read_text().splitlines()
-    assert lines[1].startswith("request,source,dest,case,nodes")
+    assert lines[0] == "# schema_version=2"
+    assert lines[1] == (
+        "request,source,dest,case,nodes,success,retried,consumed,on_demand,detail"
+    )
     assert len(lines) == 2 + 3
     for row in lines[2:]:
         fields = row.split(",")
@@ -554,7 +557,25 @@ def test_cli_generate_unknown_model_parameter_exits_two(tmp_path, capsys):
     out = str(tmp_path / "net.graph")
     assert main(["generate", "--n-e", "8", "--param", "foo=1", "--out", out]) == 2
     err = capsys.readouterr().err
-    assert "model 'erdos_renyi'" in err and "unexpected keyword argument 'foo'" in err
+    assert "model 'erdos_renyi' has no parameter 'foo'; it takes edge_prob" in err
+    assert "_erdos_renyi" not in err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("model, param, message", [
+    ("erdos_renyi", "edge_prob=abc", "parameter 'edge_prob' must be float, got 'abc'"),
+    ("erdos_renyi", "edge_prob=true", "parameter 'edge_prob' must be float, got True"),
+    ("barabasi_albert", "attach=2.5", "parameter 'attach' must be int, got 2.5"),
+    ("grid_torus", "rows=x", "parameter 'rows' must be int or null, got 'x'"),
+])
+def test_cli_generate_mistyped_model_parameter_exits_two(tmp_path, capsys, model, param,
+                                                         message):
+    out = str(tmp_path / "net.graph")
+    argv = ["generate", "--model", model, "--n-e", "9", "--param", param, "--out", out]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"model {model!r}: {message}" in err
+    assert f"_{model}" not in err and "not supported between" not in err
     assert not os.path.exists(out)
 
 
@@ -588,7 +609,7 @@ def test_cli_report_unknown_graph_parameter_exits_two(tmp_path, capsys):
     cfg.write_text(json.dumps(config.to_dict()))
     assert main(["report", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
-    assert "model 'erdos_renyi'" in err and "unexpected keyword argument 'foo'" in err
+    assert "model 'erdos_renyi' has no parameter 'foo'; it takes edge_prob" in err
     assert not os.path.exists(tmp_path / "torus16_summary.json")
 
 

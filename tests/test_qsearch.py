@@ -150,7 +150,7 @@ def test_oracle_matches_branch_decomposition_for_mixed_partition():
     apply_oracle(state, target)
 
     width = inst.address_width
-    regs = [register_vector(inst.entries[e].partitions[0], width) for e in range(4)]
+    regs = [register_vector(inst.partitions[e][0], width) for e in range(4)]
     minus = np.array([1.0, -1.0]) / math.sqrt(2)
     blocks = []
     for label in range(4):
@@ -158,7 +158,7 @@ def test_oracle_matches_branch_decomposition_for_mixed_partition():
         reg_vectors = []
         for e in range(4):
             vec = regs[e].copy()
-            if e == label and target in inst.entries[e].partitions[0]:
+            if e == label and target in inst.partitions[e][0]:
                 vec = vec.copy()
                 vec[target] *= -1
             reg_vectors.append(vec)
@@ -288,7 +288,7 @@ def random_instance(rng, n_t, n_hits, f, width=6):
 
 
 def assert_matches_oracle(inst, target, iterations):
-    closed = _reduced_distribution(inst, target, iterations)
+    closed = _reduced_distribution(inst.hit_alphas(target), inst.n_t, iterations)
     oracle = reference_branch_distribution(inst, target, iterations)
     assert np.max(np.abs(closed - oracle)) <= 1e-12
 
@@ -317,7 +317,8 @@ def test_closed_form_is_uniform_for_an_absent_target():
     # s = 0 in every branch
     inst, _ = random_instance(random.Random(3), 9, 0, 2)
     for iterations in range(4):
-        assert np.allclose(_reduced_distribution(inst, 0, iterations), 1 / 9, atol=1e-15)
+        closed = _reduced_distribution(inst.hit_alphas(0), inst.n_t, iterations)
+        assert np.allclose(closed, 1 / 9, atol=1e-15)
         assert_matches_oracle(inst, 0, iterations)
 
 
@@ -378,7 +379,7 @@ def test_non_hit_registers_untouched_even_when_another_entry_hits():
     apply_oracle(state, 3)
     apply_diffusion(state)
     for (e, p) in state.register_spans:
-        if not inst.entries[e].contains(3):
+        if not any(3 in part for part in inst.partitions[e]):
             assert state.register_fidelity(e, p) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -506,7 +507,7 @@ def test_hit_multiplicity_measured_not_asserted():
         for target in range(8):
             if target == owner:
                 continue
-            hits = inst.hit_labels(tabs.plan.esp_addresses[target].index)
+            hits = inst.hit_labels(target)
             if hits:
                 multiplicities.append(len(hits))
     assert multiplicities
@@ -533,8 +534,7 @@ def attempt_labels(tabs, owner, target, seed, repeats):
     """Per-attempt oracle: a fresh search with each attempt's seed."""
     instance = instance_from_table(tabs.table(owner), tabs.plan)
     return [
-        run_search(instance, tabs.plan.esp_indices[target],
-                   seed=stream_seed(seed, f"attempt:{attempt}")).measured
+        run_search(instance, target, seed=stream_seed(seed, f"attempt:{attempt}")).measured
         for attempt in range(repeats)
     ]
 

@@ -1,9 +1,13 @@
 import math
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qnroute.addressing import assign_addresses
 from qnroute.errors import ChainViolationError
+from qnroute.harness import ExperimentConfig, build_scheme_for_trial
 from qnroute.metrics import capacity_metric, hop_count_metric, uniform_weight_metric
 from qnroute.routing import (
     Case,
@@ -428,6 +432,76 @@ def test_stale_path_triggers_retry_once():
     assert record.retried
     if record.success:
         assert frozenset((i, d)) not in {frozenset(s) for s in record.consumed}
+
+
+def ebit_counts(tabs) -> dict[tuple[int, int], int]:
+    return {(t.owner, e.e_hop): e.ebits for t in tabs.tables for e in t.entries}
+
+
+def test_fallback_over_a_physical_link_is_charged_on_demand():
+    config = ExperimentConfig(
+        n_e=64, graph_model="barabasi_albert", graph_params={"attach": 4},
+        metric="uniform", scheme="full", k_override=2, ebit_budget=1,
+    )
+    tabs, _ = build_scheme_for_trial(config, 0)
+    before = ebit_counts(tabs)
+    records = [
+        swap_and_replenish(tabs, resolve(tabs, 0, 6), make_packet(tabs.plan, 0, 6))
+        for _ in range(100)
+    ]
+    assert records[0].path.case is Case.FALLBACK and records[0].path.nodes == (0, 6)
+    assert tabs.table(0).find(6) is None and tabs.table(6).find(0) is None
+    assert all(r.success for r in records)
+    assert [r.on_demand for r in records] == [[(0, 6)]] * 100
+    assert all(r.consumed == [] for r in records)
+    assert ebit_counts(tabs) == before
+
+
+@st.composite
+def delivery_runs(draw):
+    model = draw(st.sampled_from(["erdos_renyi", "barabasi_albert", "grid_torus"]))
+    n_e = 16 if model == "grid_torus" else draw(st.integers(8, 20))
+    graph_params = {"erdos_renyi": {"edge_prob": 0.3}, "barabasi_albert": {"attach": 2},
+                    "grid_torus": {}}[model]
+    config = ExperimentConfig(
+        n_e=n_e, graph_model=model, graph_params=graph_params,
+        metric=draw(st.sampled_from(["hop", "uniform"])),
+        scheme=draw(st.sampled_from(["partial", "full"])),
+        k_override=draw(st.integers(2, 4)),
+        ebit_budget=draw(st.integers(1, 3)),
+    )
+    pair = st.tuples(st.integers(0, n_e - 1), st.integers(0, n_e - 1)).filter(
+        lambda p: p[0] != p[1]
+    )
+    return config, draw(st.integers(0, 2**16)), draw(st.lists(pair, min_size=1, max_size=30))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(run=delivery_runs())
+def test_every_delivered_segment_is_debited_or_charged_on_demand(run):
+    config, seed, requests = run
+    tabs, _ = build_scheme_for_trial(config, seed)
+    for source, dest in requests:
+        before = ebit_counts(tabs)
+        record = swap_and_replenish(
+            tabs, resolve(tabs, source, dest), make_packet(tabs.plan, source, dest)
+        )
+        after = ebit_counts(tabs)
+        debits = Counter({k: before[k] - after[k] for k in before if before[k] != after[k]})
+        if not record.success:
+            assert not record.consumed and not record.on_demand and not debits
+            continue
+        nodes = record.path.nodes
+        assert sorted(record.consumed + record.on_demand) == sorted(zip(nodes, nodes[1:]))
+        for a, b in record.on_demand:
+            assert tabs.table(a).find(b) is None and tabs.table(b).find(a) is None
+        named = Counter()
+        for a, b in record.consumed:
+            ends = [(x, y) for x, y in ((a, b), (b, a)) if tabs.table(x).find(y) is not None]
+            assert ends, f"consumed segment {(a, b)} has no entry"
+            named.update(ends)
+        # every entry the consumed segments name, debited once per naming
+        assert debits == named
 
 
 def test_packet_requires_payload():

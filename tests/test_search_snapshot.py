@@ -1,10 +1,24 @@
-"""A routing table's search snapshot is built once and follows its entries."""
+"""Lookups search a routing table's own mirror, in node-id space.
 
+Relabeling the basis states, by the address plan or by any bijection,
+changes no hit, weight or label probability.
+"""
+
+import random
+
+import numpy as np
 import pytest
 
 from qnroute.addressing import assign_addresses
 from qnroute.metrics import hop_count_metric
-from qnroute.qsearch import instance_from_table, make_instance, routing_lookup_via_search
+from qnroute.qsearch import (
+    _reduced_distribution,
+    instance_from_table,
+    make_instance,
+    partition_neighborhood,
+    routing_lookup_via_search,
+    run_search,
+)
 from qnroute.routing import Origin, TableEntry
 from qnroute.serialize import scheme_from_dict, scheme_to_dict
 from qnroute.topology import generate_graph
@@ -27,10 +41,11 @@ def build(model: str, scheme: str, f: int = 1, capacity_cap: int | None = None):
     return BUILDERS[scheme](graph, HOP, k=5, f=f, capacity_cap=capacity_cap)
 
 
-def fresh_instance(table, plan):
-    """The snapshot built from the table's current entries, bypassing the cache."""
+def basis_instance(table, plan):
+    """The table's instance with every node id replaced by its basis index."""
+    to_index = [a.index for a in plan.esp_addresses]
     return make_instance(
-        [[[plan.esp_indices[m] for m in part] for part in e.partitions] for e in table.entries],
+        [[[to_index[m] for m in part] for part in e.partitions] for e in table.entries],
         plan.width,
     )
 
@@ -39,41 +54,63 @@ def fresh_instance(table, plan):
 @pytest.mark.parametrize("scheme", sorted(BUILDERS))
 @pytest.mark.parametrize("f", [1, 2])
 @pytest.mark.parametrize("capacity_cap", [None, 6])
-def test_cached_snapshot_matches_a_fresh_build(model, scheme, f, capacity_cap):
+def test_plan_relabeling_changes_no_lookup(model, scheme, f, capacity_cap):
     tabs = build(model, scheme, f, capacity_cap)
     if capacity_cap is not None:
         assert any(t.dropped for t in tabs.tables), "the small cap must evict"
     # clusters of three edge nodes, so basis indices differ from node ids
     plan = assign_addresses(tabs.n_e, 3)
+    assert any(a.index != v for v, a in enumerate(plan.esp_addresses))
     for table in tabs.tables:
-        cached = instance_from_table(table, plan)
-        assert instance_from_table(table, plan) is cached
-        fresh = fresh_instance(table, plan)
-        assert cached == fresh
-        for target in range(tabs.n_e):
-            index = plan.esp_indices[target]
-            assert cached.hit_alphas(index) == fresh.hit_alphas(index)
+        by_id = instance_from_table(table, plan)
+        by_index = basis_instance(table, plan)
+        for target, address in enumerate(plan.esp_addresses):
+            alphas = by_id.hit_alphas(target)
+            assert alphas == by_index.hit_alphas(address.index)
+            for iterations in (1, 2):
+                assert np.array_equal(
+                    _reduced_distribution(alphas, by_id.n_t, iterations),
+                    _reduced_distribution(by_index.hit_alphas(address.index),
+                                          by_index.n_t, iterations),
+                )
+            assert run_search(by_id, target, seed=target) == run_search(
+                by_index, address.index, seed=target
+            )
 
 
-def test_snapshot_is_not_served_for_another_plan():
-    tabs = build("erdos_renyi", "partial", f=2)
-    table = tabs.table(0)
-    plan_a, plan_b = assign_addresses(tabs.n_e, 0), assign_addresses(tabs.n_e, 3)
-    built_a = instance_from_table(table, plan_a)
-    built_b = instance_from_table(table, plan_b)
-    assert built_b == fresh_instance(table, plan_b)
-    assert built_b != built_a
-    assert instance_from_table(table, plan_a) == fresh_instance(table, plan_a)
+@pytest.mark.parametrize("seed", range(10))
+def test_gate_level_distribution_ignores_basis_labels(seed):
+    # the full engine on a small instance and on the same instance with its
+    # basis states permuted: a naming choice changes no label probability
+    rng = random.Random(seed)
+    n_t, width, f = [(3, 3, 1), (3, 4, 1), (4, 3, 1), (4, 4, 1), (3, 2, 2)][seed % 5]
+    states = range(2**width)
+    parts = [partition_neighborhood(rng.sample(states, rng.randint(f, 3)), f)
+             for _ in range(n_t)]
+    relabel = list(states)
+    rng.shuffle(relabel)
+    plain = make_instance(parts, width)
+    moved = make_instance([[[relabel[m] for m in p] for p in e] for e in parts], width)
+    assert plain.total_qubits <= 22
+    held = set().union(*(m for e in parts for m in e))
+    absent = [s for s in states if s not in held][:1]
+    assert held
+    for target in sorted(held) + absent:
+        for iterations in (1, 2):
+            a = run_search(plain, target, iterations=iterations, engine="full")
+            b = run_search(moved, relabel[target], iterations=iterations, engine="full")
+            assert a.hit_labels == b.hit_labels
+            assert np.max(np.abs(np.subtract(a.distribution, b.distribution))) <= 1e-12
 
 
-def test_snapshots_of_one_plan_share_each_basis_set():
+def test_instances_share_the_entries_partitions():
     tabs = build("barabasi_albert", "full", f=2)
-    shared: dict[frozenset, frozenset] = {}
     for table in tabs.tables:
         instance = instance_from_table(table, tabs.plan)
-        for entry, snap in zip(table.entries, instance.entries):
-            for nodes, basis in zip(entry.partitions, snap.partitions):
-                assert shared.setdefault(nodes, basis) is basis
+        assert instance.address_width == tabs.plan.width
+        assert len(instance.partitions) == len(table.entries)
+        for entry, parts in zip(table.entries, instance.partitions):
+            assert parts is entry.partitions
 
 
 @pytest.mark.parametrize("scheme", sorted(BUILDERS))
@@ -93,13 +130,12 @@ def test_lookup_sees_drop_and_add(scheme):
     missed = routing_lookup_via_search(tabs, owner, target, seed=1, repeats=4)
     assert not missed.found
     assert missed.success_probability == 0.0
-    assert instance_from_table(table, tabs.plan) == fresh_instance(table, tabs.plan)
+    assert instance_from_table(table, tabs.plan).hit_alphas(target) == []
 
     table.add(holders[0])
     label = len(table) - 1
-    index = tabs.plan.esp_indices[target]
     alpha = next(1 / len(p) for p in holders[0].partitions if target in p)
-    assert instance_from_table(table, tabs.plan).hit_alphas(index) == [(label, alpha)]
+    assert instance_from_table(table, tabs.plan).hit_alphas(target) == [(label, alpha)]
     found = routing_lookup_via_search(tabs, owner, target, seed=1, repeats=20)
     assert found.found
     assert found.entry_label == label

@@ -16,7 +16,6 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .addressing import AddressPlan
 from .rng import stream_seed
 from .topology import ENeighborhood
 
@@ -123,14 +122,12 @@ class TrackedSets:
         return tuple(frozenset(block) for block in self.blocks)
 
 
-def build_tracked_sets(plan: AddressPlan | None, n_e: int) -> TrackedSets:
+def build_tracked_sets(n_e: int) -> TrackedSets:
     """Partition nodes by ascending address into blocks of ceil(sqrt(n_e)).
 
     Node indices already ascend with quantum address, so block j holds ranks
     (j-1)*c+1 .. j*c for capacity c. The last block may be smaller.
     """
-    if plan is not None and len(plan.esp_addresses) != n_e:
-        raise ValueError("plan ESP count does not match n_e")
     capacity = math.ceil(math.sqrt(n_e))
     ids = list(range(n_e))
     blocks = tuple(

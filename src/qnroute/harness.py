@@ -211,7 +211,7 @@ def build_scheme(config: ExperimentConfig, graph, metric, seed: int):
     construction fields; ``seed`` draws random anchors and tracking.
 
     The pair costs are computed once, by ``all_pairs_optimal``; the
-    e-neighborhoods and the tables are derived from that one table.
+    e-neighborhoods and the tables are derived from that one matrix.
     """
     plan = assign_addresses(graph.n_e, 0)
     pair_costs = all_pairs_optimal(graph, metric)
@@ -227,7 +227,7 @@ def build_scheme(config: ExperimentConfig, graph, metric, seed: int):
         coverage = verify_coverage(Scheme.PARTIAL_ANCHOR, neighborhoods, anchors=anchors)
     else:
         tracked = assign_all_tracking(
-            build_tracked_sets(plan, graph.n_e), graph.n_e, seed=stream_seed(seed, "tracking")
+            build_tracked_sets(graph.n_e), graph.n_e, seed=stream_seed(seed, "tracking")
         )
         coverage = verify_coverage(Scheme.FULL_ANCHOR, neighborhoods, tracked=tracked)
 

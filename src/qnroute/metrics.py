@@ -139,12 +139,13 @@ class AxiomReport:
 
 def check_axioms(
     metric: EntanglingMetric,
-    pair_costs: dict[tuple[int, int], float],
+    pair_costs: list[list[float]],
     sample_count: int = 2000,
     seed: int = 0,
 ) -> AxiomReport:
-    """Verify the metric axioms on ``pair_costs``, a table of end-to-end
-    costs over every ordered pair of its nodes (``all_pairs_optimal``'s).
+    """Verify the metric axioms on ``pair_costs``, a square matrix of
+    end-to-end costs ``pair_costs[i][j]`` over nodes ``0..n-1``
+    (``all_pairs_optimal``'s).
 
     Pair axioms (definiteness, non-negativity, symmetry) are always checked
     exhaustively. The triangle inequality runs over node triples and the two
@@ -154,13 +155,13 @@ def check_axioms(
     the definiteness axiom, which for min composition would make the
     comparison vacuous.
     """
-    nodes = sorted({i for i, _ in pair_costs})
+    nodes = range(len(pair_costs))
     n = len(nodes)
     if n == 0:
         raise ValueError("the cost table must be nonempty")
 
     def cost(i: int, j: int) -> float:
-        return pair_costs[(i, j)]
+        return pair_costs[i][j]
 
     violations: list[tuple[str, tuple[int, ...]]] = []
     checked = 0

@@ -133,7 +133,7 @@ class SchemeTables:
     neighborhoods: list[ENeighborhood]
     graph: NetworkGraph
     metric: EntanglingMetric
-    pair_costs: dict[tuple[int, int], float]
+    pair_costs: list[list[float]]
     plan: AddressPlan
     anchors: AnchorSet | None = None
     tracked: TrackedSets | None = None
@@ -149,7 +149,7 @@ class SchemeTables:
         return self.tables[v]
 
     def optimal(self, i: int, j: int) -> float:
-        return self.pair_costs[(i, j)]
+        return self.pair_costs[i][j]
 
 
 @dataclass(frozen=True)
@@ -231,7 +231,7 @@ def build_tables(
     graph: NetworkGraph,
     metric: EntanglingMetric,
     neighborhoods: list[ENeighborhood],
-    pair_costs: dict[tuple[int, int], float],
+    pair_costs: list[list[float]],
     anchors: AnchorSet | None = None,
     tracked: TrackedSets | None = None,
     f: int = 1,
@@ -246,7 +246,7 @@ def build_tables(
     with assignments. The default capacity cap of 4k never evicts e-neighbor
     entries; when a table overflows, reverse-neighbor entries are dropped
     costliest-first and recorded in the table's dropped list.
-    ``pair_costs`` is the trial's ``all_pairs_optimal`` table; the returned
+    ``pair_costs`` is the trial's ``all_pairs_optimal`` matrix; the returned
     tables keep it for resolution and fallback.
     """
     if (anchors is None) == (tracked is None):
@@ -282,13 +282,14 @@ def build_tables(
     tables: list[RoutingTable] = []
     for v in range(graph.n_e):
         table = RoutingTable(owner=v, scheme=scheme, capacity_cap=cap)
+        row = pair_costs[v]
 
         forward = sorted(by_owner[v].members, key=lambda mc: (mc[1], mc[0]))
         for peer, cost in forward:
             table.add(entry(peer, cost, Origin.E_NEIGHBOR))
 
         reverse_owners = sorted(
-            (pair_costs[(v, u)], u) for u in reverse_of[v] if table.find(u) is None
+            (row[u], u) for u in reverse_of[v] if table.find(u) is None
         )
         for cost, peer in reverse_owners:
             table.add(entry(peer, cost, Origin.REVERSE_NEIGHBOR))
@@ -301,7 +302,7 @@ def build_tables(
             long_range, origin = (), None
         for peer in long_range:
             if peer != v and table.find(peer) is None:
-                table.add(entry(peer, pair_costs[(v, peer)], origin))
+                table.add(entry(peer, row[peer], origin))
 
         _enforce_cap(table, cap)
         tables.append(table)
@@ -356,7 +357,7 @@ def _link_usable(
 def _finish(
     tables: SchemeTables, i: int, d: int, nodes: list[int], case: Case
 ) -> EntangledPath:
-    segs = tuple(tables.pair_costs[(a, b)] for a, b in zip(nodes, nodes[1:]))
+    segs = tuple(tables.pair_costs[a][b] for a, b in zip(nodes, nodes[1:]))
     return EntangledPath(
         source=i,
         dest=d,
@@ -469,7 +470,7 @@ def _case_three(
     if not exit_hubs:
         return "no anchor inside target e-neighborhood"
 
-    metric = tables.metric
+    metric, costs = tables.metric, tables.pair_costs
     for l in entry_hubs:
         best: tuple[float, tuple[int, ...]] | None = None
         for k in exit_hubs:
@@ -489,9 +490,7 @@ def _case_three(
             )
             if not ok:
                 continue
-            total = fold(
-                metric, [tables.pair_costs[(a, b)] for a, b in zip(nodes, nodes[1:])]
-            )
+            total = fold(metric, [costs[a][b] for a, b in zip(nodes, nodes[1:])])
             key = (total, tuple(nodes))
             if best is None or key < best:
                 best = key
@@ -613,7 +612,7 @@ class ChainTrace:
 def verify_bound_chain(
     path: EntangledPath,
     metric: EntanglingMetric,
-    pair_costs: dict[tuple[int, int], float],
+    pair_costs: list[list[float]],
 ) -> ChainTrace:
     """Numerically replay the inequality chain certifying the stretch bound.
 
@@ -622,13 +621,13 @@ def verify_bound_chain(
     inequality is evaluated on the concrete instance and a violation raises,
     since it means a neighborhood or cover precondition was broken upstream.
     Optimal costs are read from ``pair_costs``, an ``all_pairs_optimal``
-    table.
+    matrix.
     """
     if path.case not in (Case.CASE_II, Case.CASE_III):
         raise ValueError(f"chain applies to case II/III paths, got {path.case}")
 
     def w(a: int, b: int) -> float:
-        return pair_costs[(a, b)]
+        return pair_costs[a][b]
 
     i, d = path.source, path.dest
     wid = w(i, d)

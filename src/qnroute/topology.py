@@ -23,6 +23,8 @@ import typing
 from collections import deque
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import (
     GenerationFailedError,
     GraphFileError,
@@ -329,25 +331,21 @@ def _dijkstra(graph: NetworkGraph, source: int) -> dict[int, float]:
     return dist
 
 
-def _walk_back(
-    graph: NetworkGraph, pair_costs: dict[tuple[int, int], float], i: int, j: int
-) -> list[int]:
-    """Cheapest route from ``i`` to ``j`` read off the cost row of ``i``.
+def _walk_back(graph: NetworkGraph, row: list[float], i: int, j: int) -> list[int]:
+    """Cheapest route from ``i`` to ``j`` read off ``row``, the cost row of ``i``.
 
     Each step goes back from ``u`` to the neighbour ``v`` with
-    ``cost(i, v) + link(v, u) == cost(i, u)``, the smallest ``(cost(i, v), v)``
-    among several. Dijkstra settles nodes in ``(cost, index)`` order, so this
-    is the parent it would record: the first settled node to reach ``u`` at
-    its final cost.
+    ``row[v] + link(v, u) == row[u]``, the smallest ``(row[v], v)`` among
+    several. Dijkstra settles nodes in ``(cost, index)`` order, so this is the
+    parent it would record: the first settled node to reach ``u`` at its final
+    cost.
     """
     path = [j]
     u = j
     while u != i:
-        du = pair_costs[(i, u)]
+        du = row[u]
         u = min(
-            (pair_costs[(i, v)], v)
-            for v, c in graph.adjacency[u].items()
-            if pair_costs[(i, v)] + c == du
+            (row[v], v) for v, c in graph.adjacency[u].items() if row[v] + c == du
         )[1]
         path.append(u)
     return path[::-1]
@@ -388,14 +386,14 @@ def optimal_cost(
     metric: EntanglingMetric,
     i: int,
     j: int,
-    pair_costs: dict[tuple[int, int], float],
+    pair_costs: list[list[float]],
 ) -> tuple[float, list[int]]:
     """Minimum composed cost between ``i`` and ``j`` plus one witness route.
 
     Returns ``(cost, nodes)`` where nodes is the full repeater sequence
     including both endpoints, or an empty list when i == j (cost 0 by
     definiteness). The cost is read from ``pair_costs``, the trial's
-    ``all_pairs_optimal`` table. Additive composition, licensed by
+    ``all_pairs_optimal`` matrix. Additive composition, licensed by
     isotonicity plus the triangle inequality, walks back from ``j`` over the
     cost row of ``i``: the witness is the route Dijkstra's parent pointers
     give, ties going to the neighbour settled first. Min composition returns
@@ -404,11 +402,10 @@ def optimal_cost(
     """
     if i == j:
         return 0.0, []
-    if (i, j) not in pair_costs:
-        raise UnreachableError(f"no path from {i} to {j}")
-    cost = pair_costs[(i, j)]
+    row = pair_costs[i]
+    cost = row[j]
     if metric.composition is Composition.ADDITIVE:
-        return cost, _walk_back(graph, pair_costs, i, j)
+        return cost, _walk_back(graph, row, i, j)
 
     u, v, _ = _min_edge(graph)
     # Orient the cheapest edge to keep the witness walk short.
@@ -423,32 +420,50 @@ def optimal_cost(
     return cost, cleaned
 
 
-def all_pairs_optimal(
-    graph: NetworkGraph, metric: EntanglingMetric
-) -> dict[tuple[int, int], float]:
-    """Optimal cost for every ordered node pair (diagonal included, cost 0).
+def all_pairs_optimal(graph: NetworkGraph, metric: EntanglingMetric) -> list[list[float]]:
+    """Optimal cost of every ordered node pair, as rows: ``costs[i][j]``.
 
     This is the one cost pass of a scheme build: e-neighborhoods, table
     entries, fallback witnesses, chain replays and axiom checks all read the
-    table it returns. Additive composition runs Dijkstra from every node;
-    min composition gives every distinct pair the cheapest edge's cost.
+    matrix it returns. Min composition gives every distinct pair the cheapest
+    edge's cost. Additive composition takes the Floyd–Warshall pass when
+    every link cost is an integer and no simple path can cost 2**53 or more:
+    every sum that can win a minimum is then the cost of a simple path, an
+    integer below 2**53 that float64 holds exactly, so the matrix equals
+    Dijkstra's bit for bit. Other additive costs run Dijkstra from every node, since
+    Floyd–Warshall sums in another order and would move the last bits.
     """
-    out: dict[tuple[int, int], float] = {}
+    n = graph.n_e
     if metric.composition is Composition.ADDITIVE:
-        for i in range(graph.n_e):
+        edges = graph.edges()
+        integral = all(float(c).is_integer() for _, _, c in edges)
+        if integral and max((c for _, _, c in edges), default=0) * (n - 1) < 2**53:
+            return _floyd_warshall(n, edges)
+        rows = []
+        for i in range(n):
             dist = _dijkstra(graph, i)
-            if len(dist) != graph.n_e:
+            if len(dist) != n:
                 raise UnreachableError(f"graph disconnected at node {i}")
-            for j, d in dist.items():
-                out[(i, j)] = d
-        return out
+            rows.append([dist[j] for j in range(n)])
+        return rows
     _, _, c = _min_edge(graph)
     if not graph.is_connected():
         raise UnreachableError("graph disconnected")
-    for i in range(graph.n_e):
-        for j in range(graph.n_e):
-            out[(i, j)] = 0.0 if i == j else c
-    return out
+    return [[0.0 if i == j else c for j in range(n)] for i in range(n)]
+
+
+def _floyd_warshall(n: int, edges: list[tuple[int, int, float]]) -> list[list[float]]:
+    """All-pairs additive costs by Floyd–Warshall, vectorized over rows."""
+    dist = np.full((n, n), np.inf)
+    np.fill_diagonal(dist, 0.0)
+    for i, j, c in edges:
+        dist[i, j] = dist[j, i] = c
+    for k in range(n):
+        np.minimum(dist, dist[:, k, None] + dist[None, k, :], out=dist)
+    unreached = np.isinf(dist).any(axis=1)
+    if unreached.any():
+        raise UnreachableError(f"graph disconnected at node {int(unreached.argmax())}")
+    return dist.tolist()
 
 
 @dataclass(frozen=True)
@@ -468,10 +483,10 @@ class ENeighborhood:
 
 
 def all_neighborhoods(
-    graph: NetworkGraph, k: int, pair_costs: dict[tuple[int, int], float]
+    graph: NetworkGraph, k: int, pair_costs: list[list[float]]
 ) -> list[ENeighborhood]:
     """The k nodes of smallest optimal cost from every node, read from
-    ``pair_costs``, the trial's ``all_pairs_optimal`` table.
+    ``pair_costs``, the trial's ``all_pairs_optimal`` matrix.
 
     Ties break by ascending address integer, which for ESP nodes coincides
     with ascending node index, so membership is deterministic and stable.
@@ -480,9 +495,11 @@ def all_neighborhoods(
     if k >= n:
         raise NeighborhoodSizeError(f"k={k} must be smaller than n_e={n}")
     out = []
-    for v in range(n):
-        ranked = heapq.nsmallest(k, ((pair_costs[(v, u)], u) for u in range(n) if u != v))
-        out.append(ENeighborhood(owner=v, members=tuple((u, c) for c, u in ranked)))
+    for v, row in enumerate(pair_costs):
+        # The owner costs 0 and every other node more, so it ranks first.
+        ranked = heapq.nsmallest(k + 1, range(n), key=row.__getitem__)
+        members = tuple((u, row[u]) for u in ranked if u != v)[:k]
+        out.append(ENeighborhood(owner=v, members=members))
     return out
 
 

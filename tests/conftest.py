@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from qnroute.addressing import assign_addresses
 from qnroute.clustering import (
@@ -13,7 +14,12 @@ from qnroute.clustering import (
 )
 from qnroute.metrics import Composition, fold
 from qnroute.routing import SchemeTables, build_tables
-from qnroute.topology import NetworkGraph, all_neighborhoods, all_pairs_optimal
+from qnroute.topology import (
+    NetworkGraph,
+    all_neighborhoods,
+    all_pairs_optimal,
+    generate_graph,
+)
 
 
 def brute_force_optimal(graph: NetworkGraph, metric, i: int, j: int) -> float:
@@ -121,6 +127,20 @@ def complete_graph(n: int, cost: float = 1.0) -> NetworkGraph:
     return g
 
 
+@st.composite
+def small_graphs(draw, metric, min_n: int = 6) -> NetworkGraph:
+    """A connected ER or BA graph of ``min_n`` to 16 nodes, or a torus of 9 to
+    16, whose link costs ``metric`` draws."""
+    model = draw(st.sampled_from(["erdos_renyi", "barabasi_albert", "grid_torus"]))
+    if model == "grid_torus":
+        rows, cols = draw(st.integers(3, 4)), draw(st.integers(3, 4))
+        n, params = rows * cols, {"rows": rows, "cols": cols}
+    else:
+        n = draw(st.integers(min_n, 16))
+        params = {"edge_prob": 0.3} if model == "erdos_renyi" else {"attach": 2}
+    return generate_graph(model, n, params, metric, seed=draw(st.integers(0, 2**16)))
+
+
 @pytest.fixture
 def triangle_graph() -> NetworkGraph:
     g = NetworkGraph(n_e=3)
@@ -153,7 +173,7 @@ def build_full_scheme(
     nbs = all_neighborhoods(graph, k, costs)
     plan = assign_addresses(graph.n_e, 0)
     tracked = assign_all_tracking(
-        build_tracked_sets(plan, graph.n_e), graph.n_e, seed=tracking_seed
+        build_tracked_sets(graph.n_e), graph.n_e, seed=tracking_seed
     )
     return build_tables(
         graph, metric, nbs, costs, tracked=tracked, f=f, ebit_budget=ebit_budget,

@@ -3,7 +3,6 @@ from collections import Counter
 
 import pytest
 
-from qnroute.addressing import assign_addresses
 from qnroute.clustering import (
     Scheme,
     assign_all_tracking,
@@ -133,21 +132,20 @@ def test_greedy_covers_disjoint_cliques_with_one_anchor_each():
 
 
 def test_tracked_sets_sixteen_nodes_four_blocks_of_four():
-    plan = assign_addresses(16, 0)
-    tracked = build_tracked_sets(plan, 16)
+    tracked = build_tracked_sets(16)
     assert [len(b) for b in tracked.blocks] == [4, 4, 4, 4]
     assert tracked.blocks[0] == (0, 1, 2, 3)
 
 
 def test_tracked_sets_five_nodes_blocks_three_two():
-    tracked = build_tracked_sets(None, 5)
+    tracked = build_tracked_sets(5)
     assert [len(b) for b in tracked.blocks] == [3, 2]
     assert tracked.block_capacity == 3
 
 
 @pytest.mark.parametrize("n_e", range(2, 65))
 def test_tracked_sets_partition_invariants(n_e):
-    tracked = build_tracked_sets(None, n_e)
+    tracked = build_tracked_sets(n_e)
     seen = set()
     cap = math.ceil(math.sqrt(n_e))
     for block in tracked.blocks:
@@ -158,20 +156,20 @@ def test_tracked_sets_partition_invariants(n_e):
 
 
 def test_assign_tracking_single_block_forced():
-    tracked = build_tracked_sets(None, 2)  # capacity 2 -> one block
+    tracked = build_tracked_sets(2)  # capacity 2 -> one block
     assert len(tracked.blocks) == 1
     assert assign_tracking(tracked, 0, seed=9) == 0
 
 
 def test_assign_tracking_deterministic_per_seed_and_node():
-    tracked = build_tracked_sets(None, 16)
+    tracked = build_tracked_sets(16)
     first = assign_tracking(tracked, 7, seed=3)
     second = assign_tracking(tracked, 7, seed=3)
     assert first == second
 
 
 def test_assign_tracking_uniform_over_blocks():
-    tracked = build_tracked_sets(None, 16)  # 4 blocks
+    tracked = build_tracked_sets(16)  # 4 blocks
     counts = Counter()
     samples = 100_000
     for s in range(samples):
@@ -188,7 +186,7 @@ def test_assign_tracking_uniform_over_blocks():
 
 def test_full_anchor_coverage_pathological_shared_block():
     n = 16
-    tracked = build_tracked_sets(None, n)
+    tracked = build_tracked_sets(n)
     for v in range(n):
         tracked.assignment[v] = 0  # everyone tracks block 0 = {0,1,2,3}
     nbs = full_neighborhoods(n)
@@ -202,7 +200,7 @@ def test_full_anchor_coverage_healthy_assignment():
     n = 16
     g = generate_graph("erdos_renyi", n, {"edge_prob": 0.4}, HOP, seed=2)
     nbs = all_neighborhoods(g, neighborhood_size(n, 1.0), all_pairs_optimal(g, HOP))
-    tracked = assign_all_tracking(build_tracked_sets(None, n), n, seed=4)
+    tracked = assign_all_tracking(build_tracked_sets(n), n, seed=4)
     report = verify_coverage(Scheme.FULL_ANCHOR, nbs, tracked=tracked)
     # random block choices miss a given target's block from a 15-neighborhood
     # with probability (3/4)^15 ~ 0.013 per pair

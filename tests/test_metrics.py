@@ -84,7 +84,7 @@ def test_min_composition_triangle_holds_exhaustively_on_six_nodes():
 
 def test_asymmetric_cost_fixture_reports_symmetry_witness():
     # a fabricated five-node cost table, cheaper up the node order than down
-    lopsided = {(i, j): 1.0 if i < j else 2.0 for i in range(5) for j in range(5)}
+    lopsided = [[1.0 if i < j else 2.0 for j in range(5)] for i in range(5)]
     metric = EntanglingMetric("asym", Composition.ADDITIVE)
     report = check_axioms(metric, lopsided, seed=0)
     assert not report.passed

@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 from qnroute.addressing import assign_addresses
 from qnroute.errors import ChainViolationError
 from qnroute.harness import ExperimentConfig, build_scheme_for_trial
-from qnroute.metrics import capacity_metric, hop_count_metric, uniform_weight_metric
+from qnroute.metrics import (
+    Composition,
+    EntanglingMetric,
+    capacity_metric,
+    hop_count_metric,
+    uniform_weight_metric,
+)
 from qnroute.routing import (
     Case,
     EntangledPath,
@@ -29,7 +35,7 @@ from qnroute.topology import (
     reverse_neighborhood,
 )
 
-from conftest import build_full_scheme, build_partial_scheme
+from conftest import build_full_scheme, build_partial_scheme, small_graphs
 
 HOP = hop_count_metric()
 
@@ -139,7 +145,7 @@ def test_torus_case_three_paths_within_bound_of_oracle():
                 continue
             path = resolve(tabs, i, d)
             if path.resolved:
-                assert path.total_cost >= tabs.pair_costs[(i, d)]
+                assert path.total_cost >= tabs.pair_costs[i][d]
                 assert path.stretch <= 5.0
             if path.case is Case.CASE_III:
                 seen_case_three += 1
@@ -286,7 +292,7 @@ def test_chain_holds_on_case_three_with_five_fold_bound():
         assert trace.ok
         if len(path.repeaters) == 2:
             assert trace.bound_factor == 5
-            assert trace.bound_value == 5 * tabs.pair_costs[(path.source, path.dest)]
+            assert trace.bound_value == 5 * tabs.pair_costs[path.source][path.dest]
         assert path.total_cost <= trace.bound_value + 1e-9
         checked += 1
         if checked >= 50:
@@ -301,7 +307,7 @@ def test_chain_case_two_three_fold_bound():
     for path in _paths_by_case(tabs, Case.CASE_II):
         trace = verify_bound_chain(path, HOP, tabs.pair_costs)
         assert trace.bound_factor == 3
-        assert path.total_cost <= 3 * tabs.pair_costs[(path.source, path.dest)] + 1e-9
+        assert path.total_cost <= 3 * tabs.pair_costs[path.source][path.dest] + 1e-9
         checked += 1
         if checked >= 50:
             break
@@ -318,8 +324,8 @@ def test_chain_boundary_equality_when_hub_cost_matches_target_cost():
         if len(path.repeaters) != 2:
             continue
         l = path.repeaters[0]
-        wid = tabs.pair_costs[(path.source, path.dest)]
-        wil = tabs.pair_costs[(path.source, l)]
+        wid = tabs.pair_costs[path.source][path.dest]
+        wil = tabs.pair_costs[path.source][l]
         if wil == wid:
             trace = verify_bound_chain(path, HOP, tabs.pair_costs)
             step = next(s for s in trace.steps if "entry hub" in s.label)
@@ -345,15 +351,15 @@ def test_chain_violation_raised_for_fabricated_far_hub():
 
     costs = all_pairs_optimal(g, HOP)
     i, d = 0, 1
-    far = max(range(36), key=lambda v: costs[(0, v)] + costs[(1, v)])
-    segs = (costs[(i, far)], costs[(far, far)], costs[(far, d)])
+    far = max(range(36), key=lambda v: costs[0][v] + costs[1][v])
+    segs = (costs[i][far], costs[far][far], costs[far][d])
     fake = EntangledPath(
         source=i,
         dest=d,
         repeaters=(far, far),
         segment_costs=segs,
-        total_cost=costs[(i, far)] + costs[(far, d)],
-        optimal=costs[(i, d)],
+        total_cost=costs[i][far] + costs[far][d],
+        optimal=costs[i][d],
         case=Case.CASE_III,
     )
     with pytest.raises(ChainViolationError) as err:
@@ -502,6 +508,38 @@ def test_every_delivered_segment_is_debited_or_charged_on_demand(run):
             named.update(ends)
         # every entry the consumed segments name, debited once per naming
         assert debits == named
+
+
+# Hop and integral costs fill the cost matrix by Floyd–Warshall, uniform
+# costs by Dijkstra rows; capacity is min-composed.
+INTEGRAL = EntanglingMetric("integral", Composition.ADDITIVE, lambda rng: float(rng.randint(1, 9)))
+STRETCH_METRICS = [HOP, INTEGRAL, uniform_weight_metric(), capacity_metric()]
+
+
+@st.composite
+def stretch_trials(draw):
+    metric = draw(st.sampled_from(STRETCH_METRICS))
+    graph = draw(small_graphs(metric))
+    return graph, metric, draw(st.sampled_from(["partial", "full"])), draw(st.integers(2, 4))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(trial=stretch_trials(), tracking_seed=st.integers(0, 2**16))
+def test_resolved_pairs_keep_the_stretch_bound(trial, tracking_seed):
+    graph, metric, scheme, k = trial
+    if scheme == "partial":
+        tabs = build_partial_scheme(graph, metric, k)
+    else:
+        tabs = build_full_scheme(graph, metric, k, tracking_seed=tracking_seed)
+    stretches = [row[5] for row in evaluate_all_pairs(tabs).rows if row[2] in ("I", "II", "III")]
+    assert stretches
+    if metric.composition is Composition.MIN:
+        assert all(abs(s - 1.0) <= 1e-9 for s in stretches)
+        return
+    bound = 5.0 if scheme == "partial" else 3.0
+    # integer costs give exact totals; float costs may round in the last bit
+    tol = 0.0 if metric in (HOP, INTEGRAL) else 1e-9
+    assert max(stretches) <= bound + tol
 
 
 def test_packet_requires_payload():

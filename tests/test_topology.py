@@ -1,6 +1,11 @@
 import itertools
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qnroute import topology
 
 from qnroute.errors import NeighborhoodSizeError
 from qnroute.metrics import capacity_metric, fold, hop_count_metric, uniform_weight_metric
@@ -16,7 +21,7 @@ from qnroute.topology import (
     save_graph,
 )
 
-from conftest import brute_force_optimal, path_graph, reference_dijkstra
+from conftest import brute_force_optimal, path_graph, reference_dijkstra, small_graphs
 
 
 HOP = hop_count_metric()
@@ -100,7 +105,7 @@ def test_derived_costs_satisfy_triangle_inequality(metric):
     g = generate_graph("erdos_renyi", 8, {"edge_prob": 0.4}, metric, seed=9)
     costs = all_pairs_optimal(g, metric)
     for i, j, k in itertools.permutations(range(8), 3):
-        assert costs[(i, j)] <= compose(metric, costs[(i, k)], costs[(k, j)]) + 1e-9
+        assert costs[i][j] <= compose(metric, costs[i][k], costs[k][j]) + 1e-9
 
 
 # Hop costs give many equally cheap routes per pair; the uniform Waxman case
@@ -144,7 +149,86 @@ def test_all_pairs_matches_pointwise_queries():
     metric = uniform_weight_metric()
     table = all_pairs_optimal(g, metric)
     for i, j in [(0, 5), (3, 11), (7, 2)]:
-        assert table[(i, j)] == reference_dijkstra(g, i)[0][j]
+        assert table[i][j] == reference_dijkstra(g, i)[0][j]
+
+
+# ---------------------------------------------------------------------------
+# The cost matrix: Floyd–Warshall on integral costs, Dijkstra rows otherwise
+
+
+@st.composite
+def integral_cost_graphs(draw, min_n: int = 6):
+    """A small graph whose link costs are integers drawn from 1..9."""
+    graph = draw(small_graphs(HOP, min_n=min_n))
+    for i, j, _ in graph.edges():
+        graph.add_edge(i, j, draw(st.integers(1, 9)))
+    return graph
+
+
+def reference_rows(graph):
+    return [
+        [dist[j] for j in range(graph.n_e)]
+        for dist, _ in (reference_dijkstra(graph, i) for i in range(graph.n_e))
+    ]
+
+
+def fill(graph, forbidden: str) -> list[list[float]]:
+    """The cost matrix of ``graph``, failing if the ``forbidden`` pass runs."""
+    with mock.patch.object(topology, forbidden, side_effect=AssertionError(forbidden)):
+        costs = topology.all_pairs_optimal(graph, HOP)
+    assert all(type(c) is float for row in costs for c in row)
+    return costs
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(graph=integral_cost_graphs())
+def test_integral_costs_fill_by_floyd_warshall_equal_to_dijkstra(graph):
+    assert fill(graph, "_dijkstra") == reference_rows(graph)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(graph=integral_cost_graphs(), k=st.integers(1, 5))
+def test_integral_fill_gives_dijkstra_witnesses_and_rankings(graph, k):
+    n = graph.n_e
+    costs = all_pairs_optimal(graph, HOP)
+    neighborhoods = all_neighborhoods(graph, k, costs)
+    for i in range(n):
+        dist, parent = reference_dijkstra(graph, i)
+        for j in range(n):
+            if i == j:
+                continue
+            route = [j]
+            while route[-1] != i:
+                route.append(parent[route[-1]])
+            assert optimal_cost(graph, HOP, i, j, costs) == (dist[j], route[::-1])
+        ranked = sorted((dist[u], u) for u in range(n) if u != i)[:k]
+        assert neighborhoods[i] == ENeighborhood(i, tuple((u, c) for c, u in ranked))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(graph=integral_cost_graphs(min_n=9), data=st.data())
+def test_one_fractional_cost_takes_dijkstra_rows(graph, data):
+    i, j, c = data.draw(st.sampled_from(graph.edges()))
+    graph.add_edge(i, j, c + 0.5)
+    assert fill(graph, "_floyd_warshall") == reference_rows(graph)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(graph=integral_cost_graphs(min_n=9))
+def test_sums_that_may_reach_2_pow_53_take_dijkstra_rows(graph):
+    # costs near 2**50 on 9 or more nodes: a simple path may cost 2**53 or more
+    for i, j, c in graph.edges():
+        graph.add_edge(i, j, 2**50 + c)
+    assert fill(graph, "_floyd_warshall") == reference_rows(graph)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sums_below_2_pow_53_keep_floyd_warshall_exact(seed):
+    # on 8 nodes a simple path of costs below 2**50 + 10 stays below 2**53
+    g = generate_graph("erdos_renyi", 8, {"edge_prob": 0.3}, HOP, seed=seed)
+    for i, j, _ in g.edges():
+        g.add_edge(i, j, 2**50 + (3 * i + j) % 9 + 1)
+    assert fill(g, "_dijkstra") == reference_rows(g)
 
 
 def test_e_neighborhood_full_when_k_is_n_minus_one():

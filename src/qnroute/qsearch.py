@@ -12,16 +12,18 @@ superposition: the component where the register holds the target is marked,
 every orthogonal component evolves as if no oracle fired. Diffusion acts on
 the label register only.
 
-Every lookup runs one engine: a closed form for the exact label marginal,
-polynomial in the number of entries that hold the target, so no table is too
-large to search. The gate-level engine materializes the full joint
-statevector (label x all address registers x ancilla) up to a qubit cap and
-is kept as the reference; the two agree to numerical precision.
+Every lookup runs one engine: a closed form for the exact label marginal in
+plain Python floats, O(n_T + h^2) for h entries that hold the target, so no
+table is too large to search. The gate-level engine materializes the full
+joint statevector (label x all address registers x ancilla) up to a qubit cap
+and is kept as the reference; it is the only user of numpy here, and the two
+agree to numerical precision.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass, field
 
@@ -263,7 +265,7 @@ def apply_diffusion(state: SearchState) -> SearchState:
 
 def _reduced_distribution(
     hits: list[tuple[int, float]], n_t: int, iterations: int
-) -> np.ndarray:
+) -> list[float]:
     """Exact label marginal in closed form, from ``hit_alphas`` of an
     instance with ``n_t`` labels.
 
@@ -276,32 +278,46 @@ def _reduced_distribution(
     theta_s = asin sqrt(s/n_T) and s = |S| (Boyer, Brassard, Hoyer & Tapp,
     1998). Only the Poisson-binomial pmf of s is needed: over all hits for a
     label that is not hit, over the other hits for hit label j.
+
+    The pmf over the other hits is the convolution of the pmf over the hits
+    before j (a forward pass keeps these prefixes) with the pmf over the hits
+    after j. A backward pass folds the latter into the two value vectors
+    instead, one hit at a time, so each hit label costs two O(h) dot
+    products and the whole marginal O(n_T + h^2), with no division by a
+    Bernoulli factor.
     """
     h = len(hits)
-    alphas = np.array([alpha for _, alpha in hits])
-    sizes = np.arange(h + 1)
-    angle = (2 * iterations + 1) * np.arcsin(np.sqrt(sizes / n_t))
-    marked = np.zeros(h + 1)
-    marked[1:] = np.sin(angle[1:]) ** 2 / sizes[1:]
-    unmarked = np.zeros(h + 1)
-    rest = n_t - sizes
-    np.divide(np.cos(angle) ** 2, rest, out=unmarked, where=rest > 0)
+    marked = [0.0] * (h + 1)
+    unmarked = [0.0] * (h + 1)
+    for s in range(h + 1):
+        angle = (2 * iterations + 1) * math.asin(math.sqrt(s / n_t))
+        if s:
+            marked[s] = math.sin(angle) ** 2 / s
+        if s < n_t:
+            unmarked[s] = math.cos(angle) ** 2 / (n_t - s)
 
-    # row j < h: pmf of |S| over the hits other than j; row h: over all hits
-    add = np.tile(alphas, (h + 1, 1))
-    np.fill_diagonal(add, 0.0)
-    keep = 1.0 - add
-    pmf = np.zeros((h + 1, h + 1))
-    pmf[:, 0] = 1.0
-    for j in range(h):
-        pmf[:, 1:] = pmf[:, 1:] * keep[:, j, None] + pmf[:, :-1] * add[:, j, None]
-        pmf[:, 0] *= keep[:, j]
+    # prefix[j]: pmf of |S| over the hits before j, on 0..j
+    prefix = [[1.0]]
+    for _, alpha in hits:
+        last, keep = prefix[-1], 1.0 - alpha
+        prefix.append(
+            [last[0] * keep]
+            + [p * keep + q * alpha for p, q in zip(last[1:], last)]
+            + [last[-1] * alpha]
+        )
 
-    probs = np.full(n_t, pmf[h] @ unmarked)
-    others = pmf[:h, :h]
-    probs[[label for label, _ in hits]] = (
-        alphas * (others @ marked[1:]) + (1.0 - alphas) * (others @ unmarked[:h])
-    )
+    probs = [math.fsum(map(operator.mul, prefix[h], unmarked))] * n_t
+    # up[a], stay[a]: the expected marked[a + 1 + b], unmarked[a + b] over the
+    # count b of marked hits after j
+    up, stay = marked[1:], unmarked[:h]
+    for j in range(h - 1, -1, -1):
+        label, alpha = hits[j]
+        keep = 1.0 - alpha
+        marked_mean = math.fsum(map(operator.mul, prefix[j], up))
+        unmarked_mean = math.fsum(map(operator.mul, prefix[j], stay))
+        probs[label] = alpha * marked_mean + keep * unmarked_mean
+        up = [p * keep + q * alpha for p, q in zip(up, up[1:])]
+        stay = [p * keep + q * alpha for p, q in zip(stay, stay[1:])]
     return probs
 
 
@@ -366,16 +382,16 @@ def run_search(
         for _ in range(iterations):
             apply_oracle(state, target)
             apply_diffusion(state)
-        probs = state.label_distribution()
+        probs = state.label_distribution().tolist()
     elif engine == "reduced":
         probs = _reduced_distribution(hits, instance.n_t, iterations)
     else:
         raise ValueError(f"unknown engine {engine!r}")
 
-    probs = np.maximum(probs, 0.0)
-    probs = probs / probs.sum()
-    distribution = tuple(probs.tolist())
-    success = float(sum(probs[label] for label in hit_labels))
+    probs = [max(p, 0.0) for p in probs]
+    total = math.fsum(probs)
+    distribution = tuple(p / total for p in probs)
+    success = math.fsum(distribution[label] for label in hit_labels)
     return SearchOutcome(
         distribution=distribution,
         measured=measure(distribution, seed),

@@ -126,7 +126,12 @@ class RoutingTable:
 
 @dataclass
 class SchemeTables:
-    """All tables of one scheme instance plus the data they were built from."""
+    """All tables of one scheme instance plus the data they were built from.
+
+    ``debited`` holds, by (owner, peer), every entry that a delivery left
+    below the ebit budget; ``_consume_link`` adds to it and ``replenish``
+    drops an entry once it is back at budget.
+    """
 
     scheme: Scheme
     tables: list[RoutingTable]
@@ -140,6 +145,9 @@ class SchemeTables:
     f: int = 1
     ebit_budget: int = 4
     capacity_cap: int = 0
+    debited: dict[tuple[int, int], TableEntry] = field(
+        init=False, default_factory=dict, repr=False, compare=False
+    )
 
     @property
     def n_e(self) -> int:
@@ -757,6 +765,7 @@ def _consume_link(tables: SchemeTables, a: int, b: int) -> bool:
         if entry.ebits < 1:
             raise DepletedLinkError(f"link ({a},{b}) has no ebits at {x}")
         entry.ebits -= 1
+        tables.debited[(x, y)] = entry
         debited = True
     return debited
 
@@ -764,16 +773,20 @@ def _consume_link(tables: SchemeTables, a: int, b: int) -> bool:
 def replenish(tables: SchemeTables, rate: int) -> int:
     """Refill every below-budget entry by ``rate`` ebits, capped at budget.
 
+    Only deliveries lower ebits, so the entries in ``tables.debited`` are
+    all the below-budget ones and the call costs in proportion to them.
     Returns the number of ebits added across all tables.
     """
+    if rate < 0:
+        raise ValueError("replenish rate must be non-negative")
     added = 0
     budget = tables.ebit_budget
-    for table in tables.tables:
-        for entry in table.entries:
-            if entry.ebits < budget:
-                grant = min(rate, budget - entry.ebits)
-                entry.ebits += grant
-                added += grant
+    for key, entry in list(tables.debited.items()):
+        grant = min(rate, budget - entry.ebits)
+        entry.ebits += grant
+        added += grant
+        if entry.ebits == budget:
+            del tables.debited[key]
     return added
 
 

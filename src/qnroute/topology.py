@@ -53,8 +53,8 @@ class NetworkGraph:
     def add_edge(self, i: int, j: int, cost: float) -> None:
         if i == j:
             raise ValueError("self-loops are not allowed")
-        if not cost > 0:
-            raise ValueError("link costs must be positive")
+        if not 0 < cost < math.inf:
+            raise ValueError(f"link costs must be positive and finite, got {cost}")
         self.adjacency[i][j] = cost
         self.adjacency[j][i] = cost
 

@@ -113,6 +113,54 @@ def reference_branch_distribution(instance, target: int, iterations: int) -> np.
     return np.sum(amps**2, axis=1)
 
 
+def reference_reduced_distribution(
+    hits: list[tuple[int, float]], n_t: int, iterations: int
+) -> np.ndarray:
+    """Row-per-label recurrence oracle for the closed-form label marginal.
+
+    Takes ``hit_alphas`` like ``qsearch._reduced_distribution`` and mixes
+    the same multi-target Grover branches, but builds every leave-one-out
+    Poisson-binomial pmf of the marked-set size outright: row j skips hit j,
+    row h keeps all hits, O(n_T + h^3) in all.
+    """
+    h = len(hits)
+    alphas = np.array([alpha for _, alpha in hits])
+    sizes = np.arange(h + 1)
+    angle = (2 * iterations + 1) * np.arcsin(np.sqrt(sizes / n_t))
+    marked = np.zeros(h + 1)
+    marked[1:] = np.sin(angle[1:]) ** 2 / sizes[1:]
+    unmarked = np.zeros(h + 1)
+    rest = n_t - sizes
+    np.divide(np.cos(angle) ** 2, rest, out=unmarked, where=rest > 0)
+
+    add = np.tile(alphas, (h + 1, 1))
+    np.fill_diagonal(add, 0.0)
+    keep = 1.0 - add
+    pmf = np.zeros((h + 1, h + 1))
+    pmf[:, 0] = 1.0
+    for j in range(h):
+        pmf[:, 1:] = pmf[:, 1:] * keep[:, j, None] + pmf[:, :-1] * add[:, j, None]
+        pmf[:, 0] *= keep[:, j]
+
+    probs = np.full(n_t, pmf[h] @ unmarked)
+    others = pmf[:h, :h]
+    probs[[label for label, _ in hits]] = (
+        alphas * (others @ marked[1:]) + (1.0 - alphas) * (others @ unmarked[:h])
+    )
+    return probs
+
+
+def reference_replenish(
+    ebits: dict[tuple[int, int], int], budget: int, rate: int
+) -> tuple[dict[tuple[int, int], int], int]:
+    """Full-walk oracle for ``routing.replenish``: every entry below budget
+    gains ``rate`` ebits, capped at budget. Returns the new counts and the
+    number of ebits added."""
+    after = {key: min(budget, count + rate) if count < budget else count
+             for key, count in ebits.items()}
+    return after, sum(after.values()) - sum(ebits.values())
+
+
 def path_graph(costs: list[float]) -> NetworkGraph:
     g = NetworkGraph(n_e=len(costs) + 1)
     for idx, c in enumerate(costs):

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 from dataclasses import asdict
 
@@ -409,6 +410,9 @@ def test_cli_missing_scheme_file_exits_two(tmp_path, capsys):
         ("n_e 4\n0 1 1.0\n2 4 1.0\n", ":3: node ids must lie in [0, 4)"),
         ("n_e 4\n0 1 abc\n", ":2: could not convert"),
         ("nodes 4\n0 1 1.0\n", ":1: expected the header"),
+        ("n_e 4\n0 1 1.0\n1 2 inf\n2 3 1.0\n", ":3: link costs must be positive and finite, got inf"),
+        ("n_e 4\n0 1 1.0\n1 2 nan\n2 3 1.0\n", ":3: link costs must be positive and finite, got nan"),
+        ("n_e 4\n0 1 0\n", ":2: link costs must be positive and finite, got 0.0"),
     ],
 )
 def test_cli_malformed_graph_file_exits_two(tmp_path, capsys, body, message):
@@ -417,6 +421,15 @@ def test_cli_malformed_graph_file_exits_two(tmp_path, capsys, body, message):
     out = str(tmp_path / "scheme.json")
     assert main(["cluster", "--graph", str(graph), "--k", "2", "--out", out]) == 2
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "scheme.json").exists()
+
+
+def test_cli_graph_file_with_a_large_finite_cost_is_accepted(tmp_path):
+    graph = tmp_path / "net.graph"
+    graph.write_text("n_e 4\n0 1 1.0\n1 2 1e300\n2 3 1.0\n")
+    out = str(tmp_path / "scheme.json")
+    assert main(["cluster", "--graph", str(graph), "--k", "2", "--out", out]) == 0
+    assert load_json(out)["graph"]["edges"][1] == [1, 2, 1e300]
 
 
 def test_cli_missing_graph_file_exits_two(tmp_path, capsys):
@@ -451,6 +464,11 @@ def zero_cost_edge(doc):
     doc["graph"]["edges"][0][2] = 0.0
 
 
+def infinite_cost_edge(doc):
+    # json.dump writes it as the bare token Infinity, which json.load accepts
+    doc["graph"]["edges"][0][2] = math.inf
+
+
 def as_full_scheme(doc):
     """Replace ``doc`` by the full-anchor document over the fixture's graph."""
     assert main(["cluster", "--graph", "net.graph", "--scheme", "full", "--k", "3",
@@ -479,6 +497,7 @@ def node_missing_from_assignment(doc):
     [
         (lambda doc: doc.update(scheme="ring"), "'ring' is not a valid Scheme"),
         (zero_cost_edge, "link costs must be positive"),
+        (infinite_cost_edge, "link costs must be positive and finite, got inf"),
         (tracked_block_out_of_range, "block indices must lie in [0, 4)"),
         (partial_scheme_without_anchors, "missing field or unknown address 'anchors'"),
         (node_missing_from_assignment, "tracked.assignment covers 15 of 16 nodes"),

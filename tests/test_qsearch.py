@@ -1,8 +1,11 @@
+import hashlib
 import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qnroute import qsearch
 from qnroute.errors import DimensionCapError, PartitionCountError
@@ -24,7 +27,12 @@ from qnroute.qsearch import (
 from qnroute.rng import stream_seed
 from qnroute.topology import generate_graph
 
-from conftest import build_partial_scheme, complete_graph, reference_branch_distribution
+from conftest import (
+    build_partial_scheme,
+    complete_graph,
+    reference_branch_distribution,
+    reference_reduced_distribution,
+)
 
 
 def register_vector(members, width):
@@ -328,6 +336,25 @@ def test_closed_form_matches_branch_oracle_at_twelve_hits():
         assert_matches_oracle(inst, target, iterations)
 
 
+@st.composite
+def hit_lists(draw):
+    """n_T up to 80 labels, up to 40 of them hit with weights 1/1 to 1/20."""
+    n_t = draw(st.integers(2, 80))
+    labels = draw(st.permutations(range(n_t)))[: draw(st.integers(0, min(40, n_t)))]
+    alphas = st.integers(1, 20).map(lambda size: 1.0 / size)
+    return [(label, draw(alphas)) for label in labels], n_t
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=hit_lists(), iterations=st.integers(1, 8))
+def test_closed_form_matches_the_leave_one_out_recurrence(case, iterations):
+    hits, n_t = case
+    closed = _reduced_distribution(hits, n_t, iterations)
+    assert all(type(p) is float for p in closed)
+    oracle = reference_reduced_distribution(hits, n_t, iterations)
+    assert np.max(np.abs(np.subtract(closed, oracle))) <= 1e-15
+
+
 @pytest.mark.parametrize("n_t,f,width", [(4, 1, 3), (5, 1, 3), (4, 2, 2)])
 @pytest.mark.parametrize("seed", range(2))
 def test_multi_hit_success_probability_matches_full_engine(n_t, f, width, seed):
@@ -572,6 +599,27 @@ def test_repeated_lookup_labels_follow_the_per_attempt_oracle():
             result = routing_lookup_via_search(tabs, owner, target, seed=owner, repeats=6)
             expected = attempt_labels(tabs, owner, target, seed=owner, repeats=6)
             assert list(result.measured) == expected[: result.attempts]
+
+
+def test_lookup_labels_match_the_pinned_digest():
+    # 1984 seeded lookups with up to 17 hits; a change to the engine's
+    # arithmetic that moves any measured label or found flag fails here
+    g = generate_graph("erdos_renyi", 32, {"edge_prob": 0.2}, hop_count_metric(), seed=7)
+    tabs = build_partial_scheme(g, hop_count_metric(), k=8, f=2)
+    lines = []
+    for seed in range(2):
+        for owner in range(32):
+            for target in range(32):
+                if target == owner:
+                    continue
+                result = routing_lookup_via_search(
+                    tabs, owner, target, seed=1000 * seed + 32 * owner + target, repeats=2
+                )
+                measured = "-".join(map(str, result.measured))
+                lines.append(f"{owner},{target},{seed},{int(result.found)},{measured}\n")
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == (
+        "b6285261aeefd32ec6745883185e777d4c48dff1c8f50977e1e597b62fb4f67e"
+    )
 
 
 def test_lookup_needs_at_least_one_attempt():

@@ -35,7 +35,7 @@ from qnroute.topology import (
     reverse_neighborhood,
 )
 
-from conftest import build_full_scheme, build_partial_scheme, small_graphs
+from conftest import build_full_scheme, build_partial_scheme, reference_replenish, small_graphs
 
 HOP = hop_count_metric()
 
@@ -508,6 +508,31 @@ def test_every_delivered_segment_is_debited_or_charged_on_demand(run):
             named.update(ends)
         # every entry the consumed segments name, debited once per naming
         assert debits == named
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(run=delivery_runs(), rates=st.lists(st.integers(0, 3), min_size=1, max_size=30))
+def test_replenish_refills_like_a_walk_over_every_entry(run, rates):
+    config, seed, requests = run
+    tabs, _ = build_scheme_for_trial(config, seed)
+    budget = tabs.ebit_budget
+    for (source, dest), rate in zip(requests, rates):
+        swap_and_replenish(tabs, resolve(tabs, source, dest), make_packet(tabs.plan, source, dest))
+        below = {key for key, count in ebit_counts(tabs).items() if count < budget}
+        assert set(tabs.debited) == below
+        expected, expected_added = reference_replenish(ebit_counts(tabs), budget, rate)
+        assert replenish(tabs, rate) == expected_added
+        assert ebit_counts(tabs) == expected
+    assert set(tabs.debited) == {key for key, count in ebit_counts(tabs).items() if count < budget}
+    replenish(tabs, budget)
+    assert not tabs.debited
+    assert set(ebit_counts(tabs).values()) == {budget}
+
+
+def test_replenish_rejects_a_negative_rate():
+    tabs = build_partial_scheme(generate_graph("grid_torus", 16, {}, HOP, seed=0), HOP, k=4)
+    with pytest.raises(ValueError, match="non-negative"):
+        replenish(tabs, -1)
 
 
 # Hop and integral costs fill the cost matrix by Floyd–Warshall, uniform

@@ -1,13 +1,13 @@
 """Compact entanglement routing over quantum-addressed overlay networks.
 
-The package simulates a two-tier quantum backbone: nodes carry prefix-
-structured quantum addresses, maintain entangled links toward their cheapest
-peers plus a sublinear set of long-range hubs, and resolve end-to-end
+The package simulates a quantum backbone: a node's quantum address is its
+id as a computational-basis state; nodes maintain entangled links toward their
+cheapest peers plus a sublinear set of long-range hubs, and resolve end-to-end
 entanglement requests with provably constant stretch. A statevector engine
 reproduces the amplitude-amplified table lookup over superposed addresses.
 """
 
-from .addressing import AddressPlan, QuantumAddress, assign_addresses, prefix_of, serving_esp
+from .addressing import AddressPlan, QuantumAddress
 from .clustering import (
     AnchorSet,
     CoverageReport,

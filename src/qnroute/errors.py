@@ -5,18 +5,6 @@ class QnrouteError(Exception):
     """Base class for all package errors."""
 
 
-class InvalidCapacityError(QnrouteError):
-    """The address space cannot host the requested clusters."""
-
-
-class UnassignedAddressError(QnrouteError):
-    """Address lies in an unused region of the address space."""
-
-
-class PrefixRangeError(QnrouteError):
-    """Requested prefix length exceeds the address width."""
-
-
 class GenerationFailedError(QnrouteError):
     """Graph generator failed to produce a connected graph."""
 

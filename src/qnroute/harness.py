@@ -1,6 +1,6 @@
 """Experiment orchestration: seeded sweeps, assertion checks, report emission.
 
-A trial is one seed pushed through the whole pipeline: address plan, graph,
+A trial is one seed pushed through the whole pipeline: graph,
 e-neighborhoods, cover or tracking construction, tables, all-pairs
 resolution, sampled inequality-chain replays, and optional quantum-lookup
 agreement checks. Each randomized stage draws from its own named stream of
@@ -16,7 +16,6 @@ import os
 import time
 from dataclasses import asdict, dataclass, field, replace
 
-from .addressing import assign_addresses
 from .clustering import (
     Scheme,
     assign_all_tracking,
@@ -122,14 +121,14 @@ class ExperimentConfig:
 class AssertionResult:
     """One checked claim: the name states the property, not a citation.
 
-    ``checked`` counts the instances the claim was tested on, where that is
-    known; a claim tested on none is vacuous, not passed.
+    ``checked`` counts the instances the claim was tested on; a claim tested
+    on none is vacuous, not passed.
     """
 
     name: str
     passed: bool
     detail: str
-    checked: int | None = None
+    checked: int
 
 
 @dataclass
@@ -213,7 +212,6 @@ def build_scheme(config: ExperimentConfig, graph, metric, seed: int):
     The pair costs are computed once, by ``all_pairs_optimal``; the
     e-neighborhoods and the tables are derived from that one matrix.
     """
-    plan = assign_addresses(graph.n_e, 0)
     pair_costs = all_pairs_optimal(graph, metric)
     neighborhoods = all_neighborhoods(graph, config.effective_k(), pair_costs)
 
@@ -241,7 +239,6 @@ def build_scheme(config: ExperimentConfig, graph, metric, seed: int):
         f=config.f,
         ebit_budget=config.ebit_budget,
         capacity_cap=config.capacity_cap,
-        plan=plan,
     )
     return tables, coverage
 
@@ -343,6 +340,8 @@ def _build_assertions(config: ExperimentConfig, trials: list[TrialResult]) -> li
     additive = metric.composition is Composition.ADDITIVE
     out: list[AssertionResult] = []
     worst = max((t.max_stretch for t in trials), default=0.0)
+    resolved = sum(t.case_counts.get(c.value, 0) for t in trials
+                   for c in (Case.CASE_I, Case.CASE_II, Case.CASE_III))
 
     if additive and config.scheme == "partial":
         out.append(
@@ -350,6 +349,7 @@ def _build_assertions(config: ExperimentConfig, trials: list[TrialResult]) -> li
                 "additive-partial-anchor-stretch-at-most-5",
                 worst <= 5.0 + 1e-9,
                 f"worst resolved stretch {worst}",
+                resolved,
             )
         )
     if additive and config.scheme == "full":
@@ -358,6 +358,7 @@ def _build_assertions(config: ExperimentConfig, trials: list[TrialResult]) -> li
                 "additive-full-anchor-stretch-at-most-3",
                 worst <= 3.0 + 1e-9,
                 f"worst resolved stretch {worst}",
+                resolved,
             )
         )
     if not additive:
@@ -366,6 +367,7 @@ def _build_assertions(config: ExperimentConfig, trials: list[TrialResult]) -> li
                 "concave-metric-unit-stretch",
                 all(abs(t.max_stretch - 1.0) <= 1e-9 for t in trials if t.max_stretch > 0),
                 f"worst resolved stretch {worst}",
+                resolved,
             )
         )
     out.append(
@@ -373,6 +375,7 @@ def _build_assertions(config: ExperimentConfig, trials: list[TrialResult]) -> li
             "resolved-stretch-at-least-one",
             all(t.mean_stretch >= 1.0 - 1e-9 for t in trials if t.max_stretch > 0),
             "stretch is a ratio against the optimal entangling cost",
+            resolved,
         )
     )
     chain_checked = sum(t.chain_checked for t in trials)
@@ -397,6 +400,7 @@ def _build_assertions(config: ExperimentConfig, trials: list[TrialResult]) -> li
                 "greedy-cover-leaves-no-node-uncovered",
                 all(t.coverage_failure_fraction == 0.0 for t in trials),
                 "greedy set cover guarantees an anchor in every neighborhood",
+                config.n_e * len(trials),
             )
         )
     checked = sum(t.qsearch_agreement["checked"] for t in trials if t.qsearch_agreement)
@@ -407,16 +411,18 @@ def _build_assertions(config: ExperimentConfig, trials: list[TrialResult]) -> li
                 "quantum-lookup-agrees-with-classical-mirror",
                 agreed == checked,
                 f"{agreed}/{checked} verified lookups agreed",
+                checked,
             )
         )
     axioms = [t.axiom_report for t in trials if t.axiom_report is not None]
     if axioms:
+        axiom_checks = sum(a["checked"] for a in axioms)
         out.append(
             AssertionResult(
                 "entangling-cost-axioms-hold-on-derived-costs",
                 all(a["passed"] for a in axioms),
-                f"{sum(a['checked'] for a in axioms)} checks across "
-                f"{len(axioms)} trials",
+                f"{axiom_checks} checks across {len(axioms)} trials",
+                axiom_checks,
             )
         )
     return out

@@ -4,7 +4,7 @@ The searchable object is a routing table's classical mirror: n_T entries,
 each announcing f disjoint partitions of its peer's e-neighborhood as uniform
 superpositions over basis states. Registers hold node ids (n_e <= 2^width);
 which basis state names which node is a naming choice, and relabeling them
-by the address plan changes no label probability. A label register holds the
+by any injection changes no label probability. A label register holds the
 entry indices in equal superposition; the oracle is a multi-controlled phase
 kick, conditioned jointly on the label matching an entry and on that entry's
 address register matching the target, so the phase inversion itself rides in

@@ -139,7 +139,6 @@ class SchemeTables:
     graph: NetworkGraph
     metric: EntanglingMetric
     pair_costs: list[list[float]]
-    plan: AddressPlan
     anchors: AnchorSet | None = None
     tracked: TrackedSets | None = None
     f: int = 1
@@ -152,6 +151,10 @@ class SchemeTables:
     @property
     def n_e(self) -> int:
         return self.graph.n_e
+
+    @functools.cached_property
+    def plan(self) -> AddressPlan:
+        return AddressPlan(self.graph.n_e)
 
     def table(self, v: int) -> RoutingTable:
         return self.tables[v]
@@ -245,8 +248,6 @@ def build_tables(
     f: int = 1,
     ebit_budget: int = 4,
     capacity_cap: int | None = None,
-    *,
-    plan: AddressPlan,
 ) -> SchemeTables:
     """Populate every node's routing table for one scheme.
 
@@ -324,7 +325,6 @@ def build_tables(
         pair_costs=pair_costs,
         anchors=anchors,
         tracked=tracked,
-        plan=plan,
         f=f,
         ebit_budget=ebit_budget,
         capacity_cap=cap,

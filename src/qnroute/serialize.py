@@ -17,8 +17,7 @@ from .metrics import metric_by_name
 from .routing import SchemeTables, build_tables
 from .topology import NetworkGraph, all_neighborhoods, all_pairs_optimal
 
-SCHEMA_VERSION = 1
-SCHEME_SCHEMA_VERSION = 2
+SCHEME_SCHEMA_VERSION = 3
 DELIVERY_LOG_SCHEMA_VERSION = 2
 
 
@@ -45,7 +44,6 @@ def scheme_to_dict(tables: SchemeTables, metric_name: str, metric_params: dict |
         "f": tables.f,
         "ebit_budget": tables.ebit_budget,
         "capacity_cap": tables.capacity_cap,
-        "plan": plan.to_dict(),
         "graph": {
             "n_e": tables.graph.n_e,
             "edges": [[i, j, c] for i, j, c in tables.graph.edges()],
@@ -69,8 +67,9 @@ def scheme_from_dict(doc: dict) -> tuple[SchemeTables, str, dict]:
     """Rebuild a SchemeTables plus the metric name/params it was built with,
     through ``all_pairs_optimal``, ``all_neighborhoods`` and ``build_tables``.
 
-    Another schema version, a missing field, an invalid value or an address
-    the plan does not assign raises ``SchemeDocumentError``.
+    Another schema version, a missing field, an invalid value or a node
+    reference other than a node id's ``AddressPlan`` bitstring raises
+    ``SchemeDocumentError``.
     """
     version = doc.get("schema_version")
     if version != SCHEME_SCHEMA_VERSION:
@@ -89,18 +88,19 @@ def scheme_from_dict(doc: dict) -> tuple[SchemeTables, str, dict]:
 
 
 def _read_scheme(doc: dict) -> tuple[SchemeTables, str, dict]:
-    plan = AddressPlan.from_dict(doc["plan"])
-    index_of = {a.bits: i for i, a in enumerate(plan.esp_addresses)}
     n_e, k, f = doc["graph"]["n_e"], doc["k"], doc["f"]
-    if len(index_of) != n_e:
-        raise ValueError(f"the plan addresses {len(index_of)} nodes, the graph {n_e}")
+    edges = doc["graph"]["edges"]
     if not 1 <= k < n_e:
         raise ValueError(f"k {k}: must be in [1, {n_e})")
     if not 1 <= f <= k:
         raise ValueError(f"f {f}: must be in [1, k={k}]")
+    if len(edges) < n_e - 1:
+        # checked before anything of size n_e is built
+        raise ValueError(f"graph: {len(edges)} edges cannot connect {n_e} nodes")
+    index_of = AddressPlan(n_e).node
 
     graph = NetworkGraph(n_e=n_e)
-    for i, j, c in doc["graph"]["edges"]:
+    for i, j, c in edges:
         graph.add_edge(int(i), int(j), float(c))
     metric_name = doc["metric"]["name"]
     metric_params = doc["metric"].get("params", {})
@@ -109,13 +109,13 @@ def _read_scheme(doc: dict) -> tuple[SchemeTables, str, dict]:
     anchors = tracked = None
     if Scheme(doc["scheme"]) is Scheme.PARTIAL_ANCHOR:
         anchors = AnchorSet(
-            members=frozenset(index_of[a] for a in doc["anchors"]["members"]),
+            members=frozenset(index_of(a) for a in doc["anchors"]["members"]),
             construction=doc["anchors"]["construction"],
             m=doc["anchors"].get("m"),
         )
     else:
-        blocks = tuple(tuple(index_of[v] for v in block) for block in doc["tracked"]["blocks"])
-        assignment = {index_of[v]: idx for v, idx in doc["tracked"]["assignment"].items()}
+        blocks = tuple(tuple(index_of(v) for v in block) for block in doc["tracked"]["blocks"])
+        assignment = {index_of(v): idx for v, idx in doc["tracked"]["assignment"].items()}
         if len(assignment) != n_e:
             raise ValueError(f"tracked.assignment covers {len(assignment)} of {n_e} nodes")
         if not all(0 <= idx < len(blocks) for idx in assignment.values()):
@@ -126,7 +126,7 @@ def _read_scheme(doc: dict) -> tuple[SchemeTables, str, dict]:
     tables = build_tables(
         graph, metric, all_neighborhoods(graph, k, pair_costs), pair_costs,
         anchors=anchors, tracked=tracked, f=f, ebit_budget=doc["ebit_budget"],
-        capacity_cap=doc["capacity_cap"], plan=plan,
+        capacity_cap=doc["capacity_cap"],
     )
     return tables, metric_name, metric_params
 

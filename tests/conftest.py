@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from qnroute.addressing import assign_addresses
 from qnroute.clustering import (
     assign_all_tracking,
     build_anchor_set_greedy,
@@ -206,10 +205,9 @@ def build_partial_scheme(
     costs = all_pairs_optimal(graph, metric)
     nbs = all_neighborhoods(graph, k, costs)
     anchors = build_anchor_set_greedy(nbs)
-    plan = assign_addresses(graph.n_e, 0)
     return build_tables(
         graph, metric, nbs, costs, anchors=anchors, f=f, ebit_budget=ebit_budget,
-        capacity_cap=capacity_cap, plan=plan,
+        capacity_cap=capacity_cap,
     )
 
 
@@ -219,11 +217,10 @@ def build_full_scheme(
 ) -> SchemeTables:
     costs = all_pairs_optimal(graph, metric)
     nbs = all_neighborhoods(graph, k, costs)
-    plan = assign_addresses(graph.n_e, 0)
     tracked = assign_all_tracking(
         build_tracked_sets(graph.n_e), graph.n_e, seed=tracking_seed
     )
     return build_tables(
         graph, metric, nbs, costs, tracked=tracked, f=f, ebit_budget=ebit_budget,
-        capacity_cap=capacity_cap, plan=plan,
+        capacity_cap=capacity_cap,
     )

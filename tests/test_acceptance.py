@@ -13,7 +13,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from qnroute.addressing import assign_addresses
+from qnroute.addressing import address_width
 from qnroute.clustering import (
     Scheme,
     build_anchor_set_greedy,
@@ -202,17 +202,13 @@ def test_c07_table_compactness_and_address_width_scaling():
         anchors = build_anchor_set_greedy(nbs)
         from qnroute.routing import build_tables, table_size_stats
 
-        tables = build_tables(
-            graph, metric, nbs, costs, anchors=anchors, f=1, plan=assign_addresses(n, 0)
-        )
+        tables = build_tables(graph, metric, nbs, costs, anchors=anchors, f=1)
         stats = table_size_stats(tables)
         assert stats["max_over_sqrt_log"] <= 4.0
         ratios[n] = stats["max_over_sqrt_log"]
 
     for n in (16, 64, 256):
-        assert assign_addresses(n, 0).width == max(1, math.ceil(math.log2(n)))
-    plan = assign_addresses(4, 3)  # 16 nodes in clusters
-    assert plan.width == math.ceil(math.log2(16))
+        assert address_width(n) == math.ceil(math.log2(n))
     print(
         "\nC7 PASS table size / (sqrt(n) ln n) = "
         + ", ".join(f"{n}: {r:.2f}" for n, r in ratios.items())
@@ -337,10 +333,7 @@ def test_c12_quantum_lookup_agrees_with_classical_mirror():
     anchors = build_anchor_set_greedy(nbs)
     from qnroute.routing import build_tables
 
-    tables = build_tables(
-        graph, hop_count_metric(), nbs, costs, anchors=anchors, f=1,
-        plan=assign_addresses(8, 0),
-    )
+    tables = build_tables(graph, hop_count_metric(), nbs, costs, anchors=anchors, f=1)
 
     verified = 0
     misses = Counter()

@@ -1,122 +1,37 @@
-import itertools
-
 import pytest
 
-from qnroute.addressing import (
-    AddressPlan,
-    QuantumAddress,
-    assign_addresses,
-    check_plan_invariants,
-    cluster_of,
-    prefix_of,
-    serving_esp,
-)
-from qnroute.errors import InvalidCapacityError, PrefixRangeError, UnassignedAddressError
+from qnroute.addressing import AddressPlan, QuantumAddress, address_width
 
 
-def test_four_esp_plan_matches_toy_network():
-    # 4 ESPs serving up to 3 edge nodes each: 16 nodes, 4-bit addresses,
-    # clusters 00xx / 01xx / 10xx / 11xx.
-    plan = assign_addresses(n_e=4, max_cluster_size=3)
-    assert plan.width == 4
-    assert plan.p == 2
-    assert [prefix_of(a, 2) for a in plan.esp_addresses] == ["00", "01", "10", "11"]
-    for esp in plan.esp_addresses:
-        block = cluster_of(esp, plan)
-        assert len(block) == 4
-        assert all(prefix_of(a, 2) == prefix_of(esp, 2) for a in block)
+@pytest.mark.parametrize("n_e, width", [(1, 1), (2, 1), (3, 2), (4, 2), (5, 3), (16, 4), (17, 5)])
+def test_plan_addresses_nodes_by_id_at_ceil_log2_width(n_e, width):
+    plan = AddressPlan(n_e)
+    assert address_width(n_e) == plan.width == width
+    assert [a.bits for a in plan.esp_addresses] == [format(v, f"0{width}b") for v in range(n_e)]
+    assert [a.index for a in plan.esp_addresses] == list(range(n_e))
+    assert [plan.node(a.bits) for a in plan.esp_addresses] == list(range(n_e))
 
 
 def test_single_node_network_gets_minimum_width():
-    plan = assign_addresses(n_e=1, max_cluster_size=0)
+    plan = AddressPlan(1)
     assert plan.width == 1
-    assert plan.p == 0
     assert plan.esp_addresses == (QuantumAddress("0"),)
 
 
-def test_clusters_partition_basis_set_exhaustively():
-    # 5 ESPs, one edge node each: width 4, prefix 3; the 2^4 basis states must
-    # be covered exactly once by the prefix blocks of the 8 possible prefixes,
-    # with the 5 active blocks mutually disjoint.
-    plan = assign_addresses(n_e=5, max_cluster_size=1)
-    assert plan.width == 4
-    assert plan.p == 3
-    blocks = [cluster_of(esp, plan) for esp in plan.esp_addresses]
-    for a, b in itertools.combinations(blocks, 2):
-        assert not (a & b)
-    covered = set().union(*blocks)
-    assert len(covered) == 5 * 2
-    universe = {QuantumAddress.from_index(i, 4) for i in range(16)}
-    assert covered <= universe
-
-
-def test_capacity_precondition_rejects_oversized_clusters():
-    # Width ceil(log2 15) = 4 leaves one suffix per 3-bit prefix block, which
-    # cannot host two edge nodes per ESP.
-    with pytest.raises(InvalidCapacityError):
-        assign_addresses(n_e=5, max_cluster_size=2)
-
-
-@pytest.mark.parametrize("n_e,mcs", [(2, 0), (2, 2), (4, 3), (8, 1), (16, 0), (5, 1)])
-def test_plan_invariants_hold(n_e, mcs):
-    plan = assign_addresses(n_e, mcs)
-    check_plan_invariants(plan)
-    # every assigned edge-node address maps back to its ESP by prefix
-    for esp, members in plan.cluster_map.items():
-        for member in members:
-            assert prefix_of(member, plan.p) == prefix_of(esp, plan.p)
-
-
-def test_prefix_of_direct_and_empty():
-    assert prefix_of(QuantumAddress("1011"), 2) == "10"
-    assert prefix_of(QuantumAddress("0000"), 0) == ""
-    with pytest.raises(PrefixRangeError):
-        prefix_of(QuantumAddress("1011"), 5)
-
-
-def test_prefix_matches_serving_esp_for_all_cluster_members():
-    plan = assign_addresses(4, 3)
-    for esp, members in plan.cluster_map.items():
-        for member in members:
-            assert prefix_of(member, 2) == prefix_of(esp, 2)
-            assert serving_esp(member, plan) == esp
-
-
-def test_serving_esp_examples():
-    plan = assign_addresses(4, 3)
-    assert serving_esp(QuantumAddress("0110"), plan) == QuantumAddress("0100")
-    # an ESP serves itself
-    for esp in plan.esp_addresses:
-        assert serving_esp(esp, plan) == esp
-
-
-def test_serving_esp_matches_linear_scan_oracle():
-    plan = assign_addresses(8, 1)
-    scan = {}
-    for esp, members in plan.cluster_map.items():
-        scan[esp] = esp
-        for member in members:
-            scan[member] = esp
-    for addr in sorted(plan.assigned()):
-        assert serving_esp(addr, plan) == scan[addr]
-
-
 def test_unassigned_addresses_are_errors():
-    plan = assign_addresses(5, 1)  # 10 assigned states of 16
-    assigned = plan.assigned()
-    for i in range(16):
-        addr = QuantumAddress.from_index(i, 4)
-        if addr in assigned:
-            serving_esp(addr, plan)
+    plan = AddressPlan(5)  # 5 assigned states of 8
+    for i in range(8):
+        addr = QuantumAddress.from_index(i, 3)
+        if i < 5:
+            assert plan.node(addr.bits) == i
         else:
-            with pytest.raises(UnassignedAddressError):
-                serving_esp(addr, plan)
-
-
-def test_plan_round_trips_through_dict():
-    plan = assign_addresses(4, 3)
-    again = AddressPlan.from_dict(plan.to_dict())
-    assert again == plan
+            with pytest.raises(KeyError):
+                plan.node(addr.bits)
+    # int(s, 2) would read each of these strings as a node id
+    for bad in ("01", "0001", "0_1", " 01", "01 ", "+01", "2", "", 1, None, ["001"],
+                QuantumAddress("001")):
+        with pytest.raises(KeyError):
+            plan.node(bad)
 
 
 def test_addresses_order_by_integer_value():
@@ -124,3 +39,10 @@ def test_addresses_order_by_integer_value():
     b = QuantumAddress("0100")
     assert a < b
     assert a.index == 3 and b.index == 4
+
+
+def test_from_index_writes_fixed_width_bits():
+    assert QuantumAddress.from_index(5, 4).bits == "0101"
+    for index, width in ((-1, 3), (8, 3)):
+        with pytest.raises(ValueError):
+            QuantumAddress.from_index(index, width)

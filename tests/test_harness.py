@@ -15,6 +15,8 @@ from qnroute.errors import (
 )
 from qnroute.harness import (
     ExperimentConfig,
+    StretchReport,
+    TrialResult,
     assertion_lines,
     build_scheme_for_trial,
     compare_schemes,
@@ -261,6 +263,22 @@ def test_cli_full_pipeline(tmp_path, monkeypatch):
     assert "schema_version" in header
 
 
+def test_report_and_eval_pair_csv_headers(torus_scheme_file, tmp_path):
+    # a scheme document carries no seed, so eval's rows have no seed column
+    assert main(["report", "--n-e", "16", "--graph-model", "grid_torus", "--seeds", "0",
+                 "--out-dir", "."]) == 0
+    assert main(["eval", "--scheme", torus_scheme_file, "--prefix", "torus"]) == 0
+    heads = {
+        path.name: path.read_text().splitlines()[:2] for path in tmp_path.glob("*_pairs.csv")
+    }
+    assert heads.pop("torus_pairs.csv") == [
+        "# schema_version=1", "source,dest,case,cost,optimal,stretch",
+    ]
+    assert list(heads.values()) == [
+        ["# schema_version=1", "seed,source,dest,case,cost,optimal,stretch"],
+    ]
+
+
 def test_cli_route_send_writes_delivery_log(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     main(["generate", "--model", "grid_torus", "--n-e", "16",
@@ -327,6 +345,35 @@ def test_chain_check_with_no_sampled_path_is_vacuous(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "VACUOUS bound-chain-replays-clean: 0 sampled paths verified" in out
     assert "PASS bound-chain-replays-clean" not in out
+
+
+def trial_with_no_resolved_pair(seed: int) -> TrialResult:
+    return TrialResult(
+        seed=seed, max_stretch=0.0, mean_stretch=0.0, max_stretch_with_fallback=2.0,
+        case_counts={"fallback": 240}, fallback_fraction=1.0, failure_fraction=0.0,
+        coverage_failure_fraction=0.0, table_stats={}, chain_checked=0, chain_violations=[],
+        qsearch_agreement=None, axiom_report=None, runtime_s=0.0,
+    )
+
+
+@pytest.mark.parametrize(
+    "metric, scheme, stretch_claims",
+    [
+        ("hop", "partial", ["additive-partial-anchor-stretch-at-most-5"]),
+        ("hop", "full", ["additive-full-anchor-stretch-at-most-3"]),
+        ("capacity", "partial", ["concave-metric-unit-stretch"]),
+    ],
+)
+def test_stretch_claims_with_no_resolved_pair_are_vacuous(metric, scheme, stretch_claims):
+    config = torus_config(metric=metric, scheme=scheme)
+    trials = [trial_with_no_resolved_pair(seed) for seed in config.seeds]
+    assertions = harness._build_assertions(config, trials)
+    lines = assertion_lines(StretchReport(config, trials, assertions))
+    for name in stretch_claims + ["resolved-stretch-at-least-one"]:
+        assert [line.split(":")[0] for line in lines if f" {name}:" in line] == [
+            f"VACUOUS {name}"
+        ]
+    assert all(isinstance(a.checked, int) for a in assertions)
 
 
 def test_cli_output_dir_env_var(tmp_path, monkeypatch):
@@ -477,9 +524,52 @@ def as_full_scheme(doc):
     doc.update(load_json("full.json"))
 
 
+def as_twelve_node_scheme(doc):
+    """Replace ``doc`` by a partial-anchor document over a 12-node graph."""
+    assert main(["generate", "--model", "erdos_renyi", "--n-e", "12", "--metric", "hop",
+                 "--seed", "0", "--out", "er12.graph"]) == 0
+    assert main(["cluster", "--graph", "er12.graph", "--scheme", "partial", "--k", "3",
+                 "--out", "er12.json"]) == 0
+    doc.clear()
+    doc.update(load_json("er12.json"))
+
+
+@pytest.mark.parametrize(
+    "scheme, reference",
+    [
+        ("partial", "000"),
+        ("partial", "00000"),
+        ("partial", "0_11"),  # int(s, 2) reads this one and the next as node 3
+        ("partial", " 011"),
+        ("partial", "0012"),
+        ("partial", 3),
+        ("partial", None),
+        ("partial", ["0011"]),
+        ("partial-12", "1100"),  # node 12 of 12: fits the width, names no node
+        ("partial-12", "1111"),
+        ("full", "0_11"),
+    ],
+)
+def test_cli_scheme_reference_other_than_a_node_address_exits_two(
+    torus_scheme_file, capsys, scheme, reference
+):
+    def edit(doc):
+        if scheme == "full":
+            as_full_scheme(doc)
+            doc["tracked"]["blocks"][0].append(reference)
+            return
+        if scheme == "partial-12":
+            as_twelve_node_scheme(doc)
+        doc["anchors"]["members"].append(reference)
+
+    rewrite_scheme(torus_scheme_file, edit)
+    assert main(["eval", "--scheme", torus_scheme_file]) == 2
+    assert f"missing field or unknown address {reference!r}" in capsys.readouterr().err
+
+
 def tracked_block_out_of_range(doc):
     as_full_scheme(doc)
-    doc["tracked"]["assignment"][doc["plan"]["esp_addresses"][0]] = 99
+    doc["tracked"]["assignment"][format(0, "04b")] = 99
 
 
 def partial_scheme_without_anchors(doc):
@@ -489,7 +579,7 @@ def partial_scheme_without_anchors(doc):
 
 def node_missing_from_assignment(doc):
     as_full_scheme(doc)
-    doc["tracked"]["assignment"].pop(doc["plan"]["esp_addresses"][5])
+    doc["tracked"]["assignment"].pop(format(5, "04b"))
 
 
 @pytest.mark.parametrize(
@@ -503,6 +593,7 @@ def node_missing_from_assignment(doc):
         (node_missing_from_assignment, "tracked.assignment covers 15 of 16 nodes"),
         (lambda doc: doc.update(k=16), "k 16: must be in [1, 16)"),
         (lambda doc: doc.update(f=4), "f 4: must be in [1, k=3]"),
+        (lambda doc: doc["graph"].update(n_e=10**9), "32 edges cannot connect 1000000000 nodes"),
     ],
 )
 def test_cli_scheme_invalid_value_exits_two(torus_scheme_file, capsys, edit, message):
@@ -516,6 +607,26 @@ def test_cli_scheme_other_schema_version_exits_two(torus_scheme_file, capsys, ve
     rewrite_scheme(torus_scheme_file, lambda doc: doc.update(schema_version=version))
     assert main(["qsearch", "--scheme", torus_scheme_file, "--owner", "0", "--target", "5"]) == 2
     assert f"schema_version {version!r}" in capsys.readouterr().err
+
+
+def test_cli_version_two_scheme_with_its_plan_exits_two(torus_scheme_file, capsys):
+    def as_version_two(doc):
+        bits = [format(v, "04b") for v in range(16)]
+        plan = {"n": 16, "n_e": 16, "p": 4, "width": 4, "esp_addresses": bits,
+                "cluster_map": {b: [] for b in bits}}
+        doc.update(schema_version=2, plan=plan)
+
+    rewrite_scheme(torus_scheme_file, as_version_two)
+    assert main(["eval", "--scheme", torus_scheme_file]) == 2
+    assert "schema_version 2; only 3 is supported" in capsys.readouterr().err
+
+
+def test_cluster_document_holds_no_plan(torus_scheme_file):
+    doc = load_json(torus_scheme_file)
+    assert doc["schema_version"] == 3
+    assert "plan" not in doc
+    assert doc["anchors"]["members"] == sorted(doc["anchors"]["members"])
+    assert {len(a) for a in doc["anchors"]["members"]} == {4}
 
 
 @pytest.mark.parametrize(

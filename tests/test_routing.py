@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qnroute.addressing import assign_addresses
+from qnroute.addressing import AddressPlan
 from qnroute.errors import ChainViolationError
 from qnroute.harness import ExperimentConfig, build_scheme_for_trial
 from qnroute.metrics import (
@@ -568,7 +568,7 @@ def test_resolved_pairs_keep_the_stretch_bound(trial, tracking_seed):
 
 
 def test_packet_requires_payload():
-    plan = assign_addresses(4, 0)
+    plan = AddressPlan(4)
     with pytest.raises(ValueError):
         make_packet(plan, 0, 1, payload_ebits=0)
     pkt = make_packet(plan, 0, 1)

@@ -1,7 +1,7 @@
 """Lookups search a routing table's own mirror, in node-id space.
 
-Relabeling the basis states, by the address plan or by any bijection,
-changes no hit, weight or label probability.
+Relabeling the basis states by any injection of node ids, including into a
+wider register, changes no hit, weight or label probability.
 """
 
 import random
@@ -9,7 +9,7 @@ import random
 import numpy as np
 import pytest
 
-from qnroute.addressing import assign_addresses
+from qnroute.addressing import address_width
 from qnroute.metrics import hop_count_metric
 from qnroute.qsearch import (
     _reduced_distribution,
@@ -41,12 +41,11 @@ def build(model: str, scheme: str, f: int = 1, capacity_cap: int | None = None):
     return BUILDERS[scheme](graph, HOP, k=5, f=f, capacity_cap=capacity_cap)
 
 
-def basis_instance(table, plan):
-    """The table's instance with every node id replaced by its basis index."""
-    to_index = [a.index for a in plan.esp_addresses]
+def basis_instance(table, to_index, width):
+    """The table's instance with every node id v replaced by ``to_index[v]``."""
     return make_instance(
         [[[to_index[m] for m in part] for part in e.partitions] for e in table.entries],
-        plan.width,
+        width,
     )
 
 
@@ -58,23 +57,25 @@ def test_plan_relabeling_changes_no_lookup(model, scheme, f, capacity_cap):
     tabs = build(model, scheme, f, capacity_cap)
     if capacity_cap is not None:
         assert any(t.dropped for t in tabs.tables), "the small cap must evict"
-    # clusters of three edge nodes, so basis indices differ from node ids
-    plan = assign_addresses(tabs.n_e, 3)
-    assert any(a.index != v for v, a in enumerate(plan.esp_addresses))
+    # node ids injected into a register two qubits wider, so basis indices
+    # differ from node ids and most basis states name no node
+    width = address_width(tabs.n_e) + 2
+    to_index = random.Random(f"{model}:{scheme}").sample(range(2**width), tabs.n_e)
+    assert any(index != v for v, index in enumerate(to_index))
     for table in tabs.tables:
-        by_id = instance_from_table(table, plan)
-        by_index = basis_instance(table, plan)
-        for target, address in enumerate(plan.esp_addresses):
+        by_id = instance_from_table(table, tabs.plan)
+        by_index = basis_instance(table, to_index, width)
+        for target, index in enumerate(to_index):
             alphas = by_id.hit_alphas(target)
-            assert alphas == by_index.hit_alphas(address.index)
+            assert alphas == by_index.hit_alphas(index)
             for iterations in (1, 2):
                 assert np.array_equal(
                     _reduced_distribution(alphas, by_id.n_t, iterations),
-                    _reduced_distribution(by_index.hit_alphas(address.index),
+                    _reduced_distribution(by_index.hit_alphas(index),
                                           by_index.n_t, iterations),
                 )
             assert run_search(by_id, target, seed=target) == run_search(
-                by_index, address.index, seed=target
+                by_index, index, seed=target
             )
 
 

@@ -3,8 +3,8 @@
 Every node is identified by a computational-basis state of an N-qubit
 register, written as a fixed-width bitstring. The paper's hierarchy gives an
 ESP a prefix and each edge node behind it a suffix; this simulator has no
-edge nodes, so an address is the node id itself and ``AddressPlan`` is the
-only code that converts between the two.
+edge nodes, so an address is the node id itself, written by ``AddressPlan``.
+No file names a node by its address: documents use integer node ids.
 """
 
 from __future__ import annotations
@@ -53,18 +53,9 @@ def address_width(n: int) -> int:
 class AddressPlan:
     """The addresses of an ``n_e``-node network, derived from ``n_e`` alone.
 
-    ``esp_addresses[v]`` is node v's address, built once per plan;
-    ``node(bits)`` is its inverse and accepts exactly those bitstrings.
+    ``esp_addresses[v]`` is node v's address, built once per plan.
     """
 
     def __init__(self, n_e: int):
         self.width = address_width(n_e)
         self.esp_addresses = tuple(QuantumAddress.from_index(v, self.width) for v in range(n_e))
-        self._node_of = {a.bits: v for v, a in enumerate(self.esp_addresses)}
-
-    def node(self, bits) -> int:
-        """The node whose address is ``bits``; ``KeyError`` for any other value."""
-        try:
-            return self._node_of[bits]
-        except TypeError:  # unhashable, so no address
-            raise KeyError(bits) from None

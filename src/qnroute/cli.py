@@ -124,7 +124,12 @@ def cmd_route(args) -> int:
                 )
             )
         delivered = sum(r.success for r in records)
-        print(f"delivered {delivered}/{len(records)} packets")
+        consumed = sum(len(r.consumed) for r in records)
+        on_demand = sum(len(r.on_demand) for r in records)
+        print(
+            f"delivered {delivered}/{len(records)} packets; "
+            f"segments consumed {consumed}, on demand {on_demand}"
+        )
         if args.delivery_log:
             write_delivery_log(records, args.delivery_log)
             print(f"wrote {args.delivery_log}")
@@ -137,11 +142,7 @@ def cmd_eval(args) -> int:
     out_dir = _out_dir(args.out_dir)
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, args.prefix + "_pairs.csv")
-    with open(csv_path, "w", newline="\n") as fh:
-        fh.write(f"# schema_version={harness.SCHEMA_VERSION}\n")
-        fh.write("source,dest,case,cost,optimal,stretch\n")
-        for source, dest, case, cost, optimal, stretch in evaluation.rows:
-            fh.write(f"{source},{dest},{case},{cost!r},{optimal!r},{stretch!r}\n")
+    harness.write_pairs_csv(csv_path, [(tables.seed, evaluation.rows)])
     summary = {
         "schema_version": harness.SCHEMA_VERSION,
         "max_stretch": evaluation.max_stretch,

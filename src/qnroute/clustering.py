@@ -45,14 +45,13 @@ class AnchorSet:
 
     members: frozenset[int]
     construction: str  # "random" | "greedy"
-    m: float | None = None
 
     @property
     def size(self) -> int:
         return len(self.members)
 
 
-def build_anchor_set_random(n_e: int, seed: int, m: float | None = None) -> AnchorSet:
+def build_anchor_set_random(n_e: int, seed: int) -> AnchorSet:
     """Sample ceil(sqrt(n_e)) anchors uniformly without replacement.
 
     Coverage of the e-neighborhoods is not enforced: the covering guarantee
@@ -62,7 +61,7 @@ def build_anchor_set_random(n_e: int, seed: int, m: float | None = None) -> Anch
     target = min(n_e, math.ceil(math.sqrt(n_e)))
     rng = random.Random(stream_seed(seed, "cover"))
     members = frozenset(rng.sample(range(n_e), target))
-    return AnchorSet(members=members, construction="random", m=m)
+    return AnchorSet(members=members, construction="random")
 
 
 def build_anchor_set_greedy(neighborhoods: list[ENeighborhood]) -> AnchorSet:

@@ -12,8 +12,11 @@ every wall-clock measurement.
 
 from __future__ import annotations
 
+import math
 import os
 import time
+import types
+import typing
 from dataclasses import asdict, dataclass, field, replace
 
 from .clustering import (
@@ -71,6 +74,19 @@ class ExperimentConfig:
     name: str = "experiment"
 
     def validate(self) -> None:
+        """Raise ``ConfigError`` for the first bad field; its message starts
+        with the field's name. Each field must have a type its annotation
+        names exactly, so a bool is no int, but an int is a float."""
+        for name, hint in typing.get_type_hints(ExperimentConfig).items():
+            union = isinstance(hint, types.UnionType)
+            kinds = typing.get_args(hint) if union else (typing.get_origin(hint) or hint,)
+            value = getattr(self, name)
+            if type(value) not in kinds + (int,) * (float in kinds):
+                names = " or ".join("null" if t is type(None) else t.__name__ for t in kinds)
+                raise ConfigError(f"{name}: {value!r} is not {names}")
+        for seed in self.seeds:
+            if type(seed) is not int:
+                raise ConfigError(f"seeds: {seed!r} is not int")
         if self.n_e < 2:
             raise ConfigError("n_e: must be at least 2")
         if self.graph_model not in topology._GENERATORS:
@@ -78,21 +94,23 @@ class ExperimentConfig:
         if self.metric not in metrics._REGISTRY:
             raise ConfigError(f"metric: unknown {self.metric!r}")
         if self.scheme not in _SCHEMES:
-            raise ConfigError(f"scheme: must be one of {sorted(_SCHEMES)}")
+            raise ConfigError(f"scheme: {self.scheme!r} is not a valid Scheme {sorted(_SCHEMES)}")
         if self.anchor_method not in _ANCHOR_METHODS:
             raise ConfigError(f"anchor_method: must be one of {sorted(_ANCHOR_METHODS)}")
-        if self.m <= 0:
-            raise ConfigError("m: oversampling constant must be positive")
-        if self.f < 1:
-            raise ConfigError("f: partition count must be at least 1")
+        if not 0 < self.m < math.inf:
+            raise ConfigError("m: oversampling constant must be positive and finite")
         if self.k_override is not None and not 1 <= self.k_override < self.n_e:
-            raise ConfigError("k_override: must be in [1, n_e)")
-        if self.f > self.effective_k():
-            raise ConfigError("f: cannot exceed the e-neighborhood size")
+            raise ConfigError(f"k_override {self.k_override}: must be in [1, {self.n_e})")
+        if not 1 <= self.f <= self.effective_k():
+            raise ConfigError(f"f {self.f}: must be in [1, k={self.effective_k()}]")
         if not self.seeds:
             raise ConfigError("seeds: at least one seed is required")
         if self.ebit_budget < 1:
             raise ConfigError("ebit_budget: must be at least 1")
+        if self.capacity_cap is not None and self.capacity_cap < 1:
+            raise ConfigError("capacity_cap: must be positive or null")
+        if self.chain_samples < 0:
+            raise ConfigError("chain_samples: must be at least 0")
 
     def effective_k(self) -> int:
         if self.k_override is not None:
@@ -207,7 +225,9 @@ def build_scheme_for_trial(config: ExperimentConfig, seed: int):
 
 def build_scheme(config: ExperimentConfig, graph, metric, seed: int):
     """Build tables and coverage over a given graph from ``config``'s
-    construction fields; ``seed`` draws random anchors and tracking.
+    construction fields; ``seed`` draws random anchors and tracking, and the
+    tables record it. Reports, ``qnroute cluster`` and scheme documents all
+    build here.
 
     The pair costs are computed once, by ``all_pairs_optimal``; the
     e-neighborhoods and the tables are derived from that one matrix.
@@ -221,7 +241,7 @@ def build_scheme(config: ExperimentConfig, graph, metric, seed: int):
         if config.anchor_method == "greedy":
             anchors = build_anchor_set_greedy(neighborhoods)
         else:
-            anchors = build_anchor_set_random(graph.n_e, seed=seed, m=config.m)
+            anchors = build_anchor_set_random(graph.n_e, seed=seed)
         coverage = verify_coverage(Scheme.PARTIAL_ANCHOR, neighborhoods, anchors=anchors)
     else:
         tracked = assign_all_tracking(
@@ -240,6 +260,7 @@ def build_scheme(config: ExperimentConfig, graph, metric, seed: int):
         ebit_budget=config.ebit_budget,
         capacity_cap=config.capacity_cap,
     )
+    tables.seed = seed
     return tables, coverage
 
 
@@ -453,14 +474,7 @@ def write_report(report: StretchReport) -> tuple[str, str]:
     csv_path = base + "_pairs.csv"
     json_path = base + "_summary.json"
 
-    with open(csv_path, "w", newline="\n") as fh:
-        fh.write(f"# schema_version={SCHEMA_VERSION}\n")
-        fh.write("seed,source,dest,case,cost,optimal,stretch\n")
-        for trial in report.trials:
-            for source, dest, case, cost, optimal, stretch in trial.rows:
-                fh.write(
-                    f"{trial.seed},{source},{dest},{case},{cost!r},{optimal!r},{stretch!r}\n"
-                )
+    write_pairs_csv(csv_path, ((t.seed, t.rows) for t in report.trials))
     dump_json(report.summary_dict(), json_path)
     dump_json(
         {
@@ -470,6 +484,18 @@ def write_report(report: StretchReport) -> tuple[str, str]:
         base + "_timings.json",
     )
     return csv_path, json_path
+
+
+def write_pairs_csv(path: str, trials) -> None:
+    """The per-pair CSV: every row of each ``(seed, rows)`` in ``trials``,
+    rows as ``evaluate_all_pairs`` returns them. ``report`` and ``eval``
+    both write it here."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write(f"# schema_version={SCHEMA_VERSION}\n")
+        fh.write("seed,source,dest,case,cost,optimal,stretch\n")
+        for seed, rows in trials:
+            for source, dest, case, cost, optimal, stretch in rows:
+                fh.write(f"{seed},{source},{dest},{case},{cost!r},{optimal!r},{stretch!r}\n")
 
 
 def compare_schemes(

@@ -82,9 +82,7 @@ class RoutingTable:
     """
 
     owner: int
-    scheme: Scheme
     entries: list[TableEntry] = field(default_factory=list)
-    capacity_cap: int | None = None
     dropped: list[tuple[int, str]] = field(default_factory=list)
     e_neighbors: list[TableEntry] = field(
         init=False, default_factory=list, repr=False, compare=False
@@ -130,7 +128,8 @@ class SchemeTables:
 
     ``debited`` holds, by (owner, peer), every entry that a delivery left
     below the ebit budget; ``_consume_link`` adds to it and ``replenish``
-    drops an entry once it is back at budget.
+    drops an entry once it is back at budget. ``seed`` is the seed
+    ``harness.build_scheme`` built with, and None for tables built otherwise.
     """
 
     scheme: Scheme
@@ -144,6 +143,7 @@ class SchemeTables:
     f: int = 1
     ebit_budget: int = 4
     capacity_cap: int = 0
+    seed: int | None = None
     debited: dict[tuple[int, int], TableEntry] = field(
         init=False, default_factory=dict, repr=False, compare=False
     )
@@ -165,12 +165,11 @@ class SchemeTables:
 
 @dataclass(frozen=True)
 class EntangledPath:
-    """Resolved repeater sequence with per-segment optimal link costs."""
+    """Resolved repeater sequence with its composed cost."""
 
     source: int
     dest: int
     repeaters: tuple[int, ...]
-    segment_costs: tuple[float, ...]
     total_cost: float
     optimal: float
     case: Case
@@ -290,7 +289,7 @@ def build_tables(
 
     tables: list[RoutingTable] = []
     for v in range(graph.n_e):
-        table = RoutingTable(owner=v, scheme=scheme, capacity_cap=cap)
+        table = RoutingTable(owner=v)
         row = pair_costs[v]
 
         forward = sorted(by_owner[v].members, key=lambda mc: (mc[1], mc[0]))
@@ -365,13 +364,12 @@ def _link_usable(
 def _finish(
     tables: SchemeTables, i: int, d: int, nodes: list[int], case: Case
 ) -> EntangledPath:
-    segs = tuple(tables.pair_costs[a][b] for a, b in zip(nodes, nodes[1:]))
+    costs = tables.pair_costs
     return EntangledPath(
         source=i,
         dest=d,
         repeaters=tuple(nodes[1:-1]),
-        segment_costs=segs,
-        total_cost=fold(tables.metric, segs),
+        total_cost=fold(tables.metric, (costs[a][b] for a, b in zip(nodes, nodes[1:]))),
         optimal=tables.optimal(i, d),
         case=case,
     )
@@ -386,9 +384,6 @@ def _fallback_or_failure(
             source=i,
             dest=d,
             repeaters=tuple(nodes[1:-1]),
-            segment_costs=tuple(
-                tables.graph.cost(a, b) for a, b in zip(nodes, nodes[1:])
-            ),
             total_cost=cost,
             optimal=tables.optimal(i, d),
             case=Case.FALLBACK,
@@ -398,7 +393,6 @@ def _fallback_or_failure(
         source=i,
         dest=d,
         repeaters=(),
-        segment_costs=(),
         total_cost=math.inf,
         optimal=tables.optimal(i, d),
         case=Case.FAILURE,

@@ -1,7 +1,9 @@
 """Scheme-document and report serialization.
 
-Node references inside documents are fixed-width address bitstrings; integer
-node ids appear only in the plain-text graph format. JSON documents carry a
+A scheme document is a scheme's build recipe: the graph, the metric, and the
+construction fields and seed that ``harness.build_scheme`` took. Readers build
+the scheme again through that same function, so a document names a node only
+as an integer id in the graph's edge list. JSON documents carry a
 schema_version field and serialize with sorted keys so identical inputs give
 byte-identical outputs.
 """
@@ -9,33 +11,37 @@ byte-identical outputs.
 from __future__ import annotations
 
 import json
+import re
 
-from .addressing import AddressPlan
-from .clustering import AnchorSet, Scheme, TrackedSets
-from .errors import InputFileError, MetricError, SchemeDocumentError
+from .errors import ConfigError, InputFileError, MetricError, SchemeDocumentError
+from .harness import ExperimentConfig, build_scheme
 from .metrics import metric_by_name
-from .routing import SchemeTables, build_tables
-from .topology import NetworkGraph, all_neighborhoods, all_pairs_optimal
+from .routing import SchemeTables
+from .topology import NetworkGraph
 
-SCHEME_SCHEMA_VERSION = 3
+SCHEME_SCHEMA_VERSION = 4
 DELIVERY_LOG_SCHEMA_VERSION = 2
+_SCHEME_FIELDS = {
+    "schema_version", "scheme", "anchor_method", "metric", "k", "f", "ebit_budget",
+    "capacity_cap", "seed", "graph",
+}
+# the document fields that ExperimentConfig names otherwise
+_DOCUMENT_NAMES = {"k_override": "k", "seeds": "seed"}
 
 
 def scheme_to_dict(tables: SchemeTables, metric_name: str, metric_params: dict | None = None) -> dict:
-    """The scheme's inputs, from which ``scheme_from_dict`` derives every
-    neighborhood and table again.
+    """The recipe ``harness.build_scheme`` built ``tables`` from, from which
+    ``scheme_from_dict`` builds them again.
 
     A document describes a freshly built scheme: one whose entries hold fewer
-    ebits than the budget raises ``ValueError``.
+    ebits than the budget, or that ``harness.build_scheme`` did not build,
+    raises ``ValueError``.
     """
-    plan = tables.plan
     debited = sum(e.ebits < tables.ebit_budget for t in tables.tables for e in t.entries)
     if debited:
         raise ValueError(f"{debited} entries hold fewer ebits than the budget")
-
-    def addr(v: int) -> str:
-        return plan.esp_addresses[v].bits
-
+    if tables.seed is None:
+        raise ValueError("tables not built by harness.build_scheme have no recipe")
     doc = {
         "schema_version": SCHEME_SCHEMA_VERSION,
         "scheme": tables.scheme.value,
@@ -44,91 +50,73 @@ def scheme_to_dict(tables: SchemeTables, metric_name: str, metric_params: dict |
         "f": tables.f,
         "ebit_budget": tables.ebit_budget,
         "capacity_cap": tables.capacity_cap,
+        "seed": tables.seed,
         "graph": {
             "n_e": tables.graph.n_e,
             "edges": [[i, j, c] for i, j, c in tables.graph.edges()],
         },
     }
     if tables.anchors is not None:
-        doc["anchors"] = {
-            "members": sorted(addr(a) for a in tables.anchors.members),
-            "construction": tables.anchors.construction,
-            "m": tables.anchors.m,
-        }
-    if tables.tracked is not None:
-        doc["tracked"] = {
-            "blocks": [[addr(v) for v in block] for block in tables.tracked.blocks],
-            "assignment": {addr(v): idx for v, idx in sorted(tables.tracked.assignment.items())},
-        }
+        doc["anchor_method"] = tables.anchors.construction
     return doc
 
 
 def scheme_from_dict(doc: dict) -> tuple[SchemeTables, str, dict]:
     """Rebuild a SchemeTables plus the metric name/params it was built with,
-    through ``all_pairs_optimal``, ``all_neighborhoods`` and ``build_tables``.
+    through ``harness.build_scheme``.
 
-    Another schema version, a missing field, an invalid value or a node
-    reference other than a node id's ``AddressPlan`` bitstring raises
+    Another schema version, an unknown or missing field, or a value that
+    ``ExperimentConfig.validate``, the metric or the graph refuses raises
     ``SchemeDocumentError``.
     """
-    version = doc.get("schema_version")
+    version = doc.get("schema_version") if isinstance(doc, dict) else None
     if version != SCHEME_SCHEMA_VERSION:
         raise SchemeDocumentError(
             f"scheme document has schema_version {version!r}; "
             f"only {SCHEME_SCHEMA_VERSION} is supported"
         )
+    unknown = sorted(set(doc) - _SCHEME_FIELDS)
+    if unknown:
+        raise SchemeDocumentError(f"scheme document: unknown fields {unknown}")
     try:
         return _read_scheme(doc)
+    except ConfigError as err:
+        message = str(err)
+        name = re.match(r"\w+", message)[0]
+        raise SchemeDocumentError(
+            f"scheme document: {_DOCUMENT_NAMES.get(name, name)}{message[len(name):]}"
+        ) from None
     except (MetricError, TypeError, ValueError) as err:
         raise SchemeDocumentError(f"scheme document: {err}") from None
     except KeyError as err:
-        raise SchemeDocumentError(
-            f"scheme document: missing field or unknown address {err.args[0]!r}"
-        ) from None
+        raise SchemeDocumentError(f"scheme document: missing field {err.args[0]!r}") from None
 
 
 def _read_scheme(doc: dict) -> tuple[SchemeTables, str, dict]:
-    n_e, k, f = doc["graph"]["n_e"], doc["k"], doc["f"]
-    edges = doc["graph"]["edges"]
-    if not 1 <= k < n_e:
-        raise ValueError(f"k {k}: must be in [1, {n_e})")
-    if not 1 <= f <= k:
-        raise ValueError(f"f {f}: must be in [1, k={k}]")
+    scheme, graph_doc, metric_doc = doc["scheme"], doc["graph"], doc["metric"]
+    if scheme == "full" and "anchor_method" in doc:
+        raise ValueError("anchor_method: a full scheme elects no anchors")
+    config = ExperimentConfig(
+        n_e=graph_doc["n_e"], metric=metric_doc["name"], metric_params=metric_doc.get("params", {}),
+        scheme=scheme, anchor_method=doc["anchor_method"] if scheme == "partial" else "greedy",
+        k_override=doc["k"], f=doc["f"], ebit_budget=doc["ebit_budget"],
+        capacity_cap=doc["capacity_cap"], seeds=[doc["seed"]],
+    )
+    config.validate()
+    n_e, edges = config.n_e, graph_doc["edges"]
     if len(edges) < n_e - 1:
         # checked before anything of size n_e is built
         raise ValueError(f"graph: {len(edges)} edges cannot connect {n_e} nodes")
-    index_of = AddressPlan(n_e).node
-
     graph = NetworkGraph(n_e=n_e)
     for i, j, c in edges:
-        graph.add_edge(int(i), int(j), float(c))
-    metric_name = doc["metric"]["name"]
-    metric_params = doc["metric"].get("params", {})
-    metric = metric_by_name(metric_name, **metric_params)
-
-    anchors = tracked = None
-    if Scheme(doc["scheme"]) is Scheme.PARTIAL_ANCHOR:
-        anchors = AnchorSet(
-            members=frozenset(index_of(a) for a in doc["anchors"]["members"]),
-            construction=doc["anchors"]["construction"],
-            m=doc["anchors"].get("m"),
-        )
-    else:
-        blocks = tuple(tuple(index_of(v) for v in block) for block in doc["tracked"]["blocks"])
-        assignment = {index_of(v): idx for v, idx in doc["tracked"]["assignment"].items()}
-        if len(assignment) != n_e:
-            raise ValueError(f"tracked.assignment covers {len(assignment)} of {n_e} nodes")
-        if not all(0 <= idx < len(blocks) for idx in assignment.values()):
-            raise ValueError(f"tracked.assignment: block indices must lie in [0, {len(blocks)})")
-        tracked = TrackedSets(blocks=blocks, assignment=assignment)
-
-    pair_costs = all_pairs_optimal(graph, metric)
-    tables = build_tables(
-        graph, metric, all_neighborhoods(graph, k, pair_costs), pair_costs,
-        anchors=anchors, tracked=tracked, f=f, ebit_budget=doc["ebit_budget"],
-        capacity_cap=doc["capacity_cap"],
-    )
-    return tables, metric_name, metric_params
+        for v in (i, j):
+            # int() would read "0_11", " 011" or 3.7 as a node
+            if type(v) is not int or not 0 <= v < n_e:
+                raise ValueError(f"graph: edge endpoint {v!r} is not a node id in [0, {n_e})")
+        graph.add_edge(i, j, float(c))
+    metric = metric_by_name(config.metric, **config.metric_params)
+    tables, _ = build_scheme(config, graph, metric, doc["seed"])
+    return tables, config.metric, config.metric_params
 
 
 def write_delivery_log(records, path: str) -> None:

@@ -11,6 +11,7 @@ from qnroute.clustering import (
     build_anchor_set_greedy,
     build_tracked_sets,
 )
+from qnroute.harness import ExperimentConfig, build_scheme
 from qnroute.metrics import Composition, fold
 from qnroute.routing import SchemeTables, build_tables
 from qnroute.topology import (
@@ -224,3 +225,15 @@ def build_full_scheme(
         graph, metric, nbs, costs, tracked=tracked, f=f, ebit_budget=ebit_budget,
         capacity_cap=capacity_cap,
     )
+
+
+def build_documented_scheme(
+    graph: NetworkGraph, metric, scheme: str, k: int, f: int = 1,
+    capacity_cap: int | None = None, seed: int = 0,
+) -> SchemeTables:
+    """The scheme ``harness.build_scheme`` builds, the only kind a scheme
+    document describes: greedy anchors for partial, seeded tracking for full."""
+    config = ExperimentConfig(
+        n_e=graph.n_e, scheme=scheme, k_override=k, f=f, capacity_cap=capacity_cap
+    )
+    return build_scheme(config, graph, metric, seed)[0]

@@ -163,7 +163,7 @@ def test_c06_randomized_cover_trend_and_greedy_exactness():
             verify_coverage(
                 Scheme.PARTIAL_ANCHOR,
                 nbs,
-                anchors=build_anchor_set_random(n, seed=s, m=m),
+                anchors=build_anchor_set_random(n, seed=s),
             ).failure_fraction
             for s in range(200)
         ]

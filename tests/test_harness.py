@@ -65,6 +65,35 @@ def test_config_round_trip_and_unknown_fields():
         ExperimentConfig.from_dict({"n_e": 8, "bogus": 1})
 
 
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"n_e": "x"}, "n_e: 'x' is not int"),
+        ({"n_e": True}, "n_e: True is not int"),
+        ({"n_e": 16, "m": "x"}, "m: 'x' is not float"),
+        ({"n_e": 16, "m": False}, "m: False is not float"),
+        ({"n_e": 16, "m": 1e999}, "m: oversampling constant must be positive and finite"),
+        ({"n_e": 16, "capacity_cap": "x"}, "capacity_cap: 'x' is not int or null"),
+        ({"n_e": 16, "capacity_cap": 0}, "capacity_cap: must be positive or null"),
+        ({"n_e": 16, "chain_samples": "x"}, "chain_samples: 'x' is not int"),
+        ({"n_e": 16, "chain_samples": -1}, "chain_samples: must be at least 0"),
+        ({"n_e": 16, "seeds": ["a"]}, "seeds: 'a' is not int"),
+        ({"n_e": 16, "seeds": [False]}, "seeds: False is not int"),
+        ({"n_e": 16, "seeds": 3}, "seeds: 3 is not list"),
+        ({"n_e": 16, "k_override": 2.0}, "k_override: 2.0 is not int or null"),
+        ({"n_e": 16, "metric": ["hop"]}, "metric: ['hop'] is not str"),
+        ({"n_e": 16, "graph_params": []}, "graph_params: [] is not dict"),
+        ({"n_e": 16, "axiom_check": 1}, "axiom_check: 1 is not bool"),
+    ],
+)
+def test_cli_report_mistyped_config_field_exits_two(tmp_path, capsys, config, message):
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({**config, "output_dir": str(tmp_path)}))
+    assert main(["report", "--config", str(cfg)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*_pairs.csv"))
+
+
 # ---------------------------------------------------------------------------
 # experiments
 
@@ -224,17 +253,6 @@ def test_scheme_document_round_trip_preserves_resolution(tmp_path):
             assert original.nodes == rebuilt.nodes
 
 
-def test_addresses_serialize_as_bitstrings(tmp_path):
-    tables, _ = build_scheme_for_trial(torus_config(), seed=0)
-    doc = scheme_to_dict(tables, "hop", {})
-    assert doc["anchors"]["members"]
-    assert all(set(a) <= {"0", "1"} for a in doc["anchors"]["members"])
-    tables, _ = build_scheme_for_trial(torus_config(scheme="full"), seed=0)
-    doc = scheme_to_dict(tables, "hop", {})
-    assert len(doc["tracked"]["assignment"]) == 16
-    assert all(set(v) <= {"0", "1"} for v in doc["tracked"]["assignment"])
-
-
 # ---------------------------------------------------------------------------
 # CLI
 
@@ -264,19 +282,34 @@ def test_cli_full_pipeline(tmp_path, monkeypatch):
 
 
 def test_report_and_eval_pair_csv_headers(torus_scheme_file, tmp_path):
-    # a scheme document carries no seed, so eval's rows have no seed column
+    # a scheme document carries its seed, so eval writes report's columns
     assert main(["report", "--n-e", "16", "--graph-model", "grid_torus", "--seeds", "0",
                  "--out-dir", "."]) == 0
     assert main(["eval", "--scheme", torus_scheme_file, "--prefix", "torus"]) == 0
     heads = {
         path.name: path.read_text().splitlines()[:2] for path in tmp_path.glob("*_pairs.csv")
     }
-    assert heads.pop("torus_pairs.csv") == [
-        "# schema_version=1", "source,dest,case,cost,optimal,stretch",
-    ]
-    assert list(heads.values()) == [
-        ["# schema_version=1", "seed,source,dest,case,cost,optimal,stretch"],
-    ]
+    assert sorted(heads) == ["experiment_pairs.csv", "torus_pairs.csv"]
+    for head in heads.values():
+        assert head == ["# schema_version=1", "seed,source,dest,case,cost,optimal,stretch"]
+
+
+@pytest.mark.parametrize("scheme, seed", [("partial", 0), ("full", 3), ("full", 7)])
+def test_eval_writes_the_report_csv_of_the_cluster_seed(tmp_path, monkeypatch, scheme, seed):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(harness.OUTPUT_DIR_ENV, raising=False)
+    assert main(["generate", "--model", "grid_torus", "--n-e", "16", "--metric", "hop",
+                 "--out", "net.graph"]) == 0
+    assert main(["cluster", "--graph", "net.graph", "--scheme", scheme, "--k", "3",
+                 "--seed", str(seed), "--out", "scheme.json"]) == 0
+    assert main(["eval", "--scheme", "scheme.json", "--prefix", "eval"]) == 0
+    config = dict(n_e=16, graph_model="grid_torus", metric="hop", scheme=scheme,
+                  k_override=3, seeds=[seed], name="report")
+    (tmp_path / "exp.json").write_text(json.dumps(config))
+    assert main(["report", "--config", "exp.json"]) == 0
+    csv = (tmp_path / "eval_pairs.csv").read_bytes()
+    assert csv == (tmp_path / "report_pairs.csv").read_bytes()
+    assert csv.splitlines()[2].startswith(f"{seed},0,1,".encode())
 
 
 def test_cli_route_send_writes_delivery_log(tmp_path, monkeypatch):
@@ -299,6 +332,36 @@ def test_cli_route_send_writes_delivery_log(tmp_path, monkeypatch):
         fields = row.split(",")
         assert fields[1] == "0" and fields[2] == "10"
         assert fields[5] in {"0", "1"}
+
+
+def send_totals(scheme: str, source: int, dest: int, send: int, capsys) -> tuple[str, int, int]:
+    """``route --send``'s totals line and the totals summed from its delivery log."""
+    argv = ["route", "--scheme", scheme, "--source", str(source), "--dest", str(dest),
+            "--send", str(send), "--delivery-log", "dl.csv"]
+    capsys.readouterr()
+    assert main(argv) == 0
+    line = capsys.readouterr().out.splitlines()[1]
+    with open("dl.csv") as fh:
+        rows = [row.split(",") for row in fh.read().splitlines()[2:]]
+    consumed = sum(len(row[7].split(";")) for row in rows if row[7])
+    on_demand = sum(len(row[8].split(";")) for row in rows if row[8])
+    return line, consumed, on_demand
+
+
+def test_cli_route_send_prints_consumed_and_on_demand_totals(torus_scheme_file, capsys):
+    # 0 -> 10 on the torus resolves in case III over two overlay segments
+    assert send_totals(torus_scheme_file, 0, 10, 3, capsys) == (
+        "delivered 3/3 packets; segments consumed 6, on demand 0", 6, 0,
+    )
+    # random anchors leave node 5 uncovered: the fallback path 0-14-22-3-5 has
+    # no entry for its physical link 14-22, so that segment is made on demand
+    assert main(["generate", "--n-e", "24", "--param", "edge_prob=0.15",
+                 "--out", "er.graph"]) == 0
+    assert main(["cluster", "--graph", "er.graph", "--k", "3", "--anchors", "random",
+                 "--out", "er.json"]) == 0
+    assert send_totals("er.json", 0, 5, 2, capsys) == (
+        "delivered 2/2 packets; segments consumed 6, on demand 2", 6, 2,
+    )
 
 
 def test_cli_report_exit_code_and_lines(tmp_path, capsys):
@@ -495,16 +558,7 @@ def rewrite_scheme(path, edit):
 def test_cli_scheme_missing_field_exits_two(torus_scheme_file, capsys):
     rewrite_scheme(torus_scheme_file, lambda doc: doc.pop("graph"))
     assert main(["route", "--scheme", torus_scheme_file, "--source", "0", "--dest", "5"]) == 2
-    assert "missing field or unknown address 'graph'" in capsys.readouterr().err
-
-
-def test_cli_scheme_unknown_address_exits_two(torus_scheme_file, capsys):
-    def edit(doc):
-        doc["anchors"]["members"].append("1111111")
-
-    rewrite_scheme(torus_scheme_file, edit)
-    assert main(["eval", "--scheme", torus_scheme_file]) == 2
-    assert "missing field or unknown address '1111111'" in capsys.readouterr().err
+    assert "scheme document: missing field 'graph'" in capsys.readouterr().err
 
 
 def zero_cost_edge(doc):
@@ -524,52 +578,39 @@ def as_full_scheme(doc):
     doc.update(load_json("full.json"))
 
 
-def as_twelve_node_scheme(doc):
-    """Replace ``doc`` by a partial-anchor document over a 12-node graph."""
-    assert main(["generate", "--model", "erdos_renyi", "--n-e", "12", "--metric", "hop",
-                 "--seed", "0", "--out", "er12.graph"]) == 0
-    assert main(["cluster", "--graph", "er12.graph", "--scheme", "partial", "--k", "3",
-                 "--out", "er12.json"]) == 0
-    doc.clear()
-    doc.update(load_json("er12.json"))
-
-
 @pytest.mark.parametrize(
     "scheme, reference",
     [
         ("partial", "000"),
         ("partial", "00000"),
-        ("partial", "0_11"),  # int(s, 2) reads this one and the next as node 3
+        ("partial", "0_11"),  # int() reads this one and the next as node 11
         ("partial", " 011"),
         ("partial", "0012"),
-        ("partial", 3),
+        ("partial", 3.0),
         ("partial", None),
-        ("partial", ["0011"]),
-        ("partial-12", "1100"),  # node 12 of 12: fits the width, names no node
-        ("partial-12", "1111"),
+        ("partial", [11]),
+        ("partial", 16),  # node 16 of 16 names no node
+        ("partial", -1),
+        ("partial", True),
         ("full", "0_11"),
     ],
 )
-def test_cli_scheme_reference_other_than_a_node_address_exits_two(
+def test_cli_scheme_edge_endpoint_other_than_a_node_id_exits_two(
     torus_scheme_file, capsys, scheme, reference
 ):
+    """A document names nodes only as the integer endpoints of graph edges."""
+
     def edit(doc):
         if scheme == "full":
             as_full_scheme(doc)
-            doc["tracked"]["blocks"][0].append(reference)
-            return
-        if scheme == "partial-12":
-            as_twelve_node_scheme(doc)
-        doc["anchors"]["members"].append(reference)
+        doc["graph"]["edges"][0][1] = reference
 
     rewrite_scheme(torus_scheme_file, edit)
     assert main(["eval", "--scheme", torus_scheme_file]) == 2
-    assert f"missing field or unknown address {reference!r}" in capsys.readouterr().err
-
-
-def tracked_block_out_of_range(doc):
-    as_full_scheme(doc)
-    doc["tracked"]["assignment"][format(0, "04b")] = 99
+    assert (
+        f"graph: edge endpoint {reference!r} is not a node id in [0, 16)"
+        in capsys.readouterr().err
+    )
 
 
 def partial_scheme_without_anchors(doc):
@@ -577,9 +618,9 @@ def partial_scheme_without_anchors(doc):
     doc["scheme"] = "partial"
 
 
-def node_missing_from_assignment(doc):
+def full_scheme_with_anchors(doc):
     as_full_scheme(doc)
-    doc["tracked"]["assignment"].pop(format(5, "04b"))
+    doc["anchor_method"] = "greedy"
 
 
 @pytest.mark.parametrize(
@@ -588,12 +629,22 @@ def node_missing_from_assignment(doc):
         (lambda doc: doc.update(scheme="ring"), "'ring' is not a valid Scheme"),
         (zero_cost_edge, "link costs must be positive"),
         (infinite_cost_edge, "link costs must be positive and finite, got inf"),
-        (tracked_block_out_of_range, "block indices must lie in [0, 4)"),
-        (partial_scheme_without_anchors, "missing field or unknown address 'anchors'"),
-        (node_missing_from_assignment, "tracked.assignment covers 15 of 16 nodes"),
+        (partial_scheme_without_anchors, "missing field 'anchor_method'"),
+        (full_scheme_with_anchors, "anchor_method: a full scheme elects no anchors"),
         (lambda doc: doc.update(k=16), "k 16: must be in [1, 16)"),
         (lambda doc: doc.update(f=4), "f 4: must be in [1, k=3]"),
         (lambda doc: doc["graph"].update(n_e=10**9), "32 edges cannot connect 1000000000 nodes"),
+        (lambda doc: doc.update(seed="0"), "seed: '0' is not int"),
+        (lambda doc: doc.update(seed=True), "seed: True is not int"),
+        (lambda doc: doc.update(seed=None), "seed: None is not int"),
+        (lambda doc: doc.update(k=3.0), "k: 3.0 is not int or null"),
+        (lambda doc: doc.update(f=True), "f: True is not int"),
+        (lambda doc: doc.update(anchor_method="best"), "anchor_method: must be one of"),
+        (lambda doc: doc.update(ebit_budget=0), "ebit_budget: must be at least 1"),
+        (lambda doc: doc.update(capacity_cap=0), "capacity_cap: must be positive or null"),
+        (lambda doc: doc.update(capacity_cap="12"), "capacity_cap: '12' is not int or null"),
+        (lambda doc: doc["graph"].update(n_e="16"), "n_e: '16' is not int"),
+        (lambda doc: doc["metric"].update(name="bogus"), "metric: unknown 'bogus'"),
     ],
 )
 def test_cli_scheme_invalid_value_exits_two(torus_scheme_file, capsys, edit, message):
@@ -618,15 +669,56 @@ def test_cli_version_two_scheme_with_its_plan_exits_two(torus_scheme_file, capsy
 
     rewrite_scheme(torus_scheme_file, as_version_two)
     assert main(["eval", "--scheme", torus_scheme_file]) == 2
-    assert "schema_version 2; only 3 is supported" in capsys.readouterr().err
+    assert "schema_version 2; only 4 is supported" in capsys.readouterr().err
+
+
+def test_cli_version_three_scheme_with_node_references_exits_two(torus_scheme_file, capsys):
+    def as_version_three(doc):
+        del doc["seed"], doc["anchor_method"]
+        doc.update(schema_version=3, anchors={"members": ["0000", "1010"],
+                                              "construction": "greedy", "m": None})
+
+    rewrite_scheme(torus_scheme_file, as_version_three)
+    assert main(["eval", "--scheme", torus_scheme_file]) == 2
+    assert "schema_version 3; only 4 is supported" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "scheme, field, value",
+    [
+        # version 3 stored the anchor set and the tracked blocks as bitstrings
+        ("partial", "anchors", {"members": ["0000"], "construction": "greedy", "m": None}),
+        ("full", "tracked", {"blocks": [["0000", "0100"], ["0100"]], "assignment": {}}),
+        ("partial", "plan", {"width": 4}),
+        ("full", "m", 1.0),
+    ],
+)
+def test_cli_scheme_unknown_field_exits_two(torus_scheme_file, capsys, scheme, field, value):
+    def edit(doc):
+        if scheme == "full":
+            as_full_scheme(doc)
+        doc[field] = value
+
+    rewrite_scheme(torus_scheme_file, edit)
+    assert main(["eval", "--scheme", torus_scheme_file]) == 2
+    assert f"scheme document: unknown fields [{field!r}]" in capsys.readouterr().err
+
+
+def test_cli_scheme_that_is_not_an_object_exits_two(tmp_path, capsys):
+    (tmp_path / "list.json").write_text("[4]")
+    assert main(["eval", "--scheme", str(tmp_path / "list.json")]) == 2
+    assert "schema_version None; only 4 is supported" in capsys.readouterr().err
 
 
 def test_cluster_document_holds_no_plan(torus_scheme_file):
     doc = load_json(torus_scheme_file)
-    assert doc["schema_version"] == 3
-    assert "plan" not in doc
-    assert doc["anchors"]["members"] == sorted(doc["anchors"]["members"])
-    assert {len(a) for a in doc["anchors"]["members"]} == {4}
+    assert doc["schema_version"] == 4
+    # the recipe alone: no address plan, anchor set or tracked block
+    assert sorted(doc) == [
+        "anchor_method", "capacity_cap", "ebit_budget", "f", "graph", "k", "metric",
+        "schema_version", "scheme", "seed",
+    ]
+    assert (doc["anchor_method"], doc["seed"], doc["capacity_cap"]) == ("greedy", 0, 12)
 
 
 @pytest.mark.parametrize(

@@ -352,12 +352,10 @@ def test_chain_violation_raised_for_fabricated_far_hub():
     costs = all_pairs_optimal(g, HOP)
     i, d = 0, 1
     far = max(range(36), key=lambda v: costs[0][v] + costs[1][v])
-    segs = (costs[i][far], costs[far][far], costs[far][d])
     fake = EntangledPath(
         source=i,
         dest=d,
         repeaters=(far, far),
-        segment_costs=segs,
         total_cost=costs[i][far] + costs[far][d],
         optimal=costs[i][d],
         case=Case.CASE_III,

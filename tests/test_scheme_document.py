@@ -1,5 +1,5 @@
-"""A scheme document holds the scheme's inputs, and reading it back derives
-the same tables as the build that wrote it."""
+"""A scheme document holds the scheme's build recipe, and reading it back
+builds the same tables, anchors and tracked blocks as the build that wrote it."""
 
 import json
 
@@ -51,6 +51,7 @@ def test_document_reads_back_to_the_built_tables(config, seed):
         assert after == before
     assert again.neighborhoods == built.neighborhoods
     assert again.pair_costs == built.pair_costs
+    assert (again.anchors, again.tracked, again.seed) == (built.anchors, built.tracked, seed)
     assert scheme_to_dict(again, config.metric, config.metric_params) == doc
 
     entry = next(e for t in again.tables for e in t.entries)

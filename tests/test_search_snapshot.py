@@ -23,7 +23,7 @@ from qnroute.routing import Origin, TableEntry
 from qnroute.serialize import scheme_from_dict, scheme_to_dict
 from qnroute.topology import generate_graph
 
-from conftest import build_full_scheme, build_partial_scheme
+from conftest import build_documented_scheme, build_full_scheme, build_partial_scheme
 
 HOP = hop_count_metric()
 
@@ -144,7 +144,9 @@ def test_lookup_sees_drop_and_add(scheme):
 
 @pytest.mark.parametrize("scheme, f, capacity_cap", [("partial", 1, None), ("full", 2, 6)])
 def test_read_back_entries_share_one_mirror_per_peer(scheme, f, capacity_cap):
-    tabs = build("grid_torus", scheme, f, capacity_cap)
+    n, params = GRAPHS["grid_torus"]
+    graph = generate_graph("grid_torus", n, params, HOP, seed=2)
+    tabs = build_documented_scheme(graph, HOP, scheme, k=5, f=f, capacity_cap=capacity_cap)
     doc = scheme_to_dict(tabs, "hop")
     again, _, _ = scheme_from_dict(doc)
     mirrors: dict[int, tuple] = {}

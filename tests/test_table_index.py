@@ -17,7 +17,7 @@ from qnroute.routing import (
 from qnroute.serialize import scheme_from_dict, scheme_to_dict
 from qnroute.topology import generate_graph
 
-from conftest import build_full_scheme, build_partial_scheme
+from conftest import build_documented_scheme
 
 HOP = hop_count_metric()
 
@@ -26,7 +26,6 @@ GRAPHS = {
     "barabasi_albert": (24, {"attach": 2}),
     "grid_torus": (25, {}),
 }
-BUILDERS = {"partial": build_partial_scheme, "full": build_full_scheme}
 
 
 def linear_find(table: RoutingTable, peer: int) -> TableEntry | None:
@@ -48,11 +47,11 @@ def assert_index_matches_entries(tabs) -> None:
 def build(model: str, scheme: str, capacity_cap: int | None):
     n, params = GRAPHS[model]
     graph = generate_graph(model, n, params, HOP, seed=2)
-    return BUILDERS[scheme](graph, HOP, k=5, capacity_cap=capacity_cap)
+    return build_documented_scheme(graph, HOP, scheme, k=5, capacity_cap=capacity_cap)
 
 
 @pytest.mark.parametrize("model", sorted(GRAPHS))
-@pytest.mark.parametrize("scheme", sorted(BUILDERS))
+@pytest.mark.parametrize("scheme", ["full", "partial"])
 @pytest.mark.parametrize("capacity_cap", [None, 6])
 def test_index_matches_linear_scan(model, scheme, capacity_cap):
     tabs = build(model, scheme, capacity_cap)
@@ -66,7 +65,7 @@ def test_index_matches_linear_scan(model, scheme, capacity_cap):
         assert [e.e_hop for e in after.entries] == [e.e_hop for e in before.entries]
 
 
-@pytest.mark.parametrize("scheme", sorted(BUILDERS))
+@pytest.mark.parametrize("scheme", ["full", "partial"])
 def test_debit_shows_through_find_and_entries(scheme):
     tabs = build("erdos_renyi", scheme, None)
     path = next(
@@ -99,9 +98,7 @@ def test_add_rejects_second_entry_for_peer():
     assert len(table) == size
     assert_index_matches_entries(tabs)
     with pytest.raises(DuplicateEntryError):
-        RoutingTable(
-            owner=0, scheme=tabs.scheme, entries=[table.entries[0], table.entries[0]]
-        )
+        RoutingTable(owner=0, entries=[table.entries[0], table.entries[0]])
 
 
 def test_drop_keeps_index_and_order():

@@ -87,6 +87,8 @@ class ExperimentConfig:
         for seed in self.seeds:
             if type(seed) is not int:
                 raise ConfigError(f"seeds: {seed!r} is not int")
+        if len(set(self.seeds)) < len(self.seeds):
+            raise ConfigError(f"seeds: {self.seeds} repeats a seed")
         if self.n_e < 2:
             raise ConfigError("n_e: must be at least 2")
         if self.graph_model not in topology._GENERATORS:

@@ -86,7 +86,7 @@ def scheme_from_dict(doc: dict) -> tuple[SchemeTables, str, dict]:
         raise SchemeDocumentError(
             f"scheme document: {_DOCUMENT_NAMES.get(name, name)}{message[len(name):]}"
         ) from None
-    except (MetricError, TypeError, ValueError) as err:
+    except (MetricError, OverflowError, TypeError, ValueError) as err:
         raise SchemeDocumentError(f"scheme document: {err}") from None
     except KeyError as err:
         raise SchemeDocumentError(f"scheme document: missing field {err.args[0]!r}") from None
@@ -113,6 +113,9 @@ def _read_scheme(doc: dict) -> tuple[SchemeTables, str, dict]:
             # int() would read "0_11", " 011" or 3.7 as a node
             if type(v) is not int or not 0 <= v < n_e:
                 raise ValueError(f"graph: edge endpoint {v!r} is not a node id in [0, {n_e})")
+        # float() would read true or "1.0" as a cost
+        if type(c) not in (int, float):
+            raise ValueError(f"graph: edge cost {c!r} is not a number")
         graph.add_edge(i, j, float(c))
     metric = metric_by_name(config.metric, **config.metric_params)
     tables, _ = build_scheme(config, graph, metric, doc["seed"])

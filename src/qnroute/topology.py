@@ -79,17 +79,7 @@ class NetworkGraph:
         return len(self.edges())
 
     def is_connected(self) -> bool:
-        if self.n_e == 0:
-            return True
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            v = queue.popleft()
-            for u in self.adjacency[v]:
-                if u not in seen:
-                    seen.add(u)
-                    queue.append(u)
-        return len(seen) == self.n_e
+        return len(_components(self)) <= 1
 
 
 def save_graph(graph: NetworkGraph, path: str) -> None:
@@ -310,27 +300,6 @@ def _augment_connectivity(graph: NetworkGraph, rng: random.Random) -> None:
 # Optimal entangling cost
 
 
-def _dijkstra(graph: NetworkGraph, source: int) -> dict[int, float]:
-    """Optimal additive cost from ``source`` to every node it reaches.
-
-    The relaxation order does not matter: with positive link costs each
-    distance is the least of its neighbours' distances plus the link cost.
-    """
-    adjacency = graph.adjacency
-    dist = {source: 0.0}
-    heap = [(0.0, source)]
-    while heap:
-        d, v = heapq.heappop(heap)
-        if d > dist[v]:
-            continue
-        for u, c in adjacency[v].items():
-            nd = d + c
-            if u not in dist or nd < dist[u]:
-                dist[u] = nd
-                heapq.heappush(heap, (nd, u))
-    return dist
-
-
 def _walk_back(graph: NetworkGraph, row: list[float], i: int, j: int) -> list[int]:
     """Cheapest route from ``i`` to ``j`` read off ``row``, the cost row of ``i``.
 
@@ -426,44 +395,39 @@ def all_pairs_optimal(graph: NetworkGraph, metric: EntanglingMetric) -> list[lis
     This is the one cost pass of a scheme build: e-neighborhoods, table
     entries, fallback witnesses, chain replays and axiom checks all read the
     matrix it returns. Min composition gives every distinct pair the cheapest
-    edge's cost. Additive composition takes the Floyd–Warshall pass when
-    every link cost is an integer and no simple path can cost 2**53 or more:
-    every sum that can win a minimum is then the cost of a simple path, an
-    integer below 2**53 that float64 holds exactly, so the matrix equals
-    Dijkstra's bit for bit. Other additive costs run Dijkstra from every node, since
-    Floyd–Warshall sums in another order and would move the last bits.
+    edge's cost. Additive composition relaxes ``to[u, s]``, the cost from
+    ``s`` to ``u``, against every neighbour of ``u`` until a round lowers
+    nothing. Each candidate adds link costs left to right from the source,
+    as Dijkstra does; float addition is monotone and every cost positive, so
+    the fixed point is the least such sum over all walks, which is
+    Dijkstra's value bit for bit.
     """
     n = graph.n_e
     if metric.composition is Composition.ADDITIVE:
-        edges = graph.edges()
-        integral = all(float(c).is_integer() for _, _, c in edges)
-        if integral and max((c for _, _, c in edges), default=0) * (n - 1) < 2**53:
-            return _floyd_warshall(n, edges)
-        rows = []
-        for i in range(n):
-            dist = _dijkstra(graph, i)
-            if len(dist) != n:
-                raise UnreachableError(f"graph disconnected at node {i}")
-            rows.append([dist[j] for j in range(n)])
-        return rows
+        to = np.full((n, n), np.inf)
+        np.fill_diagonal(to, 0.0)
+        links = [
+            (u, list(nbrs), np.array(list(nbrs.values()), dtype=float)[:, None])
+            for u, nbrs in graph.adjacency.items()
+            if nbrs
+        ]
+        changed = True
+        while changed:
+            changed = False
+            for u, nbrs, costs in links:
+                cand = (to[nbrs] + costs).min(axis=0)
+                row = to[u]
+                if (cand < row).any():
+                    np.minimum(row, cand, out=row)
+                    changed = True
+        unreached = np.isinf(to).any(axis=0)
+        if unreached.any():
+            raise UnreachableError(f"graph disconnected at node {int(unreached.argmax())}")
+        return to.T.tolist()
     _, _, c = _min_edge(graph)
     if not graph.is_connected():
         raise UnreachableError("graph disconnected")
     return [[0.0 if i == j else c for j in range(n)] for i in range(n)]
-
-
-def _floyd_warshall(n: int, edges: list[tuple[int, int, float]]) -> list[list[float]]:
-    """All-pairs additive costs by Floyd–Warshall, vectorized over rows."""
-    dist = np.full((n, n), np.inf)
-    np.fill_diagonal(dist, 0.0)
-    for i, j, c in edges:
-        dist[i, j] = dist[j, i] = c
-    for k in range(n):
-        np.minimum(dist, dist[:, k, None] + dist[None, k, :], out=dist)
-    unreached = np.isinf(dist).any(axis=1)
-    if unreached.any():
-        raise UnreachableError(f"graph disconnected at node {int(unreached.argmax())}")
-    return dist.tolist()
 
 
 @dataclass(frozen=True)

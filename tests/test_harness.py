@@ -84,6 +84,8 @@ def test_config_round_trip_and_unknown_fields():
         ({"n_e": 16, "metric": ["hop"]}, "metric: ['hop'] is not str"),
         ({"n_e": 16, "graph_params": []}, "graph_params: [] is not dict"),
         ({"n_e": 16, "axiom_check": 1}, "axiom_check: 1 is not bool"),
+        ({"n_e": 9, "graph_model": "grid_torus", "k_override": 2, "seeds": [0, 0]},
+         "seeds: [0, 0] repeats a seed"),
     ],
 )
 def test_cli_report_mistyped_config_field_exits_two(tmp_path, capsys, config, message):
@@ -611,6 +613,23 @@ def test_cli_scheme_edge_endpoint_other_than_a_node_id_exits_two(
         f"graph: edge endpoint {reference!r} is not a node id in [0, 16)"
         in capsys.readouterr().err
     )
+
+
+@pytest.mark.parametrize(
+    "cost, message",
+    [
+        (True, "graph: edge cost True is not a number"),
+        ("1.0", "graph: edge cost '1.0' is not a number"),
+        (None, "graph: edge cost None is not a number"),
+        (10**400, "int too large to convert to float"),
+    ],
+)
+def test_cli_bad_scheme_edge_cost_exits_two(
+    torus_scheme_file, capsys, cost, message
+):
+    rewrite_scheme(torus_scheme_file, lambda doc: doc["graph"]["edges"][0].__setitem__(2, cost))
+    assert main(["eval", "--scheme", torus_scheme_file]) == 2
+    assert f"scheme document: {message}" in capsys.readouterr().err
 
 
 def partial_scheme_without_anchors(doc):

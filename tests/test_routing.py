@@ -533,8 +533,8 @@ def test_replenish_rejects_a_negative_rate():
         replenish(tabs, -1)
 
 
-# Hop and integral costs fill the cost matrix by Floyd–Warshall, uniform
-# costs by Dijkstra rows; capacity is min-composed.
+# Hop, integral and uniform costs are additive, with many ties or none;
+# capacity is min-composed.
 INTEGRAL = EntanglingMetric("integral", Composition.ADDITIVE, lambda rng: float(rng.randint(1, 9)))
 STRETCH_METRICS = [HOP, INTEGRAL, uniform_weight_metric(), capacity_metric()]
 

@@ -1,13 +1,10 @@
 import itertools
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qnroute import topology
-
-from qnroute.errors import NeighborhoodSizeError
+from qnroute.errors import NeighborhoodSizeError, UnreachableError
 from qnroute.metrics import capacity_metric, fold, hop_count_metric, uniform_weight_metric
 from qnroute.topology import (
     ENeighborhood,
@@ -153,7 +150,7 @@ def test_all_pairs_matches_pointwise_queries():
 
 
 # ---------------------------------------------------------------------------
-# The cost matrix: Floyd–Warshall on integral costs, Dijkstra rows otherwise
+# The cost matrix: one relaxation pass, equal to Dijkstra's rows bit for bit
 
 
 @st.composite
@@ -165,6 +162,30 @@ def integral_cost_graphs(draw, min_n: int = 6):
     return graph
 
 
+def one_half_more(draw, graph):
+    i, j, c = draw(st.sampled_from(graph.edges()))
+    graph.add_edge(i, j, c + 0.5)
+
+
+def near_2_pow_50(draw, graph):
+    # on 9 or more nodes a simple path may cost 2**53 or more
+    for i, j, c in graph.edges():
+        graph.add_edge(i, j, 2**50 + c)
+
+
+def uniform_floats(draw, graph):
+    for i, j, _ in graph.edges():
+        graph.add_edge(i, j, draw(st.floats(1e-3, 1e3)))
+
+
+def wide_mix(draw, graph):
+    for i, j, _ in graph.edges():
+        graph.add_edge(i, j, 10.0 ** draw(st.floats(-9, 9)))
+
+
+COST_FAMILIES = [None, one_half_more, near_2_pow_50, uniform_floats, wide_mix]
+
+
 def reference_rows(graph):
     return [
         [dist[j] for j in range(graph.n_e)]
@@ -172,18 +193,33 @@ def reference_rows(graph):
     ]
 
 
-def fill(graph, forbidden: str) -> list[list[float]]:
-    """The cost matrix of ``graph``, failing if the ``forbidden`` pass runs."""
-    with mock.patch.object(topology, forbidden, side_effect=AssertionError(forbidden)):
-        costs = topology.all_pairs_optimal(graph, HOP)
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    graph=integral_cost_graphs(min_n=3),
+    family=st.sampled_from(COST_FAMILIES),
+    data=st.data(),
+)
+def test_cost_matrix_equals_dijkstra_rows(graph, family, data):
+    if family is not None:
+        family(data.draw, graph)
+    costs = all_pairs_optimal(graph, HOP)
     assert all(type(c) is float for row in costs for c in row)
-    return costs
+    assert costs == reference_rows(graph)
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(graph=integral_cost_graphs())
-def test_integral_costs_fill_by_floyd_warshall_equal_to_dijkstra(graph):
-    assert fill(graph, "_dijkstra") == reference_rows(graph)
+def test_long_path_of_mixed_costs_equals_dijkstra_rows():
+    g = path_graph([10.0 ** ((7 * e) % 19 - 9) for e in range(59)])
+    assert all_pairs_optimal(g, HOP) == reference_rows(g)
+
+
+@pytest.mark.parametrize("metric", [HOP, uniform_weight_metric(), MIN])
+def test_disconnected_graph_has_no_cost_matrix(metric):
+    g = NetworkGraph(n_e=5)
+    g.add_edge(0, 1, 1.0)
+    g.add_edge(1, 2, 2.0)
+    g.add_edge(3, 4, 1.5)
+    with pytest.raises(UnreachableError, match="disconnected"):
+        all_pairs_optimal(g, metric)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -203,32 +239,6 @@ def test_integral_fill_gives_dijkstra_witnesses_and_rankings(graph, k):
             assert optimal_cost(graph, HOP, i, j, costs) == (dist[j], route[::-1])
         ranked = sorted((dist[u], u) for u in range(n) if u != i)[:k]
         assert neighborhoods[i] == ENeighborhood(i, tuple((u, c) for c, u in ranked))
-
-
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(graph=integral_cost_graphs(min_n=9), data=st.data())
-def test_one_fractional_cost_takes_dijkstra_rows(graph, data):
-    i, j, c = data.draw(st.sampled_from(graph.edges()))
-    graph.add_edge(i, j, c + 0.5)
-    assert fill(graph, "_floyd_warshall") == reference_rows(graph)
-
-
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(graph=integral_cost_graphs(min_n=9))
-def test_sums_that_may_reach_2_pow_53_take_dijkstra_rows(graph):
-    # costs near 2**50 on 9 or more nodes: a simple path may cost 2**53 or more
-    for i, j, c in graph.edges():
-        graph.add_edge(i, j, 2**50 + c)
-    assert fill(graph, "_floyd_warshall") == reference_rows(graph)
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_sums_below_2_pow_53_keep_floyd_warshall_exact(seed):
-    # on 8 nodes a simple path of costs below 2**50 + 10 stays below 2**53
-    g = generate_graph("erdos_renyi", 8, {"edge_prob": 0.3}, HOP, seed=seed)
-    for i, j, _ in g.edges():
-        g.add_edge(i, j, 2**50 + (3 * i + j) % 9 + 1)
-    assert fill(g, "_dijkstra") == reference_rows(g)
 
 
 def test_e_neighborhood_full_when_k_is_n_minus_one():

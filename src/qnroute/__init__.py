@@ -40,6 +40,7 @@ from .qsearch import (
     analytic_success_probability,
     apply_diffusion,
     apply_oracle,
+    gate_level_distribution,
     init_search,
     instance_from_table,
     iteration_count,

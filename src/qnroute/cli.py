@@ -44,6 +44,11 @@ def _check_node(tables, flag: str, v: int) -> None:
         )
 
 
+def _check_non_negative(flag: str, value: int | None) -> None:
+    if value is not None and value < 0:
+        raise InvalidRequestError(f"{flag} {value}: must be non-negative")
+
+
 def _out_dir(path: str | None) -> str:
     return path or os.environ.get(harness.OUTPUT_DIR_ENV, ".")
 
@@ -82,6 +87,8 @@ def cmd_route(args) -> int:
     from .routing import make_packet, swap_and_replenish
     from .serialize import write_delivery_log
 
+    _check_non_negative("--send", args.send)
+    _check_non_negative("--replenish-rate", args.replenish_rate)
     tables, _, _ = scheme_from_dict(load_json(args.scheme))
     _check_node(tables, "--source", args.source)
     _check_node(tables, "--dest", args.dest)
@@ -158,6 +165,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_qsearch(args) -> int:
+    _check_non_negative("--iterations", args.iterations)
     tables, _, _ = scheme_from_dict(load_json(args.scheme))
     _check_node(tables, "--owner", args.owner)
     _check_node(tables, "--target", args.target)
@@ -171,7 +179,6 @@ def cmd_qsearch(args) -> int:
                 "owner": args.owner,
                 "target": args.target,
                 "iterations": outcome.iterations,
-                "engine": outcome.engine,
                 "measured": outcome.measured,
                 "hit_labels": sorted(outcome.hit_labels),
                 "success_probability": outcome.success_probability,

@@ -45,6 +45,8 @@ from .topology import all_neighborhoods, all_pairs_optimal, generate_graph
 
 OUTPUT_DIR_ENV = "QNROUTE_OUTPUT_DIR"
 SCHEMA_VERSION = 1
+# Owners whose tables a trial's lookup check searches.
+QSEARCH_CHECK_OWNERS = 4
 
 _SCHEMES = {"partial", "full"}
 _ANCHOR_METHODS = {"greedy", "random"}
@@ -295,14 +297,14 @@ def _sample_chain_checks(tables, config: ExperimentConfig, seed: int) -> tuple[i
     return checked, violations
 
 
-def _qsearch_agreement(tables, seed: int, max_pairs: int = 4) -> dict:
+def _qsearch_agreement(tables, seed: int) -> dict:
     """Quantum lookup vs classical mirror on a few owners' tables."""
     rng = stream(seed, "measurement")
     owners = list(range(tables.n_e))
     rng.shuffle(owners)
     checked = agreed = 0
     for owner in owners:
-        if checked >= max_pairs:
+        if checked >= QSEARCH_CHECK_OWNERS:
             break
         table = tables.table(owner)
         if len(table.entries) < 2:

@@ -25,8 +25,10 @@ from .errors import MetricError, UnknownMetricError
 
 AXIOM_TOL = 1e-9
 
-# Above this many checks per axiom family, fall back to seeded sampling.
+# Above this many checks per axiom family, fall back to seeded sampling
+# of AXIOM_SAMPLES checks.
 EXHAUSTIVE_LIMIT = 10**6
+AXIOM_SAMPLES = 2000
 
 
 class Composition(enum.Enum):
@@ -140,7 +142,6 @@ class AxiomReport:
 def check_axioms(
     metric: EntanglingMetric,
     pair_costs: list[list[float]],
-    sample_count: int = 2000,
     seed: int = 0,
 ) -> AxiomReport:
     """Verify the metric axioms on ``pair_costs``, a square matrix of
@@ -204,7 +205,7 @@ def check_axioms(
             checked += 1
             triangle(i, j, k)
     else:
-        for _ in range(sample_count):
+        for _ in range(AXIOM_SAMPLES):
             checked += 1
             triangle(*rng.sample(nodes, 3))
 
@@ -213,7 +214,7 @@ def check_axioms(
             checked += 1
             isotone(i, j, k, l)
     else:
-        for _ in range(sample_count):
+        for _ in range(AXIOM_SAMPLES):
             checked += 1
             isotone(*rng.sample(nodes, 4))
 

@@ -14,10 +14,10 @@ the label register only.
 
 Every lookup runs one engine: a closed form for the exact label marginal in
 plain Python floats, O(n_T + h^2) for h entries that hold the target, so no
-table is too large to search. The gate-level engine materializes the full
-joint statevector (label x all address registers x ancilla) up to a qubit cap
-and is kept as the reference; it is the only user of numpy here, and the two
-agree to numerical precision.
+table is too large to search. ``gate_level_distribution`` materializes the
+full joint statevector (label x all address registers x ancilla) up to a
+qubit cap and is kept as the reference; it is the only user of numpy here,
+and the two agree to numerical precision.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import numpy as np
 from .errors import DimensionCapError, PartitionCountError
 from .rng import stream_seed
 
-DEFAULT_CAP_QUBITS = 22
+CAP_QUBITS = 22
 
 NORM_TOL = 1e-12
 
@@ -161,20 +161,16 @@ class SearchState:
         return float(np.real(ref.conj() @ rho @ ref))
 
 
-def init_search(
-    instance: SearchInstance,
-    cap_qubits: int = DEFAULT_CAP_QUBITS,
-) -> SearchState:
+def init_search(instance: SearchInstance) -> SearchState:
     """Prepare the joint state: equal label superposition over the n_T entry
     labels, each address register in its announced superposition, ancilla in
-    the minus state for phase kickback."""
+    the minus state for phase kickback. An instance wider than
+    ``CAP_QUBITS`` raises ``DimensionCapError``."""
     if instance.n_t < 2:
         raise ValueError("search needs at least 2 entries")
     qubits = instance.total_qubits
-    if qubits > cap_qubits:
-        raise DimensionCapError(
-            f"instance needs {qubits} qubits, cap is {cap_qubits}"
-        )
+    if qubits > CAP_QUBITS:
+        raise DimensionCapError(f"instance needs {qubits} qubits, cap is {CAP_QUBITS}")
 
     n_label = instance.label_width
     label = np.zeros(2**n_label, dtype=np.complex128)
@@ -257,6 +253,18 @@ def apply_diffusion(state: SearchState) -> SearchState:
     state.vector = (2.0 * np.outer(u, proj) - mat).reshape(-1)
     assert abs(state.norm() - 1.0) < NORM_TOL
     return state
+
+
+def gate_level_distribution(
+    instance: SearchInstance, target: int, iterations: int
+) -> list[float]:
+    """The reference engine: the exact label marginal after ``iterations``
+    oracle and diffusion rounds on the full joint statevector."""
+    state = init_search(instance)
+    for _ in range(iterations):
+        apply_oracle(state, target)
+        apply_diffusion(state)
+    return state.label_distribution().tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +351,6 @@ class SearchOutcome:
     hit_labels: frozenset[int]
     success_probability: float
     iterations: int
-    engine: str
 
     def __post_init__(self):
         total = sum(self.distribution)
@@ -362,33 +369,21 @@ def run_search(
     target: int,
     iterations: int | None = None,
     seed: int = 0,
-    engine: str = "reduced",
 ) -> SearchOutcome:
     """Run the amplified lookup and sample one label from the exact marginal.
 
-    ``engine="reduced"`` is the closed form and serves every table;
-    ``"full"`` runs the gate-level statevector instead, as a reference, and
-    raises ``DimensionCapError`` when the joint register exceeds its cap.
-    Both produce the same exact distribution; sampling is seeded and shot
-    noise only enters through the single reported measurement.
+    The marginal is the closed form, which serves every table and equals
+    ``gate_level_distribution`` to numerical precision; sampling is seeded
+    and shot noise only enters through the single reported measurement.
     """
     hits = instance.hit_alphas(target)
     hit_labels = frozenset(label for label, _ in hits)
     if iterations is None:
         iterations = iteration_count(instance.n_t, max(1, len(hits)))
+    elif iterations < 0:
+        raise ValueError(f"iteration count must be non-negative, got {iterations}")
 
-    if engine == "full":
-        state = init_search(instance)
-        for _ in range(iterations):
-            apply_oracle(state, target)
-            apply_diffusion(state)
-        probs = state.label_distribution().tolist()
-    elif engine == "reduced":
-        probs = _reduced_distribution(hits, instance.n_t, iterations)
-    else:
-        raise ValueError(f"unknown engine {engine!r}")
-
-    probs = [max(p, 0.0) for p in probs]
+    probs = [max(p, 0.0) for p in _reduced_distribution(hits, instance.n_t, iterations)]
     total = math.fsum(probs)
     distribution = tuple(p / total for p in probs)
     success = math.fsum(distribution[label] for label in hit_labels)
@@ -398,7 +393,6 @@ def run_search(
         hit_labels=hit_labels,
         success_probability=success,
         iterations=iterations,
-        engine=engine,
     )
 
 

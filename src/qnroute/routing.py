@@ -348,12 +348,8 @@ def _enforce_cap(table: RoutingTable, cap: int) -> None:
 # ---------------------------------------------------------------------------
 # Resolution
 
-def _link_usable(
-    tables: SchemeTables, a: int, b: int, blocked: frozenset[frozenset[int]]
-) -> bool:
-    """A link is usable when no existing endpoint entry is depleted."""
-    if blocked and frozenset((a, b)) in blocked:
-        return False
+def _link_usable(tables: SchemeTables, a: int, b: int) -> bool:
+    """A link is usable when it has an endpoint entry and none is depleted."""
     ea = tables.tables[a]._by_peer.get(b)
     eb = tables.tables[b]._by_peer.get(a)
     if ea is None:
@@ -400,17 +396,13 @@ def _fallback_or_failure(
     )
 
 
-def _case_one(
-    tables: SchemeTables, i: int, d: int, blocked: frozenset
-) -> EntangledPath | None:
-    if d in tables.tables[i]._by_peer and _link_usable(tables, i, d, blocked):
+def _case_one(tables: SchemeTables, i: int, d: int) -> EntangledPath | None:
+    if d in tables.tables[i]._by_peer and _link_usable(tables, i, d):
         return _finish(tables, i, d, [i, d], Case.CASE_I)
     return None
 
 
-def _case_two(
-    tables: SchemeTables, i: int, d: int, blocked: frozenset
-) -> EntangledPath | None:
+def _case_two(tables: SchemeTables, i: int, d: int) -> EntangledPath | None:
     """One repeater through an e-neighbor of the source.
 
     A neighbor qualifies when the target shows up in its mirrored partitions
@@ -425,10 +417,10 @@ def _case_two(
         j = entry.e_hop
         if d not in entry.reach and not (full_anchor and tables.tracked.tracks(j, d)):
             continue
-        if not _link_usable(tables, i, j, blocked):
+        if not _link_usable(tables, i, j):
             continue
         hop = tables.tables[j]._by_peer.get(d)
-        if hop is None or not _link_usable(tables, j, d, blocked):
+        if hop is None or not _link_usable(tables, j, d):
             continue
         candidates.append((compose(metric, entry.cost, hop.cost), j, entry.cost))
     if not candidates:
@@ -437,19 +429,17 @@ def _case_two(
     return _finish(tables, i, d, [i, j, d], Case.CASE_II)
 
 
-def _anchor_hubs_near(tables: SchemeTables, v: int, blocked: frozenset) -> list[int]:
+def _anchor_hubs_near(tables: SchemeTables, v: int) -> list[int]:
     """Usable anchors inside v's e-neighborhood, cheapest first."""
     ranked = [
         (entry.cost, entry.e_hop)
         for entry in tables.tables[v].e_neighbors
-        if entry.anchor_flag and _link_usable(tables, v, entry.e_hop, blocked)
+        if entry.anchor_flag and _link_usable(tables, v, entry.e_hop)
     ]
     return [hop for _, hop in sorted(ranked)]
 
 
-def _case_three(
-    tables: SchemeTables, i: int, d: int, blocked: frozenset
-) -> EntangledPath | str:
+def _case_three(tables: SchemeTables, i: int, d: int) -> EntangledPath | str:
     """Two repeaters over the anchor mesh (partial-anchor scheme).
 
     The entry hub must lie in the source's e-neighborhood and the exit hub in
@@ -462,11 +452,11 @@ def _case_three(
     if i in anchors:
         entry_hubs = [i]
     else:
-        entry_hubs = _anchor_hubs_near(tables, i, blocked)
+        entry_hubs = _anchor_hubs_near(tables, i)
         if not entry_hubs:
             return "no anchor inside source e-neighborhood"
 
-    exit_hubs = list(_anchor_hubs_near(tables, d, blocked))
+    exit_hubs = _anchor_hubs_near(tables, d)
     if d in anchors:
         exit_hubs.append(d)
     if not exit_hubs:
@@ -486,11 +476,7 @@ def _case_three(
                 # a direct artificial link is case I territory; reaching here
                 # means the source-side entry was unusable
                 continue
-            ok = all(
-                _link_usable(tables, a, b, blocked)
-                for a, b in zip(nodes, nodes[1:])
-            )
-            if not ok:
+            if not all(_link_usable(tables, a, b) for a, b in zip(nodes, nodes[1:])):
                 continue
             total = fold(metric, [costs[a][b] for a, b in zip(nodes, nodes[1:])])
             key = (total, tuple(nodes))
@@ -502,25 +488,23 @@ def _case_three(
 
 
 def resolve(
-    tables: SchemeTables,
-    i: int,
-    d: int,
-    blocked: frozenset = frozenset(),
-    allow_fallback: bool = True,
+    tables: SchemeTables, i: int, d: int, allow_fallback: bool = True
 ) -> EntangledPath:
     """Resolve a request through the case ladder: a direct link (case I),
     one repeater (case II), then, in the partial-anchor scheme only, two
-    repeaters over the anchor mesh (case III). A pair no case resolves takes
-    the fallback, or fails when ``allow_fallback`` is off, with its reason."""
+    repeaters over the anchor mesh (case III). Cases I-III take only usable
+    links, so no path they return crosses a depleted entry. A pair no case
+    resolves takes the fallback, or fails when ``allow_fallback`` is off,
+    with its reason."""
     if i == d:
         raise ValueError("source and destination must differ")
-    path = _case_one(tables, i, d, blocked) or _case_two(tables, i, d, blocked)
+    path = _case_one(tables, i, d) or _case_two(tables, i, d)
     if path is not None:
         return path
     if tables.scheme is Scheme.FULL_ANCHOR:
         reason = "no neighbor reaches the target"
     else:
-        outcome = _case_three(tables, i, d, blocked)
+        outcome = _case_three(tables, i, d)
         if isinstance(outcome, EntangledPath):
             return outcome
         reason = outcome
@@ -693,13 +677,16 @@ def swap_and_replenish(
 ) -> DeliveryRecord:
     """Consume one ebit per segment endpoint entry along the path and deliver.
 
-    A depleted segment triggers exactly one re-resolution with that link
-    excluded; if the retry fails too, the delivery fails. A positive
-    ``replenish_rate`` then restores that many ebits per below-budget entry
-    (the control plane's refill step).
+    A path that crosses a depleted link (a stale path, or a fallback) gets
+    exactly one re-resolution without fallback. A depleted link is unusable,
+    so the retry routes around it or fails, and then the delivery fails. A
+    positive ``replenish_rate`` then restores that many ebits per
+    below-budget entry (the control plane's refill step).
     """
     if packet.payload_ebits < 1:
         raise ValueError("packet payload must carry at least one ebit")
+    if replenish_rate < 0:
+        raise ValueError("replenish rate must be non-negative")
     if path.case is Case.FAILURE:
         return DeliveryRecord(
             path=path, consumed=[], success=False, detail=path.reason or "unresolved"
@@ -708,24 +695,13 @@ def swap_and_replenish(
     record = DeliveryRecord(path=path, consumed=[], success=False)
     depleted = _first_depleted_link(tables, path)
     if depleted is not None:
-        retry = resolve(
-            tables,
-            path.source,
-            path.dest,
-            blocked=frozenset({frozenset(depleted)}),
-            allow_fallback=False,
-        )
+        retry = resolve(tables, path.source, path.dest, allow_fallback=False)
         record.retried = True
         if not retry.resolved:
-            record.detail = (
-                f"link {depleted} depleted and retry failed: {retry.reason}"
-            )
+            a, b = depleted
+            record.detail = f"link {a}-{b} depleted and retry failed: {retry.reason}"
             return record
-        path = retry
-        record.path = retry
-        if _first_depleted_link(tables, path) is not None:
-            record.detail = "retried path also depleted"
-            return record
+        path = record.path = retry
 
     for a, b in zip(path.nodes, path.nodes[1:]):
         if _consume_link(tables, a, b):

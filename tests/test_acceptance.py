@@ -27,6 +27,7 @@ from qnroute.qsearch import (
     analytic_success_probability,
     apply_diffusion,
     apply_oracle,
+    gate_level_distribution,
     init_search,
     make_instance,
     routing_lookup_via_search,
@@ -230,12 +231,13 @@ def _single_hit_instance(n_t: int, alpha: float, width: int = 7):
 
 def test_c08_amplified_lookup_exactness_full_statevector():
     inst = make_instance([[{3}], [{0}], [{1}], [{2}]], address_width=2)
-    out = run_search(inst, 3, iterations=1, engine="full")
-    assert out.success_probability == pytest.approx(1.0, abs=TOL)
+    probs = gate_level_distribution(inst, 3, 1)
+    assert sum(probs[label] for label in inst.hit_labels(3)) == pytest.approx(1.0, abs=TOL)
 
     mixed = make_instance([[{0, 1}], [{3, 2}], [{0, 2}], [{1, 2}]], address_width=2)
-    out_mixed = run_search(mixed, 3, iterations=1, engine="full")
-    assert out_mixed.success_probability == pytest.approx(0.625, abs=TOL)
+    probs_mixed = gate_level_distribution(mixed, 3, 1)
+    success_mixed = sum(probs_mixed[label] for label in mixed.hit_labels(3))
+    assert success_mixed == pytest.approx(0.625, abs=TOL)
     print(
         "\nC8 PASS single-hit success 1.0 (branch weight 1) and 0.625 "
         "(branch weight 1/2), exact statevector"
@@ -264,7 +266,7 @@ def test_c10_analytic_model_agreement():
         for alpha in (0.25, 0.5, 1.0):
             inst, target = _single_hit_instance(n_t, alpha)
             for iters in (1, 2, 3):
-                exact = run_search(inst, target, iterations=iters, engine="reduced")
+                exact = run_search(inst, target, iterations=iters)
                 model = analytic_success_probability(n_t, alpha, 1, iters)
                 assert exact.success_probability == pytest.approx(model, abs=TOL)
 
@@ -292,7 +294,7 @@ def test_c10_analytic_model_agreement():
     ]
     for n_t, per, hits, iters in fixtures:
         inst, target = multi_hit(n_t, per, hits)
-        exact = run_search(inst, target, iterations=iters, engine="reduced")
+        exact = run_search(inst, target, iterations=iters)
         model = analytic_success_probability(n_t, 1 / per, hits, iters)
         assert exact.success_probability == pytest.approx(model, abs=0.05)
     print(
@@ -319,7 +321,7 @@ def test_c11_success_non_decreasing_in_partition_count():
                     partition_neighborhood(filler_pool[e * 4 : e * 4 + 8], f)
                 )
             inst = make_instance(entries, address_width=5)
-            out = run_search(inst, target, iterations=1, engine="reduced")
+            out = run_search(inst, target, iterations=1)
             probs.append(out.success_probability)
         assert probs == sorted(probs), f"seed {trial_seed}: {probs}"
         assert probs[-1] > probs[0]

@@ -1,6 +1,8 @@
+import csv
 import json
 import math
 import os
+import re
 from dataclasses import asdict
 
 import pytest
@@ -336,6 +338,27 @@ def test_cli_route_send_writes_delivery_log(tmp_path, monkeypatch):
         assert fields[5] in {"0", "1"}
 
 
+def test_cli_delivery_log_with_retries_keeps_ten_fields_per_row(tmp_path, monkeypatch):
+    # one ebit per entry: after the first delivery the case III path is
+    # depleted, so every later request takes a fallback whose retry fails and
+    # names the depleted link in its detail
+    monkeypatch.chdir(tmp_path)
+    main(["generate", "--model", "grid_torus", "--n-e", "16",
+          "--metric", "hop", "--seed", "0", "--out", "net.graph"])
+    main(["cluster", "--graph", "net.graph", "--scheme", "partial",
+          "--k", "3", "--ebit-budget", "1", "--out", "scheme.json"])
+    assert main(["route", "--scheme", "scheme.json", "--source", "0", "--dest", "10",
+                 "--send", "20", "--delivery-log", "dl.csv"]) == 0
+    with open("dl.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert rows[0][6] == "retried"
+    assert all(len(row) == 10 for row in rows)
+    retried = [row for row in rows[1:] if row[6] == "1"]
+    assert retried
+    assert all(re.fullmatch(r"link \d+-\d+ depleted and retry failed: .+", row[9])
+               for row in retried)
+
+
 def send_totals(scheme: str, source: int, dest: int, send: int, capsys) -> tuple[str, int, int]:
     """``route --send``'s totals line and the totals summed from its delivery log."""
     argv = ["route", "--scheme", scheme, "--source", str(source), "--dest", str(dest),
@@ -506,6 +529,25 @@ def torus_scheme_file(tmp_path, monkeypatch):
 def test_cli_rejects_unknown_or_repeated_nodes(torus_scheme_file, capsys, argv, message):
     assert main([*argv[:1], "--scheme", torus_scheme_file, *argv[1:]]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["route", "--source", "0", "--dest", "10", "--send", "-1"], "--send -1"),
+        (["route", "--source", "0", "--dest", "10", "--send", "2",
+          "--replenish-rate", "-1"], "--replenish-rate -1"),
+        (["qsearch", "--owner", "0", "--target", "5", "--iterations", "-1"],
+         "--iterations -1"),
+    ],
+)
+def test_cli_rejects_negative_counts(torus_scheme_file, capsys, argv, message):
+    capsys.readouterr()
+    assert main([*argv[:1], "--scheme", torus_scheme_file, *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert f"error: {message}: must be non-negative" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 def test_cli_missing_scheme_file_exits_two(tmp_path, capsys):

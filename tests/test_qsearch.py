@@ -16,10 +16,12 @@ from qnroute.qsearch import (
     analytic_success_probability,
     apply_diffusion,
     apply_oracle,
+    gate_level_distribution,
     init_search,
     instance_from_table,
     iteration_count,
     make_instance,
+    measure,
     partition_neighborhood,
     routing_lookup_via_search,
     run_search,
@@ -109,7 +111,7 @@ def test_non_power_of_two_entry_count():
 def test_dimension_cap_error_names_required_qubits():
     inst = make_instance([[set(range(8))] for _ in range(8)], address_width=8)
     with pytest.raises(DimensionCapError) as err:
-        init_search(inst, cap_qubits=20)
+        init_search(inst)
     assert str(inst.total_qubits) in str(err.value)
 
 
@@ -253,20 +255,25 @@ def test_absent_target_leaves_uniform_distribution():
 def test_reduced_engine_matches_full_engine():
     inst = tiny_mixed_instance()
     for iters in (1, 2, 3):
-        full = run_search(inst, 3, iterations=iters, engine="full", seed=5)
-        reduced = run_search(inst, 3, iterations=iters, engine="reduced", seed=5)
-        assert np.allclose(full.distribution, reduced.distribution, atol=1e-12)
-        assert full.measured == reduced.measured
+        full = gate_level_distribution(inst, 3, iters)
+        reduced = run_search(inst, 3, iterations=iters, seed=5)
+        assert np.allclose(full, reduced.distribution, atol=1e-12)
+        assert measure(full, 5) == reduced.measured
 
 
 def test_multi_hit_engines_agree():
     inst = make_instance(
         [[{3, 0}], [{3, 1}], [{0, 1}], [{1, 2}]], address_width=2
     )
-    full = run_search(inst, 3, iterations=1, engine="full", seed=2)
-    reduced = run_search(inst, 3, iterations=1, engine="reduced", seed=2)
-    assert full.hit_labels == frozenset({0, 1})
-    assert np.allclose(full.distribution, reduced.distribution, atol=1e-12)
+    full = gate_level_distribution(inst, 3, 1)
+    reduced = run_search(inst, 3, iterations=1, seed=2)
+    assert reduced.hit_labels == frozenset({0, 1})
+    assert np.allclose(full, reduced.distribution, atol=1e-12)
+
+
+def test_negative_iteration_count_rejected():
+    with pytest.raises(ValueError, match="non-negative"):
+        run_search(tiny_mixed_instance(), 3, iterations=-3)
 
 
 def test_runs_are_deterministic_given_seed():
@@ -361,13 +368,11 @@ def test_multi_hit_success_probability_matches_full_engine(n_t, f, width, seed):
     rng = random.Random(seed)
     inst, target = random_instance(rng, n_t, rng.randint(2, n_t), f, width=width)
     for iterations in (1, 2, 3):
-        full = run_search(inst, target, iterations=iterations, engine="full")
+        full = gate_level_distribution(inst, target, iterations)
         closed = run_search(inst, target, iterations=iterations)
-        assert closed.engine == "reduced"
-        assert closed.success_probability == pytest.approx(
-            full.success_probability, abs=1e-9
-        )
-        assert np.max(np.abs(np.subtract(closed.distribution, full.distribution))) <= 1e-12
+        full_success = sum(full[label] for label in inst.hit_labels(target))
+        assert closed.success_probability == pytest.approx(full_success, abs=1e-9)
+        assert np.max(np.abs(np.subtract(closed.distribution, full))) <= 1e-12
 
 
 def test_table_with_more_than_twenty_hits_is_searched():
@@ -438,7 +443,7 @@ def test_single_hit_exact_matches_analytic_on_grid(n_t, alpha, iters):
     hit_members = set(range(32, 32 + per))  # contains target 32
     others = [[set(range(idx * 2, idx * 2 + 2))] for idx in range(n_t - 1)]
     inst = make_instance([[hit_members]] + others, address_width=width)
-    out = run_search(inst, 32, iterations=iters, engine="reduced")
+    out = run_search(inst, 32, iterations=iters)
     expected = analytic_success_probability(n_t, alpha, 1, iters)
     assert out.success_probability == pytest.approx(expected, abs=1e-9)
 
@@ -456,7 +461,7 @@ def test_success_probability_non_decreasing_in_partition_count():
             partition_neighborhood(filler, f) for _ in range(3)
         ]
         inst = make_instance(entries, address_width=4)
-        out = run_search(inst, 8, iterations=1, engine="reduced")
+        out = run_search(inst, 8, iterations=1)
         probs.append(out.success_probability)
     assert probs == sorted(probs)
     assert probs[-1] > probs[0]

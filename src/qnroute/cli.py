@@ -49,10 +49,6 @@ def _check_non_negative(flag: str, value: int | None) -> None:
         raise InvalidRequestError(f"{flag} {value}: must be non-negative")
 
 
-def _out_dir(path: str | None) -> str:
-    return path or os.environ.get(harness.OUTPUT_DIR_ENV, ".")
-
-
 def cmd_generate(args) -> int:
     metric = metric_by_name(args.metric, **_parse_params(args.metric_param))
     graph = generate_graph(
@@ -146,7 +142,7 @@ def cmd_route(args) -> int:
 def cmd_eval(args) -> int:
     tables, _, _ = scheme_from_dict(load_json(args.scheme))
     evaluation = evaluate_all_pairs(tables)
-    out_dir = _out_dir(args.out_dir)
+    out_dir = harness.resolve_output_dir(args.out_dir)
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, args.prefix + "_pairs.csv")
     harness.write_pairs_csv(csv_path, [(tables.seed, evaluation.rows)])
@@ -210,7 +206,7 @@ def cmd_report(args) -> int:
     for line in harness.assertion_lines(report):
         print(line)
     csv_path = os.path.join(
-        config.resolved_output_dir(), config.name + "_pairs.csv"
+        harness.resolve_output_dir(config.output_dir), config.name + "_pairs.csv"
     )
     print(f"outputs: {csv_path}, {config.name}_summary.json and {config.name}_timings.json")
     return 0 if report.passed else 1

@@ -48,6 +48,12 @@ SCHEMA_VERSION = 1
 # Owners whose tables a trial's lookup check searches.
 QSEARCH_CHECK_OWNERS = 4
 
+
+def resolve_output_dir(path: str | None) -> str:
+    """``path``, else ``$QNROUTE_OUTPUT_DIR``, else the working directory."""
+    return path or os.environ.get(OUTPUT_DIR_ENV, ".")
+
+
 _SCHEMES = {"partial", "full"}
 _ANCHOR_METHODS = {"greedy", "random"}
 
@@ -120,9 +126,6 @@ class ExperimentConfig:
         if self.k_override is not None:
             return self.k_override
         return neighborhood_size(self.n_e, self.m)
-
-    def resolved_output_dir(self) -> str:
-        return self.output_dir or os.environ.get(OUTPUT_DIR_ENV, ".")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -472,7 +475,7 @@ def write_report(report: StretchReport) -> tuple[str, str]:
     and the ``<name>_timings.json`` sidecar with each trial's wall time."""
     from .serialize import dump_json
 
-    out_dir = report.config.resolved_output_dir()
+    out_dir = resolve_output_dir(report.config.output_dir)
     os.makedirs(out_dir, exist_ok=True)
     base = os.path.join(out_dir, report.config.name)
     csv_path = base + "_pairs.csv"

@@ -437,7 +437,6 @@ def routing_lookup_via_search(
     tables,
     owner: int,
     target: int,
-    iterations: int | None = None,
     seed: int = 0,
     repeats: int = 1,
 ) -> LookupResult:
@@ -452,12 +451,7 @@ def routing_lookup_via_search(
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
     instance = instance_from_table(tables.table(owner), tables.plan)
-    outcome = run_search(
-        instance,
-        target,
-        iterations=iterations,
-        seed=stream_seed(seed, "attempt:0"),
-    )
+    outcome = run_search(instance, target, seed=stream_seed(seed, "attempt:0"))
     measured: list[int] = []
     for attempt in range(repeats):
         label = outcome.measured if attempt == 0 else measure(

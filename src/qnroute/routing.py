@@ -62,7 +62,6 @@ class TableEntry:
     cost: float
     ebits: int
     partitions: tuple[frozenset[int], ...]
-    anchor_flag: bool
     origin: Origin
 
     @functools.cached_property
@@ -77,8 +76,11 @@ class RoutingTable:
     """One node's entries in table order, indexed by peer.
 
     ``entries`` keeps insertion order; search labels are positions in it.
-    ``add`` and ``drop`` are its only writers: they keep the peer index and
-    ``e_neighbors``, the e-neighbor entries in table order, in step with it.
+    ``add`` is its only writer: it keeps the peer index and ``e_neighbors``,
+    the e-neighbor entries in table order, in step with it. ``build_tables``
+    puts the e-neighbor entries first, in ``(cost, id)`` order, and no entry
+    is ever removed, so ``e_neighbors`` stays in that order; the case ladder
+    relies on it to rank hubs.
     """
 
     owner: int
@@ -106,14 +108,6 @@ class RoutingTable:
         self._by_peer[entry.e_hop] = entry
         if entry.origin is Origin.E_NEIGHBOR:
             self.e_neighbors.append(entry)
-
-    def drop(self, peer: int) -> TableEntry:
-        """Remove and return the entry for ``peer``; later entries move up."""
-        entry = self._by_peer.pop(peer)
-        self.entries.remove(entry)
-        if entry.origin is Origin.E_NEIGHBOR:
-            self.e_neighbors.remove(entry)
-        return entry
 
     def find(self, peer: int) -> TableEntry | None:
         return self._by_peer.get(peer)
@@ -251,9 +245,11 @@ def build_tables(
     """Populate every node's routing table for one scheme.
 
     Partial-anchor requires ``anchors``; full-anchor requires ``tracked``
-    with assignments. The default capacity cap of 4k never evicts e-neighbor
-    entries; when a table overflows, reverse-neighbor entries are dropped
-    costliest-first and recorded in the table's dropped list.
+    with assignments. Each table lists its e-neighbor entries in ``(cost,
+    id)`` order, then reverse-neighbor entries, then long-range entries, each
+    peer once. Only a table over the capacity cap (default 4k) evicts, and
+    only reverse-neighbor entries, costliest first; they are recorded in the
+    table's dropped list.
     ``pair_costs`` is the trial's ``all_pairs_optimal`` matrix; the returned
     tables keep it for resolution and fallback.
     """
@@ -273,34 +269,21 @@ def build_tables(
             reverse_of[peer].append(nb.owner)
     mirrors: dict[int, tuple[frozenset[int], ...]] = {}
 
-    def entry(peer: int, cost: float, origin: Origin) -> TableEntry:
-        # In the full-anchor scheme every node plays the hub role.
-        anchor_flag = scheme is Scheme.FULL_ANCHOR or peer in anchor_ids
-        if peer not in mirrors:
-            mirrors[peer] = partition_neighborhood(by_owner[peer].member_ids, f)
-        return TableEntry(
-            e_hop=peer,
-            cost=cost,
-            ebits=ebit_budget,
-            partitions=mirrors[peer],
-            anchor_flag=anchor_flag,
-            origin=origin,
-        )
+    def make_entries(peers: list[tuple[float, int]], origin: Origin) -> list[TableEntry]:
+        for _, peer in peers:
+            if peer not in mirrors:
+                mirrors[peer] = partition_neighborhood(by_owner[peer].member_ids, f)
+        return [
+            TableEntry(peer, cost, ebit_budget, mirrors[peer], origin) for cost, peer in peers
+        ]
 
     tables: list[RoutingTable] = []
     for v in range(graph.n_e):
-        table = RoutingTable(owner=v)
         row = pair_costs[v]
-
-        forward = sorted(by_owner[v].members, key=lambda mc: (mc[1], mc[0]))
-        for peer, cost in forward:
-            table.add(entry(peer, cost, Origin.E_NEIGHBOR))
-
-        reverse_owners = sorted(
-            (row[u], u) for u in reverse_of[v] if table.find(u) is None
-        )
-        for cost, peer in reverse_owners:
-            table.add(entry(peer, cost, Origin.REVERSE_NEIGHBOR))
+        held = {v, *by_owner[v].member_ids}
+        forward = sorted((cost, peer) for peer, cost in by_owner[v].members)
+        reverse = sorted((row[u], u) for u in reverse_of[v] if u not in held)
+        held.update(u for _, u in reverse)
 
         if scheme is Scheme.PARTIAL_ANCHOR and v in anchor_ids:
             long_range, origin = sorted(anchor_ids), Origin.ANCHOR_LINK
@@ -308,12 +291,20 @@ def build_tables(
             long_range, origin = tracked.tracked_by(v), Origin.TRACKED_LINK
         else:
             long_range, origin = (), None
-        for peer in long_range:
-            if peer != v and table.find(peer) is None:
-                table.add(entry(peer, row[peer], origin))
+        far = [(row[u], u) for u in long_range if u not in held]
 
-        _enforce_cap(table, cap)
-        tables.append(table)
+        # fairness policy: over the cap, evict reverse-neighbor entries,
+        # costliest first; ``reverse`` is in (cost, id) order
+        keep = max(0, cap - len(forward) - len(far))
+        evicted = reverse[keep:][::-1]
+        del reverse[keep:]
+        tables.append(RoutingTable(
+            owner=v,
+            entries=make_entries(forward, Origin.E_NEIGHBOR)
+            + make_entries(reverse, Origin.REVERSE_NEIGHBOR)
+            + make_entries(far, origin),
+            dropped=[(u, "capacity") for _, u in evicted],
+        ))
 
     return SchemeTables(
         scheme=scheme,
@@ -330,21 +321,6 @@ def build_tables(
     )
 
 
-def _enforce_cap(table: RoutingTable, cap: int) -> None:
-    if len(table.entries) <= cap:
-        return
-    # fairness policy: evict reverse-neighbor entries, costliest first
-    reverses = sorted(
-        (e for e in table.entries if e.origin is Origin.REVERSE_NEIGHBOR),
-        key=lambda e: (-e.cost, -e.e_hop),
-    )
-    for entry in reverses:
-        if len(table.entries) <= cap:
-            break
-        table.drop(entry.e_hop)
-        table.dropped.append((entry.e_hop, "capacity"))
-
-
 # ---------------------------------------------------------------------------
 # Resolution
 
@@ -358,14 +334,15 @@ def _link_usable(tables: SchemeTables, a: int, b: int) -> bool:
 
 
 def _finish(
-    tables: SchemeTables, i: int, d: int, nodes: list[int], case: Case
+    tables: SchemeTables, i: int, d: int, repeaters: tuple[int, ...], cost: float,
+    case: Case,
 ) -> EntangledPath:
-    costs = tables.pair_costs
+    """The path through ``repeaters`` at the ``cost`` its case composed."""
     return EntangledPath(
         source=i,
         dest=d,
-        repeaters=tuple(nodes[1:-1]),
-        total_cost=fold(tables.metric, (costs[a][b] for a, b in zip(nodes, nodes[1:]))),
+        repeaters=repeaters,
+        total_cost=cost,
         optimal=tables.optimal(i, d),
         case=case,
     )
@@ -398,7 +375,7 @@ def _fallback_or_failure(
 
 def _case_one(tables: SchemeTables, i: int, d: int) -> EntangledPath | None:
     if d in tables.tables[i]._by_peer and _link_usable(tables, i, d):
-        return _finish(tables, i, d, [i, d], Case.CASE_I)
+        return _finish(tables, i, d, (), tables.pair_costs[i][d], Case.CASE_I)
     return None
 
 
@@ -412,7 +389,7 @@ def _case_two(tables: SchemeTables, i: int, d: int) -> EntangledPath | None:
     """
     metric = tables.metric
     full_anchor = tables.scheme is Scheme.FULL_ANCHOR
-    candidates: list[tuple[float, int, float]] = []
+    best: tuple[float, int] | None = None
     for entry in tables.tables[i].e_neighbors:
         j = entry.e_hop
         if d not in entry.reach and not (full_anchor and tables.tracked.tracks(j, d)):
@@ -422,21 +399,24 @@ def _case_two(tables: SchemeTables, i: int, d: int) -> EntangledPath | None:
         hop = tables.tables[j]._by_peer.get(d)
         if hop is None or not _link_usable(tables, j, d):
             continue
-        candidates.append((compose(metric, entry.cost, hop.cost), j, entry.cost))
-    if not candidates:
+        key = (compose(metric, entry.cost, hop.cost), j)
+        if best is None or key < best:
+            best = key
+    if best is None:
         return None
-    _, j, _ = min(candidates, key=lambda c: (c[0], c[1]))
-    return _finish(tables, i, d, [i, j, d], Case.CASE_II)
+    cost, j = best
+    return _finish(tables, i, d, (j,), cost, Case.CASE_II)
 
 
 def _anchor_hubs_near(tables: SchemeTables, v: int) -> list[int]:
-    """Usable anchors inside v's e-neighborhood, cheapest first."""
-    ranked = [
-        (entry.cost, entry.e_hop)
+    """Anchors inside v's e-neighborhood whose link to v is usable, in table
+    order, which is ``(cost, id)`` order."""
+    anchors = tables.anchors.members
+    return [
+        entry.e_hop
         for entry in tables.tables[v].e_neighbors
-        if entry.anchor_flag and _link_usable(tables, v, entry.e_hop)
+        if entry.e_hop in anchors and _link_usable(tables, v, entry.e_hop)
     ]
-    return [hop for _, hop in sorted(ranked)]
 
 
 def _case_three(tables: SchemeTables, i: int, d: int) -> EntangledPath | str:
@@ -446,6 +426,11 @@ def _case_three(tables: SchemeTables, i: int, d: int) -> EntangledPath | str:
     the target's; those memberships are what make the stretch chain sound.
     A missing entry hub or exit hub is a coverage failure and is returned as
     a reason string for the fallback path.
+
+    The hub lists already hold only usable source-to-entry-hub and
+    exit-hub-to-target links, and no ebit changes here, so each candidate
+    tests just its hub-to-hub link (the whole middle segment when a hub is
+    an endpoint).
     """
     anchors = tables.anchors.members
 
@@ -476,14 +461,15 @@ def _case_three(tables: SchemeTables, i: int, d: int) -> EntangledPath | str:
                 # a direct artificial link is case I territory; reaching here
                 # means the source-side entry was unusable
                 continue
-            if not all(_link_usable(tables, a, b) for a, b in zip(nodes, nodes[1:])):
+            if l != k and not _link_usable(tables, l, k):
                 continue
             total = fold(metric, [costs[a][b] for a, b in zip(nodes, nodes[1:])])
             key = (total, tuple(nodes))
             if best is None or key < best:
                 best = key
         if best is not None:
-            return _finish(tables, i, d, list(best[1]), Case.CASE_III)
+            total, nodes = best
+            return _finish(tables, i, d, nodes[1:-1], total, Case.CASE_III)
     return "anchor mesh links unusable"
 
 

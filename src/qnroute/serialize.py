@@ -116,6 +116,8 @@ def _read_scheme(doc: dict) -> tuple[SchemeTables, str, dict]:
         # float() would read true or "1.0" as a cost
         if type(c) not in (int, float):
             raise ValueError(f"graph: edge cost {c!r} is not a number")
+        if graph.has_edge(i, j):
+            raise ValueError(f"graph: edge {i}-{j} is listed twice")
         graph.add_edge(i, j, float(c))
     metric = metric_by_name(config.metric, **config.metric_params)
     tables, _ = build_scheme(config, graph, metric, doc["seed"])

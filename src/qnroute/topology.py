@@ -93,8 +93,9 @@ def save_graph(graph: NetworkGraph, path: str) -> None:
 def load_graph(path: str) -> NetworkGraph:
     """Read the text format written by ``save_graph``.
 
-    An unreadable file raises ``InputFileError``; a bad header or edge line
-    raises ``GraphFileError`` naming the line.
+    An unreadable file raises ``InputFileError``; a bad header or edge line,
+    or an edge listed twice in either orientation, raises ``GraphFileError``
+    naming the line.
     """
     try:
         fh = open(path)
@@ -112,6 +113,8 @@ def load_graph(path: str) -> NetworkGraph:
                     i, j = int(i), int(j)
                     if not (0 <= i < graph.n_e and 0 <= j < graph.n_e):
                         raise ValueError(f"node ids must lie in [0, {graph.n_e})")
+                    if graph.has_edge(i, j):
+                        raise ValueError(f"edge {i}-{j} is listed twice")
                     graph.add_edge(i, j, float(c))
             except ValueError as err:
                 raise GraphFileError(f"{path}:{lineno}: {err}") from None

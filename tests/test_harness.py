@@ -567,6 +567,8 @@ def test_cli_missing_scheme_file_exits_two(tmp_path, capsys):
         ("n_e 4\n0 1 1.0\n1 2 inf\n2 3 1.0\n", ":3: link costs must be positive and finite, got inf"),
         ("n_e 4\n0 1 1.0\n1 2 nan\n2 3 1.0\n", ":3: link costs must be positive and finite, got nan"),
         ("n_e 4\n0 1 0\n", ":2: link costs must be positive and finite, got 0.0"),
+        ("n_e 3\n0 1 1.0\n1 2 1.0\n0 1 5.0\n", ":4: edge 0-1 is listed twice"),
+        ("n_e 3\n0 1 1.0\n1 2 1.0\n1 0 5.0\n", ":4: edge 1-0 is listed twice"),
     ],
 )
 def test_cli_malformed_graph_file_exits_two(tmp_path, capsys, body, message):
@@ -674,6 +676,16 @@ def test_cli_bad_scheme_edge_cost_exits_two(
     assert f"scheme document: {message}" in capsys.readouterr().err
 
 
+def repeated_edge(doc):
+    i, j, _ = doc["graph"]["edges"][0]
+    doc["graph"]["edges"].append([i, j, 7.0])
+
+
+def reversed_repeated_edge(doc):
+    i, j, _ = doc["graph"]["edges"][0]
+    doc["graph"]["edges"].append([j, i, 7.0])
+
+
 def partial_scheme_without_anchors(doc):
     as_full_scheme(doc)
     doc["scheme"] = "partial"
@@ -690,6 +702,8 @@ def full_scheme_with_anchors(doc):
         (lambda doc: doc.update(scheme="ring"), "'ring' is not a valid Scheme"),
         (zero_cost_edge, "link costs must be positive"),
         (infinite_cost_edge, "link costs must be positive and finite, got inf"),
+        (repeated_edge, "graph: edge 0-1 is listed twice"),
+        (reversed_repeated_edge, "graph: edge 1-0 is listed twice"),
         (partial_scheme_without_anchors, "missing field 'anchor_method'"),
         (full_scheme_with_anchors, "anchor_method: a full scheme elects no anchors"),
         (lambda doc: doc.update(k=16), "k 16: must be in [1, 16)"),

@@ -20,7 +20,7 @@ from qnroute.qsearch import (
     routing_lookup_via_search,
     run_search,
 )
-from qnroute.routing import Origin, TableEntry
+from qnroute.routing import Origin, RoutingTable, TableEntry
 from qnroute.serialize import scheme_from_dict, scheme_to_dict
 from qnroute.topology import generate_graph
 
@@ -127,8 +127,9 @@ def test_lookup_sees_drop_and_add(scheme):
     assert routing_lookup_via_search(tabs, owner, target, seed=1).success_probability > 0
 
     holders = [e for e in table.entries if target in e.reach]
-    for entry in holders:
-        table.drop(entry.e_hop)
+    table = tabs.tables[owner] = RoutingTable(
+        owner, [e for e in table.entries if target not in e.reach]
+    )
     missed = routing_lookup_via_search(tabs, owner, target, seed=1, repeats=4)
     assert not missed.found
     assert missed.success_probability == 0.0
@@ -161,8 +162,8 @@ def test_read_back_entries_share_one_mirror_per_peer(scheme, f, capacity_cap):
 def test_single_partition_reach_is_that_partition():
     part = frozenset({1, 4, 6})
     one = TableEntry(e_hop=2, cost=1.0, ebits=4, partitions=(part,),
-                     anchor_flag=False, origin=Origin.E_NEIGHBOR)
+                     origin=Origin.E_NEIGHBOR)
     assert one.reach is part
     two = TableEntry(e_hop=2, cost=1.0, ebits=4, partitions=(part, frozenset({3})),
-                     anchor_flag=False, origin=Origin.E_NEIGHBOR)
+                     origin=Origin.E_NEIGHBOR)
     assert two.reach == {1, 3, 4, 6}

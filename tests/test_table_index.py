@@ -44,6 +44,17 @@ def assert_index_matches_entries(tabs) -> None:
         assert all(a is b for a, b in zip(table.e_neighbors, expected))
 
 
+def assert_e_neighbors_lead_in_cost_order(tabs) -> None:
+    """The case ladder ranks hubs by this order; run after
+    ``assert_index_matches_entries``, which pins ``e_neighbors`` to the
+    e-neighbor entries."""
+    for table in tabs.tables:
+        leading = table.entries[: len(table.e_neighbors)]
+        assert all(a is b for a, b in zip(table.e_neighbors, leading))
+        keys = [(e.cost, e.e_hop) for e in table.e_neighbors]
+        assert keys == sorted(keys)
+
+
 def build(model: str, scheme: str, capacity_cap: int | None):
     n, params = GRAPHS[model]
     graph = generate_graph(model, n, params, HOP, seed=2)
@@ -58,9 +69,11 @@ def test_index_matches_linear_scan(model, scheme, capacity_cap):
     if capacity_cap is not None:
         assert any(t.dropped for t in tabs.tables), "the small cap must evict"
     assert_index_matches_entries(tabs)
+    assert_e_neighbors_lead_in_cost_order(tabs)
 
     again, _, _ = scheme_from_dict(scheme_to_dict(tabs, "hop"))
     assert_index_matches_entries(again)
+    assert_e_neighbors_lead_in_cost_order(again)
     for before, after in zip(tabs.tables, again.tables):
         assert [e.e_hop for e in after.entries] == [e.e_hop for e in before.entries]
 
@@ -101,13 +114,3 @@ def test_add_rejects_second_entry_for_peer():
         RoutingTable(owner=0, entries=[table.entries[0], table.entries[0]])
 
 
-def test_drop_keeps_index_and_order():
-    tabs = build("grid_torus", "partial", None)
-    table = tabs.table(0)
-    order = [e.e_hop for e in table.entries]
-    first = table.e_neighbors[0]
-    assert table.drop(first.e_hop) is first
-    assert table.find(first.e_hop) is None
-    assert [e.e_hop for e in table.entries] == [p for p in order if p != first.e_hop]
-    assert first not in table.e_neighbors
-    assert_index_matches_entries(tabs)

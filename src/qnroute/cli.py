@@ -153,6 +153,7 @@ def cmd_eval(args) -> int:
         "case_counts": dict(evaluation.case_counts),
         "fallback_fraction": evaluation.fallback_fraction,
         "failure_fraction": evaluation.failure_fraction,
+        "fallback_reasons": dict(evaluation.fallback_reasons),
     }
     json_path = os.path.join(out_dir, args.prefix + "_summary.json")
     dump_json(summary, json_path)

@@ -12,6 +12,7 @@ every wall-clock measurement.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import time
@@ -172,6 +173,8 @@ class TrialResult:
     qsearch_agreement: dict | None
     axiom_report: dict | None
     runtime_s: float
+    fallback_reasons: dict = field(default_factory=dict)
+    stage_s: dict = field(repr=False, default_factory=dict)
     rows: list = field(repr=False, default_factory=list)
 
 
@@ -199,7 +202,7 @@ class StretchReport:
                 {
                     k: v
                     for k, v in asdict(replace(t, rows=[])).items()
-                    if k not in ("rows", "runtime_s")
+                    if k not in ("rows", "runtime_s", "stage_s")
                 }
                 for t in self.trials
             ],
@@ -328,17 +331,34 @@ def _qsearch_agreement(tables, seed: int) -> dict:
     return {"checked": checked, "agreed": agreed}
 
 
-def run_trial(config: ExperimentConfig, seed: int) -> TrialResult:
+@contextlib.contextmanager
+def _stage(stage_s: dict, name: str):
+    """Record the wall time of the ``with`` body as ``stage_s[name]``."""
     start = time.perf_counter()
-    tables, coverage = build_scheme_for_trial(config, seed)
-    evaluation = evaluate_all_pairs(tables)
-    chain_checked, chain_violations = _sample_chain_checks(tables, config, seed)
-    qsearch_stats = _qsearch_agreement(tables, seed) if config.qsearch_check else None
+    yield
+    stage_s[name] = time.perf_counter() - start
+
+
+def run_trial(config: ExperimentConfig, seed: int) -> TrialResult:
+    """One seed through the pipeline; ``stage_s`` holds each stage's wall time."""
+    start = time.perf_counter()
+    stage_s: dict[str, float] = {}
+    with _stage(stage_s, "build"):
+        tables, coverage = build_scheme_for_trial(config, seed)
+    with _stage(stage_s, "all_pairs"):
+        evaluation = evaluate_all_pairs(tables)
+    with _stage(stage_s, "chain_replay"):
+        chain_checked, chain_violations = _sample_chain_checks(tables, config, seed)
+    qsearch_stats = None
+    if config.qsearch_check:
+        with _stage(stage_s, "lookup_check"):
+            qsearch_stats = _qsearch_agreement(tables, seed)
     axiom_doc = None
     if config.axiom_check:
-        report = check_axioms(
-            tables.metric, tables.pair_costs, seed=stream_seed(seed, "axioms")
-        )
+        with _stage(stage_s, "axiom_check"):
+            report = check_axioms(
+                tables.metric, tables.pair_costs, seed=stream_seed(seed, "axioms")
+            )
         axiom_doc = {
             "passed": report.passed,
             "checked": report.checked_triples,
@@ -359,6 +379,8 @@ def run_trial(config: ExperimentConfig, seed: int) -> TrialResult:
         qsearch_agreement=qsearch_stats,
         axiom_report=axiom_doc,
         runtime_s=time.perf_counter() - start,
+        fallback_reasons=dict(evaluation.fallback_reasons),
+        stage_s=stage_s,
         rows=evaluation.rows,
     )
 
@@ -472,7 +494,8 @@ def run_experiment(config: ExperimentConfig, write_outputs: bool = True) -> Stre
 
 def write_report(report: StretchReport) -> tuple[str, str]:
     """Write the per-pair CSV and the summary JSON, whose paths it returns,
-    and the ``<name>_timings.json`` sidecar with each trial's wall time."""
+    and the ``<name>_timings.json`` sidecar with each trial's wall time, in
+    all and per stage."""
     from .serialize import dump_json
 
     out_dir = resolve_output_dir(report.config.output_dir)
@@ -486,7 +509,10 @@ def write_report(report: StretchReport) -> tuple[str, str]:
     dump_json(
         {
             "schema_version": SCHEMA_VERSION,
-            "trials": [{"seed": t.seed, "runtime_s": t.runtime_s} for t in report.trials],
+            "trials": [
+                {"seed": t.seed, "runtime_s": t.runtime_s, "stage_s": t.stage_s}
+                for t in report.trials
+            ],
         },
         base + "_timings.json",
     )

@@ -19,15 +19,18 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import math
 import statistics
 from collections import Counter
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .addressing import AddressPlan, QuantumAddress
 from .clustering import AnchorSet, Scheme, TrackedSets
 from .errors import ChainViolationError, DepletedLinkError, DuplicateEntryError
-from .metrics import EntanglingMetric, compose, fold
+from .metrics import Composition, EntanglingMetric, compose, fold
 from .qsearch import partition_neighborhood
 from .topology import ENeighborhood, NetworkGraph, optimal_cost
 
@@ -503,7 +506,10 @@ def resolve(
 
 @dataclass
 class PairEvaluation:
-    """Aggregate of resolving every ordered pair once."""
+    """Aggregate of resolving every ordered pair once.
+
+    ``fallback_reasons`` counts the ``EntangledPath.reason`` of every pair
+    that took the fallback or failed."""
 
     rows: list[tuple[int, int, str, float, float, float]]
     case_counts: Counter
@@ -512,6 +518,7 @@ class PairEvaluation:
     max_stretch_with_fallback: float
     fallback_fraction: float
     failure_fraction: float
+    fallback_reasons: Counter
 
     @property
     def resolved_pairs(self) -> int:
@@ -520,30 +527,163 @@ class PairEvaluation:
         )
 
 
+class _BatchLadder:
+    """The case ladder from one source to every target at once.
+
+    ``evaluate_all_pairs`` debits no ebit, so each case is a fixed masked
+    (min, +) or (min, min) reduction over matrices built once per call from
+    the tables as they stand, rows by owner and columns by peer: ``cost``
+    holds each entry's cost, ``held`` whether it exists, and ``usable`` is
+    ``_link_usable`` for every pair (its diagonal is False, as no table holds
+    its owner). Only totals are reduced: candidates that tie share their
+    total, so the scalar tie rules cannot change a row.
+    """
+
+    def __init__(self, tables: SchemeTables):
+        n = tables.n_e
+        self.tables = tables
+        self.op = np.add if tables.metric.composition is Composition.ADDITIVE else np.minimum
+        self.pair = np.array(tables.pair_costs, dtype=float)
+        at = ([], [])
+        costs, low, forward = [], [], []
+        for a, table in enumerate(tables.tables):
+            for entry in table.entries:
+                at[0].append(a)
+                at[1].append(entry.e_hop)
+                costs.append(entry.cost)
+                low.append(entry.ebits < 1)
+                forward.append(entry.origin is Origin.E_NEIGHBOR)
+        self.cost = np.full((n, n), math.inf)
+        self.cost[at] = costs
+        self.held = np.zeros((n, n), bool)
+        self.held[at] = True
+        depleted = np.zeros((n, n), bool)
+        depleted[at] = low
+        self.usable = (self.held | self.held.T) & ~(depleted | depleted.T)
+
+        self.tracked = None
+        if tables.scheme is Scheme.FULL_ANCHOR:
+            self.tracked = np.zeros((n, n), bool)
+            for v in range(n):
+                self.tracked[v, list(tables.tracked.tracked_by(v))] = True
+            return
+        # exit[d, c]: anchor ``hubs[c]`` is an exit hub of target d, i.e. an
+        # anchor e-neighbor of d over a usable link, or d itself
+        self.hubs = np.array(sorted(tables.anchors.members), dtype=np.intp)
+        self.column = {hub: c for c, hub in enumerate(self.hubs.tolist())}
+        self.is_hub = np.zeros(n, bool)
+        self.is_hub[self.hubs] = True
+        e_neighbor = np.zeros((n, n), bool)
+        e_neighbor[at] = forward
+        self.exit = e_neighbor[:, self.hubs] & self.usable[:, self.hubs]
+        self.exit[self.hubs, np.arange(len(self.hubs))] = True
+        self.from_hub = self.pair[self.hubs].T.copy()  # from_hub[d, c] = pair[hubs[c], d]
+
+    def run(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """Each target's case code (1-3 for cases I-III, 0 where no case
+        resolves it, -1 at ``i`` itself) and its composed cost."""
+        n = self.tables.n_e
+        code = np.zeros(n, np.int8)
+        total = np.zeros(n)
+        code[i] = -1
+
+        direct = self.held[i] & self.usable[i]
+        code[direct] = 1
+        total[direct] = self.pair[i, direct]
+
+        hops = [e for e in self.tables.tables[i].e_neighbors if self.usable[i, e.e_hop]]
+        if hops:
+            j = np.array([e.e_hop for e in hops], dtype=np.intp)
+            ok = np.zeros((len(hops), n), bool)
+            ok[
+                np.repeat(np.arange(len(hops)), [len(e.reach) for e in hops]),
+                np.fromiter(itertools.chain.from_iterable(e.reach for e in hops), np.intp),
+            ] = True
+            if self.tracked is not None:
+                ok |= self.tracked[j]
+            ok &= self.held[j] & self.usable[j]
+            via = np.where(ok, self.op(self.cost[i, j][:, None], self.cost[j]), math.inf)
+            two = ok.any(0) & (code == 0)
+            code[two] = 2
+            total[two] = via.min(0)[two]
+
+        if self.tracked is None:
+            self._case_three(i, code, total)
+        return code, total
+
+    def _case_three(self, i: int, code: np.ndarray, total: np.ndarray) -> None:
+        """``_case_three`` for every target still open, entry hub by entry
+        hub in table order: a hub resolves each target it has a path for."""
+        tables, op, pair, usable, hubs = self.tables, self.op, self.pair, self.usable, self.hubs
+        if self.is_hub[i]:
+            entry_hubs = [i]
+        else:
+            entry_hubs = [
+                e.e_hop for e in tables.tables[i].e_neighbors
+                if self.is_hub[e.e_hop] and usable[i, e.e_hop]
+            ]
+        open_ = np.flatnonzero(code == 0)
+        for l in entry_hubs:
+            if not open_.size:
+                return
+            exit_ = self.exit[open_]
+            # four-node paths i-l-k-d: k = l drops out by ``usable``'s false
+            # diagonal and k = d by the last mask; either is the three-node
+            # path i-l-d below, or, with l = i, a direct link, which case
+            # III never takes
+            valid = exit_ & usable[l, hubs] & (hubs != open_[:, None])
+            first = pair[i, hubs] if l == i else op(pair[i, l], pair[l, hubs])
+            best = np.where(valid, op(first, self.from_hub[open_]), math.inf).min(1)
+            found = valid.any(1)
+            if l != i:
+                # composed without the zero diagonal: min(x, 0) is not x
+                three = exit_[:, self.column[l]] | (self.is_hub[open_] & usable[l, open_])
+                best = np.where(three, np.minimum(best, op(pair[i, l], pair[l, open_])), best)
+                found |= three
+            code[open_[found]] = 3
+            total[open_[found]] = best[found]
+            open_ = open_[~found]
+
+
+# each ``_BatchLadder.run`` code's case name, the ``Case`` value itself, so
+# rows share one string object per case; codes 0 and -1 are overwritten
+_BATCH_CASE_NAMES = ("", Case.CASE_I.value, Case.CASE_II.value, Case.CASE_III.value)
+
+
 def evaluate_all_pairs(tables: SchemeTables) -> PairEvaluation:
     """Resolve every ordered pair once; fallback pairs are excluded from the
-    stretch figures and reported separately."""
+    stretch figures and reported separately.
+
+    Cases I-III run as one batched pass per source (``_BatchLadder``); each
+    pair it leaves open goes to ``resolve``, which gives its fallback path
+    and reason. ``resolve`` stays the reference the pass is tested against.
+    """
+    ladder = _BatchLadder(tables)
     rows = []
-    case_counts: Counter = Counter()
-    stretches: list[float] = []
-    all_stretches: list[float] = []
+    reasons: Counter = Counter()
     n = tables.n_e
-    total = 0
     for i in range(n):
-        for d in range(n):
-            if i == d:
-                continue
-            total += 1
+        codes, costs = ladder.run(i)
+        # rows carry Python floats, whose repr the CSV writes
+        ratios = np.divide(costs, ladder.pair[i], out=np.ones(n), where=ladder.pair[i] != 0)
+        names = [_BATCH_CASE_NAMES[c] for c in codes.tolist()]
+        source_rows = list(zip(
+            itertools.repeat(i), range(n), names, costs.tolist(), tables.pair_costs[i],
+            ratios.tolist(),
+        ))
+        for d in np.flatnonzero(codes == 0).tolist():
             path = resolve(tables, i, d)
-            case = path.case
-            case_counts[case.value] += 1
-            stretch = path.stretch
-            if path.resolved:
-                stretches.append(stretch)
-                all_stretches.append(stretch)
-            elif case is Case.FALLBACK:
-                all_stretches.append(stretch)
-            rows.append((i, d, case.value, path.total_cost, path.optimal, stretch))
+            source_rows[d] = (i, d, path.case.value, path.total_cost, path.optimal, path.stretch)
+            if not path.resolved:
+                reasons[path.reason] += 1
+        del source_rows[i]
+        rows.extend(source_rows)
+    case_counts = Counter(row[2] for row in rows)
+    resolved = {c.value for c in (Case.CASE_I, Case.CASE_II, Case.CASE_III)}
+    failure = Case.FAILURE.value
+    stretches = [row[5] for row in rows if row[2] in resolved]
+    all_stretches = [row[5] for row in rows if row[2] != failure]
+    total = len(rows)
     return PairEvaluation(
         rows=rows,
         case_counts=case_counts,
@@ -552,6 +692,7 @@ def evaluate_all_pairs(tables: SchemeTables) -> PairEvaluation:
         max_stretch_with_fallback=max(all_stretches) if all_stretches else 0.0,
         fallback_fraction=case_counts[Case.FALLBACK.value] / total if total else 0.0,
         failure_fraction=case_counts[Case.FAILURE.value] / total if total else 0.0,
+        fallback_reasons=reasons,
     )
 
 

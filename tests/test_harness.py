@@ -145,7 +145,28 @@ def test_wall_time_goes_to_the_timings_sidecar(tmp_path):
     assert [t["seed"] for t in timings["trials"]] == [0, 1, 2]
     assert [t["runtime_s"] for t in timings["trials"]] == [t.runtime_s for t in report.trials]
     summary = json.loads((tmp_path / "torus16_summary.json").read_text())
-    assert all("runtime_s" not in t for t in summary["trials"])
+    assert all("runtime_s" not in t and "stage_s" not in t for t in summary["trials"])
+    # one wall time per stage that ran, inside the trial's
+    run_experiment(torus_config(output_dir=str(tmp_path / "checks"), qsearch_check=True,
+                                axiom_check=True))
+    checked = json.loads((tmp_path / "checks" / "torus16_timings.json").read_text())
+    for doc, stages in ((timings, set()), (checked, {"lookup_check", "axiom_check"})):
+        for t in doc["trials"]:
+            assert set(t["stage_s"]) == {"build", "all_pairs", "chain_replay"} | stages
+            assert all(s >= 0 for s in t["stage_s"].values())
+            assert sum(t["stage_s"].values()) <= t["runtime_s"]
+
+
+def test_summary_counts_the_reason_of_every_fallback(tmp_path):
+    # random anchors leave some neighborhoods without a hub
+    run_experiment(torus_config(output_dir=str(tmp_path), anchor_method="random"))
+    doc = json.loads((tmp_path / "torus16_summary.json").read_text())
+    for trial in doc["trials"]:
+        reasons = trial["fallback_reasons"]
+        assert set(reasons) == {
+            "no anchor inside source e-neighborhood", "no anchor inside target e-neighborhood",
+        }
+        assert sum(reasons.values()) == trial["case_counts"]["fallback"]
 
 
 def test_summary_json_carries_schema_version_and_note(tmp_path):
@@ -162,7 +183,7 @@ def test_summary_trials_hold_every_field_but_rows(tmp_path):
     report = run_experiment(config)
     assert report.trials[0].rows
     expected = [
-        {k: v for k, v in asdict(t).items() if k not in ("rows", "runtime_s")}
+        {k: v for k, v in asdict(t).items() if k not in ("rows", "runtime_s", "stage_s")}
         for t in report.trials
     ]
     assert report.summary_dict()["trials"] == expected
@@ -314,6 +335,10 @@ def test_eval_writes_the_report_csv_of_the_cluster_seed(tmp_path, monkeypatch, s
     csv = (tmp_path / "eval_pairs.csv").read_bytes()
     assert csv == (tmp_path / "report_pairs.csv").read_bytes()
     assert csv.splitlines()[2].startswith(f"{seed},0,1,".encode())
+    trial = json.loads((tmp_path / "report_summary.json").read_text())["trials"][0]
+    summary = json.loads((tmp_path / "eval_summary.json").read_text())
+    assert summary["fallback_reasons"] == trial["fallback_reasons"]
+    assert summary["case_counts"] == trial["case_counts"]
 
 
 def test_cli_route_send_writes_delivery_log(tmp_path, monkeypatch):

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import math
@@ -10,7 +11,13 @@ from hypothesis import strategies as st
 
 from qnroute.addressing import AddressPlan
 from qnroute.errors import ChainViolationError
-from qnroute.harness import ExperimentConfig, build_scheme_for_trial
+from qnroute.harness import (
+    ExperimentConfig,
+    build_scheme,
+    build_scheme_for_trial,
+    run_experiment,
+    write_pairs_csv,
+)
 from qnroute.metrics import (
     Composition,
     EntanglingMetric,
@@ -257,6 +264,88 @@ def test_stretch_never_below_one():
         for _, _, case, _, _, stretch in ev.rows:
             if case in ("I", "II", "III"):
                 assert stretch >= 1.0 - 1e-12
+
+
+def deplete(tabs, share: float, seed: int) -> None:
+    """Set a seeded ``share`` of all entries to 0 ebits."""
+    rng = random.Random(seed)
+    for table in tabs.tables:
+        for entry in table.entries:
+            if rng.random() < share:
+                entry.ebits = 0
+
+
+@st.composite
+def ladder_tables(draw):
+    """Built schemes over every metric composition, both schemes, greedy and
+    random anchors, f of 1 or 2, with or without a cap that evicts, and a
+    random share of entries at 0 ebits."""
+    metric = draw(st.sampled_from([HOP, uniform_weight_metric(), capacity_metric()]))
+    graph = draw(small_graphs(metric))
+    scheme, anchors = draw(st.sampled_from([("partial", "greedy"), ("partial", "random"),
+                                            ("full", "greedy")]))
+    k = draw(st.integers(2, 4))
+    config = ExperimentConfig(
+        n_e=graph.n_e, scheme=scheme, anchor_method=anchors, k_override=k,
+        f=draw(st.integers(1, 2)), capacity_cap=draw(st.sampled_from([None, k])),
+    )
+    tabs = build_scheme(config, graph, metric, draw(st.integers(0, 2**16)))[0]
+    deplete(tabs, draw(st.sampled_from([0.0, 0.15, 0.5])), draw(st.integers(0, 2**16)))
+    return tabs
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(tabs=ladder_tables())
+def test_all_pairs_rows_equal_the_scalar_ladder(tabs):
+    # ``resolve`` per ordered pair is the reference for the batched pass
+    paths = [resolve(tabs, i, d) for i in range(tabs.n_e) for d in range(tabs.n_e) if i != d]
+    ev = evaluate_all_pairs(tabs)
+    expected = [(p.source, p.dest, p.case.value, p.total_cost, p.optimal, p.stretch)
+                for p in paths]
+    assert repr(ev.rows) == repr(expected)
+    assert ev.case_counts == Counter(p.case.value for p in paths)
+    assert ev.fallback_reasons == Counter(p.reason for p in paths if not p.resolved)
+
+
+def depleted_pairs_csv(out_dir):
+    """Write the per-pair CSV of a partial (seed 0) and a full (seed 1) scheme
+    with 15% of their entries at 0 ebits; return its path."""
+    trials = []
+    for seed, scheme in ((0, "partial"), (1, "full")):
+        config = ExperimentConfig(n_e=48, graph_params={"edge_prob": 0.15}, scheme=scheme,
+                                  k_override=5)
+        tabs, _ = build_scheme_for_trial(config, seed)
+        deplete(tabs, 0.15, seed)
+        trials.append((seed, evaluate_all_pairs(tabs).rows))
+    path = out_dir / "depleted_pairs.csv"
+    write_pairs_csv(path, trials)
+    return path
+
+
+def report_pairs_csv(out_dir, **fields):
+    """Run a two-seed report; return the path of its per-pair CSV."""
+    run_experiment(ExperimentConfig(seeds=[0, 1], chain_samples=20, name="pinned",
+                                    output_dir=str(out_dir), **fields))
+    return out_dir / "pinned_pairs.csv"
+
+
+# Digests taken from the per-pair evaluation before it was batched.
+@pytest.mark.parametrize(
+    "write, expected",
+    [
+        (functools.partial(report_pairs_csv, n_e=48, graph_model="barabasi_albert",
+                           graph_params={"attach": 2}, metric="capacity", k_override=4),
+         "3990dd8e19668a4426bdb00cd378e571cff37fc4357ab63626452a9ec46550e3"),
+        (functools.partial(report_pairs_csv, n_e=64, graph_model="waxman", metric="uniform",
+                           anchor_method="random", k_override=5, capacity_cap=6),
+         "bc0741059993154e969066fde068d431cfd32d97f362834e4c7eb00f479d255d"),
+        (depleted_pairs_csv,
+         "b302871d50f68c4cccb3f43940e9e80b09e668df123b9c33cb3bcdc6043c28ac"),
+    ],
+    ids=["capacity", "random-anchors", "depleted"],
+)
+def test_pairs_csv_bytes_are_pinned(tmp_path, write, expected):
+    assert hashlib.sha256(write(tmp_path).read_bytes()).hexdigest() == expected
 
 
 def test_table_scaling_ratio_bounded():

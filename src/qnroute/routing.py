@@ -23,6 +23,7 @@ import itertools
 import math
 import statistics
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,11 +59,11 @@ class TableEntry:
 
     ``partitions`` are disjoint and union to the peer's e-neighborhood; they
     mirror the superposed address registers the peer announces. An entry with
-    zero ebits is unusable for swapping until replenished.
+    zero ebits is unusable for swapping until replenished. The link's cost is
+    the pair's entry in ``SchemeTables.pair_costs``.
     """
 
     e_hop: int
-    cost: float
     ebits: int
     partitions: tuple[frozenset[int], ...]
     origin: Origin
@@ -83,12 +84,13 @@ class RoutingTable:
     the e-neighbor entries in table order, in step with it. ``build_tables``
     puts the e-neighbor entries first, in ``(cost, id)`` order, and no entry
     is ever removed, so ``e_neighbors`` stays in that order; the case ladder
-    relies on it to rank hubs.
+    relies on it to rank hubs. ``dropped`` holds the peers the capacity cap
+    evicted.
     """
 
     owner: int
     entries: list[TableEntry] = field(default_factory=list)
-    dropped: list[tuple[int, str]] = field(default_factory=list)
+    dropped: list[int] = field(default_factory=list)
     e_neighbors: list[TableEntry] = field(
         init=False, default_factory=list, repr=False, compare=False
     )
@@ -155,9 +157,6 @@ class SchemeTables:
 
     def table(self, v: int) -> RoutingTable:
         return self.tables[v]
-
-    def optimal(self, i: int, j: int) -> float:
-        return self.pair_costs[i][j]
 
 
 @dataclass(frozen=True)
@@ -248,11 +247,11 @@ def build_tables(
     """Populate every node's routing table for one scheme.
 
     Partial-anchor requires ``anchors``; full-anchor requires ``tracked``
-    with assignments. Each table lists its e-neighbor entries in ``(cost,
-    id)`` order, then reverse-neighbor entries, then long-range entries, each
-    peer once. Only a table over the capacity cap (default 4k) evicts, and
-    only reverse-neighbor entries, costliest first; they are recorded in the
-    table's dropped list.
+    with assignments. Each table lists its e-neighbor entries in their
+    neighborhood's ``(cost, id)`` order, then reverse-neighbor entries, then
+    long-range entries, each peer once. Only a table over the capacity cap
+    (default 4k) evicts, and only reverse-neighbor entries, costliest first;
+    their peers are recorded in the table's dropped list.
     ``pair_costs`` is the trial's ``all_pairs_optimal`` matrix; the returned
     tables keep it for resolution and fallback.
     """
@@ -268,25 +267,23 @@ def build_tables(
     anchor_ids = anchors.members if anchors is not None else frozenset()
     reverse_of: dict[int, list[int]] = {v: [] for v in range(graph.n_e)}
     for nb in neighborhoods:
-        for peer, _ in nb.members:
+        for peer in nb.members:
             reverse_of[peer].append(nb.owner)
     mirrors: dict[int, tuple[frozenset[int], ...]] = {}
 
-    def make_entries(peers: list[tuple[float, int]], origin: Origin) -> list[TableEntry]:
-        for _, peer in peers:
+    def make_entries(peers: Sequence[int], origin: Origin) -> list[TableEntry]:
+        for peer in peers:
             if peer not in mirrors:
                 mirrors[peer] = partition_neighborhood(by_owner[peer].member_ids, f)
-        return [
-            TableEntry(peer, cost, ebit_budget, mirrors[peer], origin) for cost, peer in peers
-        ]
+        return [TableEntry(peer, ebit_budget, mirrors[peer], origin) for peer in peers]
 
     tables: list[RoutingTable] = []
     for v in range(graph.n_e):
         row = pair_costs[v]
         held = {v, *by_owner[v].member_ids}
-        forward = sorted((cost, peer) for peer, cost in by_owner[v].members)
-        reverse = sorted((row[u], u) for u in reverse_of[v] if u not in held)
-        held.update(u for _, u in reverse)
+        forward = by_owner[v].members
+        reverse = sorted((u for u in reverse_of[v] if u not in held), key=lambda u: (row[u], u))
+        held.update(reverse)
 
         if scheme is Scheme.PARTIAL_ANCHOR and v in anchor_ids:
             long_range, origin = sorted(anchor_ids), Origin.ANCHOR_LINK
@@ -294,7 +291,7 @@ def build_tables(
             long_range, origin = tracked.tracked_by(v), Origin.TRACKED_LINK
         else:
             long_range, origin = (), None
-        far = [(row[u], u) for u in long_range if u not in held]
+        far = [u for u in long_range if u not in held]
 
         # fairness policy: over the cap, evict reverse-neighbor entries,
         # costliest first; ``reverse`` is in (cost, id) order
@@ -306,7 +303,7 @@ def build_tables(
             entries=make_entries(forward, Origin.E_NEIGHBOR)
             + make_entries(reverse, Origin.REVERSE_NEIGHBOR)
             + make_entries(far, origin),
-            dropped=[(u, "capacity") for _, u in evicted],
+            dropped=evicted,
         ))
 
     return SchemeTables(
@@ -346,7 +343,7 @@ def _finish(
         dest=d,
         repeaters=repeaters,
         total_cost=cost,
-        optimal=tables.optimal(i, d),
+        optimal=tables.pair_costs[i][d],
         case=case,
     )
 
@@ -361,7 +358,7 @@ def _fallback_or_failure(
             dest=d,
             repeaters=tuple(nodes[1:-1]),
             total_cost=cost,
-            optimal=tables.optimal(i, d),
+            optimal=tables.pair_costs[i][d],
             case=Case.FALLBACK,
             reason=reason,
         )
@@ -370,7 +367,7 @@ def _fallback_or_failure(
         dest=d,
         repeaters=(),
         total_cost=math.inf,
-        optimal=tables.optimal(i, d),
+        optimal=tables.pair_costs[i][d],
         case=Case.FAILURE,
         reason=reason,
     )
@@ -390,7 +387,7 @@ def _case_two(tables: SchemeTables, i: int, d: int) -> EntangledPath | None:
     e-neighbors of the source keep the bound: the first segment's cost is
     then at most the optimal source-target cost.
     """
-    metric = tables.metric
+    metric, costs = tables.metric, tables.pair_costs
     full_anchor = tables.scheme is Scheme.FULL_ANCHOR
     best: tuple[float, int] | None = None
     for entry in tables.tables[i].e_neighbors:
@@ -399,10 +396,9 @@ def _case_two(tables: SchemeTables, i: int, d: int) -> EntangledPath | None:
             continue
         if not _link_usable(tables, i, j):
             continue
-        hop = tables.tables[j]._by_peer.get(d)
-        if hop is None or not _link_usable(tables, j, d):
+        if d not in tables.tables[j]._by_peer or not _link_usable(tables, j, d):
             continue
-        key = (compose(metric, entry.cost, hop.cost), j)
+        key = (compose(metric, costs[i][j], costs[j][d]), j)
         if best is None or key < best:
             best = key
     if best is None:
@@ -451,6 +447,7 @@ def _case_three(tables: SchemeTables, i: int, d: int) -> EntangledPath | str:
         return "no anchor inside target e-neighborhood"
 
     metric, costs = tables.metric, tables.pair_costs
+    reason = "source anchor holds no usable entry for the target"
     for l in entry_hubs:
         best: tuple[float, tuple[int, ...]] | None = None
         for k in exit_hubs:
@@ -462,8 +459,10 @@ def _case_three(tables: SchemeTables, i: int, d: int) -> EntangledPath | str:
             nodes.append(d)
             if len(nodes) == 2:
                 # a direct artificial link is case I territory; reaching here
-                # means the source-side entry was unusable
+                # means the source-side entry was unusable, and when every
+                # candidate is one, no mesh link is tested
                 continue
+            reason = "anchor mesh links unusable"
             if l != k and not _link_usable(tables, l, k):
                 continue
             total = fold(metric, [costs[a][b] for a, b in zip(nodes, nodes[1:])])
@@ -473,7 +472,7 @@ def _case_three(tables: SchemeTables, i: int, d: int) -> EntangledPath | str:
         if best is not None:
             total, nodes = best
             return _finish(tables, i, d, nodes[1:-1], total, Case.CASE_III)
-    return "anchor mesh links unusable"
+    return reason
 
 
 def resolve(
@@ -532,11 +531,11 @@ class _BatchLadder:
 
     ``evaluate_all_pairs`` debits no ebit, so each case is a fixed masked
     (min, +) or (min, min) reduction over matrices built once per call from
-    the tables as they stand, rows by owner and columns by peer: ``cost``
-    holds each entry's cost, ``held`` whether it exists, and ``usable`` is
-    ``_link_usable`` for every pair (its diagonal is False, as no table holds
-    its owner). Only totals are reduced: candidates that tie share their
-    total, so the scalar tie rules cannot change a row.
+    the tables as they stand, rows by owner and columns by peer: ``held``
+    holds whether an entry exists and ``usable`` is ``_link_usable`` for
+    every pair (its diagonal is False, as no table holds its owner); every
+    cost is read from ``pair``. Only totals are reduced: candidates that tie
+    share their total, so the scalar tie rules cannot change a row.
     """
 
     def __init__(self, tables: SchemeTables):
@@ -545,16 +544,13 @@ class _BatchLadder:
         self.op = np.add if tables.metric.composition is Composition.ADDITIVE else np.minimum
         self.pair = np.array(tables.pair_costs, dtype=float)
         at = ([], [])
-        costs, low, forward = [], [], []
+        low, forward = [], []
         for a, table in enumerate(tables.tables):
             for entry in table.entries:
                 at[0].append(a)
                 at[1].append(entry.e_hop)
-                costs.append(entry.cost)
                 low.append(entry.ebits < 1)
                 forward.append(entry.origin is Origin.E_NEIGHBOR)
-        self.cost = np.full((n, n), math.inf)
-        self.cost[at] = costs
         self.held = np.zeros((n, n), bool)
         self.held[at] = True
         depleted = np.zeros((n, n), bool)
@@ -602,7 +598,7 @@ class _BatchLadder:
             if self.tracked is not None:
                 ok |= self.tracked[j]
             ok &= self.held[j] & self.usable[j]
-            via = np.where(ok, self.op(self.cost[i, j][:, None], self.cost[j]), math.inf)
+            via = np.where(ok, self.op(self.pair[i, j][:, None], self.pair[j]), math.inf)
             two = ok.any(0) & (code == 0)
             code[two] = 2
             total[two] = via.min(0)[two]

@@ -435,10 +435,11 @@ def all_pairs_optimal(graph: NetworkGraph, metric: EntanglingMetric) -> list[lis
 
 @dataclass(frozen=True)
 class ENeighborhood:
-    """The k cheapest-to-entangle peers of one node, with their optimal costs."""
+    """The k cheapest-to-entangle peers of one node, in ``(cost, id)``
+    order; their costs are read from the pair-cost matrix."""
 
     owner: int
-    members: tuple[tuple[int, float], ...]
+    members: tuple[int, ...]
 
     @property
     def k(self) -> int:
@@ -446,7 +447,7 @@ class ENeighborhood:
 
     @functools.cached_property
     def member_ids(self) -> frozenset[int]:
-        return frozenset(m for m, _ in self.members)
+        return frozenset(self.members)
 
 
 def all_neighborhoods(
@@ -463,9 +464,10 @@ def all_neighborhoods(
         raise NeighborhoodSizeError(f"k={k} must be smaller than n_e={n}")
     out = []
     for v, row in enumerate(pair_costs):
-        # The owner costs 0 and every other node more, so it ranks first.
+        # The owner costs 0 and every other node more, so it ranks first;
+        # nsmallest is stable, so ties keep ascending id order.
         ranked = heapq.nsmallest(k + 1, range(n), key=row.__getitem__)
-        members = tuple((u, row[u]) for u in ranked if u != v)[:k]
+        members = tuple(u for u in ranked if u != v)[:k]
         out.append(ENeighborhood(owner=v, members=members))
     return out
 

@@ -27,7 +27,7 @@ HOP = hop_count_metric()
 
 def full_neighborhoods(n: int) -> list[ENeighborhood]:
     return [
-        ENeighborhood(owner=v, members=tuple((u, 1.0) for u in range(n) if u != v))
+        ENeighborhood(owner=v, members=tuple(u for u in range(n) if u != v))
         for v in range(n)
     ]
 

@@ -109,7 +109,7 @@ def test_capacity_cap_drops_reverse_entries_with_report():
     hub = tabs.table(0)
     assert len(hub) <= 3
     assert hub.dropped
-    assert all(reason == "capacity" for _, reason in hub.dropped)
+    assert all(hub.find(peer) is None for peer in hub.dropped)
     # e-neighbor entries are never evicted
     assert any(e.origin is Origin.E_NEIGHBOR for e in hub.entries)
 
@@ -119,7 +119,7 @@ def test_reverse_consistency_without_cap_pressure():
     metric = uniform_weight_metric()
     tabs = build_partial_scheme(g, metric, k=5, capacity_cap=10**9)
     for nb in tabs.neighborhoods:
-        for peer, _cost in nb.members:
+        for peer in nb.members:
             assert tabs.table(nb.owner).find(peer) is not None
             back = tabs.table(peer).find(nb.owner)
             assert back is not None
@@ -169,6 +169,37 @@ def test_anchor_source_gets_tighter_bound():
                 path = resolve(tabs, i, d)
                 if path.case is Case.CASE_III:
                     assert path.stretch <= 3.0 + 1e-9
+
+
+def torus_random_anchor_scheme(metric: str):
+    config = ExperimentConfig(n_e=36, graph_model="grid_torus", metric=metric,
+                              anchor_method="random", k_override=5)
+    return build_scheme_for_trial(config, 0)[0]
+
+
+def test_case_three_names_a_source_anchor_without_an_entry_for_the_target():
+    # anchor 2's cap evicted its entry for 21, and 21's only exit hub is 2
+    # itself, so every case III candidate is the direct link and no mesh
+    # link is tested
+    tabs = torus_random_anchor_scheme("capacity")
+    assert 2 in tabs.anchors.members and 21 in tabs.table(2).dropped
+    path = resolve(tabs, 2, 21)
+    assert path.case is Case.FALLBACK
+    assert path.reason == "source anchor holds no usable entry for the target"
+    assert evaluate_all_pairs(tabs).fallback_reasons == Counter({path.reason: 15})
+
+
+def test_case_three_names_the_anchor_mesh_when_a_tested_mesh_link_is_unusable():
+    tabs = torus_random_anchor_scheme("hop")
+    assert resolve(tabs, 0, 13).nodes == (0, 2, 12, 13)
+    anchors = tabs.anchors.members
+    for a in anchors:
+        for entry in tabs.table(a).entries:
+            if entry.e_hop in anchors:
+                entry.ebits = 0
+    path = resolve(tabs, 0, 13)
+    assert path.case is Case.FALLBACK
+    assert path.reason == "anchor mesh links unusable"
 
 
 def test_self_resolution_rejected():

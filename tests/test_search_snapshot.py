@@ -161,9 +161,8 @@ def test_read_back_entries_share_one_mirror_per_peer(scheme, f, capacity_cap):
 
 def test_single_partition_reach_is_that_partition():
     part = frozenset({1, 4, 6})
-    one = TableEntry(e_hop=2, cost=1.0, ebits=4, partitions=(part,),
-                     origin=Origin.E_NEIGHBOR)
+    one = TableEntry(e_hop=2, ebits=4, partitions=(part,), origin=Origin.E_NEIGHBOR)
     assert one.reach is part
-    two = TableEntry(e_hop=2, cost=1.0, ebits=4, partitions=(part, frozenset({3})),
+    two = TableEntry(e_hop=2, ebits=4, partitions=(part, frozenset({3})),
                      origin=Origin.E_NEIGHBOR)
     assert two.reach == {1, 3, 4, 6}

@@ -51,7 +51,8 @@ def assert_e_neighbors_lead_in_cost_order(tabs) -> None:
     for table in tabs.tables:
         leading = table.entries[: len(table.e_neighbors)]
         assert all(a is b for a, b in zip(table.e_neighbors, leading))
-        keys = [(e.cost, e.e_hop) for e in table.e_neighbors]
+        row = tabs.pair_costs[table.owner]
+        keys = [(row[e.e_hop], e.e_hop) for e in table.e_neighbors]
         assert keys == sorted(keys)
 
 

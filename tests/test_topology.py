@@ -134,11 +134,13 @@ def test_witness_is_the_dijkstra_parent_route(model, n, params, metric):
 def test_neighborhoods_from_pair_costs_match_per_node_ranking(model, n, params, metric):
     g = generate_graph(model, n, params, metric, seed=3)
     k = 6
-    shared = all_neighborhoods(g, k, all_pairs_optimal(g, metric))
+    costs = all_pairs_optimal(g, metric)
+    shared = all_neighborhoods(g, k, costs)
     for v in range(n):
         dist, _ = reference_dijkstra(g, v)
         ranked = sorted((c, u) for u, c in dist.items() if u != v)[:k]
-        assert shared[v] == ENeighborhood(owner=v, members=tuple((u, c) for c, u in ranked))
+        assert shared[v] == ENeighborhood(owner=v, members=tuple(u for _, u in ranked))
+        assert [(costs[v][u], u) for u in shared[v].members] == ranked
 
 
 def test_all_pairs_matches_pointwise_queries():
@@ -238,7 +240,8 @@ def test_integral_fill_gives_dijkstra_witnesses_and_rankings(graph, k):
                 route.append(parent[route[-1]])
             assert optimal_cost(graph, HOP, i, j, costs) == (dist[j], route[::-1])
         ranked = sorted((dist[u], u) for u in range(n) if u != i)[:k]
-        assert neighborhoods[i] == ENeighborhood(i, tuple((u, c) for c, u in ranked))
+        assert neighborhoods[i] == ENeighborhood(i, tuple(u for _, u in ranked))
+        assert [(costs[i][u], u) for u in neighborhoods[i].members] == ranked
 
 
 def test_e_neighborhood_full_when_k_is_n_minus_one():
@@ -250,7 +253,7 @@ def test_e_neighborhood_full_when_k_is_n_minus_one():
 def test_e_neighborhood_path_graph_two_closest():
     g = path_graph([1.0, 1.0, 1.0])  # a-b-c-d
     nb = all_neighborhoods(g, 2, all_pairs_optimal(g, HOP))[0]
-    assert [m for m, _ in nb.members] == [1, 2]
+    assert nb.members == (1, 2)
     # brute force: sort all optimal costs
     ranked = sorted((brute_force_optimal(g, HOP, 0, u), u) for u in range(1, 4))
     assert nb.member_ids == {u for _, u in ranked[:2]}

@@ -2,12 +2,13 @@ import csv
 import json
 import math
 import os
+import random
 import re
 from dataclasses import asdict
 
 import pytest
 
-from qnroute import harness
+from qnroute import harness, qsearch
 from qnroute.cli import main
 from qnroute.errors import (
     ChainViolationError,
@@ -208,8 +209,44 @@ def test_trial_runtime_and_chain_samples_recorded():
 
 def test_qsearch_agreement_check_runs_on_small_tables():
     trial = run_trial(torus_config(qsearch_check=True, n_e=9, k_override=2), seed=1)
-    assert trial.qsearch_agreement is not None
-    assert trial.qsearch_agreement["agreed"] == trial.qsearch_agreement["checked"]
+    check = trial.qsearch_agreement
+    assert check["lookups"] == harness.QSEARCH_CHECK_LOOKUPS
+    assert 0 < check["expected_found"] < check["lookups"]
+    assert 0 < check["sigma"]
+    assert abs(check["found"] - check["expected_found"]) <= 4 * check["sigma"]
+
+
+def lookup_check_result(report):
+    (result,) = [
+        a for a in report.assertions
+        if a.name == "quantum-lookup-found-rate-matches-success-probability"
+    ]
+    return result
+
+
+def test_lookup_check_passes_on_the_amplified_measurement():
+    report = run_experiment(torus_config(qsearch_check=True), write_outputs=False)
+    result = lookup_check_result(report)
+    assert result.passed
+    assert result.checked == 3 * harness.QSEARCH_CHECK_LOOKUPS
+    summary = report.summary_dict()["trials"]
+    assert [set(t["qsearch_agreement"]) for t in summary] == [
+        {"lookups", "found", "expected_found", "sigma"}
+    ] * 3
+
+
+def test_lookup_check_fails_a_uniform_measurement(monkeypatch):
+    # a measurement that ignores the amplitudes finds hit labels only at the
+    # rate h / n_T, far below the success probability the search reports
+    def uniform(distribution, seed):
+        return random.Random(seed).randrange(len(distribution))
+
+    monkeypatch.setattr(qsearch, "measure", uniform)
+    report = run_experiment(torus_config(qsearch_check=True), write_outputs=False)
+    assert not lookup_check_result(report).passed
+    for trial in report.trials:
+        check = trial.qsearch_agreement
+        assert check["expected_found"] - check["found"] > 8 * check["sigma"]
 
 
 def test_axiom_check_feeds_summary_and_assertion(tmp_path):

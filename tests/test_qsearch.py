@@ -30,6 +30,7 @@ from qnroute.rng import stream_seed
 from qnroute.topology import generate_graph
 
 from conftest import (
+    build_full_scheme,
     build_partial_scheme,
     complete_graph,
     reference_branch_distribution,
@@ -587,6 +588,8 @@ def test_repeated_miss_computes_the_distribution_once(monkeypatch):
         return _reduced_distribution(*args)
 
     monkeypatch.setattr(qsearch, "_reduced_distribution", counted)
+    # the oracle above warmed the memo; a cold one evaluates the closed form once
+    qsearch._normalized_marginal.cache_clear()
     result = routing_lookup_via_search(tabs, owner, target, seed=5, repeats=5)
     assert len(calls) == 1
     assert not result.found
@@ -630,3 +633,84 @@ def test_lookup_labels_match_the_pinned_digest():
 def test_lookup_needs_at_least_one_attempt():
     with pytest.raises(ValueError, match="repeats"):
         routing_lookup_via_search(lookup_scheme(), 0, 1, repeats=0)
+
+
+# ---------------------------------------------------------------------------
+# the memoised marginal
+
+
+def normalized_closed_form(inst, target, iterations):
+    """The distribution and success probability normalized from the full
+    closed-form list, with no memo: clip, total, divide, sum the hits."""
+    hits = inst.hit_alphas(target)
+    probs = [max(p, 0.0) for p in _reduced_distribution(hits, inst.n_t, iterations)]
+    total = math.fsum(probs)
+    distribution = tuple(p / total for p in probs)
+    return distribution, math.fsum(distribution[label] for label, _ in hits)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_memoised_marginal_is_the_normalized_closed_form_bit_for_bit(seed):
+    rng = random.Random(seed)
+    for _ in range(25):
+        n_t = rng.randint(2, 24)
+        inst, target = random_instance(rng, n_t, rng.randint(0, n_t), rng.randint(1, 3))
+        iterations = rng.randint(0, 6)
+        outcome = run_search(inst, target, iterations=iterations, seed=seed)
+        distribution, success = normalized_closed_form(inst, target, iterations)
+        assert repr(outcome.distribution) == repr(distribution)
+        assert repr(outcome.success_probability) == repr(success)
+
+
+def test_search_outcomes_match_the_pinned_digest():
+    # 7,936 searches on partial and full tables with f = 2 and 3, so part
+    # sizes differ and the hit weights take two values; each at the standard
+    # iteration count and at 3. A change that moves any probability's bits,
+    # or a memo that mixes up keys, fails here.
+    g = generate_graph("erdos_renyi", 32, {"edge_prob": 0.2}, hop_count_metric(), seed=7)
+    lines = []
+    for build in (build_partial_scheme, build_full_scheme):
+        for f in (2, 3):
+            tabs = build(g, hop_count_metric(), k=7, f=f)
+            for owner in range(32):
+                inst = instance_from_table(tabs.table(owner), tabs.plan)
+                for target in range(32):
+                    if target == owner:
+                        continue
+                    for iterations in (None, 3):
+                        out = run_search(inst, target, iterations=iterations, seed=owner)
+                        lines.append(
+                            f"{out.distribution!r};{out.success_probability!r};{out.iterations}\n"
+                        )
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == (
+        "6790d4361966dcd4fa830d652e54ef2aedb5a4acc1a1a79f8a18b230a8a7853e"
+    )
+
+
+def test_a_cold_memo_gives_the_warm_lookup():
+    tabs = lookup_scheme()
+    inst = instance_from_table(tabs.table(0), tabs.plan)
+    target = max(range(1, 8), key=lambda t: len(inst.hit_labels(t)))
+    qsearch._normalized_marginal.cache_clear()
+    cold = run_search(inst, target, seed=11)
+    warm = run_search(inst, target, seed=11)
+    assert qsearch._normalized_marginal.cache_info().hits == 1
+    assert len(cold.hit_labels) >= 2
+    assert repr(cold) == repr(warm)
+
+
+def test_tables_sharing_a_memo_key_keep_their_own_hit_labels():
+    # both hit target 0 with weights (1, 1/2) in label order, at other labels
+    first = make_instance([[{0}], [{1, 2}], [{3}], [{0, 4}], [{5}]], address_width=3)
+    second = make_instance([[{5}], [{0}], [{3}], [{1}], [{0, 4}]], address_width=3)
+    assert first.hit_alphas(0) == [(0, 1.0), (3, 0.5)]
+    assert second.hit_alphas(0) == [(1, 1.0), (4, 0.5)]
+    a = run_search(first, 0, seed=1)
+    b = run_search(second, 0, seed=1)
+    assert a.hit_labels == {0, 3} and b.hit_labels == {1, 4}
+    for inst, out in ((first, a), (second, b)):
+        distribution, success = normalized_closed_form(inst, 0, out.iterations)
+        assert out.distribution == distribution
+        assert out.success_probability == success
+    assert a.distribution[0] == b.distribution[1] != a.distribution[3] == b.distribution[4]
+    assert a.distribution[1] == b.distribution[0]

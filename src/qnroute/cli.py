@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import os
 import sys
 
@@ -242,8 +243,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Compact entanglement routing simulator",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument(
+        "-v", "--verbose", action="store_true",
+        help="log progress notes, such as graph generation retries, to stderr",
+    )
 
-    p = sub.add_parser("generate", help="generate a connected overlay graph file")
+    p = sub.add_parser("generate", parents=[common],
+                       help="generate a connected overlay graph file")
     p.add_argument("--model", default="erdos_renyi")
     p.add_argument("--n-e", dest="n_e", type=int, required=True)
     p.add_argument("--param", action="append", metavar="KEY=VALUE")
@@ -253,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("cluster", help="build neighborhoods, cover, and tables")
+    p = sub.add_parser("cluster", parents=[common], help="build neighborhoods, cover, and tables")
     p.add_argument("--graph", required=True)
     p.add_argument("--scheme", choices=["partial", "full"], default="partial")
     p.add_argument("--metric", default="hop")
@@ -268,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_cluster)
 
-    p = sub.add_parser("route", help="resolve one source/destination pair")
+    p = sub.add_parser("route", parents=[common], help="resolve one source/destination pair")
     p.add_argument("--scheme", required=True)
     p.add_argument("--source", type=int, required=True)
     p.add_argument("--dest", type=int, required=True)
@@ -279,13 +286,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delivery-log", default=None, help="CSV path for delivery records")
     p.set_defaults(func=cmd_route)
 
-    p = sub.add_parser("eval", help="resolve all pairs and emit CSV + summary")
+    p = sub.add_parser("eval", parents=[common], help="resolve all pairs and emit CSV + summary")
     p.add_argument("--scheme", required=True)
     p.add_argument("--out-dir", default=None)
     p.add_argument("--prefix", default="eval")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("qsearch", help="amplified lookup inside one table")
+    p = sub.add_parser("qsearch", parents=[common], help="amplified lookup inside one table")
     p.add_argument("--scheme", required=True)
     p.add_argument("--owner", type=int, required=True)
     p.add_argument("--target", type=int, required=True)
@@ -293,13 +300,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_qsearch)
 
-    p = sub.add_parser("compare", help="paired-seed comparison of two configs")
+    p = sub.add_parser("compare", parents=[common], help="paired-seed comparison of two configs")
     p.add_argument("--config-a", required=True)
     p.add_argument("--config-b", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("report", help="run an experiment config end to end")
+    p = sub.add_parser("report", parents=[common], help="run an experiment config end to end")
     p.add_argument("--config", default=None)
     p.add_argument("--n-e", dest="n_e", type=int, default=None)
     p.add_argument("--graph-model", default=None)
@@ -320,6 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.verbose:
+        logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
     except QnrouteError as err:

@@ -278,33 +278,28 @@ def build_scheme(config: ExperimentConfig, graph, metric, seed: int):
     return tables, coverage
 
 
-def _sample_chain_checks(tables, config: ExperimentConfig, seed: int) -> tuple[int, list]:
+def _sample_chain_checks(
+    tables, rows, config: ExperimentConfig, seed: int
+) -> tuple[int, list]:
     """Replay the stretch-bound chain on sampled one/two-repeater paths.
 
-    Returns the number of paths replayed and a witness (pair, path, broken
-    step) for each path whose chain broke.
+    Draws a uniform sample of ``chain_samples`` case II/III pairs, or all of
+    them when there are fewer, from ``rows``, the trial's
+    ``evaluate_all_pairs`` rows, and resolves only the drawn pairs. Returns
+    the number of paths replayed and a witness (pair, path, broken step) for
+    each path whose chain broke.
     """
-    rng = stream(seed, "chain")
-    pairs = [
-        (i, d)
-        for i in range(tables.n_e)
-        for d in range(tables.n_e)
-        if i != d
-    ]
-    rng.shuffle(pairs)
-    checked = 0
+    repeated = (Case.CASE_II.value, Case.CASE_III.value)
+    pairs = [(i, d) for i, d, case, *_ in rows if case in repeated]
+    drawn = stream(seed, "chain").sample(pairs, min(config.chain_samples, len(pairs)))
     violations = []
-    for i, d in pairs:
-        if checked >= config.chain_samples:
-            break
+    for i, d in drawn:
         path = resolve(tables, i, d)
-        if path.case in (Case.CASE_II, Case.CASE_III):
-            checked += 1
-            try:
-                verify_bound_chain(path, tables.metric, tables.pair_costs)
-            except ChainViolationError as err:
-                violations.append({"pair": [i, d], "path": list(path.nodes), "broken": str(err)})
-    return checked, violations
+        try:
+            verify_bound_chain(path, tables.metric, tables.pair_costs)
+        except ChainViolationError as err:
+            violations.append({"pair": [i, d], "path": list(path.nodes), "broken": str(err)})
+    return len(drawn), violations
 
 
 def _qsearch_agreement(tables, seed: int) -> dict | None:
@@ -363,7 +358,9 @@ def run_trial(config: ExperimentConfig, seed: int) -> TrialResult:
     with _stage(stage_s, "all_pairs"):
         evaluation = evaluate_all_pairs(tables)
     with _stage(stage_s, "chain_replay"):
-        chain_checked, chain_violations = _sample_chain_checks(tables, config, seed)
+        chain_checked, chain_violations = _sample_chain_checks(
+            tables, evaluation.rows, config, seed
+        )
     qsearch_stats = None
     if config.qsearch_check:
         with _stage(stage_s, "lookup_check"):

@@ -507,8 +507,8 @@ def resolve(
 class PairEvaluation:
     """Aggregate of resolving every ordered pair once.
 
-    ``fallback_reasons`` counts the ``EntangledPath.reason`` of every pair
-    that took the fallback or failed."""
+    ``fallback_reasons`` counts every pair that took the fallback by the
+    ``EntangledPath.reason`` ``resolve`` gives it."""
 
     rows: list[tuple[int, int, str, float, float, float]]
     case_counts: Counter
@@ -524,6 +524,20 @@ class PairEvaluation:
         return sum(
             self.case_counts[c.value] for c in (Case.CASE_I, Case.CASE_II, Case.CASE_III)
         )
+
+
+# the reasons ``resolve`` gives a fallback: the full-anchor one, then
+# ``_case_three``'s in the order it tests them
+_FALLBACK_REASONS = (
+    "no neighbor reaches the target",
+    "no anchor inside source e-neighborhood",
+    "no anchor inside target e-neighborhood",
+    "source anchor holds no usable entry for the target",
+    "anchor mesh links unusable",
+)
+# the first ``_BatchLadder.run`` code of a fallback; the code of reason r is
+# ``_FALLBACK + r``
+_FALLBACK = 4
 
 
 class _BatchLadder:
@@ -576,8 +590,10 @@ class _BatchLadder:
         self.from_hub = self.pair[self.hubs].T.copy()  # from_hub[d, c] = pair[hubs[c], d]
 
     def run(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """Each target's case code (1-3 for cases I-III, 0 where no case
-        resolves it, -1 at ``i`` itself) and its composed cost."""
+        """Each target's case code (1-3 for cases I-III, ``_FALLBACK`` plus
+        the index of its reason in ``_FALLBACK_REASONS`` where no case
+        resolves it, -1 at ``i`` itself) and its cost: the composed cost, or
+        the optimal cost for a fallback."""
         n = self.tables.n_e
         code = np.zeros(n, np.int8)
         total = np.zeros(n)
@@ -605,11 +621,17 @@ class _BatchLadder:
 
         if self.tracked is None:
             self._case_three(i, code, total)
+        else:
+            code[code == 0] = _FALLBACK
+        fallback = code >= _FALLBACK
+        total[fallback] = self.pair[i, fallback]
         return code, total
 
     def _case_three(self, i: int, code: np.ndarray, total: np.ndarray) -> None:
         """``_case_three`` for every target still open, entry hub by entry
-        hub in table order: a hub resolves each target it has a path for."""
+        hub in table order: a hub resolves each target it has a path for.
+        Each target left open gets the fallback code of the reason
+        ``_case_three`` gives it."""
         tables, op, pair, usable, hubs = self.tables, self.op, self.pair, self.usable, self.hubs
         if self.is_hub[i]:
             entry_hubs = [i]
@@ -618,6 +640,9 @@ class _BatchLadder:
                 e.e_hop for e in tables.tables[i].e_neighbors
                 if self.is_hub[e.e_hop] and usable[i, e.e_hop]
             ]
+            if not entry_hubs:
+                code[code == 0] = _FALLBACK + 1
+                return
         open_ = np.flatnonzero(code == 0)
         for l in entry_hubs:
             if not open_.size:
@@ -639,25 +664,40 @@ class _BatchLadder:
             code[open_[found]] = 3
             total[open_[found]] = best[found]
             open_ = open_[~found]
+        # no exit hub; else a hub source whose every candidate is the direct
+        # link, as its exit hubs are itself and the target; else the mesh
+        exit_ = self.exit[open_]
+        direct_only = self.is_hub[i] & ~(exit_ & (hubs != i) & (hubs != open_[:, None])).any(1)
+        reason = np.where(direct_only, 3, 4)
+        reason[~exit_.any(1)] = 2
+        code[open_] = _FALLBACK + reason
 
 
 # each ``_BatchLadder.run`` code's case name, the ``Case`` value itself, so
-# rows share one string object per case; codes 0 and -1 are overwritten
-_BATCH_CASE_NAMES = ("", Case.CASE_I.value, Case.CASE_II.value, Case.CASE_III.value)
+# rows share one string object per case; code -1, the source, is dropped
+_BATCH_CASE_NAMES = (
+    "", Case.CASE_I.value, Case.CASE_II.value, Case.CASE_III.value,
+    *[Case.FALLBACK.value] * len(_FALLBACK_REASONS),
+)
 
 
 def evaluate_all_pairs(tables: SchemeTables) -> PairEvaluation:
     """Resolve every ordered pair once; fallback pairs are excluded from the
     stretch figures and reported separately.
 
-    Cases I-III run as one batched pass per source (``_BatchLadder``); each
-    pair it leaves open goes to ``resolve``, which gives its fallback path
-    and reason. ``resolve`` stays the reference the pass is tested against.
+    Cases I-III run as one batched pass per source (``_BatchLadder``), which
+    also gives each pair it leaves open its fallback row and reason: the
+    optimal cost as both cost and optimal, at stretch 1.0, the row
+    ``resolve`` gives. No pair goes through ``resolve`` or ``optimal_cost``;
+    ``resolve`` stays the reference the pass is tested against. The case
+    counts and stretch figures are reduced from each source's code and
+    stretch arrays.
     """
     ladder = _BatchLadder(tables)
     rows = []
-    reasons: Counter = Counter()
     n = tables.n_e
+    counts = np.zeros(len(_BATCH_CASE_NAMES), np.int64)
+    stretches = []  # each source's resolved stretches
     for i in range(n):
         codes, costs = ladder.run(i)
         # rows carry Python floats, whose repr the CSV writes
@@ -667,25 +707,28 @@ def evaluate_all_pairs(tables: SchemeTables) -> PairEvaluation:
             itertools.repeat(i), range(n), names, costs.tolist(), tables.pair_costs[i],
             ratios.tolist(),
         ))
-        for d in np.flatnonzero(codes == 0).tolist():
-            path = resolve(tables, i, d)
-            source_rows[d] = (i, d, path.case.value, path.total_cost, path.optimal, path.stretch)
-            if not path.resolved:
-                reasons[path.reason] += 1
         del source_rows[i]
         rows.extend(source_rows)
-    case_counts = Counter(row[2] for row in rows)
-    resolved = {c.value for c in (Case.CASE_I, Case.CASE_II, Case.CASE_III)}
-    failure = Case.FAILURE.value
-    stretches = [row[5] for row in rows if row[2] in resolved]
-    all_stretches = [row[5] for row in rows if row[2] != failure]
+        codes[i] = 0  # the source's own slot, which no count reads
+        counts += np.bincount(codes, minlength=len(counts))
+        stretches.append(ratios[(codes >= 1) & (codes < _FALLBACK)])
+    stretches = np.concatenate(stretches).tolist()
+    case_counts: Counter = Counter()
+    reasons: Counter = Counter()
+    for code, count in enumerate(counts.tolist()):
+        if code and count:
+            case_counts[_BATCH_CASE_NAMES[code]] += count
+            if code >= _FALLBACK:
+                reasons[_FALLBACK_REASONS[code - _FALLBACK]] = count
+    max_stretch = max(stretches) if stretches else 0.0
     total = len(rows)
     return PairEvaluation(
         rows=rows,
         case_counts=case_counts,
-        max_stretch=max(stretches) if stretches else 0.0,
+        max_stretch=max_stretch,
         mean_stretch=statistics.fmean(stretches) if stretches else 0.0,
-        max_stretch_with_fallback=max(all_stretches) if all_stretches else 0.0,
+        # a fallback row's stretch is 1.0, and no row here fails
+        max_stretch_with_fallback=max(max_stretch, 1.0) if reasons else max_stretch,
         fallback_fraction=case_counts[Case.FALLBACK.value] / total if total else 0.0,
         failure_fraction=case_counts[Case.FAILURE.value] / total if total else 0.0,
         fallback_reasons=reasons,

@@ -396,8 +396,9 @@ def all_pairs_optimal(graph: NetworkGraph, metric: EntanglingMetric) -> list[lis
     """Optimal cost of every ordered node pair, as rows: ``costs[i][j]``.
 
     This is the one cost pass of a scheme build: e-neighborhoods, table
-    entries, fallback witnesses, chain replays and axiom checks all read the
-    matrix it returns. Min composition gives every distinct pair the cheapest
+    entries, the evaluation's fallback rows, ``resolve``'s fallback
+    witnesses, chain replays and axiom checks all read the matrix it
+    returns. Min composition gives every distinct pair the cheapest
     edge's cost. Additive composition relaxes ``to[u, s]``, the cost from
     ``s`` to ``u``, against every neighbour of ``u`` until a round lowers
     nothing. Each candidate adds link costs left to right from the source,

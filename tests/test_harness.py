@@ -4,7 +4,9 @@ import math
 import os
 import random
 import re
-from dataclasses import asdict
+import subprocess
+import sys
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -26,7 +28,7 @@ from qnroute.harness import (
     run_experiment,
     run_trial,
 )
-from qnroute.routing import resolve
+from qnroute.routing import evaluate_all_pairs, resolve
 from qnroute.serialize import load_json, scheme_from_dict, scheme_to_dict
 from qnroute.topology import save_graph
 
@@ -205,6 +207,30 @@ def test_trial_runtime_and_chain_samples_recorded():
     assert trial.chain_checked > 0
     assert trial.runtime_s > 0
     assert trial.table_stats["max"] >= 3
+
+
+def test_chain_replay_samples_the_case_two_and_three_rows(monkeypatch):
+    config = ExperimentConfig(n_e=24, graph_params={"edge_prob": 0.2}, k_override=3)
+    tabs, _ = build_scheme_for_trial(config, 0)
+    rows = evaluate_all_pairs(tabs).rows
+    repeated = [(i, d) for i, d, case, *_ in rows if case in ("II", "III")]
+    assert len(repeated) > 10
+    replayed = []
+    monkeypatch.setattr(harness, "verify_bound_chain",
+                        lambda path, metric, costs: replayed.append((path.source, path.dest)))
+
+    def replay(samples: int) -> list:
+        replayed.clear()
+        checked, _ = harness._sample_chain_checks(
+            tabs, rows, replace(config, chain_samples=samples), 0
+        )
+        assert checked == len(replayed)
+        return list(replayed)
+
+    assert sorted(replay(len(repeated))) == sorted(replay(len(repeated) + 5)) == repeated
+    drawn = replay(10)
+    assert len(set(drawn)) == 10 and set(drawn) <= set(repeated)
+    assert replay(10) == drawn
 
 
 def test_qsearch_agreement_check_runs_on_small_tables():
@@ -983,3 +1009,21 @@ def test_cli_out_dir_flag_beats_a_null_output_dir_in_the_config(tmp_path, monkey
     assert (out_dir / "torus16_summary.json").exists()
     assert (out_dir / "torus16_pairs.csv").exists()
     assert not (tmp_path / "torus16_summary.json").exists()
+
+
+def test_cli_verbose_logs_generation_retries_to_stderr(tmp_path):
+    # erdos_renyi n_e 24 at edge_prob 0.1, seed 0, needs 5 draws to connect
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    runs = {}
+    for flags in ([], ["-v"]):
+        out = tmp_path / f"net{''.join(flags)}.graph"
+        argv = [sys.executable, "-m", "qnroute.cli", "generate", *flags, "--n-e", "24",
+                "--param", "edge_prob=0.1", "--seed", "0", "--out", str(out)]
+        done = subprocess.run(argv, capture_output=True, text=True, env=env, check=True)
+        runs[tuple(flags)] = (done.stdout.replace(str(out), "OUT"), done.stderr,
+                              out.read_bytes())
+    assert runs[()][1] == ""
+    assert runs[("-v",)][1] == (
+        "INFO qnroute.topology: erdos_renyi n_e=24 needed 5 attempts for connectivity\n"
+    )
+    assert runs[()][0] == runs[("-v",)][0] and runs[()][2] == runs[("-v",)][2]

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qnroute import routing
 from qnroute.addressing import AddressPlan
 from qnroute.errors import ChainViolationError
 from qnroute.harness import (
@@ -379,6 +380,37 @@ def test_pairs_csv_bytes_are_pinned(tmp_path, write, expected):
     assert hashlib.sha256(write(tmp_path).read_bytes()).hexdigest() == expected
 
 
+def test_evaluation_resolves_no_pair_one_by_one(monkeypatch):
+    # a partial scheme with a random cover, a cap that evicts and depleted
+    # entries meets all four case III reasons; a full scheme falls back too
+    partial, _ = build_scheme_for_trial(ExperimentConfig(
+        n_e=24, graph_params={"edge_prob": 0.15}, anchor_method="random", k_override=3,
+        capacity_cap=3,
+    ), 0)
+    deplete(partial, 0.15, 0)
+    assert any(table.dropped for table in partial.tables)
+    full, _ = build_scheme_for_trial(ExperimentConfig(
+        n_e=48, graph_params={"edge_prob": 0.15}, scheme="full", k_override=5,
+    ), 1)
+
+    def per_pair(*args, **kwargs):
+        raise AssertionError("evaluate_all_pairs resolved a pair on its own")
+
+    monkeypatch.setattr(routing, "resolve", per_pair)
+    monkeypatch.setattr(routing, "optimal_cost", per_pair)
+    assert set(evaluate_all_pairs(partial).fallback_reasons) == {
+        "no anchor inside source e-neighborhood",
+        "no anchor inside target e-neighborhood",
+        "source anchor holds no usable entry for the target",
+        "anchor mesh links unusable",
+    }
+    ev = evaluate_all_pairs(full)
+    assert set(ev.fallback_reasons) == {"no neighbor reaches the target"}
+    fallback = [row for row in ev.rows if row[2] == "fallback"]
+    assert len(fallback) == ev.case_counts["fallback"] > 0
+    assert all(cost == optimal and stretch == 1.0 for _, _, _, cost, optimal, stretch in fallback)
+
+
 def test_table_scaling_ratio_bounded():
     for n, model, params in ((16, "grid_torus", {}), (64, "erdos_renyi", {"edge_prob": 0.12}), (256, "erdos_renyi", {"edge_prob": 0.04})):
         g = generate_graph(model, n, params, HOP, seed=0)
@@ -400,6 +432,35 @@ def _paths_by_case(tabs, case):
                 p = resolve(tabs, i, d)
                 if p.case is case:
                     yield p
+
+
+# Under a capacity cap a source can evict the target's entry (the target is
+# in its dropped list) while the target keeps the source as an e-neighbor.
+# Case I then finds no entry at the source, so the pair resolves in case III
+# with the source inside the target's e-neighborhood, which the chain assumes
+# it is not. An exhaustive replay of this config over seeds 0-3 breaks on 4 of
+# 6,714 case II/III pairs, and on none of 6,572 without the cap.
+@pytest.mark.parametrize(
+    "seed, nodes, broken",
+    [
+        (0, (21, 55, 46), "near hop within target neighborhood, three-fold composed bound"),
+        (1, (3, 24, 7), "near hop within target neighborhood"),
+        (2, (18, 16, 35, 36), "exit hub within target neighborhood"),
+    ],
+)
+def test_capacity_cap_eviction_breaks_the_chain(seed, nodes, broken):
+    config = ExperimentConfig(n_e=64, graph_model="waxman", metric="uniform",
+                              anchor_method="random", k_override=5, capacity_cap=6)
+    tabs, _ = build_scheme_for_trial(config, seed)
+    i, d = nodes[0], nodes[-1]
+    assert i in tabs.neighborhoods[d].member_ids
+    assert d in tabs.table(i).dropped and tabs.table(i).find(d) is None
+    path = resolve(tabs, i, d)
+    assert path.case is Case.CASE_III and path.nodes == nodes
+    if seed == 0:
+        assert path.stretch > 3.7
+    with pytest.raises(ChainViolationError, match=f"inequality chain broken at: {broken}$"):
+        verify_bound_chain(path, tabs.metric, tabs.pair_costs)
 
 
 def test_chain_holds_on_case_three_with_five_fold_bound():

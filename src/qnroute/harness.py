@@ -224,56 +224,76 @@ class StretchReport:
         }
 
 
-def build_scheme_for_trial(config: ExperimentConfig, seed: int):
-    """Deterministically construct the scheme instance for one trial seed."""
+@contextlib.contextmanager
+def _stage(stage_s: dict | None, name: str):
+    """Record the wall time of the ``with`` body as ``stage_s[name]``, unless
+    ``stage_s`` is None."""
+    start = time.perf_counter()
+    yield
+    if stage_s is not None:
+        stage_s[name] = time.perf_counter() - start
+
+
+def build_scheme_for_trial(config: ExperimentConfig, seed: int, stage_s: dict | None = None):
+    """Deterministically construct the scheme instance for one trial seed;
+    ``stage_s``, when given, receives the wall time of each build stage,
+    ``graph`` first, then ``build_scheme``'s."""
     metric = metric_by_name(config.metric, **config.metric_params)
-    graph = generate_graph(
-        config.graph_model,
-        config.n_e,
-        config.graph_params,
-        metric,
-        seed=stream_seed(seed, "graph"),
-    )
-    return build_scheme(config, graph, metric, seed)
+    with _stage(stage_s, "graph"):
+        graph = generate_graph(
+            config.graph_model,
+            config.n_e,
+            config.graph_params,
+            metric,
+            seed=stream_seed(seed, "graph"),
+        )
+    return build_scheme(config, graph, metric, seed, stage_s)
 
 
-def build_scheme(config: ExperimentConfig, graph, metric, seed: int):
+def build_scheme(
+    config: ExperimentConfig, graph, metric, seed: int, stage_s: dict | None = None
+):
     """Build tables and coverage over a given graph from ``config``'s
     construction fields; ``seed`` draws random anchors and tracking, and the
     tables record it. Reports, ``qnroute cluster`` and scheme documents all
-    build here.
+    build here. ``stage_s``, when given, receives the wall time of each
+    stage: ``pair_costs``, ``neighborhoods``, ``cover`` and ``tables``.
 
     The pair costs are computed once, by ``all_pairs_optimal``; the
     e-neighborhoods and the tables are derived from that one matrix.
     """
-    pair_costs = all_pairs_optimal(graph, metric)
-    neighborhoods = all_neighborhoods(graph, config.effective_k(), pair_costs)
+    with _stage(stage_s, "pair_costs"):
+        pair_costs = all_pairs_optimal(graph, metric)
+    with _stage(stage_s, "neighborhoods"):
+        neighborhoods = all_neighborhoods(graph, config.effective_k(), pair_costs)
 
     anchors = None
     tracked = None
-    if config.scheme == "partial":
-        if config.anchor_method == "greedy":
-            anchors = build_anchor_set_greedy(neighborhoods)
+    with _stage(stage_s, "cover"):
+        if config.scheme == "partial":
+            if config.anchor_method == "greedy":
+                anchors = build_anchor_set_greedy(neighborhoods)
+            else:
+                anchors = build_anchor_set_random(graph.n_e, seed=seed)
+            coverage = verify_coverage(Scheme.PARTIAL_ANCHOR, neighborhoods, anchors=anchors)
         else:
-            anchors = build_anchor_set_random(graph.n_e, seed=seed)
-        coverage = verify_coverage(Scheme.PARTIAL_ANCHOR, neighborhoods, anchors=anchors)
-    else:
-        tracked = assign_all_tracking(
-            build_tracked_sets(graph.n_e), graph.n_e, seed=stream_seed(seed, "tracking")
-        )
-        coverage = verify_coverage(Scheme.FULL_ANCHOR, neighborhoods, tracked=tracked)
+            tracked = assign_all_tracking(
+                build_tracked_sets(graph.n_e), graph.n_e, seed=stream_seed(seed, "tracking")
+            )
+            coverage = verify_coverage(Scheme.FULL_ANCHOR, neighborhoods, tracked=tracked)
 
-    tables = build_tables(
-        graph,
-        metric,
-        neighborhoods,
-        pair_costs,
-        anchors=anchors,
-        tracked=tracked,
-        f=config.f,
-        ebit_budget=config.ebit_budget,
-        capacity_cap=config.capacity_cap,
-    )
+    with _stage(stage_s, "tables"):
+        tables = build_tables(
+            graph,
+            metric,
+            neighborhoods,
+            pair_costs,
+            anchors=anchors,
+            tracked=tracked,
+            f=config.f,
+            ebit_budget=config.ebit_budget,
+            capacity_cap=config.capacity_cap,
+        )
     tables.seed = seed
     return tables, coverage
 
@@ -285,15 +305,18 @@ def _sample_chain_checks(
 
     Draws a uniform sample of ``chain_samples`` case II/III pairs, or all of
     them when there are fewer, from ``rows``, the trial's
-    ``evaluate_all_pairs`` rows, and resolves only the drawn pairs. Returns
-    the number of paths replayed and a witness (pair, path, broken step) for
-    each path whose chain broke.
+    ``evaluate_all_pairs`` rows, and resolves only the drawn pairs. The draw
+    reads only the population's length and indices, so it samples the row
+    tuples themselves. Returns the number of paths replayed and a witness
+    (pair, path, broken step) for each path whose chain broke.
     """
     repeated = (Case.CASE_II.value, Case.CASE_III.value)
-    pairs = [(i, d) for i, d, case, *_ in rows if case in repeated]
-    drawn = stream(seed, "chain").sample(pairs, min(config.chain_samples, len(pairs)))
+    candidates = [row for row in rows if row[2] in repeated]
+    drawn = stream(seed, "chain").sample(
+        candidates, min(config.chain_samples, len(candidates))
+    )
     violations = []
-    for i, d in drawn:
+    for i, d, *_ in drawn:
         path = resolve(tables, i, d)
         try:
             verify_bound_chain(path, tables.metric, tables.pair_costs)
@@ -341,20 +364,11 @@ def _qsearch_agreement(tables, seed: int) -> dict | None:
     }
 
 
-@contextlib.contextmanager
-def _stage(stage_s: dict, name: str):
-    """Record the wall time of the ``with`` body as ``stage_s[name]``."""
-    start = time.perf_counter()
-    yield
-    stage_s[name] = time.perf_counter() - start
-
-
 def run_trial(config: ExperimentConfig, seed: int) -> TrialResult:
     """One seed through the pipeline; ``stage_s`` holds each stage's wall time."""
     start = time.perf_counter()
     stage_s: dict[str, float] = {}
-    with _stage(stage_s, "build"):
-        tables, coverage = build_scheme_for_trial(config, seed)
+    tables, coverage = build_scheme_for_trial(config, seed, stage_s)
     with _stage(stage_s, "all_pairs"):
         evaluation = evaluate_all_pairs(tables)
     with _stage(stage_s, "chain_replay"):

@@ -125,7 +125,7 @@ def instance_from_table(table, plan) -> SearchInstance:
     Labels are positions in the table and registers hold node ids at the
     plan's address width; the instance shares the entries' partitions.
     """
-    return SearchInstance(tuple(e.partitions for e in table.entries), plan.width)
+    return SearchInstance(table.partitions, plan.width)
 
 
 # ---------------------------------------------------------------------------

@@ -58,9 +58,12 @@ class TableEntry:
     """One artificial link plus the classical mirror of the peer's reach.
 
     ``partitions`` are disjoint and union to the peer's e-neighborhood; they
-    mirror the superposed address registers the peer announces. An entry with
-    zero ebits is unusable for swapping until replenished. The link's cost is
-    the pair's entry in ``SchemeTables.pair_costs``.
+    mirror the superposed address registers the peer announces, so every
+    entry for one peer holds the same mirror (``build_tables`` shares one
+    tuple per peer, and ``evaluate_all_pairs`` refuses tables where two
+    entries differ). An entry with zero ebits is unusable for swapping until
+    replenished. The link's cost is the pair's entry in
+    ``SchemeTables.pair_costs``.
     """
 
     e_hop: int
@@ -85,7 +88,8 @@ class RoutingTable:
     puts the e-neighbor entries first, in ``(cost, id)`` order, and no entry
     is ever removed, so ``e_neighbors`` stays in that order; the case ladder
     relies on it to rank hubs. ``dropped`` holds the peers the capacity cap
-    evicted.
+    evicted. ``partitions`` holds each entry's partitions in table order,
+    built on first use; ``add`` drops it.
     """
 
     owner: int
@@ -96,6 +100,9 @@ class RoutingTable:
     )
     _by_peer: dict[int, TableEntry] = field(
         init=False, default_factory=dict, repr=False, compare=False
+    )
+    _partitions: tuple[tuple[frozenset[int], ...], ...] | None = field(
+        init=False, default=None, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
@@ -113,6 +120,13 @@ class RoutingTable:
         self._by_peer[entry.e_hop] = entry
         if entry.origin is Origin.E_NEIGHBOR:
             self.e_neighbors.append(entry)
+        self._partitions = None
+
+    @property
+    def partitions(self) -> tuple[tuple[frozenset[int], ...], ...]:
+        if self._partitions is None:
+            self._partitions = tuple(e.partitions for e in self.entries)
+        return self._partitions
 
     def find(self, peer: int) -> TableEntry | None:
         return self._by_peer.get(peer)
@@ -550,6 +564,12 @@ class _BatchLadder:
     every pair (its diagonal is False, as no table holds its owner); every
     cost is read from ``pair``. Only totals are reduced: candidates that tie
     share their total, so the scalar tie rules cannot change a row.
+
+    ``relay[j, d]`` is whether j can be case II's repeater toward d: d is in
+    j's mirror (or, full-anchor, j tracks d) and j holds a usable entry for
+    d. It keeps one mirror per peer, where ``resolve`` reads each entry's
+    own, so entries for one peer that mirror different partitions raise
+    ``ValueError``. ``hops[i]`` holds i's e-neighbor ids in table order.
     """
 
     def __init__(self, tables: SchemeTables):
@@ -557,25 +577,32 @@ class _BatchLadder:
         self.tables = tables
         self.op = np.add if tables.metric.composition is Composition.ADDITIVE else np.minimum
         self.pair = np.array(tables.pair_costs, dtype=float)
-        at = ([], [])
-        low, forward = [], []
+        owner, peer, low, forward = [], [], [], []
+        mirrors: dict[int, tuple[frozenset[int], ...]] = {}
         for a, table in enumerate(tables.tables):
             for entry in table.entries:
-                at[0].append(a)
-                at[1].append(entry.e_hop)
+                owner.append(a)
+                peer.append(entry.e_hop)
                 low.append(entry.ebits < 1)
                 forward.append(entry.origin is Origin.E_NEIGHBOR)
+                if mirrors.setdefault(entry.e_hop, entry.partitions) != entry.partitions:
+                    raise ValueError(f"entries for peer {entry.e_hop} mirror different partitions")
         self.held = np.zeros((n, n), bool)
-        self.held[at] = True
+        self.held[owner, peer] = True
         depleted = np.zeros((n, n), bool)
-        depleted[at] = low
+        depleted[owner, peer] = low
         self.usable = (self.held | self.held.T) & ~(depleted | depleted.T)
+        self.hops = [np.array([e.e_hop for e in t.e_neighbors], np.intp) for t in tables.tables]
 
-        self.tracked = None
+        self.relay = np.zeros((n, n), bool)
+        for j, mirror in mirrors.items():
+            self.relay[j, list(itertools.chain.from_iterable(mirror))] = True
         if tables.scheme is Scheme.FULL_ANCHOR:
-            self.tracked = np.zeros((n, n), bool)
             for v in range(n):
-                self.tracked[v, list(tables.tracked.tracked_by(v))] = True
+                self.relay[v, list(tables.tracked.tracked_by(v))] = True
+        self.relay &= self.held
+        self.relay &= self.usable
+        if tables.scheme is Scheme.FULL_ANCHOR:
             return
         # exit[d, c]: anchor ``hubs[c]`` is an exit hub of target d, i.e. an
         # anchor e-neighbor of d over a usable link, or d itself
@@ -584,7 +611,7 @@ class _BatchLadder:
         self.is_hub = np.zeros(n, bool)
         self.is_hub[self.hubs] = True
         e_neighbor = np.zeros((n, n), bool)
-        e_neighbor[at] = forward
+        e_neighbor[owner, peer] = forward
         self.exit = e_neighbor[:, self.hubs] & self.usable[:, self.hubs]
         self.exit[self.hubs, np.arange(len(self.hubs))] = True
         self.from_hub = self.pair[self.hubs].T.copy()  # from_hub[d, c] = pair[hubs[c], d]
@@ -603,23 +630,16 @@ class _BatchLadder:
         code[direct] = 1
         total[direct] = self.pair[i, direct]
 
-        hops = [e for e in self.tables.tables[i].e_neighbors if self.usable[i, e.e_hop]]
-        if hops:
-            j = np.array([e.e_hop for e in hops], dtype=np.intp)
-            ok = np.zeros((len(hops), n), bool)
-            ok[
-                np.repeat(np.arange(len(hops)), [len(e.reach) for e in hops]),
-                np.fromiter(itertools.chain.from_iterable(e.reach for e in hops), np.intp),
-            ] = True
-            if self.tracked is not None:
-                ok |= self.tracked[j]
-            ok &= self.held[j] & self.usable[j]
+        hops = self.hops[i]
+        j = hops[self.usable[i, hops]]
+        if j.size:
+            ok = self.relay[j]
             via = np.where(ok, self.op(self.pair[i, j][:, None], self.pair[j]), math.inf)
             two = ok.any(0) & (code == 0)
             code[two] = 2
             total[two] = via.min(0)[two]
 
-        if self.tracked is None:
+        if self.tables.scheme is Scheme.PARTIAL_ANCHOR:
             self._case_three(i, code, total)
         else:
             code[code == 0] = _FALLBACK
@@ -632,14 +652,12 @@ class _BatchLadder:
         hub in table order: a hub resolves each target it has a path for.
         Each target left open gets the fallback code of the reason
         ``_case_three`` gives it."""
-        tables, op, pair, usable, hubs = self.tables, self.op, self.pair, self.usable, self.hubs
+        op, pair, usable, hubs = self.op, self.pair, self.usable, self.hubs
         if self.is_hub[i]:
             entry_hubs = [i]
         else:
-            entry_hubs = [
-                e.e_hop for e in tables.tables[i].e_neighbors
-                if self.is_hub[e.e_hop] and usable[i, e.e_hop]
-            ]
+            near = self.hops[i]
+            entry_hubs = near[self.is_hub[near] & usable[i, near]].tolist()
             if not entry_hubs:
                 code[code == 0] = _FALLBACK + 1
                 return

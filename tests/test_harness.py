@@ -155,7 +155,10 @@ def test_wall_time_goes_to_the_timings_sidecar(tmp_path):
     checked = json.loads((tmp_path / "checks" / "torus16_timings.json").read_text())
     for doc, stages in ((timings, set()), (checked, {"lookup_check", "axiom_check"})):
         for t in doc["trials"]:
-            assert set(t["stage_s"]) == {"build", "all_pairs", "chain_replay"} | stages
+            assert set(t["stage_s"]) == {
+                "graph", "pair_costs", "neighborhoods", "cover", "tables", "all_pairs",
+                "chain_replay",
+            } | stages
             assert all(s >= 0 for s in t["stage_s"].values())
             assert sum(t["stage_s"].values()) <= t["runtime_s"]
 
@@ -231,6 +234,10 @@ def test_chain_replay_samples_the_case_two_and_three_rows(monkeypatch):
     drawn = replay(10)
     assert len(set(drawn)) == 10 and set(drawn) <= set(repeated)
     assert replay(10) == drawn
+    # the draw of the ``chain`` stream is pinned: the CSV cannot show it
+    assert drawn == [(13, 5), (22, 10), (11, 5), (18, 2), (7, 1), (18, 12), (23, 2), (12, 0),
+                     (23, 14), (16, 5)]
+    assert harness.run_trial(config, 0).chain_checked == 100
 
 
 def test_qsearch_agreement_check_runs_on_small_tables():

@@ -339,6 +339,25 @@ def test_all_pairs_rows_equal_the_scalar_ladder(tabs):
     assert ev.fallback_reasons == Counter(p.reason for p in paths if not p.resolved)
 
 
+@pytest.mark.parametrize("scheme", ["partial", "full"])
+def test_evaluation_refuses_entries_that_mirror_one_peer_differently(scheme):
+    # the batch pass keeps one mirror per peer; ``resolve`` reads each entry's
+    tabs, _ = build_scheme_for_trial(ExperimentConfig(
+        n_e=24, graph_params={"edge_prob": 0.2}, scheme=scheme, k_override=3,
+    ), 0)
+    entries = [e for table in tabs.tables for e in table.entries if e.e_hop == 5]
+    assert len(entries) >= 2
+    edited = entries[-1]
+    assert len(edited.reach) >= 2
+    edited.partitions = (edited.reach - {min(edited.reach)},)
+    with pytest.raises(ValueError, match="peer 5 mirror different partitions"):
+        evaluate_all_pairs(tabs)
+    # an equal tuple that is not the shared object is the same mirror
+    edited.partitions = tuple([*entries[0].partitions])
+    assert edited.partitions is not entries[0].partitions
+    evaluate_all_pairs(tabs)
+
+
 def depleted_pairs_csv(out_dir):
     """Write the per-pair CSV of a partial (seed 0) and a full (seed 1) scheme
     with 15% of their entries at 0 ebits; return its path."""

@@ -113,6 +113,8 @@ def test_instances_share_the_entries_partitions():
         assert len(instance.partitions) == len(table.entries)
         for entry, parts in zip(table.entries, instance.partitions):
             assert parts is entry.partitions
+        # each lookup reuses the table's tuple until ``add`` drops it
+        assert instance_from_table(table, tabs.plan).partitions is instance.partitions
 
 
 @pytest.mark.parametrize("scheme", sorted(BUILDERS))

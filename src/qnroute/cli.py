@@ -30,7 +30,7 @@ def _parse_params(pairs: list[str]) -> dict:
     for pair in pairs or []:
         key, _, raw = pair.partition("=")
         if not raw:
-            raise SystemExit(f"bad parameter {pair!r}, expected key=value")
+            raise ConfigError(f"bad parameter {pair!r}, expected key=value")
         try:
             out[key] = json.loads(raw)
         except json.JSONDecodeError:
@@ -146,7 +146,7 @@ def cmd_eval(args) -> int:
     out_dir = harness.resolve_output_dir(args.out_dir)
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, args.prefix + "_pairs.csv")
-    harness.write_pairs_csv(csv_path, [(tables.seed, evaluation.rows)])
+    harness.write_pairs_csv(csv_path, [(tables.seed, evaluation)])
     summary = {
         "schema_version": harness.SCHEMA_VERSION,
         "max_stretch": evaluation.max_stretch,

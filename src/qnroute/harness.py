@@ -20,6 +20,8 @@ import types
 import typing
 from dataclasses import asdict, dataclass, field, replace
 
+import numpy as np
+
 from .clustering import (
     Scheme,
     assign_all_tracking,
@@ -179,7 +181,7 @@ class TrialResult:
     runtime_s: float
     fallback_reasons: dict = field(default_factory=dict)
     stage_s: dict = field(repr=False, default_factory=dict)
-    rows: list = field(repr=False, default_factory=list)
+    rows: typing.Sequence = field(repr=False, default=())
 
 
 @dataclass
@@ -205,7 +207,7 @@ class StretchReport:
             "trials": [
                 {
                     k: v
-                    for k, v in asdict(replace(t, rows=[])).items()
+                    for k, v in asdict(replace(t, rows=())).items()
                     if k not in ("rows", "runtime_s", "stage_s")
                 }
                 for t in self.trials
@@ -299,24 +301,23 @@ def build_scheme(
 
 
 def _sample_chain_checks(
-    tables, rows, config: ExperimentConfig, seed: int
+    tables, evaluation, config: ExperimentConfig, seed: int
 ) -> tuple[int, list]:
     """Replay the stretch-bound chain on sampled one/two-repeater paths.
 
-    Draws a uniform sample of ``chain_samples`` case II/III pairs, or all of
-    them when there are fewer, from ``rows``, the trial's
-    ``evaluate_all_pairs`` rows, and resolves only the drawn pairs. The draw
-    reads only the population's length and indices, so it samples the row
-    tuples themselves. Returns the number of paths replayed and a witness
-    (pair, path, broken step) for each path whose chain broke.
+    Draws a uniform sample of ``chain_samples`` case II/III pairs of the
+    trial's ``evaluation``, or all of them when there are fewer, and resolves
+    only those. The draw reads only the population's length and indices, so
+    it samples the row-major positions of their codes, in row order. Returns
+    the number of paths replayed and a witness (pair, path, broken step) for
+    each path whose chain broke.
     """
-    repeated = (Case.CASE_II.value, Case.CASE_III.value)
-    candidates = [row for row in rows if row[2] in repeated]
+    candidates = np.flatnonzero(np.isin(evaluation.code, (2, 3))).tolist()
     drawn = stream(seed, "chain").sample(
         candidates, min(config.chain_samples, len(candidates))
     )
     violations = []
-    for i, d, *_ in drawn:
+    for i, d in (divmod(k, tables.n_e) for k in drawn):
         path = resolve(tables, i, d)
         try:
             verify_bound_chain(path, tables.metric, tables.pair_costs)
@@ -373,7 +374,7 @@ def run_trial(config: ExperimentConfig, seed: int) -> TrialResult:
         evaluation = evaluate_all_pairs(tables)
     with _stage(stage_s, "chain_replay"):
         chain_checked, chain_violations = _sample_chain_checks(
-            tables, evaluation.rows, config, seed
+            tables, evaluation, config, seed
         )
     qsearch_stats = None
     if config.qsearch_check:
@@ -407,7 +408,7 @@ def run_trial(config: ExperimentConfig, seed: int) -> TrialResult:
         runtime_s=time.perf_counter() - start,
         fallback_reasons=dict(evaluation.fallback_reasons),
         stage_s=stage_s,
-        rows=evaluation.rows,
+        rows=evaluation,
     )
 
 
@@ -554,15 +555,16 @@ def write_report(report: StretchReport) -> tuple[str, str]:
 
 
 def write_pairs_csv(path: str, trials) -> None:
-    """The per-pair CSV: every row of each ``(seed, rows)`` in ``trials``,
-    rows as ``evaluate_all_pairs`` returns them. ``report`` and ``eval``
-    both write it here."""
+    """The per-pair CSV: every row of each ``(seed, evaluation)`` in
+    ``trials``, one joined string per source. ``report`` and ``eval`` both
+    write it here."""
     with open(path, "w", newline="\n") as fh:
         fh.write(f"# schema_version={SCHEMA_VERSION}\n")
         fh.write("seed,source,dest,case,cost,optimal,stretch\n")
-        for seed, rows in trials:
-            for source, dest, case, cost, optimal, stretch in rows:
-                fh.write(f"{seed},{source},{dest},{case},{cost!r},{optimal!r},{stretch!r}\n")
+        for seed, evaluation in trials:
+            for rows in map(evaluation.source_rows, range(len(evaluation.code))):
+                fh.write("".join(f"{seed},{i},{d},{case},{cost!r},{optimal!r},{stretch!r}\n"
+                                 for i, d, case, cost, optimal, stretch in rows))
 
 
 def compare_schemes(

@@ -517,14 +517,18 @@ def resolve(
 # All-pairs evaluation
 
 
-@dataclass
-class PairEvaluation:
-    """Aggregate of resolving every ordered pair once.
+@dataclass(eq=False)
+class PairEvaluation(Sequence):
+    """Aggregate of resolving every ordered pair once: ``code[i, d]`` and
+    ``cost[i, d]`` are the pair's ``_BatchLadder.run`` code and cost. It is
+    the sequence of its rows ``(source, dest, case, cost, optimal, stretch)``
+    in row-major pair order, each built when read, of Python numbers: the
+    CSV writes their repr. ``fallback_reasons`` counts every pair that took
+    the fallback by the ``EntangledPath.reason`` ``resolve`` gives it."""
 
-    ``fallback_reasons`` counts every pair that took the fallback by the
-    ``EntangledPath.reason`` ``resolve`` gives it."""
-
-    rows: list[tuple[int, int, str, float, float, float]]
+    code: np.ndarray
+    cost: np.ndarray
+    pair_costs: list[list[float]]
     case_counts: Counter
     max_stretch: float
     mean_stretch: float
@@ -538,6 +542,21 @@ class PairEvaluation:
         return sum(
             self.case_counts[c.value] for c in (Case.CASE_I, Case.CASE_II, Case.CASE_III)
         )
+
+    def __len__(self) -> int:
+        return len(self.code) * (len(self.code) - 1)
+
+    def __getitem__(self, k: int) -> tuple:
+        i, d = divmod(range(len(self))[k], len(self.code) - 1)
+        d += d >= i
+        cost, optimal = self.cost.item(i, d), self.pair_costs[i][d]
+        return i, d, _BATCH_CASE_NAMES[self.code.item(i, d)], cost, optimal, cost / optimal
+
+    def source_rows(self, i: int) -> list[tuple]:
+        """Source ``i``'s rows in dest order, from its arrays' ``tolist()``."""
+        rows = zip(self.code[i].tolist(), self.cost[i].tolist(), self.pair_costs[i])
+        return [(i, d, _BATCH_CASE_NAMES[c], x, o, x / o)
+                for d, (c, x, o) in enumerate(rows) if d != i]
 
 
 # the reasons ``resolve`` gives a fallback: the full-anchor one, then
@@ -707,41 +726,32 @@ def evaluate_all_pairs(tables: SchemeTables) -> PairEvaluation:
     also gives each pair it leaves open its fallback row and reason: the
     optimal cost as both cost and optimal, at stretch 1.0, the row
     ``resolve`` gives. No pair goes through ``resolve`` or ``optimal_cost``;
-    ``resolve`` stays the reference the pass is tested against. The case
-    counts and stretch figures are reduced from each source's code and
-    stretch arrays.
+    ``resolve`` stays the reference the pass is tested against. The pass
+    fills one n x n code array and one cost array, and the case counts and
+    stretch figures are reduced from them in one pass each.
     """
     ladder = _BatchLadder(tables)
-    rows = []
     n = tables.n_e
-    counts = np.zeros(len(_BATCH_CASE_NAMES), np.int64)
-    stretches = []  # each source's resolved stretches
+    code = np.empty((n, n), np.int8)
+    cost = np.empty((n, n))
     for i in range(n):
-        codes, costs = ladder.run(i)
-        # rows carry Python floats, whose repr the CSV writes
-        ratios = np.divide(costs, ladder.pair[i], out=np.ones(n), where=ladder.pair[i] != 0)
-        names = [_BATCH_CASE_NAMES[c] for c in codes.tolist()]
-        source_rows = list(zip(
-            itertools.repeat(i), range(n), names, costs.tolist(), tables.pair_costs[i],
-            ratios.tolist(),
-        ))
-        del source_rows[i]
-        rows.extend(source_rows)
-        codes[i] = 0  # the source's own slot, which no count reads
-        counts += np.bincount(codes, minlength=len(counts))
-        stretches.append(ratios[(codes >= 1) & (codes < _FALLBACK)])
-    stretches = np.concatenate(stretches).tolist()
+        code[i], cost[i] = ladder.run(i)
+    counts = np.bincount(code[~np.eye(n, dtype=bool)], minlength=len(_BATCH_CASE_NAMES))
+    resolved = (code >= 1) & (code < _FALLBACK)
+    stretches = (cost[resolved] / ladder.pair[resolved]).tolist()
     case_counts: Counter = Counter()
     reasons: Counter = Counter()
-    for code, count in enumerate(counts.tolist()):
-        if code and count:
-            case_counts[_BATCH_CASE_NAMES[code]] += count
-            if code >= _FALLBACK:
-                reasons[_FALLBACK_REASONS[code - _FALLBACK]] = count
+    for c, count in enumerate(counts.tolist()):
+        if c and count:
+            case_counts[_BATCH_CASE_NAMES[c]] += count
+            if c >= _FALLBACK:
+                reasons[_FALLBACK_REASONS[c - _FALLBACK]] = count
     max_stretch = max(stretches) if stretches else 0.0
-    total = len(rows)
+    total = n * (n - 1)
     return PairEvaluation(
-        rows=rows,
+        code=code,
+        cost=cost,
+        pair_costs=tables.pair_costs,
         case_counts=case_counts,
         max_stretch=max_stretch,
         mean_stretch=statistics.fmean(stretches) if stretches else 0.0,

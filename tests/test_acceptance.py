@@ -102,7 +102,7 @@ def test_c03_concave_metric_unit_stretch_both_schemes():
             for seed in range(5):
                 tables, _ = scheme_trial("erdos_renyi", n, seed, scheme, metric="capacity")
                 ev = evaluate_all_pairs(tables)
-                for _, _, case, _, _, stretch in ev.rows:
+                for _, _, case, _, _, stretch in ev:
                     if case in ("I", "II", "III"):
                         assert abs(stretch - 1.0) <= TOL
                         checked += 1

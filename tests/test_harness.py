@@ -215,8 +215,8 @@ def test_trial_runtime_and_chain_samples_recorded():
 def test_chain_replay_samples_the_case_two_and_three_rows(monkeypatch):
     config = ExperimentConfig(n_e=24, graph_params={"edge_prob": 0.2}, k_override=3)
     tabs, _ = build_scheme_for_trial(config, 0)
-    rows = evaluate_all_pairs(tabs).rows
-    repeated = [(i, d) for i, d, case, *_ in rows if case in ("II", "III")]
+    ev = evaluate_all_pairs(tabs)
+    repeated = [(i, d) for i, d, case, *_ in ev if case in ("II", "III")]
     assert len(repeated) > 10
     replayed = []
     monkeypatch.setattr(harness, "verify_bound_chain",
@@ -225,7 +225,7 @@ def test_chain_replay_samples_the_case_two_and_three_rows(monkeypatch):
     def replay(samples: int) -> list:
         replayed.clear()
         checked, _ = harness._sample_chain_checks(
-            tabs, rows, replace(config, chain_samples=samples), 0
+            tabs, ev, replace(config, chain_samples=samples), 0
         )
         assert checked == len(replayed)
         return list(replayed)
@@ -951,6 +951,14 @@ def test_cli_generate_unknown_model_parameter_exits_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "model 'erdos_renyi' has no parameter 'foo'; it takes edge_prob" in err
     assert "_erdos_renyi" not in err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("flag, pair", [("--param", "foo"), ("--metric-param", "low")])
+def test_cli_generate_malformed_key_value_exits_two(tmp_path, capsys, flag, pair):
+    out = str(tmp_path / "y.graph")
+    assert main(["generate", "--n-e", "8", flag, pair, "--out", out]) == 2
+    assert f"error: bad parameter {pair!r}, expected key=value" in capsys.readouterr().err
     assert not os.path.exists(out)
 
 

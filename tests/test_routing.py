@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import random
+import tracemalloc
 from collections import Counter, deque
 
 import pytest
@@ -246,7 +247,7 @@ def test_min_composition_every_resolved_pair_unit_stretch():
     ):
         ev = evaluate_all_pairs(tabs)
         assert ev.max_stretch == 1.0
-        for _, _, case, _, _, stretch in ev.rows:
+        for _, _, case, _, _, stretch in ev:
             if case in ("I", "II", "III"):
                 assert stretch == 1.0
 
@@ -293,7 +294,7 @@ def test_stretch_never_below_one():
         g = generate_graph("waxman", 24, {}, metric, seed=seed)
         tabs = build_partial_scheme(g, metric, k=5)
         ev = evaluate_all_pairs(tabs)
-        for _, _, case, _, _, stretch in ev.rows:
+        for _, _, case, _, _, stretch in ev:
             if case in ("I", "II", "III"):
                 assert stretch >= 1.0 - 1e-12
 
@@ -334,7 +335,7 @@ def test_all_pairs_rows_equal_the_scalar_ladder(tabs):
     ev = evaluate_all_pairs(tabs)
     expected = [(p.source, p.dest, p.case.value, p.total_cost, p.optimal, p.stretch)
                 for p in paths]
-    assert repr(ev.rows) == repr(expected)
+    assert repr(list(ev)) == repr(expected)
     assert ev.case_counts == Counter(p.case.value for p in paths)
     assert ev.fallback_reasons == Counter(p.reason for p in paths if not p.resolved)
 
@@ -367,7 +368,7 @@ def depleted_pairs_csv(out_dir):
                                   k_override=5)
         tabs, _ = build_scheme_for_trial(config, seed)
         deplete(tabs, 0.15, seed)
-        trials.append((seed, evaluate_all_pairs(tabs).rows))
+        trials.append((seed, evaluate_all_pairs(tabs)))
     path = out_dir / "depleted_pairs.csv"
     write_pairs_csv(path, trials)
     return path
@@ -425,9 +426,55 @@ def test_evaluation_resolves_no_pair_one_by_one(monkeypatch):
     }
     ev = evaluate_all_pairs(full)
     assert set(ev.fallback_reasons) == {"no neighbor reaches the target"}
-    fallback = [row for row in ev.rows if row[2] == "fallback"]
+    fallback = [row for row in ev if row[2] == "fallback"]
     assert len(fallback) == ev.case_counts["fallback"] > 0
     assert all(cost == optimal and stretch == 1.0 for _, _, _, cost, optimal, stretch in fallback)
+
+
+@pytest.mark.parametrize("config, seed", [
+    (ExperimentConfig(n_e=24, graph_params={"edge_prob": 0.15}, anchor_method="random",
+                      k_override=3, capacity_cap=3), 0),
+    (ExperimentConfig(n_e=48, graph_params={"edge_prob": 0.15}, scheme="full", k_override=5), 1),
+], ids=["partial", "full"])
+def test_rows_read_by_index_equal_the_iterated_rows_and_resolve(config, seed):
+    # a report's rows are read by index, as the benchmark's query check reads them
+    tabs, _ = build_scheme_for_trial(config, seed)
+    deplete(tabs, 0.15, seed)
+    n = tabs.n_e
+    ev = evaluate_all_pairs(tabs)
+    rows = list(ev)
+    by_source = [row for s in range(n) for row in ev.source_rows(s)]  # the CSV's rows
+    assert len(ev) == len(rows) == len(by_source) == n * (n - 1)
+    assert ev.case_counts["fallback"] > 0
+    for s in range(n):
+        for d in range(n):
+            if s != d:
+                k = s * (n - 1) + (d if d < s else d - 1)
+                p = resolve(tabs, s, d)
+                expected = (s, d, p.case.value, p.total_cost, p.optimal, p.stretch)
+                assert repr(ev[k]) == repr(rows[k]) == repr(by_source[k]) == repr(expected)
+    assert repr(ev[-1]) == repr(rows[-1])
+    with pytest.raises(IndexError):
+        ev[len(ev)]
+
+
+def test_evaluation_holds_arrays_not_row_tuples():
+    # perfbench's allpairs config at n = 512: the two arrays take about 2.4 MB,
+    # where a tuple per ordered pair takes 42 MB
+    n = 512
+    tabs, _ = build_scheme_for_trial(ExperimentConfig(
+        n_e=n, graph_params={"edge_prob": max(0.12, 2 * math.log(n) / n)},
+        k_override=math.isqrt(n),
+    ), 0)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ev = evaluate_all_pairs(tabs)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(ev) == n * (n - 1)
+    assert held <= 8e6
 
 
 def test_table_scaling_ratio_bounded():
@@ -814,7 +861,7 @@ def test_resolved_pairs_keep_the_stretch_bound(trial, tracking_seed):
         tabs = build_partial_scheme(graph, metric, k)
     else:
         tabs = build_full_scheme(graph, metric, k, tracking_seed=tracking_seed)
-    stretches = [row[5] for row in evaluate_all_pairs(tabs).rows if row[2] in ("I", "II", "III")]
+    stretches = [row[5] for row in evaluate_all_pairs(tabs) if row[2] in ("I", "II", "III")]
     assert stretches
     if metric.composition is Composition.MIN:
         assert all(abs(s - 1.0) <= 1e-9 for s in stretches)

@@ -14,7 +14,6 @@ from .clustering import (
     Scheme,
     TrackedSets,
     assign_all_tracking,
-    assign_tracking,
     build_anchor_set_greedy,
     build_anchor_set_random,
     build_tracked_sets,

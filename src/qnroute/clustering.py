@@ -11,7 +11,6 @@ guarantees are probabilistic.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 import random
 from dataclasses import dataclass, field
@@ -93,20 +92,17 @@ def greedy_size_bound(n_e: int, k: int) -> float:
     return n_e * (1 + math.log(n_e)) / k
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrackedSets:
-    """Flat partition of the node set into address blocks.
-
-    ``assignment`` maps each node to the index of the block it tracks; it is
-    filled by ``assign_tracking``/``assign_all_tracking``.
-    """
+    """Flat partition of the node set into address blocks, with each node's
+    choice: ``assignment[v]`` is the index of the block node v tracks."""
 
     blocks: tuple[tuple[int, ...], ...]
-    assignment: dict[int, int] = field(default_factory=dict)
+    assignment: tuple[int, ...]
+    _block_sets: tuple[frozenset[int], ...] = field(init=False, repr=False, compare=False)
 
-    @property
-    def block_capacity(self) -> int:
-        return max(len(b) for b in self.blocks)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_block_sets", tuple(frozenset(b) for b in self.blocks))
 
     def tracked_by(self, v: int) -> tuple[int, ...]:
         """The nodes v proactively entangles with: its chosen block."""
@@ -116,12 +112,8 @@ class TrackedSets:
         """Whether ``target`` lies in the block v tracks."""
         return target in self._block_sets[self.assignment[v]]
 
-    @functools.cached_property
-    def _block_sets(self) -> tuple[frozenset[int], ...]:
-        return tuple(frozenset(block) for block in self.blocks)
 
-
-def build_tracked_sets(n_e: int) -> TrackedSets:
+def build_tracked_sets(n_e: int) -> tuple[tuple[int, ...], ...]:
     """Partition nodes by ascending address into blocks of ceil(sqrt(n_e)).
 
     Node indices already ascend with quantum address, so block j holds ranks
@@ -129,24 +121,17 @@ def build_tracked_sets(n_e: int) -> TrackedSets:
     """
     capacity = math.ceil(math.sqrt(n_e))
     ids = list(range(n_e))
-    blocks = tuple(
-        tuple(ids[start : start + capacity]) for start in range(0, n_e, capacity)
-    )
-    return TrackedSets(blocks=blocks)
+    return tuple(tuple(ids[start : start + capacity]) for start in range(0, n_e, capacity))
 
 
-def assign_tracking(tracked: TrackedSets, v: int, seed: int) -> int:
-    """Uniform block choice for node ``v``, deterministic given (seed, v)."""
-    rng = random.Random(stream_seed(seed, f"tracking:{v}"))
-    idx = rng.randrange(len(tracked.blocks))
-    tracked.assignment[v] = idx
-    return idx
-
-
-def assign_all_tracking(tracked: TrackedSets, n_e: int, seed: int) -> TrackedSets:
-    for v in range(n_e):
-        assign_tracking(tracked, v, seed)
-    return tracked
+def assign_all_tracking(
+    blocks: tuple[tuple[int, ...], ...], n_e: int, seed: int
+) -> TrackedSets:
+    """Each node's uniform block choice, deterministic given (seed, node)."""
+    return TrackedSets(blocks, tuple(
+        random.Random(stream_seed(seed, f"tracking:{v}")).randrange(len(blocks))
+        for v in range(n_e)
+    ))
 
 
 @dataclass(frozen=True)
@@ -193,8 +178,8 @@ def verify_coverage(
             scheme=scheme, uncovered=uncovered, total_checks=len(neighborhoods)
         )
 
-    if tracked is None or not tracked.assignment:
-        raise ValueError("full-anchor coverage requires assigned TrackedSets")
+    if tracked is None:
+        raise ValueError("full-anchor coverage requires TrackedSets")
     by_owner = {nb.owner: nb for nb in neighborhoods}
     nodes = sorted(by_owner)
     failures: list[tuple[int, int]] = []

@@ -37,6 +37,7 @@ from .metrics import Composition, check_axioms, metric_by_name
 from .qsearch import routing_lookup_via_search
 from .rng import stream, stream_seed
 from .routing import (
+    CASE_BY_CODE,
     Case,
     build_tables,
     evaluate_all_pairs,
@@ -562,9 +563,10 @@ def write_pairs_csv(path: str, trials) -> None:
         fh.write(f"# schema_version={SCHEMA_VERSION}\n")
         fh.write("seed,source,dest,case,cost,optimal,stretch\n")
         for seed, evaluation in trials:
-            for rows in map(evaluation.source_rows, range(len(evaluation.code))):
-                fh.write("".join(f"{seed},{i},{d},{case},{cost!r},{optimal!r},{stretch!r}\n"
-                                 for i, d, case, cost, optimal, stretch in rows))
+            for i, optimal in enumerate(evaluation.pair_costs):
+                rows = zip(evaluation.code[i].tolist(), evaluation.cost[i].tolist(), optimal)
+                fh.write("".join(f"{seed},{i},{d},{CASE_BY_CODE[c]},{x!r},{o!r},{x / o!r}\n"
+                                 for d, (c, x, o) in enumerate(rows) if d != i))
 
 
 def compare_schemes(

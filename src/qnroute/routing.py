@@ -61,72 +61,55 @@ class TableEntry:
     mirror the superposed address registers the peer announces, so every
     entry for one peer holds the same mirror (``build_tables`` shares one
     tuple per peer, and ``evaluate_all_pairs`` refuses tables where two
-    entries differ). An entry with zero ebits is unusable for swapping until
-    replenished. The link's cost is the pair's entry in
-    ``SchemeTables.pair_costs``.
+    entries differ). ``reach`` is their union, derived once at construction.
+    An entry with zero ebits is unusable for swapping until replenished.
+    The link's cost is the pair's entry in ``SchemeTables.pair_costs``.
     """
 
     e_hop: int
     ebits: int
     partitions: tuple[frozenset[int], ...]
     origin: Origin
+    reach: frozenset[int] = field(init=False, repr=False, compare=False)
 
-    @functools.cached_property
-    def reach(self) -> frozenset[int]:
-        if len(self.partitions) == 1:
-            return self.partitions[0]
-        return frozenset().union(*self.partitions)
+    def __post_init__(self) -> None:
+        parts = self.partitions
+        self.reach = parts[0] if len(parts) == 1 else frozenset().union(*parts)
 
 
 @dataclass
 class RoutingTable:
     """One node's entries in table order, indexed by peer.
 
-    ``entries`` keeps insertion order; search labels are positions in it.
-    ``add`` is its only writer: it keeps the peer index and ``e_neighbors``,
-    the e-neighbor entries in table order, in step with it. ``build_tables``
-    puts the e-neighbor entries first, in ``(cost, id)`` order, and no entry
-    is ever removed, so ``e_neighbors`` stays in that order; the case ladder
-    relies on it to rank hubs. ``dropped`` holds the peers the capacity cap
-    evicted. ``partitions`` holds each entry's partitions in table order,
-    built on first use; ``add`` drops it.
+    ``entries`` keeps construction order; search labels are positions in it.
+    The constructor derives the peer index, ``e_neighbors`` (the e-neighbor
+    entries in table order) and ``partitions`` (each entry's partitions in
+    table order) once, and rejects a second entry for one peer; nothing
+    adds or removes an entry afterwards. ``build_tables`` puts the
+    e-neighbor entries first, in ``(cost, id)`` order, so ``e_neighbors``
+    is in that order; the case ladder relies on it to rank hubs.
+    ``dropped`` holds the peers the capacity cap evicted.
     """
 
     owner: int
     entries: list[TableEntry] = field(default_factory=list)
     dropped: list[int] = field(default_factory=list)
-    e_neighbors: list[TableEntry] = field(
-        init=False, default_factory=list, repr=False, compare=False
+    e_neighbors: list[TableEntry] = field(init=False, repr=False, compare=False)
+    partitions: tuple[tuple[frozenset[int], ...], ...] = field(
+        init=False, repr=False, compare=False
     )
-    _by_peer: dict[int, TableEntry] = field(
-        init=False, default_factory=dict, repr=False, compare=False
-    )
-    _partitions: tuple[tuple[frozenset[int], ...], ...] | None = field(
-        init=False, default=None, repr=False, compare=False
-    )
+    _by_peer: dict[int, TableEntry] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        entries, self.entries = self.entries, []
-        for entry in entries:
-            self.add(entry)
-
-    def add(self, entry: TableEntry) -> None:
-        """Append ``entry``; a second entry for the same peer is rejected."""
-        if entry.e_hop in self._by_peer:
-            raise DuplicateEntryError(
-                f"node {self.owner} already has an entry for peer {entry.e_hop}"
-            )
-        self.entries.append(entry)
-        self._by_peer[entry.e_hop] = entry
-        if entry.origin is Origin.E_NEIGHBOR:
-            self.e_neighbors.append(entry)
-        self._partitions = None
-
-    @property
-    def partitions(self) -> tuple[tuple[frozenset[int], ...], ...]:
-        if self._partitions is None:
-            self._partitions = tuple(e.partitions for e in self.entries)
-        return self._partitions
+        self._by_peer = {}
+        for entry in self.entries:
+            if entry.e_hop in self._by_peer:
+                raise DuplicateEntryError(
+                    f"node {self.owner} already has an entry for peer {entry.e_hop}"
+                )
+            self._by_peer[entry.e_hop] = entry
+        self.e_neighbors = [e for e in self.entries if e.origin is Origin.E_NEIGHBOR]
+        self.partitions = tuple(e.partitions for e in self.entries)
 
     def find(self, peer: int) -> TableEntry | None:
         return self._by_peer.get(peer)
@@ -139,10 +122,14 @@ class RoutingTable:
 class SchemeTables:
     """All tables of one scheme instance plus the data they were built from.
 
-    ``debited`` holds, by (owner, peer), every entry that a delivery left
-    below the ebit budget; ``_consume_link`` adds to it and ``replenish``
-    drops an entry once it is back at budget. ``seed`` is the seed
-    ``harness.build_scheme`` built with, and None for tables built otherwise.
+    A built scheme is final: its tables, their entries, peer indexes and
+    mirrors, the anchors and the tracked assignment are complete when
+    ``build_tables`` returns. Afterwards only the ebit counters change: each
+    entry's ``ebits`` and ``debited``, which holds, by (owner, peer), every
+    entry that a delivery left below the ebit budget; ``_consume_link`` adds
+    to it and ``replenish`` drops an entry once it is back at budget.
+    ``seed`` is the seed ``harness.build_scheme`` built with, and None for
+    tables built otherwise.
     """
 
     scheme: Scheme
@@ -260,10 +247,10 @@ def build_tables(
 ) -> SchemeTables:
     """Populate every node's routing table for one scheme.
 
-    Partial-anchor requires ``anchors``; full-anchor requires ``tracked``
-    with assignments. Each table lists its e-neighbor entries in their
-    neighborhood's ``(cost, id)`` order, then reverse-neighbor entries, then
-    long-range entries, each peer once. Only a table over the capacity cap
+    Partial-anchor requires ``anchors``; full-anchor requires ``tracked``.
+    Each table lists its e-neighbor entries in their neighborhood's
+    ``(cost, id)`` order, then reverse-neighbor entries, then long-range
+    entries, each peer once. Only a table over the capacity cap
     (default 4k) evicts, and only reverse-neighbor entries, costliest first;
     their peers are recorded in the table's dropped list.
     ``pair_costs`` is the trial's ``all_pairs_optimal`` matrix; the returned
@@ -272,8 +259,6 @@ def build_tables(
     if (anchors is None) == (tracked is None):
         raise ValueError("pass exactly one of anchors / tracked")
     scheme = Scheme.PARTIAL_ANCHOR if anchors is not None else Scheme.FULL_ANCHOR
-    if scheme is Scheme.FULL_ANCHOR and not tracked.assignment:
-        raise ValueError("tracked sets must be assigned before building tables")
 
     k = neighborhoods[0].k if neighborhoods else 0
     cap = capacity_cap if capacity_cap is not None else max(1, 4 * k)
@@ -550,13 +535,7 @@ class PairEvaluation(Sequence):
         i, d = divmod(range(len(self))[k], len(self.code) - 1)
         d += d >= i
         cost, optimal = self.cost.item(i, d), self.pair_costs[i][d]
-        return i, d, _BATCH_CASE_NAMES[self.code.item(i, d)], cost, optimal, cost / optimal
-
-    def source_rows(self, i: int) -> list[tuple]:
-        """Source ``i``'s rows in dest order, from its arrays' ``tolist()``."""
-        rows = zip(self.code[i].tolist(), self.cost[i].tolist(), self.pair_costs[i])
-        return [(i, d, _BATCH_CASE_NAMES[c], x, o, x / o)
-                for d, (c, x, o) in enumerate(rows) if d != i]
+        return i, d, CASE_BY_CODE[self.code.item(i, d)], cost, optimal, cost / optimal
 
 
 # the reasons ``resolve`` gives a fallback: the full-anchor one, then
@@ -712,7 +691,7 @@ class _BatchLadder:
 
 # each ``_BatchLadder.run`` code's case name, the ``Case`` value itself, so
 # rows share one string object per case; code -1, the source, is dropped
-_BATCH_CASE_NAMES = (
+CASE_BY_CODE = (
     "", Case.CASE_I.value, Case.CASE_II.value, Case.CASE_III.value,
     *[Case.FALLBACK.value] * len(_FALLBACK_REASONS),
 )
@@ -736,14 +715,14 @@ def evaluate_all_pairs(tables: SchemeTables) -> PairEvaluation:
     cost = np.empty((n, n))
     for i in range(n):
         code[i], cost[i] = ladder.run(i)
-    counts = np.bincount(code[~np.eye(n, dtype=bool)], minlength=len(_BATCH_CASE_NAMES))
+    counts = np.bincount(code[~np.eye(n, dtype=bool)], minlength=len(CASE_BY_CODE))
     resolved = (code >= 1) & (code < _FALLBACK)
     stretches = (cost[resolved] / ladder.pair[resolved]).tolist()
     case_counts: Counter = Counter()
     reasons: Counter = Counter()
     for c, count in enumerate(counts.tolist()):
         if c and count:
-            case_counts[_BATCH_CASE_NAMES[c]] += count
+            case_counts[CASE_BY_CODE[c]] += count
             if c >= _FALLBACK:
                 reasons[_FALLBACK_REASONS[c - _FALLBACK]] = count
     max_stretch = max(stretches) if stretches else 0.0

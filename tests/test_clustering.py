@@ -5,8 +5,8 @@ import pytest
 
 from qnroute.clustering import (
     Scheme,
+    TrackedSets,
     assign_all_tracking,
-    assign_tracking,
     build_anchor_set_greedy,
     build_anchor_set_random,
     build_tracked_sets,
@@ -132,23 +132,20 @@ def test_greedy_covers_disjoint_cliques_with_one_anchor_each():
 
 
 def test_tracked_sets_sixteen_nodes_four_blocks_of_four():
-    tracked = build_tracked_sets(16)
-    assert [len(b) for b in tracked.blocks] == [4, 4, 4, 4]
-    assert tracked.blocks[0] == (0, 1, 2, 3)
+    blocks = build_tracked_sets(16)
+    assert [len(b) for b in blocks] == [4, 4, 4, 4]
+    assert blocks[0] == (0, 1, 2, 3)
 
 
 def test_tracked_sets_five_nodes_blocks_three_two():
-    tracked = build_tracked_sets(5)
-    assert [len(b) for b in tracked.blocks] == [3, 2]
-    assert tracked.block_capacity == 3
+    assert [len(b) for b in build_tracked_sets(5)] == [3, 2]
 
 
 @pytest.mark.parametrize("n_e", range(2, 65))
 def test_tracked_sets_partition_invariants(n_e):
-    tracked = build_tracked_sets(n_e)
     seen = set()
     cap = math.ceil(math.sqrt(n_e))
-    for block in tracked.blocks:
+    for block in build_tracked_sets(n_e):
         assert len(block) <= cap
         assert seen.isdisjoint(block)
         seen.update(block)
@@ -156,24 +153,26 @@ def test_tracked_sets_partition_invariants(n_e):
 
 
 def test_assign_tracking_single_block_forced():
-    tracked = build_tracked_sets(2)  # capacity 2 -> one block
-    assert len(tracked.blocks) == 1
-    assert assign_tracking(tracked, 0, seed=9) == 0
+    blocks = build_tracked_sets(2)  # capacity 2 -> one block
+    assert len(blocks) == 1
+    assert assign_all_tracking(blocks, 2, seed=9).assignment == (0, 0)
 
 
 def test_assign_tracking_deterministic_per_seed_and_node():
-    tracked = build_tracked_sets(16)
-    first = assign_tracking(tracked, 7, seed=3)
-    second = assign_tracking(tracked, 7, seed=3)
-    assert first == second
+    # a node's choice depends only on (seed, node), not on how many nodes draw
+    blocks = build_tracked_sets(16)
+    first = assign_all_tracking(blocks, 16, seed=3)
+    assert assign_all_tracking(blocks, 16, seed=3) == first
+    assert assign_all_tracking(blocks, 8, seed=3).assignment == first.assignment[:8]
+    assert len(set(first.assignment)) > 1
 
 
 def test_assign_tracking_uniform_over_blocks():
-    tracked = build_tracked_sets(16)  # 4 blocks
+    blocks = build_tracked_sets(16)  # 4 blocks
     counts = Counter()
     samples = 100_000
-    for s in range(samples):
-        counts[assign_tracking(tracked, v=s % 16, seed=s)] += 1
+    for s in range(samples // 16):
+        counts.update(assign_all_tracking(blocks, 16, seed=s).assignment)
     expected = samples / 4
     sigma = math.sqrt(samples * 0.25 * 0.75)
     for idx in range(4):
@@ -186,9 +185,8 @@ def test_assign_tracking_uniform_over_blocks():
 
 def test_full_anchor_coverage_pathological_shared_block():
     n = 16
-    tracked = build_tracked_sets(n)
-    for v in range(n):
-        tracked.assignment[v] = 0  # everyone tracks block 0 = {0,1,2,3}
+    # everyone tracks block 0 = {0,1,2,3}
+    tracked = TrackedSets(build_tracked_sets(n), (0,) * n)
     nbs = full_neighborhoods(n)
     report = verify_coverage(Scheme.FULL_ANCHOR, nbs, tracked=tracked)
     # every target outside block 0 is unreachable through tracking

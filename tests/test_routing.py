@@ -442,9 +442,17 @@ def test_evaluation_resolves_no_pair_one_by_one(monkeypatch):
     (ExperimentConfig(n_e=24, graph_params={"edge_prob": 0.15}, anchor_method="random",
                       k_override=3, capacity_cap=3), 0),
     (ExperimentConfig(n_e=48, graph_params={"edge_prob": 0.15}, scheme="full", k_override=5), 1),
-], ids=["partial", "full"])
+    # uniform costs make most tails distinct, and some case II/III rows cost
+    # exactly their optimal
+    (ExperimentConfig(n_e=32, graph_params={"edge_prob": 0.2}, metric="uniform",
+                      anchor_method="random", k_override=3), 2),
+    # min composition: every row costs its optimal
+    (ExperimentConfig(n_e=36, graph_model="grid_torus", metric="capacity",
+                      anchor_method="random", k_override=5), 3),
+], ids=["partial", "full", "uniform", "capacity"])
 def test_rows_read_by_index_equal_the_iterated_rows_and_resolve(tmp_path, config, seed):
-    # a report's rows are read by index, as the benchmark's query check reads them
+    # a report's rows are read by index, as the benchmark's query check reads them;
+    # the CSV must format each row's numbers as their three reprs
     tabs, _ = build_scheme_for_trial(config, seed)
     deplete(tabs, 0.15, seed)
     n = tabs.n_e
@@ -485,6 +493,25 @@ def test_evaluation_holds_arrays_not_row_tuples():
         tracemalloc.stop()
     assert len(ev) == n * (n - 1)
     assert held <= 8e6
+
+
+def test_writing_the_pairs_csv_holds_one_source_of_tails(tmp_path):
+    # uniform costs make nearly every tail distinct: the writer peaked at
+    # 0.11 MB under tracemalloc (n = 256, k = 16), where a tail memo shared
+    # by all sources holds one tail per row and peaked at 12.1 MB
+    n = 256
+    tabs, _ = build_scheme_for_trial(ExperimentConfig(
+        n_e=n, graph_params={"edge_prob": max(0.12, 2 * math.log(n) / n)},
+        metric="uniform", k_override=math.isqrt(n),
+    ), 0)
+    ev = evaluate_all_pairs(tabs)
+    tracemalloc.start()
+    try:
+        write_pairs_csv(tmp_path / "pairs.csv", [(0, ev)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2e6
 
 
 def test_table_scaling_ratio_bounded():
@@ -771,7 +798,8 @@ def scheme_structure(tabs) -> list:
     """Every field of a built scheme except the ebit counters: each table's
     peers, origins and dropped list, the identity of each entry, of its
     partitions and reach, of the table's ``e_neighbors`` and ``partitions``
-    and of what its peer index finds, then the tracked sets and anchors."""
+    and of what its peer index finds, then the tracked sets and anchors, the
+    seed and the identity of the address plan."""
     tables = [
         (
             t.owner,
@@ -790,6 +818,7 @@ def scheme_structure(tabs) -> list:
         id(tabs.tables), tables,
         tracked and (id(tracked), tracked.blocks, tracked.assignment),
         anchors and (id(anchors), anchors.members),
+        tabs.seed, id(tabs.plan),
     ]
 
 

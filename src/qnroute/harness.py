@@ -334,8 +334,11 @@ def _qsearch_agreement(tables, seed: int) -> dict | None:
     Each lookup searches a random owner's table for a random target that one
     of its entries holds. Its found flag is a Bernoulli draw with the
     lookup's success probability p, so the found count has mean sum p and
-    variance sum p(1 - p). None when no table of two or more entries holds a
-    target.
+    variance sum p(1 - p). ``uniform_expected_found`` sums h / n_T over the
+    same lookups, h of the table's n_T entries holding the target: the mean
+    found count of a measurement blind to the amplitudes, so the gap between
+    the two sums, in sigmas, is how well the check can tell them apart. None
+    when no table of two or more entries holds a target.
     """
     held = {}
     for owner in range(tables.n_e):
@@ -349,6 +352,7 @@ def _qsearch_agreement(tables, seed: int) -> dict | None:
     rng = stream(seed, "measurement")
     owners = list(held)
     probs = []
+    hit_shares = []
     found = 0
     for n in range(QSEARCH_CHECK_LOOKUPS):
         owner = rng.choice(owners)
@@ -357,12 +361,15 @@ def _qsearch_agreement(tables, seed: int) -> dict | None:
             tables, owner, target, seed=stream_seed(seed, f"lookup:{n}")
         )
         probs.append(result.success_probability)
+        entries = tables.table(owner).entries
+        hit_shares.append(sum(target in e.reach for e in entries) / len(entries))
         found += result.found
     variance = math.fsum(p * (1.0 - p) for p in probs)
     return {
         "lookups": len(probs),
         "found": found,
         "expected_found": math.fsum(probs),
+        "uniform_expected_found": math.fsum(hit_shares),
         "sigma": math.sqrt(max(variance, 0.0)),
     }
 

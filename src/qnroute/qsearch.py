@@ -27,16 +27,17 @@ numerical precision.
 
 from __future__ import annotations
 
+import bisect
 import functools
+import itertools
 import math
 import operator
-import random
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DimensionCapError, PartitionCountError
-from .rng import stream_seed
+from .rng import unit_draw
 
 CAP_QUBITS = 22
 
@@ -104,14 +105,14 @@ class SearchInstance:
         return frozenset(label for label, _ in self.hit_alphas(target))
 
     def hit_alphas(self, target: int) -> list[tuple[int, float]]:
-        """(label, weight of the inverting branch) per hitting entry."""
-        out = []
-        for label, parts in enumerate(self.partitions):
-            for part in parts:
-                if target in part:
-                    out.append((label, 1.0 / len(part)))
-                    break
-        return out
+        """(label, weight of the inverting branch) per hitting entry; an
+        entry's parts are disjoint, so at most one of them holds the target."""
+        return [
+            (label, 1.0 / len(part))
+            for label, parts in enumerate(self.partitions)
+            for part in parts
+            if target in part
+        ]
 
 
 def make_instance(partition_lists, address_width: int) -> SearchInstance:
@@ -390,10 +391,24 @@ class SearchOutcome:
             raise AssertionError(f"label distribution sums to {total}")
 
 
-def measure(distribution, seed: int) -> int:
-    """Sample one label from ``distribution`` with the seed's measurement stream."""
-    rng = random.Random(stream_seed(seed, "measurement"))
-    return rng.choices(range(len(distribution)), weights=distribution)[0]
+def measure(distribution, seed: int, attempt: int = 0) -> int:
+    """Sample one label from ``distribution`` for a lookup seed's attempt.
+
+    One sha256 of the seed and the attempt gives a uniform u in [0, 1) from
+    its first 53 bits (``rng.unit_draw``). The label is the inverse CDF at u:
+    the first whose accumulated weight exceeds u times the total, found by
+    ``bisect`` as ``random.choices`` does, so a label depends on no
+    ``random`` internals of any Python version. An empty distribution, or one
+    whose total is not positive and finite, raises ``ValueError``.
+    """
+    cum = list(itertools.accumulate(distribution))
+    if not cum:
+        raise ValueError("cannot measure an empty distribution")
+    total = cum[-1]
+    if not 0.0 < total < math.inf:
+        raise ValueError(f"label weights must total a positive finite value, got {total}")
+    u = unit_draw(seed, f"measurement:{attempt}")
+    return bisect.bisect(cum, u * total, 0, len(cum) - 1)
 
 
 def run_search(
@@ -409,7 +424,7 @@ def run_search(
     and shot noise only enters through the single reported measurement.
     """
     hits = instance.hit_alphas(target)
-    hit_labels = frozenset(label for label, _ in hits)
+    labels = [label for label, _ in hits]
     n_t = instance.n_t
     if iterations is None:
         iterations = iteration_count(n_t, max(1, len(hits)))
@@ -417,16 +432,16 @@ def run_search(
         raise ValueError(f"iteration count must be non-negative, got {iterations}")
 
     background, hit_values, success = _normalized_marginal(
-        tuple(alpha for _, alpha in hits), n_t, iterations
+        tuple([alpha for _, alpha in hits]), n_t, iterations
     )
     probs = [background] * n_t
-    for (label, _), value in zip(hits, hit_values):
+    for label, value in zip(labels, hit_values):
         probs[label] = value
     distribution = tuple(probs)
     return SearchOutcome(
         distribution=distribution,
         measured=measure(distribution, seed),
-        hit_labels=hit_labels,
+        hit_labels=frozenset(labels),
         success_probability=success,
         iterations=iterations,
     )
@@ -479,19 +494,19 @@ def routing_lookup_via_search(
     """Locate a table entry whose mirrored neighborhood holds the target.
 
     The exact label distribution is computed once, from the table's
-    classical mirror; each attempt then measures it with its own seed, which
-    is the label a fresh preparation and search would give. The measured
+    classical mirror; attempt k then measures it at ``measure(..., seed, k)``,
+    which is the label a fresh preparation and search would give. The measured
     label is verified against the classical mirror; misses are legitimate
     probabilistic outcomes and are reported through the attempt count.
     """
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
     instance = instance_from_table(tables.table(owner), tables.plan)
-    outcome = run_search(instance, target, seed=stream_seed(seed, "attempt:0"))
+    outcome = run_search(instance, target, seed=seed)
     measured: list[int] = []
     for attempt in range(repeats):
         label = outcome.measured if attempt == 0 else measure(
-            outcome.distribution, stream_seed(seed, f"attempt:{attempt}")
+            outcome.distribution, seed, attempt
         )
         measured.append(label)
         if label in outcome.hit_labels:

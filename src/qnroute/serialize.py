@@ -126,20 +126,21 @@ def _read_scheme(doc: dict) -> tuple[SchemeTables, str, dict]:
 
 def write_delivery_log(records, path: str) -> None:
     """Delivery log CSV: one row per routed packet."""
-
-    def segments(pairs) -> str:
-        return ";".join(f"{a}-{b}" for a, b in pairs)
-
+    rows = [
+        f"# schema_version={DELIVERY_LOG_SCHEMA_VERSION}\n"
+        "request,source,dest,case,nodes,success,retried,consumed,on_demand,detail\n"
+    ]
+    for idx, rec in enumerate(records):
+        route = rec.path
+        consumed = ";".join([f"{a}-{b}" for a, b in rec.consumed])
+        on_demand = ";".join([f"{a}-{b}" for a, b in rec.on_demand])
+        rows.append(
+            f"{idx},{route.source},{route.dest},{route.case.value},"
+            f"{'-'.join(map(str, route.nodes))},{int(rec.success)},{int(rec.retried)},"
+            f"{consumed},{on_demand},{rec.detail}\n"
+        )
     with open(path, "w", newline="\n") as fh:
-        fh.write(f"# schema_version={DELIVERY_LOG_SCHEMA_VERSION}\n")
-        fh.write("request,source,dest,case,nodes,success,retried,consumed,on_demand,detail\n")
-        for idx, rec in enumerate(records):
-            nodes = "-".join(str(n) for n in rec.path.nodes)
-            fh.write(
-                f"{idx},{rec.path.source},{rec.path.dest},{rec.path.case.value},"
-                f"{nodes},{int(rec.success)},{int(rec.retried)},{segments(rec.consumed)},"
-                f"{segments(rec.on_demand)},{rec.detail}\n"
-            )
+        fh.write("".join(rows))
 
 
 def dump_json(doc: dict, path: str) -> None:

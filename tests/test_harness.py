@@ -248,6 +248,7 @@ def test_qsearch_agreement_check_runs_on_small_tables():
     check = trial.qsearch_agreement
     assert check["lookups"] == harness.QSEARCH_CHECK_LOOKUPS
     assert 0 < check["expected_found"] < check["lookups"]
+    assert 0 < check["uniform_expected_found"] < check["expected_found"]
     assert 0 < check["sigma"]
     assert abs(check["found"] - check["expected_found"]) <= 4 * check["sigma"]
 
@@ -267,15 +268,15 @@ def test_lookup_check_passes_on_the_amplified_measurement():
     assert result.checked == 3 * harness.QSEARCH_CHECK_LOOKUPS
     summary = report.summary_dict()["trials"]
     assert [set(t["qsearch_agreement"]) for t in summary] == [
-        {"lookups", "found", "expected_found", "sigma"}
+        {"lookups", "found", "expected_found", "uniform_expected_found", "sigma"}
     ] * 3
 
 
 def test_lookup_check_fails_a_uniform_measurement(monkeypatch):
     # a measurement that ignores the amplitudes finds hit labels only at the
     # rate h / n_T, far below the success probability the search reports
-    def uniform(distribution, seed):
-        return random.Random(seed).randrange(len(distribution))
+    def uniform(distribution, seed, attempt=0):
+        return random.Random(f"{seed}:{attempt}").randrange(len(distribution))
 
     monkeypatch.setattr(qsearch, "measure", uniform)
     report = run_experiment(torus_config(qsearch_check=True), write_outputs=False)
@@ -283,6 +284,11 @@ def test_lookup_check_fails_a_uniform_measurement(monkeypatch):
     for trial in report.trials:
         check = trial.qsearch_agreement
         assert check["expected_found"] - check["found"] > 8 * check["sigma"]
+        # the blind count lands near the sum of h / n_T: within 4 sigma of a
+        # binomial count, whose sigma is at most sqrt(lookups) / 2
+        assert abs(check["found"] - check["uniform_expected_found"]) <= 2 * math.sqrt(
+            check["lookups"]
+        )
 
 
 def test_axiom_check_feeds_summary_and_assertion(tmp_path):

@@ -26,7 +26,6 @@ from qnroute.qsearch import (
     routing_lookup_via_search,
     run_search,
 )
-from qnroute.rng import stream_seed
 from qnroute.topology import generate_graph
 
 from conftest import (
@@ -282,6 +281,84 @@ def test_runs_are_deterministic_given_seed():
     a = run_search(inst, 3, iterations=1, seed=7)
     b = run_search(inst, 3, iterations=1, seed=7)
     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# the measurement
+
+
+def hashed_inverse_cdf(distribution, seed, attempt):
+    """Reference sampler: the uniform from the first 53 bits of one sha256,
+    and a linear scan for the first label whose running sum exceeds it."""
+    digest = hashlib.sha256(f"{seed}:measurement:{attempt}".encode()).digest()
+    u = (int.from_bytes(digest[:8], "big") >> 11) / 2**53
+    # a left-to-right total: ``sum`` compensates its rounding on Python 3.12
+    total = 0.0
+    for weight in distribution:
+        total += weight
+    running = 0.0
+    for label, weight in enumerate(distribution):
+        running += weight
+        if u * total < running:
+            return label
+    return len(distribution) - 1
+
+
+def test_measure_is_the_inverse_cdf_at_one_hashed_uniform():
+    rng = random.Random(3)
+    for _ in range(200):
+        distribution = [rng.choice([0.0, rng.random()]) for _ in range(rng.randint(1, 12))]
+        distribution[rng.randrange(len(distribution))] += 0.5
+        seed, attempt = rng.getrandbits(64), rng.randint(0, 5)
+        assert measure(distribution, seed, attempt) == hashed_inverse_cdf(
+            distribution, seed, attempt
+        )
+
+
+@pytest.mark.parametrize(
+    "entries, attempt",
+    [
+        # hits at both ends of the CDF: the first label and the last
+        ([[{3}], [{0}], [{1}], [{0, 2}], [{1, 2}], [{0, 1}], [{2}], [{3, 1}]], 0),
+        # one hit in the middle: both ends are small background labels
+        ([[{0}], [{1}], [{2}], [{3}], [{0, 1}], [{1, 2}], [{0, 2}], [{2, 1}]], 2),
+    ],
+    ids=["hits-at-ends", "hit-in-middle"],
+)
+def test_label_frequencies_match_the_closed_form(entries, attempt):
+    inst = make_instance(entries, address_width=2)
+    distribution = run_search(inst, 3, iterations=1).distribution
+    runs = 20_000
+    counts = [0] * inst.n_t
+    for seed in range(runs):
+        counts[measure(distribution, seed, attempt)] += 1
+    assert {0, inst.n_t - 1} <= {label for label, c in enumerate(counts) if c}
+    for label, p in enumerate(distribution):
+        sigma = math.sqrt(runs * p * (1.0 - p))
+        assert abs(counts[label] - runs * p) <= 4 * sigma + 1e-9, (label, counts, distribution)
+
+
+def test_attempts_of_one_seed_measure_independently():
+    distribution = [0.5, 0.5]
+    runs = 20_000
+    same = sum(measure(distribution, s, 0) == measure(distribution, s, 1) for s in range(runs))
+    assert abs(same - runs / 2) <= 4 * math.sqrt(runs / 4)
+
+
+@pytest.mark.parametrize("u, label", [(0.0, 2), (1.0 - 2.0**-53, 4)])
+def test_the_extreme_uniforms_measure_no_zero_weight_label(monkeypatch, u, label):
+    monkeypatch.setattr(qsearch, "unit_draw", lambda seed, name: u)
+    assert measure([0.0, 0.0, 0.3, 0.0, 0.7, 0.0], 0) == label
+
+
+@pytest.mark.parametrize(
+    "distribution",
+    [[], [0.0, 0.0], [0.5, -0.5], [-1.0, 0.25], [float("nan"), 1.0], [math.inf, 1.0]],
+    ids=["empty", "zero", "cancelling", "negative", "nan", "infinite"],
+)
+def test_measure_rejects_a_total_that_is_not_positive_and_finite(distribution):
+    with pytest.raises(ValueError):
+        measure(distribution, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -564,10 +641,10 @@ def test_lookup_absent_target_never_found():
 
 
 def attempt_labels(tabs, owner, target, seed, repeats):
-    """Per-attempt oracle: a fresh search with each attempt's seed."""
+    """Per-attempt oracle: a fresh search measured at each attempt."""
     instance = instance_from_table(tabs.table(owner), tabs.plan)
     return [
-        run_search(instance, target, seed=stream_seed(seed, f"attempt:{attempt}")).measured
+        measure(run_search(instance, target, seed=seed).distribution, seed, attempt)
         for attempt in range(repeats)
     ]
 
@@ -626,7 +703,7 @@ def test_lookup_labels_match_the_pinned_digest():
                 measured = "-".join(map(str, result.measured))
                 lines.append(f"{owner},{target},{seed},{int(result.found)},{measured}\n")
     assert hashlib.sha256("".join(lines).encode()).hexdigest() == (
-        "b6285261aeefd32ec6745883185e777d4c48dff1c8f50977e1e597b62fb4f67e"
+        "3c65e2c1944fdb83eb0d4cb8f6ea073bbb0d3f4a6dec14291d3906999ecf6075"
     )
 
 

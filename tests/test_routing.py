@@ -40,6 +40,7 @@ from qnroute.routing import (
     table_size_stats,
     verify_bound_chain,
 )
+from qnroute.serialize import DELIVERY_LOG_SCHEMA_VERSION, write_delivery_log
 from qnroute.topology import (
     all_neighborhoods,
     all_pairs_optimal,
@@ -744,13 +745,13 @@ def test_fallback_over_a_physical_link_is_charged_on_demand():
     assert ebit_counts(tabs) == before
 
 
-def delivery_digest(lag: int) -> tuple[str, Counter]:
-    """sha256 over a seeded request stream on a one-ebit ER scheme.
+def late_deliveries(lag: int) -> tuple:
+    """A seeded request stream on a one-ebit ER scheme: the scheme and each
+    delivery record in order.
 
     Each request is resolved at once and delivered ``lag`` requests later,
     so ``lag > 0`` delivers stale paths whose retry can succeed; every 20
-    requests refill one ebit. The digest covers each record's case, nodes,
-    success, retried, consumed and on_demand, then every entry's final ebits.
+    requests refill one ebit.
     """
     config = ExperimentConfig(
         n_e=48, graph_model="erdos_renyi", graph_params={"edge_prob": 0.12},
@@ -758,21 +759,32 @@ def delivery_digest(lag: int) -> tuple[str, Counter]:
     )
     tabs, _ = build_scheme_for_trial(config, 0)
     rng = random.Random(0)
-    digest, seen = hashlib.sha256(), Counter()
+    records = []
     pending: deque = deque()
     for step in range(400):
         source, dest = rng.sample(range(config.n_e), 2)
         pending.append(resolve(tabs, source, dest))
         if len(pending) > lag:
             path = pending.popleft()
-            record = swap_and_replenish(tabs, path, make_packet(tabs.plan, path.source, path.dest))
-            seen.update(retried=record.retried, retried_ok=record.retried and record.success)
-            digest.update(json.dumps([
-                record.path.case.value, record.path.nodes, record.success,
-                record.retried, record.consumed, record.on_demand,
-            ]).encode())
+            records.append(
+                swap_and_replenish(tabs, path, make_packet(tabs.plan, path.source, path.dest))
+            )
         if step % 20 == 19:
             replenish(tabs, 1)
+    return tabs, records
+
+
+def delivery_digest(lag: int) -> tuple[str, Counter]:
+    """sha256 over ``late_deliveries(lag)``: each record's case, nodes,
+    success, retried, consumed and on_demand, then every entry's final ebits."""
+    tabs, records = late_deliveries(lag)
+    digest, seen = hashlib.sha256(), Counter()
+    for record in records:
+        seen.update(retried=record.retried, retried_ok=record.retried and record.success)
+        digest.update(json.dumps([
+            record.path.case.value, record.path.nodes, record.success,
+            record.retried, record.consumed, record.on_demand,
+        ]).encode())
     digest.update(json.dumps(sorted(ebit_counts(tabs).items())).encode())
     return digest.hexdigest(), seen
 
@@ -792,6 +804,38 @@ def test_delivery_outcomes_are_pinned(lag, expected):
     assert seen["retried"] > 0
     assert (seen["retried_ok"] > 0) == (lag > 0)
     assert digest == expected
+
+
+def reference_delivery_log(records) -> str:
+    """The delivery log as a row-at-a-time writer formats it."""
+
+    def segments(pairs) -> str:
+        return ";".join(f"{a}-{b}" for a, b in pairs)
+
+    out = [
+        f"# schema_version={DELIVERY_LOG_SCHEMA_VERSION}\n",
+        "request,source,dest,case,nodes,success,retried,consumed,on_demand,detail\n",
+    ]
+    for idx, rec in enumerate(records):
+        nodes = "-".join(str(n) for n in rec.path.nodes)
+        out.append(
+            f"{idx},{rec.path.source},{rec.path.dest},{rec.path.case.value},"
+            f"{nodes},{int(rec.success)},{int(rec.retried)},{segments(rec.consumed)},"
+            f"{segments(rec.on_demand)},{rec.detail}\n"
+        )
+    return "".join(out)
+
+
+def test_delivery_log_bytes_equal_the_row_at_a_time_writer(tmp_path):
+    _, records = late_deliveries(3)
+    # the stream retries, debits several segments of one path, and charges
+    # on-demand segments, some beside debited ones
+    assert any(r.retried for r in records)
+    assert any(len(r.consumed) > 1 for r in records)
+    assert any(r.on_demand and r.consumed for r in records)
+    log = tmp_path / "deliveries.csv"
+    write_delivery_log(records, str(log))
+    assert log.read_bytes() == reference_delivery_log(records).encode()
 
 
 def scheme_structure(tabs) -> list:

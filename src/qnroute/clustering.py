@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .rng import stream_seed
 from .topology import ENeighborhood
@@ -99,18 +99,10 @@ class TrackedSets:
 
     blocks: tuple[tuple[int, ...], ...]
     assignment: tuple[int, ...]
-    _block_sets: tuple[frozenset[int], ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_block_sets", tuple(frozenset(b) for b in self.blocks))
 
     def tracked_by(self, v: int) -> tuple[int, ...]:
         """The nodes v proactively entangles with: its chosen block."""
         return self.blocks[self.assignment[v]]
-
-    def tracks(self, v: int, target: int) -> bool:
-        """Whether ``target`` lies in the block v tracks."""
-        return target in self._block_sets[self.assignment[v]]
 
 
 def build_tracked_sets(n_e: int) -> tuple[tuple[int, ...], ...]:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
@@ -48,13 +49,16 @@ class EntanglingMetric:
     sample_cost: Callable[[random.Random], float] = field(default=lambda rng: 1.0)
 
 
+# each composition as a binary operator, for costs already known to be
+# nonnegative, such as a pair-cost matrix's
+OPERATOR = {Composition.ADDITIVE: operator.add, Composition.MIN: min}
+
+
 def compose(metric: EntanglingMetric, a: float, b: float) -> float:
     """Compose two costs: a + b for additive metrics, min(a, b) for concave."""
     if a < 0 or b < 0:
         raise ValueError("costs must be nonnegative")
-    if metric.composition is Composition.ADDITIVE:
-        return a + b
-    return min(a, b)
+    return OPERATOR[metric.composition](a, b)
 
 
 def fold(metric: EntanglingMetric, costs: Iterable[float]) -> float:

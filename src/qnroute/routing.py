@@ -24,13 +24,14 @@ import statistics
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .addressing import AddressPlan, QuantumAddress
 from .clustering import AnchorSet, Scheme, TrackedSets
 from .errors import ChainViolationError, DepletedLinkError, DuplicateEntryError
-from .metrics import Composition, EntanglingMetric, compose, fold
+from .metrics import OPERATOR, Composition, EntanglingMetric, fold
 from .qsearch import partition_neighborhood
 from .topology import ENeighborhood, NetworkGraph, optimal_cost
 
@@ -122,12 +123,18 @@ class SchemeTables:
     """All tables of one scheme instance plus the data they were built from.
 
     A built scheme is final: its tables, their entries, peer indexes and
-    mirrors, the anchors, the tracked assignment, the seed and the address
-    plan are complete when ``build_tables`` returns. Afterwards only the
-    ebit counters change: each entry's ``ebits`` and ``debited``, which
-    holds, by (owner, peer), every entry that a delivery left below the ebit
-    budget; ``_consume_link`` adds to it and ``replenish`` drops an entry
-    once it is back at budget.
+    mirrors, the anchors, the tracked assignment, the repeater indexes
+    ``holders`` and ``anchor_hubs``, the seed and the address plan are
+    complete when ``build_tables`` returns. Afterwards only the ebit
+    counters change: each entry's ``ebits`` and ``debited``, which holds, by
+    (owner, peer), every entry that a delivery left below the ebit budget;
+    ``_consume_link`` adds to it and ``replenish`` drops an entry once it is
+    back at budget.
+    ``holders[d]`` holds the nodes whose mirror reaches d (the owners whose
+    e-neighborhood holds d) and, full-anchor, the nodes whose tracked block
+    holds d: case II's candidate repeaters toward d. ``anchor_hubs[v]``
+    holds v's anchor e-neighbors in table order, and is empty full-anchor:
+    case III's candidate hubs beside v.
     ``seed`` is the seed ``harness.build_scheme`` built with, and None for
     tables built without one; ``plan`` addresses the graph's nodes.
     """
@@ -144,6 +151,8 @@ class SchemeTables:
     ebit_budget: int = 4
     capacity_cap: int = 0
     seed: int | None = None
+    holders: tuple[frozenset[int], ...] = field(kw_only=True, repr=False, compare=False)
+    anchor_hubs: tuple[tuple[int, ...], ...] = field(kw_only=True, repr=False, compare=False)
     debited: dict[tuple[int, int], TableEntry] = field(
         init=False, default_factory=dict, repr=False, compare=False
     )
@@ -160,9 +169,9 @@ class SchemeTables:
         return self.tables[v]
 
 
-@dataclass(frozen=True)
-class EntangledPath:
-    """Resolved repeater sequence with its composed cost."""
+class EntangledPath(NamedTuple):
+    """Resolved repeater sequence with its composed cost; an immutable
+    value, one built per request."""
 
     source: int
     dest: int
@@ -249,14 +258,17 @@ def build_tables(
     """Populate every node's routing table for one scheme.
 
     Partial-anchor requires ``anchors``; full-anchor requires ``tracked``.
-    Each table lists its e-neighbor entries in their neighborhood's
-    ``(cost, id)`` order, then reverse-neighbor entries, then long-range
-    entries, each peer once. Only a table over the capacity cap
-    (default 4k) evicts, and only reverse-neighbor entries, costliest first;
-    their peers are recorded in the table's dropped list.
+    ``neighborhoods[v]`` is v's e-neighborhood. Each table lists its
+    e-neighbor entries in their neighborhood's ``(cost, id)`` order, then
+    reverse-neighbor entries, then long-range entries, each peer once. Only
+    a table over the capacity cap (default 4k) evicts, and only
+    reverse-neighbor entries, costliest first; their peers are recorded in
+    the table's dropped list.
     ``pair_costs`` is the trial's ``all_pairs_optimal`` matrix; the returned
     tables keep it for resolution and fallback, and record ``seed``, the
-    seed the anchors or tracking were drawn with.
+    seed the anchors or tracking were drawn with. The repeater indexes
+    ``holders`` and ``anchor_hubs`` are read off the reverse neighborhoods,
+    the tracked blocks and each e-neighbor list built here.
     """
     if (anchors is None) == (tracked is None):
         raise ValueError("pass exactly one of anchors / tracked")
@@ -264,25 +276,40 @@ def build_tables(
 
     k = neighborhoods[0].k if neighborhoods else 0
     cap = capacity_cap if capacity_cap is not None else max(1, 4 * k)
-    by_owner = {nb.owner: nb for nb in neighborhoods}
+    if [nb.owner for nb in neighborhoods] != list(range(graph.n_e)):
+        raise ValueError("neighborhoods must hold one per node, in owner order")
     anchor_ids = anchors.members if anchors is not None else frozenset()
     reverse_of: dict[int, list[int]] = {v: [] for v in range(graph.n_e)}
     for nb in neighborhoods:
         for peer in nb.members:
             reverse_of[peer].append(nb.owner)
+    holders = list(map(frozenset, reverse_of.values()))
+    if tracked is not None:
+        choosers: list[list[int]] = [[] for _ in tracked.blocks]
+        for v, block in enumerate(tracked.assignment):
+            choosers[block].append(v)
+        for block, nodes in zip(tracked.blocks, choosers):
+            for d in block:
+                holders[d] = holders[d].union(nodes)
+    if anchors is not None:
+        anchor_hubs = tuple(
+            tuple([u for u in nb.members if u in anchor_ids]) for nb in neighborhoods
+        )
+    else:
+        anchor_hubs = ((),) * graph.n_e
     mirrors: dict[int, tuple[frozenset[int], ...]] = {}
 
     def make_entries(peers: Sequence[int], origin: Origin) -> list[TableEntry]:
         for peer in peers:
             if peer not in mirrors:
-                mirrors[peer] = partition_neighborhood(by_owner[peer].member_ids, f)
+                mirrors[peer] = partition_neighborhood(neighborhoods[peer].member_ids, f)
         return [TableEntry(peer, ebit_budget, mirrors[peer], origin) for peer in peers]
 
     tables: list[RoutingTable] = []
     for v in range(graph.n_e):
         row = pair_costs[v]
-        held = {v, *by_owner[v].member_ids}
-        forward = by_owner[v].members
+        held = {v, *neighborhoods[v].member_ids}
+        forward = neighborhoods[v].members
         reverse = sorted((u for u in reverse_of[v] if u not in held), key=lambda u: (row[u], u))
         held.update(reverse)
 
@@ -320,6 +347,8 @@ def build_tables(
         ebit_budget=ebit_budget,
         capacity_cap=cap,
         seed=seed,
+        holders=tuple(holders),
+        anchor_hubs=anchor_hubs,
     )
 
 
@@ -384,40 +413,25 @@ def _case_one(tables: SchemeTables, i: int, d: int) -> EntangledPath | None:
 def _case_two(tables: SchemeTables, i: int, d: int) -> EntangledPath | None:
     """One repeater through an e-neighbor of the source.
 
-    A neighbor qualifies when the target shows up in its mirrored partitions
-    or, in the full-anchor scheme, in its announced tracked block. Only
-    e-neighbors of the source keep the bound: the first segment's cost is
-    then at most the optimal source-target cost.
+    A neighbor qualifies when it is in ``holders[d]``: the target shows up
+    in its mirrored partitions or, in the full-anchor scheme, in its
+    announced tracked block. Only e-neighbors of the source keep the bound:
+    the first segment's cost is then at most the optimal source-target cost.
     """
-    metric, costs = tables.metric, tables.pair_costs
-    full_anchor = tables.scheme is Scheme.FULL_ANCHOR
+    op, costs = OPERATOR[tables.metric.composition], tables.pair_costs
     best: tuple[float, int] | None = None
-    for entry in tables.tables[i].e_neighbors:
-        j = entry.e_hop
-        if d not in entry.reach and not (full_anchor and tables.tracked.tracks(j, d)):
-            continue
+    for j in tables.neighborhoods[i].member_ids & tables.holders[d]:
         if not _link_usable(tables, i, j):
             continue
         if d not in tables.tables[j]._by_peer or not _link_usable(tables, j, d):
             continue
-        key = (compose(metric, costs[i][j], costs[j][d]), j)
+        key = (op(costs[i][j], costs[j][d]), j)
         if best is None or key < best:
             best = key
     if best is None:
         return None
     cost, j = best
     return _finish(tables, i, d, (j,), cost, Case.CASE_II)
-
-
-def _anchor_hubs_near(tables: SchemeTables, v: int) -> list[int]:
-    """Anchors inside v's e-neighborhood whose link to v is usable, in table
-    order, which is ``(cost, id)`` order."""
-    anchors = tables.anchors.members
-    return [
-        entry.e_hop
-        for entry in tables.tables[v].e_neighbors
-        if entry.e_hop in anchors and _link_usable(tables, v, entry.e_hop)
-    ]
 
 
 def _case_three(tables: SchemeTables, i: int, d: int) -> EntangledPath | str:
@@ -428,7 +442,11 @@ def _case_three(tables: SchemeTables, i: int, d: int) -> EntangledPath | str:
     A missing entry hub or exit hub is a coverage failure and is returned as
     a reason string for the fallback path.
 
-    The hub lists already hold only usable source-to-entry-hub and
+    Entry hubs are tried in table order, which is ``(cost, id)`` order. For
+    each, the candidates are the paths i-l-k-d over every exit hub k, or
+    i-l-d where k is l or d; with the source as its own hub, i-k-d. The
+    cheapest candidate wins, ties going to the smaller node after the entry
+    hub. Hub lists hold only usable source-to-entry-hub and
     exit-hub-to-target links, and no ebit changes here, so each candidate
     tests just its hub-to-hub link (the whole middle segment when a hub is
     an endpoint).
@@ -438,42 +456,51 @@ def _case_three(tables: SchemeTables, i: int, d: int) -> EntangledPath | str:
     if i in anchors:
         entry_hubs = [i]
     else:
-        entry_hubs = _anchor_hubs_near(tables, i)
+        entry_hubs = [l for l in tables.anchor_hubs[i] if _link_usable(tables, i, l)]
         if not entry_hubs:
             return "no anchor inside source e-neighborhood"
 
-    exit_hubs = _anchor_hubs_near(tables, d)
+    exit_hubs = [k for k in tables.anchor_hubs[d] if _link_usable(tables, d, k)]
     if d in anchors:
         exit_hubs.append(d)
     if not exit_hubs:
         return "no anchor inside target e-neighborhood"
 
-    metric, costs = tables.metric, tables.pair_costs
+    op, costs = OPERATOR[tables.metric.composition], tables.pair_costs
     reason = "source anchor holds no usable entry for the target"
     for l in entry_hubs:
-        best: tuple[float, tuple[int, ...]] | None = None
-        for k in exit_hubs:
-            nodes = [i]
-            if l != i:
-                nodes.append(l)
-            if k != nodes[-1] and k != d:
-                nodes.append(k)
-            nodes.append(d)
-            if len(nodes) == 2:
-                # a direct artificial link is case I territory; reaching here
-                # means the source-side entry was unusable, and when every
-                # candidate is one, no mesh link is tested
-                continue
+        # (total, node after l, repeaters) of the cheapest candidate
+        best: tuple[float, int, tuple[int, ...]] | None = None
+        if l == i:
+            for k in exit_hubs:
+                if k == i or k == d:
+                    # a direct artificial link is case I territory; reaching
+                    # here means the source-side entry was unusable, and when
+                    # every candidate is one, no mesh link is tested
+                    continue
+                reason = "anchor mesh links unusable"
+                if _link_usable(tables, i, k):
+                    key = (op(costs[i][k], costs[k][d]), k, (k,))
+                    if best is None or key < best:
+                        best = key
+        else:
             reason = "anchor mesh links unusable"
-            if l != k and not _link_usable(tables, l, k):
-                continue
-            total = fold(metric, [costs[a][b] for a, b in zip(nodes, nodes[1:])])
-            key = (total, tuple(nodes))
-            if best is None or key < best:
-                best = key
+            near = costs[i][l]
+            for k in exit_hubs:
+                if k == l or k == d:
+                    # the path i-l-d; with k = d its l-d link is the mesh link
+                    if k != l and not _link_usable(tables, l, d):
+                        continue
+                    key = (op(near, costs[l][d]), d, (l,))
+                elif _link_usable(tables, l, k):
+                    key = (op(op(near, costs[l][k]), costs[k][d]), k, (l, k))
+                else:
+                    continue
+                if best is None or key < best:
+                    best = key
         if best is not None:
-            total, nodes = best
-            return _finish(tables, i, d, nodes[1:-1], total, Case.CASE_III)
+            total, _, repeaters = best
+            return _finish(tables, i, d, repeaters, total, Case.CASE_III)
     return reason
 
 
@@ -568,9 +595,11 @@ class _BatchLadder:
 
     ``relay[j, d]`` is whether j can be case II's repeater toward d: d is in
     j's mirror (or, full-anchor, j tracks d) and j holds a usable entry for
-    d. It keeps one mirror per peer, where ``resolve`` reads each entry's
-    own, so entries for one peer that mirror different partitions raise
-    ``ValueError``. ``hops[i]`` holds i's e-neighbor ids in table order.
+    d. It reads the mirror off the entries for j, where ``resolve`` reads
+    ``SchemeTables.holders``, which ``build_tables`` derives from the same
+    e-neighborhoods; entries for one peer that mirror different partitions
+    raise ``ValueError``. ``hops[i]`` holds i's e-neighbor ids in table
+    order.
     """
 
     def __init__(self, tables: SchemeTables):
@@ -869,7 +898,8 @@ def swap_and_replenish(
         )
 
     record = DeliveryRecord(path=path, consumed=[], success=False)
-    depleted = _first_depleted_link(tables, path)
+    nodes = path.nodes
+    depleted = _first_depleted_link(tables, nodes)
     if depleted is not None:
         retry = resolve(tables, path.source, path.dest, allow_fallback=False)
         record.retried = True
@@ -877,9 +907,10 @@ def swap_and_replenish(
             a, b = depleted
             record.detail = f"link {a}-{b} depleted and retry failed: {retry.reason}"
             return record
-        path = record.path = retry
+        record.path = retry
+        nodes = retry.nodes
 
-    for a, b in zip(path.nodes, path.nodes[1:]):
+    for a, b in zip(nodes, nodes[1:]):
         if _consume_link(tables, a, b):
             record.consumed.append((a, b))
         else:
@@ -891,9 +922,11 @@ def swap_and_replenish(
 
 
 def _first_depleted_link(
-    tables: SchemeTables, path: EntangledPath
+    tables: SchemeTables, nodes: tuple[int, ...]
 ) -> tuple[int, int] | None:
-    for a, b in zip(path.nodes, path.nodes[1:]):
+    """The first segment of the path through ``nodes`` with a depleted
+    entry at either end, or None."""
+    for a, b in zip(nodes, nodes[1:]):
         for x, y in ((a, b), (b, a)):
             entry = tables.tables[x]._by_peer.get(y)
             if entry is not None and entry.ebits < 1:

@@ -1,3 +1,4 @@
+import functools
 import heapq
 import itertools
 import math
@@ -6,14 +7,16 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from qnroute import routing
 from qnroute.clustering import (
+    Scheme,
     assign_all_tracking,
     build_anchor_set_greedy,
     build_tracked_sets,
 )
 from qnroute.harness import ExperimentConfig, build_scheme
-from qnroute.metrics import Composition, fold
-from qnroute.routing import SchemeTables, build_tables
+from qnroute.metrics import Composition, compose, fold
+from qnroute.routing import Case, EntangledPath, SchemeTables, build_tables
 from qnroute.topology import (
     NetworkGraph,
     all_neighborhoods,
@@ -159,6 +162,71 @@ def reference_replenish(
     after = {key: min(budget, count + rate) if count < budget else count
              for key, count in ebits.items()}
     return after, sum(after.values()) - sum(ebits.values())
+
+
+def reference_resolve(tables: SchemeTables, i: int, d: int) -> EntangledPath:
+    """Scan oracle for ``routing.resolve`` without its fallback.
+
+    Case II scans every e-neighbor entry of the source and reads the target
+    off the entry's own mirror or the peer's tracked block; case III scans
+    the e-neighbor entries of both ends for anchors, and composes each
+    candidate's node list with ``fold``, ties going to the smaller list.
+    """
+    usable = functools.partial(routing._link_usable, tables)
+    metric, costs = tables.metric, tables.pair_costs
+
+    def finish(repeaters, cost, case, reason=None):
+        return EntangledPath(i, d, repeaters, cost, costs[i][d], case, reason)
+
+    if d in tables.tables[i]._by_peer and usable(i, d):
+        return finish((), costs[i][d], Case.CASE_I)
+
+    best = None
+    for entry in tables.tables[i].e_neighbors:
+        j = entry.e_hop
+        tracks = tables.tracked is not None and d in tables.tracked.tracked_by(j)
+        if (d in entry.reach or tracks) and usable(i, j) and (
+            d in tables.tables[j]._by_peer and usable(j, d)
+        ):
+            key = (compose(metric, costs[i][j], costs[j][d]), j)
+            best = key if best is None or key < best else best
+    if best is not None:
+        return finish((best[1],), best[0], Case.CASE_II)
+    if tables.scheme is Scheme.FULL_ANCHOR:
+        return finish((), math.inf, Case.FAILURE, "no neighbor reaches the target")
+
+    anchors = tables.anchors.members
+
+    def hubs_near(v):
+        return [e.e_hop for e in tables.tables[v].e_neighbors
+                if e.e_hop in anchors and usable(v, e.e_hop)]
+
+    entry_hubs = [i] if i in anchors else hubs_near(i)
+    if not entry_hubs:
+        return finish((), math.inf, Case.FAILURE, "no anchor inside source e-neighborhood")
+    exit_hubs = hubs_near(d) + ([d] if d in anchors else [])
+    if not exit_hubs:
+        return finish((), math.inf, Case.FAILURE, "no anchor inside target e-neighborhood")
+    reason = "source anchor holds no usable entry for the target"
+    for l in entry_hubs:
+        best = None
+        for k in exit_hubs:
+            nodes = [i]
+            if l != i:
+                nodes.append(l)
+            if k != nodes[-1] and k != d:
+                nodes.append(k)
+            nodes.append(d)
+            if len(nodes) == 2:
+                continue
+            reason = "anchor mesh links unusable"
+            if l != k and not usable(l, k):
+                continue
+            key = (fold(metric, [costs[a][b] for a, b in zip(nodes, nodes[1:])]), tuple(nodes))
+            best = key if best is None or key < best else best
+        if best is not None:
+            return finish(best[1][1:-1], best[0], Case.CASE_III)
+    return finish((), math.inf, Case.FAILURE, reason)
 
 
 def path_graph(costs: list[float]) -> NetworkGraph:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from qnroute import routing
 from qnroute.addressing import AddressPlan
+from qnroute.clustering import build_anchor_set_greedy
 from qnroute.errors import ChainViolationError
 from qnroute.harness import (
     ExperimentConfig,
@@ -48,7 +49,13 @@ from qnroute.topology import (
     reverse_neighborhood,
 )
 
-from conftest import build_full_scheme, build_partial_scheme, reference_replenish, small_graphs
+from conftest import (
+    build_full_scheme,
+    build_partial_scheme,
+    reference_replenish,
+    reference_resolve,
+    small_graphs,
+)
 
 HOP = hop_count_metric()
 
@@ -127,6 +134,18 @@ def test_reverse_consistency_without_cap_pressure():
             back = tabs.table(peer).find(nb.owner)
             assert back is not None
             assert back.origin in (Origin.E_NEIGHBOR, Origin.REVERSE_NEIGHBOR)
+
+
+def test_tables_refuse_neighborhoods_out_of_owner_order():
+    # ``resolve`` reads a source's e-neighborhood as ``neighborhoods[i]``
+    g = generate_graph("grid_torus", 16, {}, HOP, seed=0)
+    costs = all_pairs_optimal(g, HOP)
+    nbs = all_neighborhoods(g, 3, costs)
+    anchors = build_anchor_set_greedy(nbs)
+    with pytest.raises(ValueError, match="owner order"):
+        build_tables(g, HOP, nbs[::-1], costs, anchors=anchors)
+    with pytest.raises(ValueError, match="owner order"):
+        build_tables(g, HOP, nbs[:-1], costs, anchors=anchors)
 
 
 # ---------------------------------------------------------------------------
@@ -341,9 +360,24 @@ def test_all_pairs_rows_equal_the_scalar_ladder(tabs):
     assert ev.fallback_reasons == Counter(p.reason for p in paths if not p.resolved)
 
 
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(tabs=ladder_tables())
+def test_resolve_picks_what_a_scan_of_the_entries_picks(tabs):
+    # ``resolve`` reads its candidates off the scheme's repeater indexes; a
+    # scan of every e-neighbor entry must find the same case, repeaters,
+    # cost and reason for every ordered pair
+    for i in range(tabs.n_e):
+        for d in range(tabs.n_e):
+            if i != d:
+                path = resolve(tabs, i, d, allow_fallback=False)
+                assert repr(path) == repr(reference_resolve(tabs, i, d))
+
+
 @pytest.mark.parametrize("scheme", ["partial", "full"])
 def test_evaluation_refuses_entries_that_mirror_one_peer_differently(scheme):
-    # the batch pass keeps one mirror per peer; ``resolve`` reads each entry's
+    # the batch pass reads one mirror per peer off the entries; ``resolve``
+    # reads the holders index, which ``build_tables`` derives from the
+    # e-neighborhoods, so only the batch pass can see an edited entry
     tabs, _ = build_scheme_for_trial(ExperimentConfig(
         n_e=24, graph_params={"edge_prob": 0.2}, scheme=scheme, k_override=3,
     ), 0)
@@ -843,7 +877,7 @@ def scheme_structure(tabs) -> list:
     peers, origins and dropped list, the identity of each entry, of its
     partitions and reach, of the table's ``e_neighbors`` and ``partitions``
     and of what its peer index finds, then the tracked sets and anchors, the
-    seed and the identity of the address plan."""
+    repeater indexes, the seed and the identity of the address plan."""
     tables = [
         (
             t.owner,
@@ -862,6 +896,7 @@ def scheme_structure(tabs) -> list:
         id(tabs.tables), tables,
         tracked and (id(tracked), tracked.blocks, tracked.assignment),
         anchors and (id(anchors), anchors.members),
+        id(tabs.holders), tabs.holders, id(tabs.anchor_hubs), tabs.anchor_hubs,
         tabs.seed, id(tabs.plan),
     ]
 
@@ -1010,6 +1045,35 @@ def test_resolved_pairs_keep_the_stretch_bound(trial, tracking_seed):
     # integer costs give exact totals; float costs may round in the last bit
     tol = 0.0 if metric in (HOP, INTEGRAL) else 1e-9
     assert max(stretches) <= bound + tol
+
+
+@pytest.mark.parametrize("case, repeaters, total, optimal, reason, stretch", [
+    (Case.CASE_I, (), 2.0, 2.0, None, 1.0),
+    (Case.CASE_II, (1,), 3.0, 2.0, None, 1.5),
+    (Case.CASE_III, (1, 2), 6.0, 2.0, None, 3.0),
+    (Case.FALLBACK, (1, 2), 2.0, 2.0, "anchor mesh links unusable", 1.0),
+    (Case.FAILURE, (), math.inf, 2.0, "no neighbor reaches the target", math.inf),
+    (Case.CASE_II, (1,), 0.0, 0.0, None, 1.0),
+    (Case.FAILURE, (), math.inf, 0.0, "no neighbor reaches the target", math.inf),
+], ids=["I", "II", "III", "fallback", "failure", "II-zero-optimal", "failure-zero-optimal"])
+def test_a_path_is_an_immutable_value(case, repeaters, total, optimal, reason, stretch):
+    path = EntangledPath(0, 3, repeaters, total, optimal, case, reason)
+    for name in ("source", "repeaters", "total_cost", "case", "reason"):
+        with pytest.raises(AttributeError):
+            setattr(path, name, None)
+    twin = EntangledPath(source=0, dest=3, repeaters=repeaters, total_cost=total,
+                         optimal=optimal, case=case, reason=reason)
+    assert twin == path and hash(twin) == hash(path)
+    assert twin != path._replace(dest=4)
+    assert path.nodes == (0, *repeaters, 3)
+    assert path.stretch == stretch
+    assert path.resolved == (case in (Case.CASE_I, Case.CASE_II, Case.CASE_III))
+    assert repr(path) == (
+        f"EntangledPath(source=0, dest=3, repeaters={repeaters!r}, total_cost={total!r}, "
+        f"optimal={optimal!r}, case={case!r}, reason={reason!r})"
+    )
+    if reason is None:
+        assert EntangledPath(0, 3, repeaters, total, optimal, case) == path
 
 
 def test_packet_requires_payload():

@@ -1,4 +1,5 @@
-"""The peer index and e-neighbor list of a routing table track its entries."""
+"""The peer index and e-neighbor list of a routing table, and the scheme's
+repeater indexes, track its entries."""
 
 import copy
 
@@ -56,10 +57,27 @@ def assert_e_neighbors_lead_in_cost_order(tabs) -> None:
         assert keys == sorted(keys)
 
 
-def build(model: str, scheme: str, capacity_cap: int | None):
+def assert_repeater_indexes_match_entries(tabs) -> None:
+    """``holders[d]`` names each e-neighbor entry's peer exactly when the
+    entry's mirror reaches d or, full-anchor, the peer tracks d; each hub
+    list is its table's anchor e-neighbors in table order."""
+    tracked = tabs.tracked
+    anchors = tabs.anchors.members if tabs.anchors is not None else frozenset()
+    assert len(tabs.holders) == len(tabs.anchor_hubs) == tabs.n_e
+    for table in tabs.tables:
+        for entry in table.e_neighbors:
+            j = entry.e_hop
+            block = frozenset(tracked.tracked_by(j)) if tracked is not None else frozenset()
+            for d in range(tabs.n_e):
+                assert (j in tabs.holders[d]) == (d in entry.reach or d in block), (j, d)
+        expected = tuple(e.e_hop for e in table.e_neighbors if e.e_hop in anchors)
+        assert tabs.anchor_hubs[table.owner] == expected
+
+
+def build(model: str, scheme: str, capacity_cap: int | None, f: int = 1):
     n, params = GRAPHS[model]
     graph = generate_graph(model, n, params, HOP, seed=2)
-    return build_documented_scheme(graph, HOP, scheme, k=5, capacity_cap=capacity_cap)
+    return build_documented_scheme(graph, HOP, scheme, k=5, f=f, capacity_cap=capacity_cap)
 
 
 @pytest.mark.parametrize("model", sorted(GRAPHS))
@@ -77,6 +95,29 @@ def test_index_matches_linear_scan(model, scheme, capacity_cap):
     assert_e_neighbors_lead_in_cost_order(again)
     for before, after in zip(tabs.tables, again.tables):
         assert [e.e_hop for e in after.entries] == [e.e_hop for e in before.entries]
+
+
+@pytest.mark.parametrize("model", sorted(GRAPHS))
+@pytest.mark.parametrize("scheme", ["full", "partial"])
+@pytest.mark.parametrize("capacity_cap", [None, 6])
+@pytest.mark.parametrize("f", [1, 2])
+def test_repeater_indexes_match_the_entries(model, scheme, capacity_cap, f):
+    tabs = build(model, scheme, capacity_cap, f)
+    if capacity_cap is not None:
+        assert any(t.dropped for t in tabs.tables), "the small cap must evict"
+    if f == 2:
+        assert any(len(e.partitions) == 2 for t in tabs.tables for e in t.entries)
+    if scheme == "full":
+        # some e-neighbor reaches a target through its tracked block alone
+        assert any(
+            d not in e.reach
+            for t in tabs.tables for e in t.e_neighbors for d in tabs.tracked.tracked_by(e.e_hop)
+        )
+    else:
+        assert any(tabs.anchor_hubs)
+    assert_repeater_indexes_match_entries(tabs)
+    again, _, _ = scheme_from_dict(scheme_to_dict(tabs, "hop"))
+    assert_repeater_indexes_match_entries(again)
 
 
 @pytest.mark.parametrize("scheme", ["full", "partial"])

@@ -18,7 +18,6 @@ fallback rather than folded into the stretch statistics.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 import statistics
 from collections import Counter
@@ -60,8 +59,7 @@ class TableEntry:
     ``partitions`` are disjoint and union to the peer's e-neighborhood; they
     mirror the superposed address registers the peer announces, so every
     entry for one peer holds the same mirror (``build_tables`` shares one
-    tuple per peer, and ``evaluate_all_pairs`` refuses tables where two
-    entries differ). ``reach`` is their union, derived once at construction.
+    tuple per peer). ``reach`` is their union, derived once at construction.
     An entry with zero ebits is unusable for swapping until replenished.
     The link's cost is the pair's entry in ``SchemeTables.pair_costs``.
     """
@@ -87,7 +85,7 @@ class RoutingTable:
     table order) once, and rejects a second entry for one peer; nothing
     adds or removes an entry afterwards. ``build_tables`` puts the
     e-neighbor entries first, in ``(cost, id)`` order, so ``e_neighbors``
-    is in that order; the case ladder relies on it to rank hubs.
+    is in that order.
     ``dropped`` holds the peers the capacity cap evicted.
     """
 
@@ -355,6 +353,21 @@ def build_tables(
 # ---------------------------------------------------------------------------
 # Resolution
 
+# the reasons ``resolve`` gives a fallback: the full-anchor one, then
+# ``_case_three``'s in the order it tests them; both ladders name a reason by
+# its index here
+_FALLBACK_REASONS = (
+    "no neighbor reaches the target",
+    "no anchor inside source e-neighborhood",
+    "no anchor inside target e-neighborhood",
+    "source anchor holds no usable entry for the target",
+    "anchor mesh links unusable",
+)
+# the first ``_BatchLadder.run`` code of a fallback; the code of reason r is
+# ``_FALLBACK + r``
+_FALLBACK = 4
+
+
 def _link_usable(tables: SchemeTables, a: int, b: int) -> bool:
     """A link is usable when it has an endpoint entry and none is depleted."""
     ea = tables.tables[a]._by_peer.get(b)
@@ -434,13 +447,13 @@ def _case_two(tables: SchemeTables, i: int, d: int) -> EntangledPath | None:
     return _finish(tables, i, d, (j,), cost, Case.CASE_II)
 
 
-def _case_three(tables: SchemeTables, i: int, d: int) -> EntangledPath | str:
+def _case_three(tables: SchemeTables, i: int, d: int) -> EntangledPath | int:
     """Two repeaters over the anchor mesh (partial-anchor scheme).
 
     The entry hub must lie in the source's e-neighborhood and the exit hub in
     the target's; those memberships are what make the stretch chain sound.
-    A missing entry hub or exit hub is a coverage failure and is returned as
-    a reason string for the fallback path.
+    A missing entry hub or exit hub is a coverage failure; where no path is
+    found, the reason's index into ``_FALLBACK_REASONS`` is returned.
 
     Entry hubs are tried in table order, which is ``(cost, id)`` order. For
     each, the candidates are the paths i-l-k-d over every exit hub k, or
@@ -458,16 +471,16 @@ def _case_three(tables: SchemeTables, i: int, d: int) -> EntangledPath | str:
     else:
         entry_hubs = [l for l in tables.anchor_hubs[i] if _link_usable(tables, i, l)]
         if not entry_hubs:
-            return "no anchor inside source e-neighborhood"
+            return 1
 
     exit_hubs = [k for k in tables.anchor_hubs[d] if _link_usable(tables, d, k)]
     if d in anchors:
         exit_hubs.append(d)
     if not exit_hubs:
-        return "no anchor inside target e-neighborhood"
+        return 2
 
     op, costs = OPERATOR[tables.metric.composition], tables.pair_costs
-    reason = "source anchor holds no usable entry for the target"
+    reason = 3  # no candidate tests a mesh link
     for l in entry_hubs:
         # (total, node after l, repeaters) of the cheapest candidate
         best: tuple[float, int, tuple[int, ...]] | None = None
@@ -478,13 +491,13 @@ def _case_three(tables: SchemeTables, i: int, d: int) -> EntangledPath | str:
                     # here means the source-side entry was unusable, and when
                     # every candidate is one, no mesh link is tested
                     continue
-                reason = "anchor mesh links unusable"
+                reason = 4
                 if _link_usable(tables, i, k):
                     key = (op(costs[i][k], costs[k][d]), k, (k,))
                     if best is None or key < best:
                         best = key
         else:
-            reason = "anchor mesh links unusable"
+            reason = 4
             near = costs[i][l]
             for k in exit_hubs:
                 if k == l or k == d:
@@ -518,14 +531,10 @@ def resolve(
     path = _case_one(tables, i, d) or _case_two(tables, i, d)
     if path is not None:
         return path
-    if tables.scheme is Scheme.FULL_ANCHOR:
-        reason = "no neighbor reaches the target"
-    else:
-        outcome = _case_three(tables, i, d)
-        if isinstance(outcome, EntangledPath):
-            return outcome
-        reason = outcome
-    return _fallback_or_failure(tables, i, d, reason, allow_fallback)
+    outcome = 0 if tables.scheme is Scheme.FULL_ANCHOR else _case_three(tables, i, d)
+    if isinstance(outcome, EntangledPath):
+        return outcome
+    return _fallback_or_failure(tables, i, d, _FALLBACK_REASONS[outcome], allow_fallback)
 
 
 # ---------------------------------------------------------------------------
@@ -568,20 +577,6 @@ class PairEvaluation(Sequence):
         return i, d, CASE_BY_CODE[self.code.item(i, d)], cost, optimal, cost / optimal
 
 
-# the reasons ``resolve`` gives a fallback: the full-anchor one, then
-# ``_case_three``'s in the order it tests them
-_FALLBACK_REASONS = (
-    "no neighbor reaches the target",
-    "no anchor inside source e-neighborhood",
-    "no anchor inside target e-neighborhood",
-    "source anchor holds no usable entry for the target",
-    "anchor mesh links unusable",
-)
-# the first ``_BatchLadder.run`` code of a fallback; the code of reason r is
-# ``_FALLBACK + r``
-_FALLBACK = 4
-
-
 class _BatchLadder:
     """The case ladder from one source to every target at once.
 
@@ -593,13 +588,12 @@ class _BatchLadder:
     cost is read from ``pair``. Only totals are reduced: candidates that tie
     share their total, so the scalar tie rules cannot change a row.
 
-    ``relay[j, d]`` is whether j can be case II's repeater toward d: d is in
-    j's mirror (or, full-anchor, j tracks d) and j holds a usable entry for
-    d. It reads the mirror off the entries for j, where ``resolve`` reads
-    ``SchemeTables.holders``, which ``build_tables`` derives from the same
-    e-neighborhoods; entries for one peer that mirror different partitions
-    raise ``ValueError``. ``hops[i]`` holds i's e-neighbor ids in table
-    order.
+    Candidates come from the scheme's repeater indexes, as in ``resolve``:
+    ``relay[j, d]`` is whether j can be case II's repeater toward d, that is
+    j is in ``holders[d]`` and holds a usable entry for d, and ``exit[d, c]``
+    whether anchor ``hubs[c]`` is an exit hub of target d, that is in
+    ``anchor_hubs[d]`` over a usable link, or d itself. ``hops[i]`` holds
+    i's e-neighbors in ``(cost, id)`` order.
     """
 
     def __init__(self, tables: SchemeTables):
@@ -607,42 +601,34 @@ class _BatchLadder:
         self.tables = tables
         self.op = np.add if tables.metric.composition is Composition.ADDITIVE else np.minimum
         self.pair = np.array(tables.pair_costs, dtype=float)
-        owner, peer, low, forward = [], [], [], []
-        mirrors: dict[int, tuple[frozenset[int], ...]] = {}
+        owner, peer, low = [], [], []
         for a, table in enumerate(tables.tables):
             for entry in table.entries:
                 owner.append(a)
                 peer.append(entry.e_hop)
                 low.append(entry.ebits < 1)
-                forward.append(entry.origin is Origin.E_NEIGHBOR)
-                if mirrors.setdefault(entry.e_hop, entry.partitions) != entry.partitions:
-                    raise ValueError(f"entries for peer {entry.e_hop} mirror different partitions")
         self.held = np.zeros((n, n), bool)
         self.held[owner, peer] = True
         depleted = np.zeros((n, n), bool)
         depleted[owner, peer] = low
         self.usable = (self.held | self.held.T) & ~(depleted | depleted.T)
-        self.hops = [np.array([e.e_hop for e in t.e_neighbors], np.intp) for t in tables.tables]
+        self.hops = [np.array(nb.members, np.intp) for nb in tables.neighborhoods]
 
         self.relay = np.zeros((n, n), bool)
-        for j, mirror in mirrors.items():
-            self.relay[j, list(itertools.chain.from_iterable(mirror))] = True
-        if tables.scheme is Scheme.FULL_ANCHOR:
-            for v in range(n):
-                self.relay[v, list(tables.tracked.tracked_by(v))] = True
+        for d, holders in enumerate(tables.holders):
+            self.relay[list(holders), d] = True
         self.relay &= self.held
         self.relay &= self.usable
         if tables.scheme is Scheme.FULL_ANCHOR:
             return
-        # exit[d, c]: anchor ``hubs[c]`` is an exit hub of target d, i.e. an
-        # anchor e-neighbor of d over a usable link, or d itself
         self.hubs = np.array(sorted(tables.anchors.members), dtype=np.intp)
         self.column = {hub: c for c, hub in enumerate(self.hubs.tolist())}
         self.is_hub = np.zeros(n, bool)
         self.is_hub[self.hubs] = True
-        e_neighbor = np.zeros((n, n), bool)
-        e_neighbor[owner, peer] = forward
-        self.exit = e_neighbor[:, self.hubs] & self.usable[:, self.hubs]
+        self.exit = np.zeros((n, len(self.hubs)), bool)
+        for d, hubs in enumerate(tables.anchor_hubs):
+            self.exit[d, [self.column[hub] for hub in hubs]] = True
+        self.exit &= self.usable[:, self.hubs]
         self.exit[self.hubs, np.arange(len(self.hubs))] = True
         self.from_hub = self.pair[self.hubs].T.copy()  # from_hub[d, c] = pair[hubs[c], d]
 
@@ -686,8 +672,7 @@ class _BatchLadder:
         if self.is_hub[i]:
             entry_hubs = [i]
         else:
-            near = self.hops[i]
-            entry_hubs = near[self.is_hub[near] & usable[i, near]].tolist()
+            entry_hubs = [l for l in self.tables.anchor_hubs[i] if usable[i, l]]
             if not entry_hubs:
                 code[code == 0] = _FALLBACK + 1
                 return

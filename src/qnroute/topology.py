@@ -126,6 +126,8 @@ def load_graph(path: str) -> NetworkGraph:
 
 
 def _erdos_renyi(n_e: int, rng: random.Random, edge_prob: float = 0.3) -> NetworkGraph:
+    if not 0 < edge_prob <= 1:
+        raise ValueError(f"edge_prob must be in (0, 1], got {edge_prob!r}")
     graph = NetworkGraph(n_e=n_e)
     for i in range(n_e):
         for j in range(i + 1, n_e):
@@ -137,6 +139,10 @@ def _erdos_renyi(n_e: int, rng: random.Random, edge_prob: float = 0.3) -> Networ
 def _waxman(
     n_e: int, rng: random.Random, alpha: float = 0.4, beta: float = 0.8
 ) -> NetworkGraph:
+    if not alpha > 0:
+        raise ValueError(f"alpha must be positive, got {alpha!r}")
+    if not 0 < beta <= 1:
+        raise ValueError(f"beta must be in (0, 1], got {beta!r}")
     positions = [(rng.random(), rng.random()) for _ in range(n_e)]
     scale = math.sqrt(2.0)
     graph = NetworkGraph(n_e=n_e)

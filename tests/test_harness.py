@@ -997,6 +997,41 @@ def test_cli_generate_bad_model_parameter_value_exits_two(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("model, param, message", [
+    ("waxman", "alpha=0", "alpha must be positive, got 0"),
+    ("waxman", "alpha=-1", "alpha must be positive, got -1"),
+    ("waxman", "beta=0", "beta must be in (0, 1], got 0"),
+    ("waxman", "beta=1.5", "beta must be in (0, 1], got 1.5"),
+    ("erdos_renyi", "edge_prob=-1", "edge_prob must be in (0, 1], got -1"),
+    ("erdos_renyi", "edge_prob=0", "edge_prob must be in (0, 1], got 0"),
+    ("erdos_renyi", "edge_prob=1.01", "edge_prob must be in (0, 1], got 1.01"),
+])
+def test_cli_generate_out_of_range_model_parameter_exits_two(tmp_path, capsys, model, param,
+                                                             message):
+    out = str(tmp_path / "net.graph")
+    argv = ["generate", "--model", model, "--n-e", "8", "--param", param, "--out", out]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"error: model {model!r}: {message}" in err
+    assert "Traceback" not in err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("model, params, message", [
+    ("waxman", {"alpha": 0}, "alpha must be positive, got 0"),
+    ("waxman", {"alpha": math.nan}, "alpha must be positive, got nan"),
+    ("erdos_renyi", {"edge_prob": math.nan}, "edge_prob must be in (0, 1], got nan"),
+])
+def test_cli_report_out_of_range_graph_parameter_exits_two(tmp_path, capsys, model, params,
+                                                          message):
+    config = torus_config(graph_model=model, graph_params=params, output_dir=str(tmp_path))
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps(config.to_dict()))
+    assert main(["report", "--config", str(cfg)]) == 2
+    assert f"model {model!r}: {message}" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "torus16_summary.json")
+
+
 def test_cli_generate_too_few_nodes_exits_two(tmp_path, capsys):
     out = str(tmp_path / "net.graph")
     assert main(["generate", "--n-e", "1", "--out", out]) == 2

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 import json
@@ -373,25 +374,46 @@ def test_resolve_picks_what_a_scan_of_the_entries_picks(tabs):
                 assert repr(path) == repr(reference_resolve(tabs, i, d))
 
 
-@pytest.mark.parametrize("scheme", ["partial", "full"])
-def test_evaluation_refuses_entries_that_mirror_one_peer_differently(scheme):
-    # the batch pass reads one mirror per peer off the entries; ``resolve``
-    # reads the holders index, which ``build_tables`` derives from the
-    # e-neighborhoods, so only the batch pass can see an edited entry
+def narrowed(tabs, index: str, v: int, node: int):
+    """A copy of ``tabs`` whose repeater index ``index`` lacks ``node`` at v."""
+    entries = list(getattr(tabs, index))
+    entries[v] = type(entries[v])(u for u in entries[v] if u != node)
+    return dataclasses.replace(tabs, **{index: tuple(entries)})
+
+
+@pytest.mark.parametrize("scheme, index, case, narrowed_case, reason", [
+    ("partial", "holders", Case.CASE_II, Case.CASE_III, None),
+    ("full", "holders", Case.CASE_II, Case.FALLBACK, "no neighbor reaches the target"),
+    ("partial", "anchor_hubs", Case.CASE_III, Case.FALLBACK,
+     "no anchor inside source e-neighborhood"),
+], ids=["partial-holders", "full-holders", "partial-anchor_hubs"])
+def test_both_ladders_read_the_narrowed_repeater_index(scheme, index, case, narrowed_case,
+                                                      reason):
+    # drop from one repeater index a node that ``resolve`` takes for some pair:
+    # case II's repeater from ``holders[d]``, or case III's entry hub from
+    # ``anchor_hubs[i]``; the batch pass must read the same narrowed index
     tabs, _ = build_scheme_for_trial(ExperimentConfig(
         n_e=24, graph_params={"edge_prob": 0.2}, scheme=scheme, k_override=3,
     ), 0)
-    entries = [e for table in tabs.tables for e in table.entries if e.e_hop == 5]
-    assert len(entries) >= 2
-    edited = entries[-1]
-    assert len(edited.reach) >= 2
-    edited.partitions = (edited.reach - {min(edited.reach)},)
-    with pytest.raises(ValueError, match="peer 5 mirror different partitions"):
-        evaluate_all_pairs(tabs)
-    # an equal tuple that is not the shared object is the same mirror
-    edited.partitions = tuple([*entries[0].partitions])
-    assert edited.partitions is not entries[0].partitions
-    evaluate_all_pairs(tabs)
+    pairs = [(i, d) for i in range(tabs.n_e) for d in range(tabs.n_e) if i != d]
+    for i, d in pairs:
+        path = resolve(tabs, i, d)
+        if path.case is not case or path.repeaters[0] == i:
+            continue
+        narrow = narrowed(tabs, index, d if index == "holders" else i, path.repeaters[0])
+        changed = resolve(narrow, i, d)
+        if (changed.case, changed.total_cost) != (path.case, path.total_cost):
+            break
+    else:
+        pytest.fail(f"no {case.value} pair changes when its node leaves {index}")
+    assert (changed.case, changed.reason) == (narrowed_case, reason)
+    paths = [resolve(narrow, i, d) for i, d in pairs]
+    ev = evaluate_all_pairs(narrow)
+    expected = [(p.source, p.dest, p.case.value, p.total_cost, p.optimal, p.stretch)
+                for p in paths]
+    assert repr(list(ev)) == repr(expected)
+    assert ev.fallback_reasons == Counter(p.reason for p in paths if not p.resolved)
+    assert repr(list(ev)) != repr(list(evaluate_all_pairs(tabs)))
 
 
 def depleted_pairs_csv(out_dir):

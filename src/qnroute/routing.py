@@ -80,19 +80,16 @@ class RoutingTable:
     """One node's entries in table order, indexed by peer.
 
     ``entries`` keeps construction order; search labels are positions in it.
-    The constructor derives the peer index, ``e_neighbors`` (the e-neighbor
-    entries in table order) and ``partitions`` (each entry's partitions in
-    table order) once, and rejects a second entry for one peer; nothing
-    adds or removes an entry afterwards. ``build_tables`` puts the
-    e-neighbor entries first, in ``(cost, id)`` order, so ``e_neighbors``
-    is in that order.
+    The constructor derives the peer index and ``partitions`` (each entry's
+    partitions in table order) once, and rejects a second entry for one
+    peer; nothing adds or removes an entry afterwards. ``build_tables`` puts
+    the e-neighbor entries first, in ``(cost, id)`` order.
     ``dropped`` holds the peers the capacity cap evicted.
     """
 
     owner: int
     entries: list[TableEntry] = field(default_factory=list)
     dropped: list[int] = field(default_factory=list)
-    e_neighbors: list[TableEntry] = field(init=False, repr=False, compare=False)
     partitions: tuple[tuple[frozenset[int], ...], ...] = field(
         init=False, repr=False, compare=False
     )
@@ -106,7 +103,6 @@ class RoutingTable:
                     f"node {self.owner} already has an entry for peer {entry.e_hop}"
                 )
             self._by_peer[entry.e_hop] = entry
-        self.e_neighbors = [e for e in self.entries if e.origin is Origin.E_NEIGHBOR]
         self.partitions = tuple(e.partitions for e in self.entries)
 
     def find(self, peer: int) -> TableEntry | None:

@@ -405,31 +405,31 @@ def all_pairs_optimal(graph: NetworkGraph, metric: EntanglingMetric) -> list[lis
     entries, the evaluation's fallback rows, ``resolve``'s fallback
     witnesses, chain replays and axiom checks all read the matrix it
     returns. Min composition gives every distinct pair the cheapest
-    edge's cost. Additive composition relaxes ``to[u, s]``, the cost from
-    ``s`` to ``u``, against every neighbour of ``u`` until a round lowers
-    nothing. Each candidate adds link costs left to right from the source,
-    as Dijkstra does; float addition is monotone and every cost positive, so
-    the fixed point is the least such sum over all walks, which is
-    Dijkstra's value bit for bit.
+    edge's cost. Additive composition fills ``to[u, s]``, the cost from
+    ``s`` to ``u``, adding link costs left to right from the source, as
+    Dijkstra does. Which pass fills it depends on the link costs alone:
+
+    * When every link costs the same ``c``, breadth-first levels are swept
+      from all sources at once, and a node first reached at level ``h``
+      costs ``S_h``, where ``S_0 = 0`` and ``S_{h+1} = S_h + c``: the sum
+      any ``h``-link path forms. ``S`` is nondecreasing, so the least sum
+      over all walks is ``S`` at the fewest links, which is Dijkstra's
+      value bit for bit (``h * c`` is not: ten links of 0.1 sum to
+      0.9999999999999999).
+    * Otherwise ``to[u]`` is relaxed against every neighbour of ``u`` until
+      a round lowers nothing. Float addition is monotone and every cost
+      positive, so the fixed point is the least such sum over all walks,
+      again Dijkstra's value bit for bit.
     """
     n = graph.n_e
     if metric.composition is Composition.ADDITIVE:
         to = np.full((n, n), np.inf)
         np.fill_diagonal(to, 0.0)
-        links = [
-            (u, list(nbrs), np.array(list(nbrs.values()), dtype=float)[:, None])
-            for u, nbrs in graph.adjacency.items()
-            if nbrs
-        ]
-        changed = True
-        while changed:
-            changed = False
-            for u, nbrs, costs in links:
-                cand = (to[nbrs] + costs).min(axis=0)
-                row = to[u]
-                if (cand < row).any():
-                    np.minimum(row, cand, out=row)
-                    changed = True
+        link_costs = {c for nbrs in graph.adjacency.values() for c in nbrs.values()}
+        if len(link_costs) == 1:
+            _fill_levels(graph, float(link_costs.pop()), to)
+        else:
+            _relax(graph, to)
         unreached = np.isinf(to).any(axis=0)
         if unreached.any():
             raise UnreachableError(f"graph disconnected at node {int(unreached.argmax())}")
@@ -438,6 +438,49 @@ def all_pairs_optimal(graph: NetworkGraph, metric: EntanglingMetric) -> list[lis
     if not graph.is_connected():
         raise UnreachableError("graph disconnected")
     return [[0.0 if i == j else c for j in range(n)] for i in range(n)]
+
+
+def _fill_levels(graph: NetworkGraph, c: float, to: np.ndarray) -> None:
+    """Write ``to[u, s]`` for every ``u`` that ``s`` reaches when every link
+    costs ``c``. ``frontier[u, s]`` marks the nodes ``s`` first reaches at
+    the current level."""
+    n = graph.n_e
+    links = [
+        (u, np.fromiter(nbrs, dtype=np.intp, count=len(nbrs)))
+        for u, nbrs in graph.adjacency.items()
+    ]
+    reached = np.eye(n, dtype=bool)
+    frontier = reached.copy()
+    nxt = np.empty_like(reached)
+    level_cost = 0.0
+    while not reached.all():
+        for u, nbrs in links:
+            frontier.take(nbrs, axis=0).any(axis=0, out=nxt[u])
+        nxt &= ~reached
+        if not nxt.any():
+            break
+        level_cost += c
+        to[nxt] = level_cost
+        reached |= nxt
+        frontier, nxt = nxt, frontier
+
+
+def _relax(graph: NetworkGraph, to: np.ndarray) -> None:
+    """Lower ``to`` to its fixed point under every link."""
+    links = [
+        (u, list(nbrs), np.array(list(nbrs.values()), dtype=float)[:, None])
+        for u, nbrs in graph.adjacency.items()
+        if nbrs
+    ]
+    changed = True
+    while changed:
+        changed = False
+        for u, nbrs, costs in links:
+            cand = (to[nbrs] + costs).min(axis=0)
+            row = to[u]
+            if (cand < row).any():
+                np.minimum(row, cand, out=row)
+                changed = True
 
 
 @dataclass(frozen=True)

@@ -16,13 +16,18 @@ from qnroute.clustering import (
 )
 from qnroute.harness import ExperimentConfig, build_scheme
 from qnroute.metrics import Composition, compose, fold
-from qnroute.routing import Case, EntangledPath, SchemeTables, build_tables
+from qnroute.routing import Case, EntangledPath, Origin, RoutingTable, SchemeTables, build_tables
 from qnroute.topology import (
     NetworkGraph,
     all_neighborhoods,
     all_pairs_optimal,
     generate_graph,
 )
+
+
+def e_neighbor_entries(table: RoutingTable) -> list:
+    """The table's e-neighbor entries, in table order."""
+    return [e for e in table.entries if e.origin is Origin.E_NEIGHBOR]
 
 
 def brute_force_optimal(graph: NetworkGraph, metric, i: int, j: int) -> float:
@@ -182,7 +187,7 @@ def reference_resolve(tables: SchemeTables, i: int, d: int) -> EntangledPath:
         return finish((), costs[i][d], Case.CASE_I)
 
     best = None
-    for entry in tables.tables[i].e_neighbors:
+    for entry in e_neighbor_entries(tables.tables[i]):
         j = entry.e_hop
         tracks = tables.tracked is not None and d in tables.tracked.tracked_by(j)
         if (d in entry.reach or tracks) and usable(i, j) and (
@@ -198,7 +203,7 @@ def reference_resolve(tables: SchemeTables, i: int, d: int) -> EntangledPath:
     anchors = tables.anchors.members
 
     def hubs_near(v):
-        return [e.e_hop for e in tables.tables[v].e_neighbors
+        return [e.e_hop for e in e_neighbor_entries(tables.tables[v])
                 if e.e_hop in anchors and usable(v, e.e_hop)]
 
     entry_hubs = [i] if i in anchors else hubs_near(i)

@@ -53,6 +53,7 @@ from qnroute.topology import (
 from conftest import (
     build_full_scheme,
     build_partial_scheme,
+    e_neighbor_entries,
     reference_replenish,
     reference_resolve,
     small_graphs,
@@ -897,16 +898,16 @@ def test_delivery_log_bytes_equal_the_row_at_a_time_writer(tmp_path):
 def scheme_structure(tabs) -> list:
     """Every field of a built scheme except the ebit counters: each table's
     peers, origins and dropped list, the identity of each entry, of its
-    partitions and reach, of the table's ``e_neighbors`` and ``partitions``
-    and of what its peer index finds, then the tracked sets and anchors, the
-    repeater indexes, the seed and the identity of the address plan."""
+    partitions and reach, of the table's e-neighbor entries and
+    ``partitions`` and of what its peer index finds, then the tracked sets
+    and anchors, the repeater indexes, the seed and the identity of the
+    address plan."""
     tables = [
         (
             t.owner,
             [(id(e), e.e_hop, e.origin, id(e.partitions), id(e.reach)) for e in t.entries],
             list(t.dropped),
-            id(t.e_neighbors),
-            [id(e) for e in t.e_neighbors],
+            [id(e) for e in e_neighbor_entries(t)],
             id(t.partitions),
             [id(p) for p in t.partitions],
             [id(t.find(peer)) for peer in range(tabs.n_e)],

@@ -1,5 +1,5 @@
-"""The peer index and e-neighbor list of a routing table, and the scheme's
-repeater indexes, track its entries."""
+"""The peer index of a routing table, and the scheme's repeater indexes,
+track its entries."""
 
 import copy
 
@@ -8,7 +8,6 @@ import pytest
 from qnroute.errors import DuplicateEntryError
 from qnroute.metrics import hop_count_metric
 from qnroute.routing import (
-    Origin,
     RoutingTable,
     TableEntry,
     make_packet,
@@ -18,7 +17,7 @@ from qnroute.routing import (
 from qnroute.serialize import scheme_from_dict, scheme_to_dict
 from qnroute.topology import generate_graph
 
-from conftest import build_documented_scheme
+from conftest import build_documented_scheme, e_neighbor_entries
 
 HOP = hop_count_metric()
 
@@ -40,20 +39,16 @@ def assert_index_matches_entries(tabs) -> None:
     for table in tabs.tables:
         for peer in range(tabs.n_e):
             assert table.find(peer) is linear_find(table, peer)
-        expected = [e for e in table.entries if e.origin is Origin.E_NEIGHBOR]
-        assert len(table.e_neighbors) == len(expected)
-        assert all(a is b for a, b in zip(table.e_neighbors, expected))
 
 
 def assert_e_neighbors_lead_in_cost_order(tabs) -> None:
-    """The case ladder ranks hubs by this order; run after
-    ``assert_index_matches_entries``, which pins ``e_neighbors`` to the
-    e-neighbor entries."""
+    """The case ladder ranks hubs by this order."""
     for table in tabs.tables:
-        leading = table.entries[: len(table.e_neighbors)]
-        assert all(a is b for a, b in zip(table.e_neighbors, leading))
+        e_neighbors = e_neighbor_entries(table)
+        leading = table.entries[: len(e_neighbors)]
+        assert all(a is b for a, b in zip(e_neighbors, leading))
         row = tabs.pair_costs[table.owner]
-        keys = [(row[e.e_hop], e.e_hop) for e in table.e_neighbors]
+        keys = [(row[e.e_hop], e.e_hop) for e in e_neighbors]
         assert keys == sorted(keys)
 
 
@@ -65,12 +60,12 @@ def assert_repeater_indexes_match_entries(tabs) -> None:
     anchors = tabs.anchors.members if tabs.anchors is not None else frozenset()
     assert len(tabs.holders) == len(tabs.anchor_hubs) == tabs.n_e
     for table in tabs.tables:
-        for entry in table.e_neighbors:
+        for entry in e_neighbor_entries(table):
             j = entry.e_hop
             block = frozenset(tracked.tracked_by(j)) if tracked is not None else frozenset()
             for d in range(tabs.n_e):
                 assert (j in tabs.holders[d]) == (d in entry.reach or d in block), (j, d)
-        expected = tuple(e.e_hop for e in table.e_neighbors if e.e_hop in anchors)
+        expected = tuple(e.e_hop for e in e_neighbor_entries(table) if e.e_hop in anchors)
         assert tabs.anchor_hubs[table.owner] == expected
 
 
@@ -111,7 +106,9 @@ def test_repeater_indexes_match_the_entries(model, scheme, capacity_cap, f):
         # some e-neighbor reaches a target through its tracked block alone
         assert any(
             d not in e.reach
-            for t in tabs.tables for e in t.e_neighbors for d in tabs.tracked.tracked_by(e.e_hop)
+            for t in tabs.tables
+            for e in e_neighbor_entries(t)
+            for d in tabs.tracked.tracked_by(e.e_hop)
         )
     else:
         assert any(tabs.anchor_hubs)

@@ -5,7 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qnroute.errors import NeighborhoodSizeError, UnreachableError
-from qnroute.metrics import capacity_metric, fold, hop_count_metric, uniform_weight_metric
+from qnroute.metrics import (
+    Composition,
+    capacity_metric,
+    fold,
+    hop_count_metric,
+    uniform_weight_metric,
+)
 from qnroute.topology import (
     ENeighborhood,
     NetworkGraph,
@@ -152,7 +158,8 @@ def test_all_pairs_matches_pointwise_queries():
 
 
 # ---------------------------------------------------------------------------
-# The cost matrix: one relaxation pass, equal to Dijkstra's rows bit for bit
+# The cost matrix: the level pass (equal link costs) and the relaxation
+# (any other costs) both equal Dijkstra's rows bit for bit
 
 
 @st.composite
@@ -185,7 +192,14 @@ def wide_mix(draw, graph):
         graph.add_edge(i, j, 10.0 ** draw(st.floats(-9, 9)))
 
 
-COST_FAMILIES = [None, one_half_more, near_2_pow_50, uniform_floats, wide_mix]
+def equal_costs(draw, graph):
+    # one cost for every link: the breadth-first level pass
+    c = draw(st.sampled_from([0.1, 2**50 + 1]) | st.integers(1, 9) | st.floats(1e-9, 1e9))
+    for i, j, _ in graph.edges():
+        graph.add_edge(i, j, c)
+
+
+COST_FAMILIES = [None, one_half_more, near_2_pow_50, uniform_floats, wide_mix, equal_costs]
 
 
 def reference_rows(graph):
@@ -214,14 +228,39 @@ def test_long_path_of_mixed_costs_equals_dijkstra_rows():
     assert all_pairs_optimal(g, HOP) == reference_rows(g)
 
 
+def test_equal_cost_path_sums_its_links_in_order():
+    # ten links of 0.1 sum to 0.9999999999999999 left to right, not 10 * 0.1
+    g = path_graph([0.1] * 10)
+    costs = all_pairs_optimal(g, HOP)
+    assert costs[0][10] == costs[10][0] == 0.9999999999999999
+    assert costs == reference_rows(g)
+
+
+@pytest.mark.parametrize("n", [130, 200])
+def test_hop_er_graph_equals_dijkstra_rows(n):
+    # larger than the drawn graphs, with rows of no power-of-two length, and
+    # at least four levels deep
+    g = generate_graph("erdos_renyi", n, {"edge_prob": 0.04}, HOP, seed=5)
+    costs = all_pairs_optimal(g, HOP)
+    assert max(max(row) for row in costs) >= 4.0
+    assert costs == reference_rows(g)
+
+
 @pytest.mark.parametrize("metric", [HOP, uniform_weight_metric(), MIN])
 def test_disconnected_graph_has_no_cost_matrix(metric):
-    g = NetworkGraph(n_e=5)
-    g.add_edge(0, 1, 1.0)
-    g.add_edge(1, 2, 2.0)
-    g.add_edge(3, 4, 1.5)
-    with pytest.raises(UnreachableError, match="disconnected"):
-        all_pairs_optimal(g, metric)
+    additive = metric.composition is Composition.ADDITIVE
+    message = "graph disconnected at node 0" if additive else "graph disconnected"
+    for n, costs in [
+        (5, (1.0, 2.0, 1.5)),
+        (5, (1.5, 1.5, 1.5)),  # equal costs: the level pass
+        (6, (1.5, 1.5, 1.5)),  # node 5 has no link
+    ]:
+        g = NetworkGraph(n_e=n)
+        for (i, j), c in zip([(0, 1), (1, 2), (3, 4)], costs):
+            g.add_edge(i, j, c)
+        with pytest.raises(UnreachableError) as err:
+            all_pairs_optimal(g, metric)
+        assert str(err.value) == message
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

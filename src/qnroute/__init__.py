@@ -3,8 +3,9 @@
 The package simulates a quantum backbone: a node's quantum address is its
 id as a computational-basis state; nodes maintain entangled links toward their
 cheapest peers plus a sublinear set of long-range hubs, and resolve end-to-end
-entanglement requests with provably constant stretch. A statevector engine
-reproduces the amplitude-amplified table lookup over superposed addresses.
+entanglement requests with provably constant stretch. A table lookup is one
+amplitude-amplified search over the table's superposed addresses, run from
+its exact closed-form label marginal, and one measurement.
 """
 
 from .addressing import AddressPlan, QuantumAddress
@@ -33,17 +34,10 @@ from .metrics import (
     uniform_weight_metric,
 )
 from .qsearch import (
-    LookupResult,
     SearchInstance,
     SearchOutcome,
-    analytic_success_probability,
-    apply_diffusion,
-    apply_oracle,
-    gate_level_distribution,
-    init_search,
     instance_from_table,
     iteration_count,
-    make_instance,
     partition_neighborhood,
     routing_lookup_via_search,
     run_search,
@@ -74,7 +68,6 @@ from .topology import (
     generate_graph,
     load_graph,
     optimal_cost,
-    reverse_neighborhood,
     save_graph,
 )
 

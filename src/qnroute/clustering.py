@@ -87,11 +87,6 @@ def build_anchor_set_greedy(neighborhoods: list[ENeighborhood]) -> AnchorSet:
     return AnchorSet(members=frozenset(chosen), construction="greedy")
 
 
-def greedy_size_bound(n_e: int, k: int) -> float:
-    """Cardinality bound for the greedy cover: n_e * (1 + ln n_e) / k."""
-    return n_e * (1 + math.log(n_e)) / k
-
-
 @dataclass(frozen=True)
 class TrackedSets:
     """Flat partition of the node set into address blocks, with each node's

@@ -32,10 +32,6 @@ class DepletedLinkError(QnrouteError):
     """A path segment has no entangled pairs left to consume."""
 
 
-class DimensionCapError(QnrouteError):
-    """The joint statevector would exceed the configured qubit cap."""
-
-
 class MetricError(QnrouteError):
     """A metric name is not registered, or its parameters do not fit it."""
 

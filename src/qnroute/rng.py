@@ -3,8 +3,8 @@
 Every randomized stage (graph generation, cover sampling, tracking choice,
 the lookup check's draw of owners and targets) draws from its own stream
 derived from a root seed, so changing how much randomness one stage consumes
-never perturbs the others. A lookup's measurement is not a stream: each
-attempt draws one uniform from one hash of its seed (``unit_draw``).
+never perturbs the others. A lookup's measurement is not a stream: it draws
+one uniform from one hash of its seed (``unit_draw``).
 """
 
 from __future__ import annotations

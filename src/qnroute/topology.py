@@ -430,14 +430,24 @@ def all_pairs_optimal(graph: NetworkGraph, metric: EntanglingMetric) -> list[lis
             _fill_levels(graph, float(link_costs.pop()), to)
         else:
             _relax(graph, to)
-        unreached = np.isinf(to).any(axis=0)
-        if unreached.any():
-            raise UnreachableError(f"graph disconnected at node {int(unreached.argmax())}")
+        if np.isinf(to).any():
+            raise _disconnected(graph)
         return to.T.tolist()
     _, _, c = _min_edge(graph)
     if not graph.is_connected():
-        raise UnreachableError("graph disconnected")
+        raise _disconnected(graph)
     return [[0.0 if i == j else c for j in range(n)] for i in range(n)]
+
+
+def _disconnected(graph: NetworkGraph) -> UnreachableError:
+    """The error for a graph of several components. ``_components`` starts
+    from node 0 and takes the rest in id order, so the second component
+    opens with the smallest node that node 0 cannot reach."""
+    comps = _components(graph)
+    return UnreachableError(
+        f"graph disconnected: {len(comps)} components, "
+        f"node {comps[1][0]} unreachable from node 0"
+    )
 
 
 def _fill_levels(graph: NetworkGraph, c: float, to: np.ndarray) -> None:
@@ -520,8 +530,3 @@ def all_neighborhoods(
         members = tuple(u for u in ranked if u != v)[:k]
         out.append(ENeighborhood(owner=v, members=members))
     return out
-
-
-def reverse_neighborhood(neighborhoods: list[ENeighborhood], v: int) -> set[int]:
-    """Owners whose e-neighborhood contains ``v`` (may be empty)."""
-    return {nb.owner for nb in neighborhoods if v in nb.member_ids}

@@ -18,6 +18,7 @@ from qnroute.harness import ExperimentConfig, build_scheme
 from qnroute.metrics import Composition, compose, fold
 from qnroute.routing import Case, EntangledPath, Origin, RoutingTable, SchemeTables, build_tables
 from qnroute.topology import (
+    ENeighborhood,
     NetworkGraph,
     all_neighborhoods,
     all_pairs_optimal,
@@ -28,6 +29,16 @@ from qnroute.topology import (
 def e_neighbor_entries(table: RoutingTable) -> list:
     """The table's e-neighbor entries, in table order."""
     return [e for e in table.entries if e.origin is Origin.E_NEIGHBOR]
+
+
+def reverse_neighborhood(neighborhoods: list[ENeighborhood], v: int) -> set[int]:
+    """Owners whose e-neighborhood contains ``v`` (may be empty)."""
+    return {nb.owner for nb in neighborhoods if v in nb.member_ids}
+
+
+def greedy_size_bound(n_e: int, k: int) -> float:
+    """Cardinality bound for the greedy cover: n_e * (1 + ln n_e) / k."""
+    return n_e * (1 + math.log(n_e)) / k
 
 
 def brute_force_optimal(graph: NetworkGraph, metric, i: int, j: int) -> float:

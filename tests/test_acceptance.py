@@ -23,18 +23,18 @@ from qnroute.clustering import (
 )
 from qnroute.harness import ExperimentConfig, build_scheme_for_trial
 from qnroute.metrics import hop_count_metric
-from qnroute.qsearch import (
+from qnroute.qsearch import routing_lookup_via_search, run_search
+from qnroute.routing import Case, evaluate_all_pairs, resolve, verify_bound_chain
+from qnroute.topology import all_neighborhoods, all_pairs_optimal, generate_graph
+
+from gate_level import (
     analytic_success_probability,
     apply_diffusion,
     apply_oracle,
     gate_level_distribution,
     init_search,
     make_instance,
-    routing_lookup_via_search,
-    run_search,
 )
-from qnroute.routing import Case, evaluate_all_pairs, resolve, verify_bound_chain
-from qnroute.topology import all_neighborhoods, all_pairs_optimal, generate_graph
 
 EXACT = 0.0
 TOL = 1e-9

@@ -10,7 +10,6 @@ from qnroute.clustering import (
     build_anchor_set_greedy,
     build_anchor_set_random,
     build_tracked_sets,
-    greedy_size_bound,
     neighborhood_size,
     verify_coverage,
 )
@@ -21,6 +20,8 @@ from qnroute.topology import (
     all_pairs_optimal,
     generate_graph,
 )
+
+from conftest import greedy_size_bound
 
 HOP = hop_count_metric()
 

@@ -275,8 +275,8 @@ def test_lookup_check_passes_on_the_amplified_measurement():
 def test_lookup_check_fails_a_uniform_measurement(monkeypatch):
     # a measurement that ignores the amplitudes finds hit labels only at the
     # rate h / n_T, far below the success probability the search reports
-    def uniform(distribution, seed, attempt=0):
-        return random.Random(f"{seed}:{attempt}").randrange(len(distribution))
+    def uniform(distribution, seed):
+        return random.Random(f"{seed}:0").randrange(len(distribution))
 
     monkeypatch.setattr(qsearch, "measure", uniform)
     report = run_experiment(torus_config(qsearch_check=True), write_outputs=False)

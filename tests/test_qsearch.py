@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import random
@@ -8,19 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qnroute import qsearch
-from qnroute.errors import DimensionCapError, PartitionCountError
+from qnroute.errors import PartitionCountError
 from qnroute.metrics import hop_count_metric
 from qnroute.qsearch import (
-    SuperposedAddress,
     _reduced_distribution,
-    analytic_success_probability,
-    apply_diffusion,
-    apply_oracle,
-    gate_level_distribution,
-    init_search,
     instance_from_table,
     iteration_count,
-    make_instance,
     measure,
     partition_neighborhood,
     routing_lookup_via_search,
@@ -34,6 +28,17 @@ from conftest import (
     complete_graph,
     reference_branch_distribution,
     reference_reduced_distribution,
+)
+from gate_level import (
+    DimensionCapError,
+    SuperposedAddress,
+    analytic_success_probability,
+    apply_diffusion,
+    apply_oracle,
+    gate_level_distribution,
+    init_search,
+    make_instance,
+    total_qubits,
 )
 
 
@@ -112,7 +117,7 @@ def test_dimension_cap_error_names_required_qubits():
     inst = make_instance([[set(range(8))] for _ in range(8)], address_width=8)
     with pytest.raises(DimensionCapError) as err:
         init_search(inst)
-    assert str(inst.total_qubits) in str(err.value)
+    assert str(total_qubits(inst)) in str(err.value)
 
 
 # ---------------------------------------------------------------------------
@@ -287,10 +292,10 @@ def test_runs_are_deterministic_given_seed():
 # the measurement
 
 
-def hashed_inverse_cdf(distribution, seed, attempt):
+def hashed_inverse_cdf(distribution, seed):
     """Reference sampler: the uniform from the first 53 bits of one sha256,
     and a linear scan for the first label whose running sum exceeds it."""
-    digest = hashlib.sha256(f"{seed}:measurement:{attempt}".encode()).digest()
+    digest = hashlib.sha256(f"{seed}:measurement:0".encode()).digest()
     u = (int.from_bytes(digest[:8], "big") >> 11) / 2**53
     # a left-to-right total: ``sum`` compensates its rounding on Python 3.12
     total = 0.0
@@ -309,40 +314,31 @@ def test_measure_is_the_inverse_cdf_at_one_hashed_uniform():
     for _ in range(200):
         distribution = [rng.choice([0.0, rng.random()]) for _ in range(rng.randint(1, 12))]
         distribution[rng.randrange(len(distribution))] += 0.5
-        seed, attempt = rng.getrandbits(64), rng.randint(0, 5)
-        assert measure(distribution, seed, attempt) == hashed_inverse_cdf(
-            distribution, seed, attempt
-        )
+        seed = rng.getrandbits(64)
+        assert measure(distribution, seed) == hashed_inverse_cdf(distribution, seed)
 
 
 @pytest.mark.parametrize(
-    "entries, attempt",
+    "entries",
     [
         # hits at both ends of the CDF: the first label and the last
-        ([[{3}], [{0}], [{1}], [{0, 2}], [{1, 2}], [{0, 1}], [{2}], [{3, 1}]], 0),
+        [[{3}], [{0}], [{1}], [{0, 2}], [{1, 2}], [{0, 1}], [{2}], [{3, 1}]],
         # one hit in the middle: both ends are small background labels
-        ([[{0}], [{1}], [{2}], [{3}], [{0, 1}], [{1, 2}], [{0, 2}], [{2, 1}]], 2),
+        [[{0}], [{1}], [{2}], [{3}], [{0, 1}], [{1, 2}], [{0, 2}], [{2, 1}]],
     ],
     ids=["hits-at-ends", "hit-in-middle"],
 )
-def test_label_frequencies_match_the_closed_form(entries, attempt):
+def test_label_frequencies_match_the_closed_form(entries):
     inst = make_instance(entries, address_width=2)
     distribution = run_search(inst, 3, iterations=1).distribution
     runs = 20_000
     counts = [0] * inst.n_t
     for seed in range(runs):
-        counts[measure(distribution, seed, attempt)] += 1
+        counts[measure(distribution, seed)] += 1
     assert {0, inst.n_t - 1} <= {label for label, c in enumerate(counts) if c}
     for label, p in enumerate(distribution):
         sigma = math.sqrt(runs * p * (1.0 - p))
         assert abs(counts[label] - runs * p) <= 4 * sigma + 1e-9, (label, counts, distribution)
-
-
-def test_attempts_of_one_seed_measure_independently():
-    distribution = [0.5, 0.5]
-    runs = 20_000
-    same = sum(measure(distribution, s, 0) == measure(distribution, s, 1) for s in range(runs))
-    assert abs(same - runs / 2) <= 4 * math.sqrt(runs / 4)
 
 
 @pytest.mark.parametrize("u, label", [(0.0, 2), (1.0 - 2.0**-53, 4)])
@@ -462,8 +458,7 @@ def test_table_with_more_than_twenty_hits_is_searched():
         if t != o and sum(t in e.reach for e in tabs.table(o).entries) >= 21
     )
     table = tabs.table(owner)
-    result = routing_lookup_via_search(tabs, owner, target, seed=0, repeats=3)
-    assert result.attempts >= 1
+    result = routing_lookup_via_search(tabs, owner, target, seed=0)
     assert not result.classical_fallback
     assert result.found
     assert target in table.entries[result.entry_label].reach
@@ -640,52 +635,6 @@ def test_lookup_absent_target_never_found():
             assert result.entry_label is None
 
 
-def attempt_labels(tabs, owner, target, seed, repeats):
-    """Per-attempt oracle: a fresh search measured at each attempt."""
-    instance = instance_from_table(tabs.table(owner), tabs.plan)
-    return [
-        measure(run_search(instance, target, seed=seed).distribution, seed, attempt)
-        for attempt in range(repeats)
-    ]
-
-
-def test_repeated_miss_computes_the_distribution_once(monkeypatch):
-    tabs = lookup_scheme()
-    owner, target = next(
-        (o, t)
-        for o in range(8)
-        for t in range(8)
-        if t != o and not any(t in e.reach for e in tabs.table(o).entries)
-    )
-    expected = attempt_labels(tabs, owner, target, seed=5, repeats=5)
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return _reduced_distribution(*args)
-
-    monkeypatch.setattr(qsearch, "_reduced_distribution", counted)
-    # the oracle above warmed the memo; a cold one evaluates the closed form once
-    qsearch._normalized_marginal.cache_clear()
-    result = routing_lookup_via_search(tabs, owner, target, seed=5, repeats=5)
-    assert len(calls) == 1
-    assert not result.found
-    assert result.attempts == 5
-    assert list(result.measured) == expected
-    assert len(set(expected)) > 1, "the attempts should not all measure one label"
-
-
-def test_repeated_lookup_labels_follow_the_per_attempt_oracle():
-    tabs = lookup_scheme()
-    for owner in range(8):
-        for target in range(8):
-            if target == owner:
-                continue
-            result = routing_lookup_via_search(tabs, owner, target, seed=owner, repeats=6)
-            expected = attempt_labels(tabs, owner, target, seed=owner, repeats=6)
-            assert list(result.measured) == expected[: result.attempts]
-
-
 def test_lookup_labels_match_the_pinned_digest():
     # 1984 seeded lookups with up to 17 hits; a change to the engine's
     # arithmetic that moves any measured label or found flag fails here
@@ -698,18 +647,35 @@ def test_lookup_labels_match_the_pinned_digest():
                 if target == owner:
                     continue
                 result = routing_lookup_via_search(
-                    tabs, owner, target, seed=1000 * seed + 32 * owner + target, repeats=2
+                    tabs, owner, target, seed=1000 * seed + 32 * owner + target
                 )
-                measured = "-".join(map(str, result.measured))
-                lines.append(f"{owner},{target},{seed},{int(result.found)},{measured}\n")
+                lines.append(
+                    f"{owner},{target},{seed},{int(result.found)},{result.measured}\n"
+                )
     assert hashlib.sha256("".join(lines).encode()).hexdigest() == (
-        "3c65e2c1944fdb83eb0d4cb8f6ea073bbb0d3f4a6dec14291d3906999ecf6075"
+        "b48ead1781a67f7cad263175d74a9ed738466751e3608f2d5d527843370f696a"
     )
 
 
-def test_lookup_needs_at_least_one_attempt():
-    with pytest.raises(ValueError, match="repeats"):
-        routing_lookup_via_search(lookup_scheme(), 0, 1, repeats=0)
+def test_lookup_is_one_search_of_the_tables_mirror():
+    tabs = lookup_scheme()
+    outcomes = set()
+    for owner in range(8):
+        instance = instance_from_table(tabs.table(owner), tabs.plan)
+        for target in range(8):
+            if target == owner:
+                continue
+            seed = 8 * owner + target
+            lookup = routing_lookup_via_search(tabs, owner, target, seed=seed)
+            search = run_search(instance, target, seed=seed)
+            for field in dataclasses.fields(search):
+                assert getattr(lookup, field.name) == getattr(search, field.name), field.name
+            assert lookup.found == (search.measured in search.hit_labels)
+            assert lookup.entry_label == (search.measured if lookup.found else None)
+            assert not lookup.classical_fallback
+            outcomes.add((lookup.found, bool(search.hit_labels)))
+    # found lookups, missed held targets and absent targets all occur
+    assert {(True, True), (False, True), (False, False)} <= outcomes
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,6 @@ from qnroute.topology import (
     all_neighborhoods,
     all_pairs_optimal,
     generate_graph,
-    reverse_neighborhood,
 )
 
 from conftest import (
@@ -56,6 +55,7 @@ from conftest import (
     e_neighbor_entries,
     reference_replenish,
     reference_resolve,
+    reverse_neighborhood,
     small_graphs,
 )
 

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from qnroute.errors import NeighborhoodSizeError, UnreachableError
 from qnroute.metrics import (
-    Composition,
     capacity_metric,
     fold,
     hop_count_metric,
@@ -20,11 +19,16 @@ from qnroute.topology import (
     generate_graph,
     load_graph,
     optimal_cost,
-    reverse_neighborhood,
     save_graph,
 )
 
-from conftest import brute_force_optimal, path_graph, reference_dijkstra, small_graphs
+from conftest import (
+    brute_force_optimal,
+    path_graph,
+    reference_dijkstra,
+    reverse_neighborhood,
+    small_graphs,
+)
 
 
 HOP = hop_count_metric()
@@ -248,19 +252,22 @@ def test_hop_er_graph_equals_dijkstra_rows(n):
 
 @pytest.mark.parametrize("metric", [HOP, uniform_weight_metric(), MIN])
 def test_disconnected_graph_has_no_cost_matrix(metric):
-    additive = metric.composition is Composition.ADDITIVE
-    message = "graph disconnected at node 0" if additive else "graph disconnected"
-    for n, costs in [
-        (5, (1.0, 2.0, 1.5)),
-        (5, (1.5, 1.5, 1.5)),  # equal costs: the level pass
-        (6, (1.5, 1.5, 1.5)),  # node 5 has no link
+    split = [(0, 1), (1, 2), (3, 4)]
+    for n, edges, costs, message in [
+        (5, split, (1.0, 2.0, 1.5), "2 components, node 3 unreachable from node 0"),
+        # equal costs: the level pass
+        (5, split, (1.5, 1.5, 1.5), "2 components, node 3 unreachable from node 0"),
+        # node 5 has no link
+        (6, split, (1.5, 1.5, 1.5), "3 components, node 3 unreachable from node 0"),
+        # the smallest node outside node 0's component, not the first gap
+        (4, [(0, 2), (1, 3)], (1.0, 2.0), "2 components, node 1 unreachable from node 0"),
     ]:
         g = NetworkGraph(n_e=n)
-        for (i, j), c in zip([(0, 1), (1, 2), (3, 4)], costs):
+        for (i, j), c in zip(edges, costs):
             g.add_edge(i, j, c)
         with pytest.raises(UnreachableError) as err:
             all_pairs_optimal(g, metric)
-        assert str(err.value) == message
+        assert str(err.value) == "graph disconnected: " + message
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

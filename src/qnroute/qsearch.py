@@ -187,18 +187,44 @@ def iteration_count(n_t: int, n_hits: int) -> int:
     return max(1, math.floor(math.pi / 4.0 * math.sqrt(n_t / n_hits)))
 
 
+def _spread(n_t: int, background: float, labels, hit_values) -> list[float]:
+    """The label marginal over all n_T labels: ``background`` at every label
+    that is not hit, ``hit_values`` at ``labels`` in order."""
+    probs = [background] * n_t
+    for label, value in zip(labels, hit_values):
+        probs[label] = value
+    return probs
+
+
 @dataclass(frozen=True)
 class SearchOutcome:
-    distribution: tuple[float, ...]
+    """One search and its measurement.
+
+    The label marginal is kept as the memo returns it: ``background`` at
+    every label that is not hit and ``hit_values`` at the hit labels in
+    ascending order, a tuple the memo shares, so an outcome holds O(1)
+    objects whatever n_T is. ``distribution`` spreads it over the labels.
+    """
+
     measured: int
     hit_labels: frozenset[int]
     success_probability: float
     iterations: int
+    n_t: int
+    background: float
+    hit_values: tuple[float, ...]
 
     def __post_init__(self):
-        total = sum(self.distribution)
+        total = self.background * (self.n_t - len(self.hit_values)) + sum(self.hit_values)
         if abs(total - 1.0) > 1e-9:
             raise AssertionError(f"label distribution sums to {total}")
+
+    @property
+    def distribution(self) -> tuple[float, ...]:
+        """The probability of each of the n_T labels."""
+        return tuple(
+            _spread(self.n_t, self.background, sorted(self.hit_labels), self.hit_values)
+        )
 
     @property
     def found(self) -> bool:
@@ -260,16 +286,14 @@ def run_search(
     background, hit_values, success = _normalized_marginal(
         tuple([alpha for _, alpha in hits]), n_t, iterations
     )
-    probs = [background] * n_t
-    for label, value in zip(labels, hit_values):
-        probs[label] = value
-    distribution = tuple(probs)
     return SearchOutcome(
-        distribution=distribution,
-        measured=measure(distribution, seed),
+        measured=measure(_spread(n_t, background, labels, hit_values), seed),
         hit_labels=frozenset(labels),
         success_probability=success,
         iterations=iterations,
+        n_t=n_t,
+        background=background,
+        hit_values=hit_values,
     )
 
 

@@ -670,6 +670,7 @@ def test_lookup_is_one_search_of_the_tables_mirror():
             search = run_search(instance, target, seed=seed)
             for field in dataclasses.fields(search):
                 assert getattr(lookup, field.name) == getattr(search, field.name), field.name
+            assert lookup.distribution == search.distribution
             assert lookup.found == (search.measured in search.hit_labels)
             assert lookup.entry_label == (search.measured if lookup.found else None)
             assert not lookup.classical_fallback
@@ -757,3 +758,16 @@ def test_tables_sharing_a_memo_key_keep_their_own_hit_labels():
         assert out.success_probability == success
     assert a.distribution[0] == b.distribution[1] != a.distribution[3] == b.distribution[4]
     assert a.distribution[1] == b.distribution[0]
+    # the outcomes keep the memo's one tuple of hit values, not a copy each
+    assert a.hit_values is b.hit_values
+
+
+def test_an_outcome_spreads_its_compact_marginal_over_the_labels():
+    inst = make_instance([[{0}], [{1, 2}], [{3}], [{0, 4}], [{5}]], address_width=3)
+    out = run_search(inst, 0, seed=3)
+    assert (out.n_t, out.hit_labels) == (5, {0, 3})
+    assert out.distribution == (
+        out.hit_values[0], out.background, out.background, out.hit_values[1], out.background
+    )
+    assert out.success_probability == math.fsum(out.hit_values)
+    assert math.fsum(out.distribution) == pytest.approx(1.0, abs=1e-12)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 
@@ -94,6 +95,8 @@ def cmd_route(args) -> int:
     path = resolve(
         tables, args.source, args.dest, allow_fallback=not args.no_fallback
     )
+    # an unresolved pair's cost and stretch are infinite, which JSON cannot
+    # hold: they print as null
     print(
         json.dumps(
             {
@@ -101,12 +104,13 @@ def cmd_route(args) -> int:
                 "dest": args.dest,
                 "case": path.case.value,
                 "nodes": list(path.nodes),
-                "cost": path.total_cost,
+                "cost": path.total_cost if math.isfinite(path.total_cost) else None,
                 "optimal": path.optimal,
-                "stretch": path.stretch,
+                "stretch": path.stretch if math.isfinite(path.stretch) else None,
                 "reason": path.reason,
             },
             sort_keys=True,
+            allow_nan=False,
         )
     )
     if args.send:

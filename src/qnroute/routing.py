@@ -21,7 +21,7 @@ import enum
 import math
 import statistics
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -364,30 +364,6 @@ _FALLBACK_REASONS = (
 _FALLBACK = 4
 
 
-def _link_usable(tables: SchemeTables, a: int, b: int) -> bool:
-    """A link is usable when it has an endpoint entry and none is depleted."""
-    ea = tables.tables[a]._by_peer.get(b)
-    eb = tables.tables[b]._by_peer.get(a)
-    if ea is None:
-        return eb is not None and eb.ebits >= 1
-    return ea.ebits >= 1 and (eb is None or eb.ebits >= 1)
-
-
-def _finish(
-    tables: SchemeTables, i: int, d: int, repeaters: tuple[int, ...], cost: float,
-    case: Case,
-) -> EntangledPath:
-    """The path through ``repeaters`` at the ``cost`` its case composed."""
-    return EntangledPath(
-        source=i,
-        dest=d,
-        repeaters=repeaters,
-        total_cost=cost,
-        optimal=tables.pair_costs[i][d],
-        case=case,
-    )
-
-
 def _fallback_or_failure(
     tables: SchemeTables, i: int, d: int, reason: str, allow_fallback: bool
 ) -> EntangledPath:
@@ -413,43 +389,22 @@ def _fallback_or_failure(
     )
 
 
-def _case_one(tables: SchemeTables, i: int, d: int) -> EntangledPath | None:
-    if d in tables.tables[i]._by_peer and _link_usable(tables, i, d):
-        return _finish(tables, i, d, (), tables.pair_costs[i][d], Case.CASE_I)
-    return None
-
-
-def _case_two(tables: SchemeTables, i: int, d: int) -> EntangledPath | None:
-    """One repeater through an e-neighbor of the source.
-
-    A neighbor qualifies when it is in ``holders[d]``: the target shows up
-    in its mirrored partitions or, in the full-anchor scheme, in its
-    announced tracked block. Only e-neighbors of the source keep the bound:
-    the first segment's cost is then at most the optimal source-target cost.
-    """
-    op, costs = OPERATOR[tables.metric.composition], tables.pair_costs
-    best: tuple[float, int] | None = None
-    for j in tables.neighborhoods[i].member_ids & tables.holders[d]:
-        if not _link_usable(tables, i, j):
-            continue
-        if d not in tables.tables[j]._by_peer or not _link_usable(tables, j, d):
-            continue
-        key = (op(costs[i][j], costs[j][d]), j)
-        if best is None or key < best:
-            best = key
-    if best is None:
-        return None
-    cost, j = best
-    return _finish(tables, i, d, (j,), cost, Case.CASE_II)
-
-
-def _case_three(tables: SchemeTables, i: int, d: int) -> EntangledPath | int:
+def _case_three(
+    tables: SchemeTables,
+    i: int,
+    d: int,
+    at_i: dict[int, TableEntry],
+    at_d: dict[int, TableEntry],
+    op: Callable[[float, float], float],
+) -> EntangledPath | int:
     """Two repeaters over the anchor mesh (partial-anchor scheme).
 
     The entry hub must lie in the source's e-neighborhood and the exit hub in
     the target's; those memberships are what make the stretch chain sound.
     A missing entry hub or exit hub is a coverage failure; where no path is
     found, the reason's index into ``_FALLBACK_REASONS`` is returned.
+    ``at_i`` and ``at_d`` are the source's and the target's peer indexes and
+    ``op`` composes two costs.
 
     Entry hubs are tried in table order, which is ``(cost, id)`` order. For
     each, the candidates are the paths i-l-k-d over every exit hub k, or
@@ -457,59 +412,63 @@ def _case_three(tables: SchemeTables, i: int, d: int) -> EntangledPath | int:
     cheapest candidate wins, ties going to the smaller node after the entry
     hub. Hub lists hold only usable source-to-entry-hub and
     exit-hub-to-target links, and no ebit changes here, so each candidate
-    tests just its hub-to-hub link (the whole middle segment when a hub is
-    an endpoint).
+    tests just its hub-to-hub link l-k (the whole middle segment when a hub
+    is an endpoint).
     """
-    anchors = tables.anchors.members
+    rows, costs, anchors = tables.tables, tables.pair_costs, tables.anchors.members
 
     if i in anchors:
         entry_hubs = [i]
     else:
-        entry_hubs = [l for l in tables.anchor_hubs[i] if _link_usable(tables, i, l)]
+        entry_hubs = []
+        for l in tables.anchor_hubs[i]:
+            a, b = at_i.get(l), rows[l]._by_peer.get(i)
+            if ((a or b) is not None and (a is None or a.ebits >= 1)
+                    and (b is None or b.ebits >= 1)):
+                entry_hubs.append(l)
         if not entry_hubs:
             return 1
 
-    exit_hubs = [k for k in tables.anchor_hubs[d] if _link_usable(tables, d, k)]
+    exit_hubs = []
+    for k in tables.anchor_hubs[d]:
+        a, b = at_d.get(k), rows[k]._by_peer.get(d)
+        if ((a or b) is not None and (a is None or a.ebits >= 1)
+                and (b is None or b.ebits >= 1)):
+            exit_hubs.append(k)
     if d in anchors:
         exit_hubs.append(d)
     if not exit_hubs:
         return 2
 
-    op, costs = OPERATOR[tables.metric.composition], tables.pair_costs
     reason = 3  # no candidate tests a mesh link
     for l in entry_hubs:
+        at_l, near = rows[l]._by_peer, costs[i][l]
         # (total, node after l, repeaters) of the cheapest candidate
         best: tuple[float, int, tuple[int, ...]] | None = None
-        if l == i:
-            for k in exit_hubs:
-                if k == i or k == d:
-                    # a direct artificial link is case I territory; reaching
-                    # here means the source-side entry was unusable, and when
-                    # every candidate is one, no mesh link is tested
-                    continue
-                reason = 4
-                if _link_usable(tables, i, k):
-                    key = (op(costs[i][k], costs[k][d]), k, (k,))
-                    if best is None or key < best:
-                        best = key
-        else:
+        for k in exit_hubs:
+            if l == i and (k == i or k == d):
+                # a direct artificial link is case I territory; reaching
+                # here means the source-side entry was unusable, and when
+                # every candidate is one, no mesh link is tested
+                continue
             reason = 4
-            near = costs[i][l]
-            for k in exit_hubs:
-                if k == l or k == d:
-                    # the path i-l-d; with k = d its l-d link is the mesh link
-                    if k != l and not _link_usable(tables, l, d):
-                        continue
-                    key = (op(near, costs[l][d]), d, (l,))
-                elif _link_usable(tables, l, k):
-                    key = (op(op(near, costs[l][k]), costs[k][d]), k, (l, k))
-                else:
+            if k != l:
+                a, b = at_l.get(k), rows[k]._by_peer.get(l)
+                if not ((a or b) is not None and (a is None or a.ebits >= 1)
+                        and (b is None or b.ebits >= 1)):
                     continue
-                if best is None or key < best:
-                    best = key
+            if l == i:
+                key = (op(costs[i][k], costs[k][d]), k, (k,))
+            elif k == l or k == d:
+                # the path i-l-d; with k = d its l-d link is the mesh link
+                key = (op(near, costs[l][d]), d, (l,))
+            else:
+                key = (op(op(near, costs[l][k]), costs[k][d]), k, (l, k))
+            if best is None or key < best:
+                best = key
         if best is not None:
             total, _, repeaters = best
-            return _finish(tables, i, d, repeaters, total, Case.CASE_III)
+            return EntangledPath(i, d, repeaters, total, costs[i][d], Case.CASE_III)
     return reason
 
 
@@ -521,15 +480,49 @@ def resolve(
     repeaters over the anchor mesh (case III). Cases I-III take only usable
     links, so no path they return crosses a depleted entry. A pair no case
     resolves takes the fallback, or fails when ``allow_fallback`` is off,
-    with its reason."""
+    with its reason.
+
+    A link a-b is usable when it has an endpoint entry, ``a``'s for b or
+    ``b``'s for a, and no endpoint entry holds fewer than one ebit. The
+    query reads the source's and the target's peer indexes once and each
+    candidate link's two entries once.
+
+    Case II's repeater j is an e-neighbor of the source in ``holders[d]``:
+    the target shows up in j's mirrored partitions or, in the full-anchor
+    scheme, in its announced tracked block. Only e-neighbors of the source
+    keep the bound: the first segment's cost is then at most the optimal
+    source-target cost. The least ``(total, j)`` wins."""
     if i == d:
         raise ValueError("source and destination must differ")
-    path = _case_one(tables, i, d) or _case_two(tables, i, d)
-    if path is not None:
-        return path
-    outcome = 0 if tables.scheme is Scheme.FULL_ANCHOR else _case_three(tables, i, d)
-    if isinstance(outcome, EntangledPath):
-        return outcome
+    rows, costs = tables.tables, tables.pair_costs
+    at_i, at_d = rows[i]._by_peer, rows[d]._by_peer
+    a, b = at_i.get(d), at_d.get(i)
+    if a is not None and a.ebits >= 1 and (b is None or b.ebits >= 1):
+        return EntangledPath(i, d, (), costs[i][d], costs[i][d], Case.CASE_I)
+
+    op, row = OPERATOR[tables.metric.composition], costs[i]
+    best: tuple[float, int] | None = None
+    for j in tables.neighborhoods[i].member_ids & tables.holders[d]:
+        at_j = rows[j]._by_peer
+        a, b = at_i.get(j), at_j.get(i)
+        if not ((a or b) is not None and (a is None or a.ebits >= 1)
+                and (b is None or b.ebits >= 1)):
+            continue
+        a, b = at_j.get(d), at_d.get(j)
+        if not (a is not None and a.ebits >= 1 and (b is None or b.ebits >= 1)):
+            continue
+        key = (op(row[j], costs[j][d]), j)
+        if best is None or key < best:
+            best = key
+    if best is not None:
+        return EntangledPath(i, d, (best[1],), best[0], row[d], Case.CASE_II)
+
+    if tables.scheme is Scheme.FULL_ANCHOR:
+        outcome = 0
+    else:
+        outcome = _case_three(tables, i, d, at_i, at_d, op)
+        if isinstance(outcome, EntangledPath):
+            return outcome
     return _fallback_or_failure(tables, i, d, _FALLBACK_REASONS[outcome], allow_fallback)
 
 
@@ -579,7 +572,7 @@ class _BatchLadder:
     ``evaluate_all_pairs`` debits no ebit, so each case is a fixed masked
     (min, +) or (min, min) reduction over matrices built once per call from
     the tables as they stand, rows by owner and columns by peer: ``held``
-    holds whether an entry exists and ``usable`` is ``_link_usable`` for
+    holds whether an entry exists and ``usable`` is ``resolve``'s link rule for
     every pair (its diagonal is False, as no table holds its owner); every
     cost is read from ``pair``. Only totals are reduced: candidates that tie
     share their total, so the scalar tie rules cannot change a row.

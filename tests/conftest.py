@@ -1,4 +1,3 @@
-import functools
 import heapq
 import itertools
 import math
@@ -7,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from qnroute import routing
 from qnroute.clustering import (
     Scheme,
     assign_all_tracking,
@@ -188,8 +186,13 @@ def reference_resolve(tables: SchemeTables, i: int, d: int) -> EntangledPath:
     the e-neighbor entries of both ends for anchors, and composes each
     candidate's node list with ``fold``, ties going to the smaller list.
     """
-    usable = functools.partial(routing._link_usable, tables)
     metric, costs = tables.metric, tables.pair_costs
+
+    def usable(a, b):
+        # an endpoint entry exists, and none holds fewer than one ebit
+        ends = [e for e in (tables.tables[a].find(b), tables.tables[b].find(a))
+                if e is not None]
+        return bool(ends) and min(e.ebits for e in ends) >= 1
 
     def finish(repeaters, cost, case, reason=None):
         return EntangledPath(i, d, repeaters, cost, costs[i][d], case, reason)

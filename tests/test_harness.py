@@ -493,6 +493,27 @@ def test_cli_route_send_prints_consumed_and_on_demand_totals(torus_scheme_file, 
     )
 
 
+def test_cli_route_prints_strict_json_for_an_unresolved_pair(tmp_path, monkeypatch, capsys):
+    # random anchors and a cap of 6 leave no anchor around node 10, so
+    # without the fallback the pair fails with an infinite cost and stretch
+    monkeypatch.chdir(tmp_path)
+    assert main(["generate", "--model", "grid_torus", "--n-e", "36", "--out", "net.graph"]) == 0
+    assert main(["cluster", "--graph", "net.graph", "--k", "5", "--anchors", "random",
+                 "--capacity-cap", "6", "--out", "scheme.json"]) == 0
+    capsys.readouterr()
+    code = main(["route", "--scheme", "scheme.json", "--source", "0", "--dest", "10",
+                 "--no-fallback"])
+
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    line = json.loads(capsys.readouterr().out, parse_constant=refuse)
+    assert code == 1
+    assert line["case"] == "failure"
+    assert line["cost"] is None and line["stretch"] is None
+    assert line["optimal"] == 3.0
+
+
 def test_cli_report_exit_code_and_lines(tmp_path, capsys):
     config = dict(
         n_e=16, graph_model="grid_torus", metric="hop", scheme="partial",

@@ -33,6 +33,7 @@ from qnroute.routing import (
     Case,
     EntangledPath,
     Origin,
+    RoutingTable,
     build_tables,
     evaluate_all_pairs,
     make_packet,
@@ -415,6 +416,32 @@ def test_both_ladders_read_the_narrowed_repeater_index(scheme, index, case, narr
     assert repr(list(ev)) == repr(expected)
     assert ev.fallback_reasons == Counter(p.reason for p in paths if not p.resolved)
     assert repr(list(ev)) != repr(list(evaluate_all_pairs(tabs)))
+
+
+def test_a_link_without_an_entry_at_either_end_is_unusable():
+    # cut an anchor and a non-anchor out of the overlay: no table keeps an
+    # entry of theirs or for them, while the repeater indexes still name
+    # them; their links to e-neighbors, hubs and the mesh are then unusable
+    tabs, _ = build_scheme_for_trial(ExperimentConfig(
+        n_e=24, graph_params={"edge_prob": 0.2}, k_override=3,
+    ), 0)
+    anchors = tabs.anchors.members
+    cut = {min(anchors), min(v for v in range(tabs.n_e) if v not in anchors
+                            and tabs.anchor_hubs[v])}
+    for v, table in enumerate(tabs.tables):
+        kept = [e for e in table.entries if v not in cut and e.e_hop not in cut]
+        tabs.tables[v] = RoutingTable(v, kept)
+    pairs = [(i, d) for i in range(tabs.n_e) for d in range(tabs.n_e) if i != d]
+    paths = [resolve(tabs, i, d, allow_fallback=False) for i, d in pairs]
+    for (i, d), path in zip(pairs, paths):
+        assert repr(path) == repr(reference_resolve(tabs, i, d))
+        if cut & {i, d}:
+            assert not path.resolved
+        elif path.resolved:
+            assert cut.isdisjoint(path.repeaters)
+    expected = [(p.source, p.dest, p.case.value, p.total_cost, p.optimal, p.stretch)
+                for p in (resolve(tabs, i, d) for i, d in pairs)]
+    assert repr(list(evaluate_all_pairs(tabs))) == repr(expected)
 
 
 def depleted_pairs_csv(out_dir):

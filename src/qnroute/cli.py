@@ -71,7 +71,7 @@ def cmd_cluster(args) -> int:
     )
     config.validate()
     metric = metric_by_name(args.metric, **metric_params)
-    tables, _ = harness.build_scheme(config, graph, metric, args.seed)
+    tables = harness.build_scheme(config, graph, metric, args.seed)
     dump_json(scheme_to_dict(tables, args.metric, metric_params), args.out)
     sizes = [len(t) for t in tables.tables]
     print(
@@ -119,13 +119,7 @@ def cmd_route(args) -> int:
             attempt = resolve(
                 tables, args.source, args.dest, allow_fallback=not args.no_fallback
             )
-            first_hop = tables.table(args.source).find(attempt.nodes[1]) if attempt.resolved else None
-            packet = make_packet(
-                tables.plan,
-                args.source,
-                args.dest,
-                descriptors=first_hop.partitions if first_hop else (),
-            )
+            packet = make_packet(tables.plan, args.source, args.dest)
             records.append(
                 swap_and_replenish(
                     tables, attempt, packet, replenish_rate=args.replenish_rate

@@ -23,7 +23,6 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .clustering import (
-    Scheme,
     assign_all_tracking,
     build_anchor_set_greedy,
     build_anchor_set_random,
@@ -39,6 +38,7 @@ from .rng import stream, stream_seed
 from .routing import (
     CASE_BY_CODE,
     Case,
+    SchemeTables,
     build_tables,
     evaluate_all_pairs,
     resolve,
@@ -238,9 +238,10 @@ def _stage(stage_s: dict | None, name: str):
 
 
 def build_scheme_for_trial(config: ExperimentConfig, seed: int, stage_s: dict | None = None):
-    """Deterministically construct the scheme instance for one trial seed;
-    ``stage_s``, when given, receives the wall time of each build stage,
-    ``graph`` first, then ``build_scheme``'s."""
+    """Deterministically construct the scheme instance for one trial seed and
+    count its coverage: ``(tables, coverage)``. ``stage_s``, when given,
+    receives the wall time of each build stage, ``graph`` first, then
+    ``build_scheme``'s, then ``coverage``."""
     metric = metric_by_name(config.metric, **config.metric_params)
     with _stage(stage_s, "graph"):
         graph = generate_graph(
@@ -250,18 +251,24 @@ def build_scheme_for_trial(config: ExperimentConfig, seed: int, stage_s: dict | 
             metric,
             seed=stream_seed(seed, "graph"),
         )
-    return build_scheme(config, graph, metric, seed, stage_s)
+    tables = build_scheme(config, graph, metric, seed, stage_s)
+    with _stage(stage_s, "coverage"):
+        coverage = verify_coverage(
+            tables.scheme, tables.neighborhoods, anchors=tables.anchors, tracked=tables.tracked
+        )
+    return tables, coverage
 
 
 def build_scheme(
     config: ExperimentConfig, graph, metric, seed: int, stage_s: dict | None = None
-):
-    """Build tables and coverage over a given graph from ``config``'s
-    construction fields; ``seed`` draws random anchors and tracking, and
-    ``build_tables`` records it in the tables. Reports, ``qnroute cluster``
-    and scheme documents all build here. ``stage_s``, when given, receives
-    the wall time of each stage: ``pair_costs``, ``neighborhoods``,
-    ``cover`` and ``tables``.
+) -> SchemeTables:
+    """Build the tables over a given graph from ``config``'s construction
+    fields; ``seed`` draws random anchors and tracking, and ``build_tables``
+    records it in the tables. Reports, ``qnroute cluster`` and scheme
+    documents all build here; coverage is counted only for a trial, by
+    ``build_scheme_for_trial``. ``stage_s``, when given, receives the wall
+    time of each stage: ``pair_costs``, ``neighborhoods``, ``cover`` and
+    ``tables``.
 
     The pair costs are computed once, by ``all_pairs_optimal``; the
     e-neighborhoods and the tables are derived from that one matrix.
@@ -279,15 +286,13 @@ def build_scheme(
                 anchors = build_anchor_set_greedy(neighborhoods)
             else:
                 anchors = build_anchor_set_random(graph.n_e, seed=seed)
-            coverage = verify_coverage(Scheme.PARTIAL_ANCHOR, neighborhoods, anchors=anchors)
         else:
             tracked = assign_all_tracking(
                 build_tracked_sets(graph.n_e), graph.n_e, seed=stream_seed(seed, "tracking")
             )
-            coverage = verify_coverage(Scheme.FULL_ANCHOR, neighborhoods, tracked=tracked)
 
     with _stage(stage_s, "tables"):
-        tables = build_tables(
+        return build_tables(
             graph,
             metric,
             neighborhoods,
@@ -299,7 +304,6 @@ def build_scheme(
             capacity_cap=config.capacity_cap,
             seed=seed,
         )
-    return tables, coverage
 
 
 def _sample_chain_checks(
@@ -361,8 +365,7 @@ def _qsearch_agreement(tables, seed: int) -> dict | None:
             tables, owner, target, seed=stream_seed(seed, f"lookup:{n}")
         )
         probs.append(result.success_probability)
-        entries = tables.table(owner).entries
-        hit_shares.append(sum(target in e.reach for e in entries) / len(entries))
+        hit_shares.append(len(result.hit_labels) / result.n_t)
         found += result.found
     variance = math.fsum(p * (1.0 - p) for p in probs)
     return {

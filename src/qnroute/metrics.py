@@ -22,6 +22,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
+import numpy as np
+
 from .errors import MetricError, UnknownMetricError
 
 AXIOM_TOL = 1e-9
@@ -33,8 +35,19 @@ AXIOM_SAMPLES = 2000
 
 
 class Composition(enum.Enum):
-    ADDITIVE = "additive"
-    MIN = "min"
+    """How link costs compose into a path cost. Each member carries its
+    binary operator ``op``, for costs already known to be nonnegative such as
+    a pair-cost matrix's, and ``array_op``, the same operator elementwise."""
+
+    ADDITIVE = ("additive", operator.add, np.add)
+    MIN = ("min", min, np.minimum)
+
+    def __new__(cls, value: str, op: Callable, array_op: np.ufunc) -> "Composition":
+        member = object.__new__(cls)
+        member._value_ = value
+        member.op = op
+        member.array_op = array_op
+        return member
 
 
 @dataclass(frozen=True)
@@ -49,16 +62,11 @@ class EntanglingMetric:
     sample_cost: Callable[[random.Random], float] = field(default=lambda rng: 1.0)
 
 
-# each composition as a binary operator, for costs already known to be
-# nonnegative, such as a pair-cost matrix's
-OPERATOR = {Composition.ADDITIVE: operator.add, Composition.MIN: min}
-
-
 def compose(metric: EntanglingMetric, a: float, b: float) -> float:
     """Compose two costs: a + b for additive metrics, min(a, b) for concave."""
     if a < 0 or b < 0:
         raise ValueError("costs must be nonnegative")
-    return OPERATOR[metric.composition](a, b)
+    return metric.composition.op(a, b)
 
 
 def fold(metric: EntanglingMetric, costs: Iterable[float]) -> float:

@@ -30,7 +30,7 @@ import numpy as np
 from .addressing import AddressPlan, QuantumAddress
 from .clustering import AnchorSet, Scheme, TrackedSets
 from .errors import ChainViolationError, DepletedLinkError, DuplicateEntryError
-from .metrics import OPERATOR, Composition, EntanglingMetric, fold
+from .metrics import EntanglingMetric, fold
 from .qsearch import partition_neighborhood
 from .topology import ENeighborhood, NetworkGraph, optimal_cost
 
@@ -500,7 +500,7 @@ def resolve(
     if a is not None and a.ebits >= 1 and (b is None or b.ebits >= 1):
         return EntangledPath(i, d, (), costs[i][d], costs[i][d], Case.CASE_I)
 
-    op, row = OPERATOR[tables.metric.composition], costs[i]
+    op, row = tables.metric.composition.op, costs[i]
     best: tuple[float, int] | None = None
     for j in tables.neighborhoods[i].member_ids & tables.holders[d]:
         at_j = rows[j]._by_peer
@@ -588,7 +588,7 @@ class _BatchLadder:
     def __init__(self, tables: SchemeTables):
         n = tables.n_e
         self.tables = tables
-        self.op = np.add if tables.metric.composition is Composition.ADDITIVE else np.minimum
+        self.op = tables.metric.composition.array_op
         self.pair = np.array(tables.pair_costs, dtype=float)
         owner, peer, low = [], [], []
         for a, table in enumerate(tables.tables):

@@ -120,7 +120,7 @@ def _read_scheme(doc: dict) -> tuple[SchemeTables, str, dict]:
             raise ValueError(f"graph: edge {i}-{j} is listed twice")
         graph.add_edge(i, j, float(c))
     metric = metric_by_name(config.metric, **config.metric_params)
-    tables, _ = build_scheme(config, graph, metric, doc["seed"])
+    tables = build_scheme(config, graph, metric, doc["seed"])
     return tables, config.metric, config.metric_params
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from qnroute.clustering import (
     Scheme,
+    TrackedSets,
     assign_all_tracking,
     build_anchor_set_greedy,
     build_tracked_sets,
@@ -37,6 +38,21 @@ def reverse_neighborhood(neighborhoods: list[ENeighborhood], v: int) -> set[int]
 def greedy_size_bound(n_e: int, k: int) -> float:
     """Cardinality bound for the greedy cover: n_e * (1 + ln n_e) / k."""
     return n_e * (1 + math.log(n_e)) / k
+
+
+def enumerated_coverage_failures(
+    neighborhoods: list[ENeighborhood], tracked: TrackedSets
+) -> set[tuple[int, int]]:
+    """Reference for the full-anchor coverage count: every ordered pair
+    (i, d), d != i, such that no e-neighbor of i tracks a block holding d."""
+    nodes = [nb.owner for nb in neighborhoods]
+    failures = set()
+    for nb in neighborhoods:
+        targets = set()
+        for j in nb.member_ids:
+            targets.update(tracked.tracked_by(j))
+        failures |= {(nb.owner, d) for d in nodes if d != nb.owner and d not in targets}
+    return failures
 
 
 def brute_force_optimal(graph: NetworkGraph, metric, i: int, j: int) -> float:
@@ -323,4 +339,4 @@ def build_documented_scheme(
     config = ExperimentConfig(
         n_e=graph.n_e, scheme=scheme, k_override=k, f=f, capacity_cap=capacity_cap
     )
-    return build_scheme(config, graph, metric, seed)[0]
+    return build_scheme(config, graph, metric, seed)

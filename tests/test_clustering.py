@@ -2,6 +2,8 @@ import math
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qnroute.clustering import (
     Scheme,
@@ -21,7 +23,7 @@ from qnroute.topology import (
     generate_graph,
 )
 
-from conftest import greedy_size_bound
+from conftest import enumerated_coverage_failures, greedy_size_bound
 
 HOP = hop_count_metric()
 
@@ -192,7 +194,39 @@ def test_full_anchor_coverage_pathological_shared_block():
     report = verify_coverage(Scheme.FULL_ANCHOR, nbs, tracked=tracked)
     # every target outside block 0 is unreachable through tracking
     expected_failures = {(i, d) for i in range(n) for d in range(4, n) if d != i}
-    assert set(report.uncovered) == expected_failures
+    assert enumerated_coverage_failures(nbs, tracked) == expected_failures
+    assert report.failures == len(expected_failures) == 180
+    assert report.total_checks == 240
+
+
+@st.composite
+def tracked_neighborhoods(draw) -> tuple[list[ENeighborhood], TrackedSets]:
+    """Random e-neighborhoods over a random partition of n nodes into
+    blocks, and each node's block choice. A few blocks and neighborhoods of
+    up to n - 1 members make owners whose own block is chosen, and blocks
+    chosen by several neighbors, the common draw."""
+    n = draw(st.integers(2, 12))
+    order = draw(st.permutations(range(n)))
+    capacity = draw(st.integers(1, n))
+    blocks = tuple(tuple(order[s : s + capacity]) for s in range(0, n, capacity))
+    assignment = tuple(draw(st.lists(
+        st.integers(0, len(blocks) - 1), min_size=n, max_size=n
+    )))
+    nbs = []
+    for v in range(n):
+        others = draw(st.permutations([u for u in range(n) if u != v]))
+        nbs.append(ENeighborhood(owner=v, members=tuple(others[: draw(st.integers(1, n - 1))])))
+    return nbs, TrackedSets(blocks, assignment)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=tracked_neighborhoods())
+def test_full_anchor_coverage_counts_what_the_pair_enumeration_lists(case):
+    nbs, tracked = case
+    report = verify_coverage(Scheme.FULL_ANCHOR, nbs, tracked=tracked)
+    n = len(nbs)
+    assert report.failures == len(enumerated_coverage_failures(nbs, tracked))
+    assert report.total_checks == n * (n - 1)
 
 
 def test_full_anchor_coverage_healthy_assignment():

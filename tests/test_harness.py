@@ -156,8 +156,8 @@ def test_wall_time_goes_to_the_timings_sidecar(tmp_path):
     for doc, stages in ((timings, set()), (checked, {"lookup_check", "axiom_check"})):
         for t in doc["trials"]:
             assert set(t["stage_s"]) == {
-                "graph", "pair_costs", "neighborhoods", "cover", "tables", "all_pairs",
-                "chain_replay",
+                "graph", "pair_costs", "neighborhoods", "cover", "tables", "coverage",
+                "all_pairs", "chain_replay",
             } | stages
             assert all(s >= 0 for s in t["stage_s"].values())
             assert sum(t["stage_s"].values()) <= t["runtime_s"]

@@ -345,7 +345,7 @@ def ladder_tables(draw):
         n_e=graph.n_e, scheme=scheme, anchor_method=anchors, k_override=k,
         f=draw(st.integers(1, 2)), capacity_cap=draw(st.sampled_from([None, k])),
     )
-    tabs = build_scheme(config, graph, metric, draw(st.integers(0, 2**16)))[0]
+    tabs = build_scheme(config, graph, metric, draw(st.integers(0, 2**16)))
     deplete(tabs, draw(st.sampled_from([0.0, 0.15, 0.5])), draw(st.integers(0, 2**16)))
     return tabs
 

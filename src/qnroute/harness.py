@@ -271,7 +271,7 @@ def build_scheme(
     ``tables``.
 
     The pair costs are computed once, by ``all_pairs_optimal``; the
-    e-neighborhoods and the tables are derived from that one matrix.
+    e-neighborhoods and the tables are derived from that one array.
     """
     with _stage(stage_s, "pair_costs"):
         pair_costs = all_pairs_optimal(graph, metric)
@@ -313,17 +313,19 @@ def _sample_chain_checks(
 
     Draws a uniform sample of ``chain_samples`` case II/III pairs of the
     trial's ``evaluation``, or all of them when there are fewer, and resolves
-    only those. The draw reads only the population's length and indices, so
-    it samples the row-major positions of their codes, in row order. Returns
+    only those. ``random.sample`` picks indices from the population's length
+    alone, so it draws indices into the array of their row-major positions,
+    in row order, and builds no list of them. Returns
     the number of paths replayed and a witness (pair, path, broken step) for
     each path whose chain broke.
     """
-    candidates = np.flatnonzero(np.isin(evaluation.code, (2, 3))).tolist()
+    code = evaluation.code
+    positions = np.flatnonzero((code == 2) | (code == 3))
     drawn = stream(seed, "chain").sample(
-        candidates, min(config.chain_samples, len(candidates))
+        range(len(positions)), min(config.chain_samples, len(positions))
     )
     violations = []
-    for i, d in (divmod(k, tables.n_e) for k in drawn):
+    for i, d in (divmod(positions.item(k), tables.n_e) for k in drawn):
         path = resolve(tables, i, d)
         try:
             verify_bound_chain(path, tables.metric, tables.pair_costs)
@@ -593,7 +595,9 @@ def write_pairs_csv(path: str, trials) -> None:
                 head = f"{seed},{i},"
                 tails: dict[tuple, str] = {}
                 lines = []
-                rows = zip(evaluation.code[i].tolist(), evaluation.cost[i].tolist(), optimal)
+                rows = zip(
+                    evaluation.code[i].tolist(), evaluation.cost[i].tolist(), optimal.tolist()
+                )
                 for d, key in enumerate(rows):
                     if d == i:
                         continue

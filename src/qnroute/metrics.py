@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .errors import MetricError, UnknownMetricError
 
@@ -153,12 +154,13 @@ class AxiomReport:
 
 def check_axioms(
     metric: EntanglingMetric,
-    pair_costs: list[list[float]],
+    pair_costs: ArrayLike,
     seed: int = 0,
 ) -> AxiomReport:
-    """Verify the metric axioms on ``pair_costs``, a square matrix of
-    end-to-end costs ``pair_costs[i][j]`` over nodes ``0..n-1``
-    (``all_pairs_optimal``'s).
+    """Verify the metric axioms on ``pair_costs``, a square 2-D array-like
+    of end-to-end costs ``pair_costs[i][j]`` over nodes ``0..n-1``
+    (``all_pairs_optimal``'s array). Each cost is read as a Python float
+    through a memoryview of its row; an array is not copied.
 
     Pair axioms (definiteness, non-negativity, symmetry) are always checked
     exhaustively. The triangle inequality runs over node triples and the two
@@ -172,9 +174,10 @@ def check_axioms(
     n = len(nodes)
     if n == 0:
         raise ValueError("the cost table must be nonempty")
+    rows = [memoryview(row) for row in np.asarray(pair_costs, dtype=float)]
 
     def cost(i: int, j: int) -> float:
-        return pair_costs[i][j]
+        return rows[i][j]
 
     violations: list[tuple[str, tuple[int, ...]]] = []
     checked = 0

@@ -18,6 +18,7 @@ fallback rather than folded into the stretch statistics.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 import statistics
 from collections import Counter
@@ -131,6 +132,10 @@ class SchemeTables:
     case III's candidate hubs beside v.
     ``seed`` is the seed ``harness.build_scheme`` built with, and None for
     tables built without one; ``plan`` addresses the graph's nodes.
+    ``pair_costs`` is the trial's read-only ``all_pairs_optimal`` array, the
+    only copy of any pair cost; ``cost_rows[i]`` is a memoryview of its row
+    ``i``, which shares the array's buffer and reads Python floats, for the
+    per-request readers.
     """
 
     scheme: Scheme
@@ -138,7 +143,7 @@ class SchemeTables:
     neighborhoods: list[ENeighborhood]
     graph: NetworkGraph
     metric: EntanglingMetric
-    pair_costs: list[list[float]]
+    pair_costs: np.ndarray = field(compare=False)
     anchors: AnchorSet | None = None
     tracked: TrackedSets | None = None
     f: int = 1
@@ -151,9 +156,11 @@ class SchemeTables:
         init=False, default_factory=dict, repr=False, compare=False
     )
     plan: AddressPlan = field(init=False, repr=False, compare=False)
+    cost_rows: tuple[memoryview, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.plan = AddressPlan(self.graph.n_e)
+        self.cost_rows = tuple(map(memoryview, self.pair_costs))
 
     @property
     def n_e(self) -> int:
@@ -241,7 +248,7 @@ def build_tables(
     graph: NetworkGraph,
     metric: EntanglingMetric,
     neighborhoods: list[ENeighborhood],
-    pair_costs: list[list[float]],
+    pair_costs: np.ndarray,
     anchors: AnchorSet | None = None,
     tracked: TrackedSets | None = None,
     f: int = 1,
@@ -258,7 +265,7 @@ def build_tables(
     a table over the capacity cap (default 4k) evicts, and only
     reverse-neighbor entries, costliest first; their peers are recorded in
     the table's dropped list.
-    ``pair_costs`` is the trial's ``all_pairs_optimal`` matrix; the returned
+    ``pair_costs`` is the trial's ``all_pairs_optimal`` array; the returned
     tables keep it for resolution and fallback, and record ``seed``, the
     seed the anchors or tracking were drawn with. The repeater indexes
     ``holders`` and ``anchor_hubs`` are read off the reverse neighborhoods,
@@ -301,7 +308,7 @@ def build_tables(
 
     tables: list[RoutingTable] = []
     for v in range(graph.n_e):
-        row = pair_costs[v]
+        row = memoryview(pair_costs[v])
         held = {v, *neighborhoods[v].member_ids}
         forward = neighborhoods[v].members
         reverse = sorted((u for u in reverse_of[v] if u not in held), key=lambda u: (row[u], u))
@@ -367,14 +374,15 @@ _FALLBACK = 4
 def _fallback_or_failure(
     tables: SchemeTables, i: int, d: int, reason: str, allow_fallback: bool
 ) -> EntangledPath:
+    optimal = tables.cost_rows[i][d]
     if allow_fallback:
-        cost, nodes = optimal_cost(tables.graph, tables.metric, i, d, tables.pair_costs)
+        cost, nodes = optimal_cost(tables.graph, tables.metric, i, d, tables.cost_rows)
         return EntangledPath(
             source=i,
             dest=d,
             repeaters=tuple(nodes[1:-1]),
             total_cost=cost,
-            optimal=tables.pair_costs[i][d],
+            optimal=optimal,
             case=Case.FALLBACK,
             reason=reason,
         )
@@ -383,7 +391,7 @@ def _fallback_or_failure(
         dest=d,
         repeaters=(),
         total_cost=math.inf,
-        optimal=tables.pair_costs[i][d],
+        optimal=optimal,
         case=Case.FAILURE,
         reason=reason,
     )
@@ -415,7 +423,7 @@ def _case_three(
     tests just its hub-to-hub link l-k (the whole middle segment when a hub
     is an endpoint).
     """
-    rows, costs, anchors = tables.tables, tables.pair_costs, tables.anchors.members
+    rows, costs, anchors = tables.tables, tables.cost_rows, tables.anchors.members
 
     if i in anchors:
         entry_hubs = [i]
@@ -494,7 +502,7 @@ def resolve(
     source-target cost. The least ``(total, j)`` wins."""
     if i == d:
         raise ValueError("source and destination must differ")
-    rows, costs = tables.tables, tables.pair_costs
+    rows, costs = tables.tables, tables.cost_rows
     at_i, at_d = rows[i]._by_peer, rows[d]._by_peer
     a, b = at_i.get(d), at_d.get(i)
     if a is not None and a.ebits >= 1 and (b is None or b.ebits >= 1):
@@ -541,7 +549,7 @@ class PairEvaluation(Sequence):
 
     code: np.ndarray
     cost: np.ndarray
-    pair_costs: list[list[float]]
+    pair_costs: np.ndarray
     case_counts: Counter
     max_stretch: float
     mean_stretch: float
@@ -562,7 +570,7 @@ class PairEvaluation(Sequence):
     def __getitem__(self, k: int) -> tuple:
         i, d = divmod(range(len(self))[k], len(self.code) - 1)
         d += d >= i
-        cost, optimal = self.cost.item(i, d), self.pair_costs[i][d]
+        cost, optimal = self.cost.item(i, d), self.pair_costs.item(i, d)
         return i, d, CASE_BY_CODE[self.code.item(i, d)], cost, optimal, cost / optimal
 
 
@@ -589,7 +597,7 @@ class _BatchLadder:
         n = tables.n_e
         self.tables = tables
         self.op = tables.metric.composition.array_op
-        self.pair = np.array(tables.pair_costs, dtype=float)
+        self.pair = tables.pair_costs
         owner, peer, low = [], [], []
         for a, table in enumerate(tables.tables):
             for entry in table.entries:
@@ -712,34 +720,48 @@ def evaluate_all_pairs(tables: SchemeTables) -> PairEvaluation:
     optimal cost as both cost and optimal, at stretch 1.0, the row
     ``resolve`` gives. No pair goes through ``resolve`` or ``optimal_cost``;
     ``resolve`` stays the reference the pass is tested against. The pass
-    fills one n x n code array and one cost array, and the case counts and
-    stretch figures are reduced from them in one pass each.
+    fills one n x n code array and one cost array and copies no pair cost;
+    the case counts are reduced from the codes in one pass, and the stretch
+    figures one source row at a time.
     """
     ladder = _BatchLadder(tables)
-    n = tables.n_e
+    n, pair = tables.n_e, tables.pair_costs
     code = np.empty((n, n), np.int8)
     cost = np.empty((n, n))
     for i in range(n):
         code[i], cost[i] = ladder.run(i)
-    counts = np.bincount(code[~np.eye(n, dtype=bool)], minlength=len(CASE_BY_CODE))
-    resolved = (code >= 1) & (code < _FALLBACK)
-    stretches = (cost[resolved] / ladder.pair[resolved]).tolist()
+    # counted code by code, as ``np.bincount`` would widen every code to
+    # 8 bytes; the diagonal's code, -1, is no case's
+    counts = [int(np.count_nonzero(code == c)) for c in range(len(CASE_BY_CODE))]
     case_counts: Counter = Counter()
     reasons: Counter = Counter()
-    for c, count in enumerate(counts.tolist()):
+    for c, count in enumerate(counts):
         if c and count:
             case_counts[CASE_BY_CODE[c]] += count
             if c >= _FALLBACK:
                 reasons[_FALLBACK_REASONS[c - _FALLBACK]] = count
-    max_stretch = max(stretches) if stretches else 0.0
+    row_max: list[float] = []
+
+    def stretch_rows():
+        for i in range(n):
+            ok = (code[i] >= 1) & (code[i] < _FALLBACK)
+            ratios = (cost[i, ok] / pair[i, ok]).tolist()
+            row_max.append(max(ratios, default=0.0))
+            yield ratios
+
+    # the mean is ``statistics.fmean``'s, ``math.fsum`` of every resolved
+    # stretch over their count, summed across the rows without a list
+    stretch_sum = math.fsum(itertools.chain.from_iterable(stretch_rows()))
+    resolved = sum(counts[1:_FALLBACK])
+    max_stretch = max(row_max, default=0.0)
     total = n * (n - 1)
     return PairEvaluation(
         code=code,
         cost=cost,
-        pair_costs=tables.pair_costs,
+        pair_costs=pair,
         case_counts=case_counts,
         max_stretch=max_stretch,
-        mean_stretch=statistics.fmean(stretches) if stretches else 0.0,
+        mean_stretch=stretch_sum / resolved if resolved else 0.0,
         # a fallback row's stretch is 1.0, and no row here fails
         max_stretch_with_fallback=max(max_stretch, 1.0) if reasons else max_stretch,
         fallback_fraction=case_counts[Case.FALLBACK.value] / total if total else 0.0,
@@ -777,7 +799,7 @@ class ChainTrace:
 def verify_bound_chain(
     path: EntangledPath,
     metric: EntanglingMetric,
-    pair_costs: list[list[float]],
+    pair_costs: np.ndarray,
 ) -> ChainTrace:
     """Numerically replay the inequality chain certifying the stretch bound.
 
@@ -786,13 +808,13 @@ def verify_bound_chain(
     inequality is evaluated on the concrete instance and a violation raises,
     since it means a neighborhood or cover precondition was broken upstream.
     Optimal costs are read from ``pair_costs``, an ``all_pairs_optimal``
-    matrix.
+    array.
     """
     if path.case not in (Case.CASE_II, Case.CASE_III):
         raise ValueError(f"chain applies to case II/III paths, got {path.case}")
 
     def w(a: int, b: int) -> float:
-        return pair_costs[a][b]
+        return pair_costs.item(a, b)
 
     i, d = path.source, path.dest
     wid = w(i, d)

@@ -14,13 +14,13 @@ a walk but not on every simple path), so walks are the intended semantics.
 from __future__ import annotations
 
 import functools
-import heapq
 import inspect
 import logging
 import math
 import random
 import typing
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -309,22 +309,25 @@ def _augment_connectivity(graph: NetworkGraph, rng: random.Random) -> None:
 # Optimal entangling cost
 
 
-def _walk_back(graph: NetworkGraph, row: list[float], i: int, j: int) -> list[int]:
+def _walk_back(graph: NetworkGraph, row: Sequence[float], i: int, j: int) -> list[int]:
     """Cheapest route from ``i`` to ``j`` read off ``row``, the cost row of ``i``.
 
     Each step goes back from ``u`` to the neighbour ``v`` with
     ``row[v] + link(v, u) == row[u]``, the smallest ``(row[v], v)`` among
     several. Dijkstra settles nodes in ``(cost, index)`` order, so this is the
     parent it would record: the first settled node to reach ``u`` at its final
-    cost.
+    cost. Each neighbour's cost is read once.
     """
     path = [j]
     u = j
     while u != i:
         du = row[u]
-        u = min(
-            (row[v], v) for v, c in graph.adjacency[u].items() if row[v] + c == du
-        )[1]
+        best = None
+        for v, c in graph.adjacency[u].items():
+            dv = row[v]
+            if dv + c == du and (best is None or (dv, v) < best):
+                best = (dv, v)
+        u = best[1]
         path.append(u)
     return path[::-1]
 
@@ -364,14 +367,16 @@ def optimal_cost(
     metric: EntanglingMetric,
     i: int,
     j: int,
-    pair_costs: list[list[float]],
+    pair_costs: Sequence[Sequence[float]],
 ) -> tuple[float, list[int]]:
     """Minimum composed cost between ``i`` and ``j`` plus one witness route.
 
     Returns ``(cost, nodes)`` where nodes is the full repeater sequence
     including both endpoints, or an empty list when i == j (cost 0 by
-    definiteness). The cost is read from ``pair_costs``, the trial's
-    ``all_pairs_optimal`` matrix. Additive composition, licensed by
+    definiteness). The cost is read from ``pair_costs[i]``, the cost row of
+    ``i`` in the trial's ``all_pairs_optimal`` array: one of the array's
+    rows, or its memoryview in ``SchemeTables.cost_rows``, which reads
+    Python floats. Additive composition, licensed by
     isotonicity plus the triangle inequality, walks back from ``j`` over the
     cost row of ``i``: the witness is the route Dijkstra's parent pointers
     give, ties going to the neighbour settled first. Min composition returns
@@ -398,16 +403,18 @@ def optimal_cost(
     return cost, cleaned
 
 
-def all_pairs_optimal(graph: NetworkGraph, metric: EntanglingMetric) -> list[list[float]]:
-    """Optimal cost of every ordered node pair, as rows: ``costs[i][j]``.
+def all_pairs_optimal(graph: NetworkGraph, metric: EntanglingMetric) -> np.ndarray:
+    """Optimal cost of every ordered node pair: ``costs[i, j]``, in one
+    C-contiguous, read-only n x n float64 array, a row per source.
 
     This is the one cost pass of a scheme build: e-neighborhoods, table
     entries, the evaluation's fallback rows, ``resolve``'s fallback
-    witnesses, chain replays and axiom checks all read the matrix it
-    returns. Min composition gives every distinct pair the cheapest
-    edge's cost. Additive composition fills ``to[u, s]``, the cost from
-    ``s`` to ``u``, adding link costs left to right from the source, as
-    Dijkstra does. Which pass fills it depends on the link costs alone:
+    witnesses, chain replays and axiom checks all read the array it
+    returns, and none of them copies it. Min composition gives every
+    distinct pair the cheapest edge's cost. Additive composition fills
+    ``to[u, s]``, the cost from ``s`` to ``u``, adding link costs left to
+    right from the source, as Dijkstra does. Which pass fills it depends on
+    the link costs alone:
 
     * When every link costs the same ``c``, breadth-first levels are swept
       from all sources at once, and a node first reached at level ``h``
@@ -432,11 +439,15 @@ def all_pairs_optimal(graph: NetworkGraph, metric: EntanglingMetric) -> list[lis
             _relax(graph, to)
         if np.isinf(to).any():
             raise _disconnected(graph)
-        return to.T.tolist()
-    _, _, c = _min_edge(graph)
-    if not graph.is_connected():
-        raise _disconnected(graph)
-    return [[0.0 if i == j else c for j in range(n)] for i in range(n)]
+        costs = to.T.copy()
+    else:
+        _, _, c = _min_edge(graph)
+        if not graph.is_connected():
+            raise _disconnected(graph)
+        costs = np.full((n, n), c)
+        np.fill_diagonal(costs, 0.0)
+    costs.flags.writeable = False
+    return costs
 
 
 def _disconnected(graph: NetworkGraph) -> UnreachableError:
@@ -496,7 +507,7 @@ def _relax(graph: NetworkGraph, to: np.ndarray) -> None:
 @dataclass(frozen=True)
 class ENeighborhood:
     """The k cheapest-to-entangle peers of one node, in ``(cost, id)``
-    order; their costs are read from the pair-cost matrix."""
+    order; their costs are read from the pair-cost array."""
 
     owner: int
     members: tuple[int, ...]
@@ -511,10 +522,10 @@ class ENeighborhood:
 
 
 def all_neighborhoods(
-    graph: NetworkGraph, k: int, pair_costs: list[list[float]]
+    graph: NetworkGraph, k: int, pair_costs: np.ndarray
 ) -> list[ENeighborhood]:
     """The k nodes of smallest optimal cost from every node, read from
-    ``pair_costs``, the trial's ``all_pairs_optimal`` matrix.
+    ``pair_costs``, the trial's ``all_pairs_optimal`` array.
 
     Ties break by ascending address integer, which for ESP nodes coincides
     with ascending node index, so membership is deterministic and stable.
@@ -525,8 +536,8 @@ def all_neighborhoods(
     out = []
     for v, row in enumerate(pair_costs):
         # The owner costs 0 and every other node more, so it ranks first;
-        # nsmallest is stable, so ties keep ascending id order.
-        ranked = heapq.nsmallest(k + 1, range(n), key=row.__getitem__)
+        # the sort is stable, so ties keep ascending id order.
+        ranked = np.argsort(row, kind="stable")[: k + 1].tolist()
         members = tuple(u for u in ranked if u != v)[:k]
         out.append(ENeighborhood(owner=v, members=members))
     return out

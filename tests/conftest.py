@@ -202,7 +202,7 @@ def reference_resolve(tables: SchemeTables, i: int, d: int) -> EntangledPath:
     the e-neighbor entries of both ends for anchors, and composes each
     candidate's node list with ``fold``, ties going to the smaller list.
     """
-    metric, costs = tables.metric, tables.pair_costs
+    metric, costs = tables.metric, tables.cost_rows
 
     def usable(a, b):
         # an endpoint entry exists, and none holds fewer than one ebit

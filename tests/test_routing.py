@@ -7,6 +7,7 @@ import random
 import tracemalloc
 from collections import Counter, deque
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -563,7 +564,9 @@ def test_rows_read_by_index_equal_the_iterated_rows_and_resolve(tmp_path, config
 
 def test_evaluation_holds_arrays_not_row_tuples():
     # perfbench's allpairs config at n = 512: the two arrays take about 2.4 MB,
-    # where a tuple per ordered pair takes 42 MB
+    # where a tuple per ordered pair takes 42 MB; the pass peaks near 4 MB,
+    # where a copy of the pair costs, a list of every stretch and codes
+    # widened to 8 bytes for ``np.bincount`` take it to 16 MB
     n = 512
     tabs, _ = build_scheme_for_trial(ExperimentConfig(
         n_e=n, graph_params={"edge_prob": max(0.12, 2 * math.log(n) / n)},
@@ -573,11 +576,32 @@ def test_evaluation_holds_arrays_not_row_tuples():
     try:
         before = tracemalloc.get_traced_memory()[0]
         ev = evaluate_all_pairs(tabs)
-        held = tracemalloc.get_traced_memory()[0] - before
+        after, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert len(ev) == n * (n - 1)
-    assert held <= 8e6
+    assert after - before <= 8e6
+    assert peak - before <= 8e6
+
+
+@pytest.mark.parametrize("metric", ["hop", "uniform", "capacity"])
+def test_the_pair_costs_are_one_read_only_array(metric):
+    # hop costs come from the level pass, uniform ones from the relaxation
+    # and capacity ones from the min-composed fill
+    tabs, _ = build_scheme_for_trial(ExperimentConfig(
+        n_e=24, graph_params={"edge_prob": 0.2}, metric=metric, k_override=3,
+    ), 0)
+    costs = tabs.pair_costs
+    assert costs.shape == (24, 24) and costs.dtype == np.float64
+    assert costs.flags.c_contiguous and not costs.flags.writeable
+    with pytest.raises(ValueError):
+        costs[0, 1] = 0.5
+    with pytest.raises(TypeError):
+        tabs.cost_rows[0][1] = 0.5
+    assert all(np.shares_memory(row, costs[i]) for i, row in enumerate(tabs.cost_rows))
+    assert type(tabs.cost_rows[0][1]) is float
+    assert routing._BatchLadder(tabs).pair is costs
+    assert evaluate_all_pairs(tabs).pair_costs is costs
 
 
 def test_writing_the_pairs_csv_holds_one_source_of_tails(tmp_path):

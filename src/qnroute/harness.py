@@ -12,7 +12,9 @@ every wall-clock measurement.
 
 from __future__ import annotations
 
+import bisect
 import contextlib
+import itertools
 import math
 import os
 import time
@@ -313,19 +315,26 @@ def _sample_chain_checks(
 
     Draws a uniform sample of ``chain_samples`` case II/III pairs of the
     trial's ``evaluation``, or all of them when there are fewer, and resolves
-    only those. ``random.sample`` picks indices from the population's length
-    alone, so it draws indices into the array of their row-major positions,
-    in row order, and builds no list of them. Returns
+    only those. ``random.sample`` picks ranks from the population's length
+    alone, so it draws ranks into the row-major sequence of those pairs, and
+    each rank is located in O(n) memory: its row by the cumulative sum of
+    per-row counts, then its column within that row. Returns
     the number of paths replayed and a witness (pair, path, broken step) for
     each path whose chain broke.
     """
+
+    def repeated(row: np.ndarray) -> np.ndarray:
+        return (row == 2) | (row == 3)
+
     code = evaluation.code
-    positions = np.flatnonzero((code == 2) | (code == 3))
-    drawn = stream(seed, "chain").sample(
-        range(len(positions)), min(config.chain_samples, len(positions))
-    )
+    # starts[i]: the rank of row i's first case II/III pair
+    starts = list(itertools.accumulate(map(np.count_nonzero, map(repeated, code)), initial=0))
+    total = starts[-1]
+    drawn = stream(seed, "chain").sample(range(total), min(config.chain_samples, total))
     violations = []
-    for i, d in (divmod(positions.item(k), tables.n_e) for k in drawn):
+    for k in drawn:
+        i = bisect.bisect(starts, k) - 1
+        d = np.flatnonzero(repeated(code[i])).item(k - starts[i])
         path = resolve(tables, i, d)
         try:
             verify_bound_chain(path, tables.metric, tables.pair_costs)

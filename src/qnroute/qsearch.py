@@ -16,10 +16,16 @@ A lookup is one search and one measurement. The search's exact label
 marginal has a closed form in plain Python floats, so no table is too large
 to search. Its values depend only on the hit weights in hit order, n_T and
 the iteration count, so the normalized marginal is memoised on that key
-(``_normalized_marginal``, an LRU cache of ``MARGINAL_CACHE_SIZE`` keys). A
-lookup then costs one scan of the table's partitions for the h entries that
-hold the target, O(h) Python steps to place the hit values, and C-level list
-operations over the n_T labels.
+(``_normalized_marginal``, an LRU cache of ``MARGINAL_CACHE_SIZE`` keys).
+
+A lookup builds only what it returns or measures. One scan of the table's
+partitions gives two lists, the h hit labels and their weights; the weights,
+as a tuple, key the memo. The hit values go into one list of n_T label
+values, which ``measure`` samples. The outcome is a slotted dataclass that
+keeps the memo's values, the hit labels as a frozenset, or ``NO_HITS`` when
+no entry holds the target, so a miss builds no set. On perfbench's
+serve-stream requests (tables of 24.5 entries on average) a lookup takes
+about 9 µs of a 21 µs request, raw, on a 2-vCPU shared host.
 """
 
 from __future__ import annotations
@@ -66,17 +72,24 @@ class SearchInstance:
         return len(self.partitions)
 
     def hit_labels(self, target: int) -> frozenset[int]:
-        return frozenset(label for label, _ in self.hit_alphas(target))
+        return frozenset(_scan_hits(self.partitions, target)[0])
 
     def hit_alphas(self, target: int) -> list[tuple[int, float]]:
         """(label, weight of the inverting branch) per hitting entry; an
         entry's parts are disjoint, so at most one of them holds the target."""
-        return [
-            (label, 1.0 / len(part))
-            for label, parts in enumerate(self.partitions)
-            for part in parts
-            if target in part
-        ]
+        return list(zip(*_scan_hits(self.partitions, target)))
+
+
+def _scan_hits(partitions, target: int) -> tuple[list[int], list[float]]:
+    """The hitting labels in ascending order and, in the same order, the
+    weight of each one's inverting branch: one pass over the partitions."""
+    labels, alphas = [], []
+    for label, parts in enumerate(partitions):
+        for part in parts:
+            if target in part:
+                labels.append(label)
+                alphas.append(1.0 / len(part))
+    return labels, alphas
 
 
 def instance_from_table(table, plan) -> SearchInstance:
@@ -196,7 +209,11 @@ def _spread(n_t: int, background: float, labels, hit_values) -> list[float]:
     return probs
 
 
-@dataclass(frozen=True)
+# The hit set of every outcome that has no hit.
+NO_HITS: frozenset[int] = frozenset()
+
+
+@dataclass(init=False, slots=True)
 class SearchOutcome:
     """One search and its measurement.
 
@@ -204,6 +221,8 @@ class SearchOutcome:
     every label that is not hit and ``hit_values`` at the hit labels in
     ascending order, a tuple the memo shares, so an outcome holds O(1)
     objects whatever n_T is. ``distribution`` spreads it over the labels.
+    The constructor checks that the marginal sums to 1 before it assigns a
+    field; nothing assigns one afterwards.
     """
 
     measured: int
@@ -214,10 +233,18 @@ class SearchOutcome:
     background: float
     hit_values: tuple[float, ...]
 
-    def __post_init__(self):
-        total = self.background * (self.n_t - len(self.hit_values)) + sum(self.hit_values)
+    def __init__(self, measured, hit_labels, success_probability, iterations, n_t,
+                 background, hit_values):
+        total = background * (n_t - len(hit_values)) + sum(hit_values)
         if abs(total - 1.0) > 1e-9:
             raise AssertionError(f"label distribution sums to {total}")
+        self.measured = measured
+        self.hit_labels = hit_labels
+        self.success_probability = success_probability
+        self.iterations = iterations
+        self.n_t = n_t
+        self.background = background
+        self.hit_values = hit_values
 
     @property
     def distribution(self) -> tuple[float, ...]:
@@ -275,25 +302,25 @@ def run_search(
     seeded and shot noise only enters through the single reported
     measurement.
     """
-    hits = instance.hit_alphas(target)
-    labels = [label for label, _ in hits]
-    n_t = instance.n_t
+    labels, alphas = _scan_hits(instance.partitions, target)
+    n_t = len(instance.partitions)
     if iterations is None:
-        iterations = iteration_count(n_t, max(1, len(hits)))
+        iterations = iteration_count(n_t, max(1, len(labels)))
     elif iterations < 0:
         raise ValueError(f"iteration count must be non-negative, got {iterations}")
 
-    background, hit_values, success = _normalized_marginal(
-        tuple([alpha for _, alpha in hits]), n_t, iterations
-    )
+    background, hit_values, success = _normalized_marginal(tuple(alphas), n_t, iterations)
+    probs = [background] * n_t
+    for label, value in zip(labels, hit_values):
+        probs[label] = value
     return SearchOutcome(
-        measured=measure(_spread(n_t, background, labels, hit_values), seed),
-        hit_labels=frozenset(labels),
-        success_probability=success,
-        iterations=iterations,
-        n_t=n_t,
-        background=background,
-        hit_values=hit_values,
+        measure(probs, seed),
+        frozenset(labels) if labels else NO_HITS,
+        success,
+        iterations,
+        n_t,
+        background,
+        hit_values,
     )
 
 

@@ -123,7 +123,7 @@ class SchemeTables:
     complete when ``build_tables`` returns. Afterwards only the ebit
     counters change: each entry's ``ebits`` and ``debited``, which holds, by
     (owner, peer), every entry that a delivery left below the ebit budget;
-    ``_consume_link`` adds to it and ``replenish`` drops an entry once it is
+    ``swap_and_replenish`` adds to it and ``replenish`` drops an entry once it is
     back at budget.
     ``holders[d]`` holds the nodes whose mirror reaches d (the owners whose
     e-neighborhood holds d) and, full-anchor, the nodes whose tracked block
@@ -227,7 +227,7 @@ def make_packet(
     )
 
 
-@dataclass
+@dataclass(slots=True)
 class DeliveryRecord:
     """``consumed``: segments debited at an overlay entry; ``on_demand``:
     segments with no entry at either endpoint, generated on demand."""
@@ -878,11 +878,15 @@ def swap_and_replenish(
 ) -> DeliveryRecord:
     """Consume one ebit per segment endpoint entry along the path and deliver.
 
-    A path that crosses a depleted link (a stale path, or a fallback) gets
-    exactly one re-resolution without fallback. A depleted link is unusable,
-    so the retry routes around it or fails, and then the delivery fails. A
-    positive ``replenish_rate`` then restores that many ebits per
-    below-budget entry (the control plane's refill step).
+    One walk of the path reads each segment's entries at its two endpoints
+    once: those reads decide whether the link is depleted, and the same
+    entries are debited. A segment with an entry at neither endpoint is
+    generated on demand. A path that crosses a depleted link (a stale path,
+    or a fallback) gets exactly one re-resolution without fallback, whose
+    path is read afresh. A depleted link is unusable, so the retry routes
+    around it or fails, and then the delivery fails. A positive
+    ``replenish_rate`` then restores that many ebits per below-budget entry
+    (the control plane's refill step).
     """
     if packet.payload_ebits < 1:
         raise ValueError("packet payload must carry at least one ebit")
@@ -894,55 +898,42 @@ def swap_and_replenish(
         )
 
     record = DeliveryRecord(path=path, consumed=[], success=False)
-    nodes = path.nodes
-    depleted = _first_depleted_link(tables, nodes)
-    if depleted is not None:
-        retry = resolve(tables, path.source, path.dest, allow_fallback=False)
-        record.retried = True
-        if not retry.resolved:
-            a, b = depleted
-            record.detail = f"link {a}-{b} depleted and retry failed: {retry.reason}"
-            return record
-        record.path = retry
-        nodes = retry.nodes
+    rows = tables.tables
+    links = []
+    for a, b in zip(path.nodes, path.nodes[1:]):
+        ab, ba = rows[a]._by_peer.get(b), rows[b]._by_peer.get(a)
+        if (ab is not None and ab.ebits < 1) or (ba is not None and ba.ebits < 1):
+            retry = resolve(tables, path.source, path.dest, allow_fallback=False)
+            record.retried = True
+            if not retry.resolved:
+                record.detail = f"link {a}-{b} depleted and retry failed: {retry.reason}"
+                return record
+            record.path = retry
+            links = [
+                (x, y, rows[x]._by_peer.get(y), rows[y]._by_peer.get(x))
+                for x, y in zip(retry.nodes, retry.nodes[1:])
+            ]
+            break
+        links.append((a, b, ab, ba))
 
-    for a, b in zip(nodes, nodes[1:]):
-        if _consume_link(tables, a, b):
-            record.consumed.append((a, b))
-        else:
+    debited = tables.debited
+    for a, b, ab, ba in links:
+        if ab is None and ba is None:
             record.on_demand.append((a, b))
+            continue
+        # each entry is tested as it is debited: a walk that crosses one link
+        # twice can find it spent by its own first crossing
+        for x, y, entry in ((a, b, ab), (b, a, ba)):
+            if entry is not None:
+                if entry.ebits < 1:
+                    raise DepletedLinkError(f"link ({a},{b}) has no ebits at {x}")
+                entry.ebits -= 1
+                debited[(x, y)] = entry
+        record.consumed.append((a, b))
     record.success = True
     if replenish_rate > 0:
         replenish(tables, replenish_rate)
     return record
-
-
-def _first_depleted_link(
-    tables: SchemeTables, nodes: tuple[int, ...]
-) -> tuple[int, int] | None:
-    """The first segment of the path through ``nodes`` with a depleted
-    entry at either end, or None."""
-    for a, b in zip(nodes, nodes[1:]):
-        for x, y in ((a, b), (b, a)):
-            entry = tables.tables[x]._by_peer.get(y)
-            if entry is not None and entry.ebits < 1:
-                return (a, b)
-    return None
-
-
-def _consume_link(tables: SchemeTables, a: int, b: int) -> bool:
-    """Debit the segment's entry at each endpoint; False if it has none."""
-    debited = False
-    for x, y in ((a, b), (b, a)):
-        entry = tables.tables[x]._by_peer.get(y)
-        if entry is None:
-            continue
-        if entry.ebits < 1:
-            raise DepletedLinkError(f"link ({a},{b}) has no ebits at {x}")
-        entry.ebits -= 1
-        tables.debited[(x, y)] = entry
-        debited = True
-    return debited
 
 
 def replenish(tables: SchemeTables, rate: int) -> int:

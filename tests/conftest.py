@@ -1,6 +1,7 @@
 import heapq
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -13,9 +14,27 @@ from qnroute.clustering import (
     build_anchor_set_greedy,
     build_tracked_sets,
 )
+from qnroute.errors import DepletedLinkError
 from qnroute.harness import ExperimentConfig, build_scheme
-from qnroute.metrics import Composition, compose, fold
-from qnroute.routing import Case, EntangledPath, Origin, RoutingTable, SchemeTables, build_tables
+from qnroute.metrics import (
+    Composition,
+    capacity_metric,
+    compose,
+    fold,
+    hop_count_metric,
+    uniform_weight_metric,
+)
+from qnroute.routing import (
+    Case,
+    DeliveryRecord,
+    EntangledPath,
+    Origin,
+    RoutingTable,
+    SchemeTables,
+    build_tables,
+    replenish,
+    resolve,
+)
 from qnroute.topology import (
     ENeighborhood,
     NetworkGraph,
@@ -264,6 +283,65 @@ def reference_resolve(tables: SchemeTables, i: int, d: int) -> EntangledPath:
     return finish((), math.inf, Case.FAILURE, reason)
 
 
+def reference_swap_and_replenish(
+    tables: SchemeTables, path: EntangledPath, packet, replenish_rate: int = 0
+) -> DeliveryRecord:
+    """Two-walk oracle for ``routing.swap_and_replenish``: one walk finds the
+    first segment with a depleted entry at either end, and a second walk
+    looks each segment's entries up again as it debits them."""
+    if packet.payload_ebits < 1:
+        raise ValueError("packet payload must carry at least one ebit")
+    if replenish_rate < 0:
+        raise ValueError("replenish rate must be non-negative")
+    if path.case is Case.FAILURE:
+        return DeliveryRecord(
+            path=path, consumed=[], success=False, detail=path.reason or "unresolved"
+        )
+
+    def first_depleted_link(nodes):
+        for a, b in zip(nodes, nodes[1:]):
+            for x, y in ((a, b), (b, a)):
+                entry = tables.tables[x].find(y)
+                if entry is not None and entry.ebits < 1:
+                    return (a, b)
+        return None
+
+    def consume_link(a, b):
+        debited = False
+        for x, y in ((a, b), (b, a)):
+            entry = tables.tables[x].find(y)
+            if entry is None:
+                continue
+            if entry.ebits < 1:
+                raise DepletedLinkError(f"link ({a},{b}) has no ebits at {x}")
+            entry.ebits -= 1
+            tables.debited[(x, y)] = entry
+            debited = True
+        return debited
+
+    record = DeliveryRecord(path=path, consumed=[], success=False)
+    nodes = path.nodes
+    depleted = first_depleted_link(nodes)
+    if depleted is not None:
+        retry = resolve(tables, path.source, path.dest, allow_fallback=False)
+        record.retried = True
+        if not retry.resolved:
+            a, b = depleted
+            record.detail = f"link {a}-{b} depleted and retry failed: {retry.reason}"
+            return record
+        record.path = retry
+        nodes = retry.nodes
+    for a, b in zip(nodes, nodes[1:]):
+        if consume_link(a, b):
+            record.consumed.append((a, b))
+        else:
+            record.on_demand.append((a, b))
+    record.success = True
+    if replenish_rate > 0:
+        replenish(tables, replenish_rate)
+    return record
+
+
 def path_graph(costs: list[float]) -> NetworkGraph:
     g = NetworkGraph(n_e=len(costs) + 1)
     for idx, c in enumerate(costs):
@@ -290,6 +368,34 @@ def small_graphs(draw, metric, min_n: int = 6) -> NetworkGraph:
         n = draw(st.integers(min_n, 16))
         params = {"edge_prob": 0.3} if model == "erdos_renyi" else {"attach": 2}
     return generate_graph(model, n, params, metric, seed=draw(st.integers(0, 2**16)))
+
+
+def deplete(tabs, share: float, seed: int) -> None:
+    """Set a seeded ``share`` of all entries to 0 ebits."""
+    rng = random.Random(seed)
+    for table in tabs.tables:
+        for entry in table.entries:
+            if rng.random() < share:
+                entry.ebits = 0
+
+
+@st.composite
+def ladder_tables(draw):
+    """Built schemes over every metric composition, both schemes, greedy and
+    random anchors, f of 1 or 2, with or without a cap that evicts, and a
+    random share of entries at 0 ebits."""
+    metric = draw(st.sampled_from([hop_count_metric(), uniform_weight_metric(), capacity_metric()]))
+    graph = draw(small_graphs(metric))
+    scheme, anchors = draw(st.sampled_from([("partial", "greedy"), ("partial", "random"),
+                                            ("full", "greedy")]))
+    k = draw(st.integers(2, 4))
+    config = ExperimentConfig(
+        n_e=graph.n_e, scheme=scheme, anchor_method=anchors, k_override=k,
+        f=draw(st.integers(1, 2)), capacity_cap=draw(st.sampled_from([None, k])),
+    )
+    tabs = build_scheme(config, graph, metric, draw(st.integers(0, 2**16)))
+    deplete(tabs, draw(st.sampled_from([0.0, 0.15, 0.5])), draw(st.integers(0, 2**16)))
+    return tabs
 
 
 @pytest.fixture

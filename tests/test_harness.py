@@ -6,9 +6,14 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
+import types
 from dataclasses import asdict, replace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qnroute import harness, qsearch
 from qnroute.cli import main
@@ -28,9 +33,12 @@ from qnroute.harness import (
     run_experiment,
     run_trial,
 )
+from qnroute.rng import stream
 from qnroute.routing import evaluate_all_pairs, resolve
 from qnroute.serialize import load_json, scheme_from_dict, scheme_to_dict
 from qnroute.topology import save_graph
+
+from conftest import ladder_tables
 
 
 def torus_config(**overrides) -> ExperimentConfig:
@@ -241,6 +249,68 @@ def test_chain_replay_samples_the_case_two_and_three_rows(monkeypatch):
     assert drawn == [(13, 5), (22, 10), (11, 5), (18, 2), (7, 1), (18, 12), (23, 2), (12, 0),
                      (23, 14), (16, 5)]
     assert harness.run_trial(config, 0).chain_checked == 100
+
+
+def reference_chain_draw(code: np.ndarray, samples: int, seed: int) -> list:
+    """The chain replay's pairs drawn from the array of every case II/III
+    pair's row-major position."""
+    positions = np.flatnonzero((code == 2) | (code == 3))
+    drawn = stream(seed, "chain").sample(range(len(positions)), min(samples, len(positions)))
+    return [divmod(positions.item(k), len(code)) for k in drawn]
+
+
+def replayed_pairs(tabs, ev, samples: int, seed: int, resolved=resolve) -> list:
+    """The (source, dest) pairs ``_sample_chain_checks`` replays, in order."""
+    replayed = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "resolve", resolved)
+        mp.setattr(harness, "verify_bound_chain",
+                   lambda path, metric, costs: replayed.append((path.source, path.dest)))
+        checked, violations = harness._sample_chain_checks(
+            tabs, ev, ExperimentConfig(n_e=tabs.n_e, chain_samples=samples), seed
+        )
+    assert (checked, violations) == (len(replayed), [])
+    return replayed
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(tabs=ladder_tables(), samples=st.integers(0, 120), seed=st.integers(0, 2**16))
+def test_chain_draw_equals_the_draw_over_every_position(tabs, samples, seed):
+    ev = evaluate_all_pairs(tabs)
+    assert replayed_pairs(tabs, ev, samples, seed) == reference_chain_draw(ev.code, samples, seed)
+
+
+def test_chain_draw_on_the_benchmark_config_equals_the_draw_over_every_position():
+    # perfbench's n = 256 config: ER hop, edge_prob 0.12, partial, greedy anchors, k = 16
+    config = ExperimentConfig(n_e=256, graph_params={"edge_prob": 0.12}, k_override=16)
+    tabs, _ = build_scheme_for_trial(config, 0)
+    ev = evaluate_all_pairs(tabs)
+    for seed in (0, 3):
+        drawn = replayed_pairs(tabs, ev, config.chain_samples, seed)
+        assert len(drawn) == config.chain_samples
+        assert drawn == reference_chain_draw(ev.code, config.chain_samples, seed)
+
+
+def test_chain_draw_holds_no_array_of_positions():
+    # a code array of n = 1024 with 2/5 of its pairs in case II or III: the
+    # array of their positions alone takes 3.4 MB
+    rng = np.random.default_rng(0)
+    code = rng.integers(0, 5, size=(1024, 1024), dtype=np.int8)
+    np.fill_diagonal(code, -1)
+    tabs = types.SimpleNamespace(n_e=1024, metric=None, pair_costs=None)
+    ev = types.SimpleNamespace(code=code)
+
+    def resolved(tables, i, d):
+        return types.SimpleNamespace(source=i, dest=d)
+
+    tracemalloc.start()
+    try:
+        drawn = replayed_pairs(tabs, ev, 100, 0, resolved)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert drawn == reference_chain_draw(code, 100, 0)
+    assert peak < 512 * 1024, f"the draw traced {peak} bytes"
 
 
 def test_qsearch_agreement_check_runs_on_small_tables():

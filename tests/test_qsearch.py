@@ -12,6 +12,8 @@ from qnroute import qsearch
 from qnroute.errors import PartitionCountError
 from qnroute.metrics import hop_count_metric
 from qnroute.qsearch import (
+    NO_HITS,
+    SearchOutcome,
     _reduced_distribution,
     instance_from_table,
     iteration_count,
@@ -771,3 +773,37 @@ def test_an_outcome_spreads_its_compact_marginal_over_the_labels():
     )
     assert out.success_probability == math.fsum(out.hit_values)
     assert math.fsum(out.distribution) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_an_outcome_whose_marginal_does_not_sum_to_one_is_refused():
+    # 3 * 0.2 + 0.5 = 1.1
+    with pytest.raises(AssertionError, match="sums to"):
+        SearchOutcome(measured=0, hit_labels=frozenset({0}), success_probability=0.5,
+                      iterations=1, n_t=4, background=0.2, hit_values=(0.5,))
+    with pytest.raises(AssertionError, match="sums to"):
+        SearchOutcome(0, NO_HITS, 0.0, 1, 4, 0.2, ())
+    out = SearchOutcome(0, frozenset({0}), 0.4, 1, 4, 0.2, (0.4,))
+    assert out.distribution == (0.4, 0.2, 0.2, 0.2)
+
+
+@pytest.mark.parametrize("f", [1, 2])
+def test_a_search_keys_its_memo_with_the_scan_of_the_mirror(monkeypatch, f):
+    g = generate_graph("erdos_renyi", 24, {"edge_prob": 0.25}, hop_count_metric(), seed=2)
+    tabs = build_partial_scheme(g, hop_count_metric(), k=5, f=f)
+    keys = []
+    memo = qsearch._normalized_marginal
+    monkeypatch.setattr(qsearch, "_normalized_marginal",
+                        lambda *key: keys.append(key) or memo(*key))
+    misses = 0
+    for owner in range(tabs.n_e):
+        instance = instance_from_table(tabs.table(owner), tabs.plan)
+        for target in range(tabs.n_e):
+            hits = instance.hit_alphas(target)
+            out = run_search(instance, target, seed=owner * tabs.n_e + target)
+            assert out.hit_labels == instance.hit_labels(target) == {l for l, _ in hits}
+            assert keys[-1] == (tuple(alpha for _, alpha in hits), instance.n_t, out.iterations)
+            if not hits:
+                # every outcome with no hit holds the one shared empty set
+                assert out.hit_labels is NO_HITS
+                misses += 1
+    assert len(keys) == tabs.n_e**2 and 0 < misses < len(keys)

@@ -15,10 +15,9 @@ from hypothesis import strategies as st
 from qnroute import routing
 from qnroute.addressing import AddressPlan
 from qnroute.clustering import build_anchor_set_greedy
-from qnroute.errors import ChainViolationError
+from qnroute.errors import ChainViolationError, DepletedLinkError
 from qnroute.harness import (
     ExperimentConfig,
-    build_scheme,
     build_scheme_for_trial,
     run_experiment,
     write_pairs_csv,
@@ -54,9 +53,12 @@ from qnroute.topology import (
 from conftest import (
     build_full_scheme,
     build_partial_scheme,
+    deplete,
     e_neighbor_entries,
+    ladder_tables,
     reference_replenish,
     reference_resolve,
+    reference_swap_and_replenish,
     reverse_neighborhood,
     small_graphs,
 )
@@ -321,34 +323,6 @@ def test_stretch_never_below_one():
         for _, _, case, _, _, stretch in ev:
             if case in ("I", "II", "III"):
                 assert stretch >= 1.0 - 1e-12
-
-
-def deplete(tabs, share: float, seed: int) -> None:
-    """Set a seeded ``share`` of all entries to 0 ebits."""
-    rng = random.Random(seed)
-    for table in tabs.tables:
-        for entry in table.entries:
-            if rng.random() < share:
-                entry.ebits = 0
-
-
-@st.composite
-def ladder_tables(draw):
-    """Built schemes over every metric composition, both schemes, greedy and
-    random anchors, f of 1 or 2, with or without a cap that evicts, and a
-    random share of entries at 0 ebits."""
-    metric = draw(st.sampled_from([HOP, uniform_weight_metric(), capacity_metric()]))
-    graph = draw(small_graphs(metric))
-    scheme, anchors = draw(st.sampled_from([("partial", "greedy"), ("partial", "random"),
-                                            ("full", "greedy")]))
-    k = draw(st.integers(2, 4))
-    config = ExperimentConfig(
-        n_e=graph.n_e, scheme=scheme, anchor_method=anchors, k_override=k,
-        f=draw(st.integers(1, 2)), capacity_cap=draw(st.sampled_from([None, k])),
-    )
-    tabs = build_scheme(config, graph, metric, draw(st.integers(0, 2**16)))
-    deplete(tabs, draw(st.sampled_from([0.0, 0.15, 0.5])), draw(st.integers(0, 2**16)))
-    return tabs
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -1075,6 +1049,80 @@ def test_replenish_refills_like_a_walk_over_every_entry(run, rates):
     replenish(tabs, budget)
     assert not tabs.debited
     assert set(ebit_counts(tabs).values()) == {budget}
+
+
+def delivery_state(tabs) -> tuple:
+    """Every entry's ebits, and the ``debited`` keys in order with the
+    identity of the entry each one names."""
+    return ebit_counts(tabs), [(key, id(entry)) for key, entry in tabs.debited.items()]
+
+
+def restore(tabs, state) -> None:
+    ebits, debited = state
+    entries = {(t.owner, e.e_hop): e for t in tabs.tables for e in t.entries}
+    for key, entry in entries.items():
+        entry.ebits = ebits[key]
+    tabs.debited.clear()
+    tabs.debited.update((key, entries[key]) for key, _ in debited)
+
+
+def delivered(deliver, tabs, path, rate: int):
+    """The record's fields, or the error the delivery raised."""
+    try:
+        record = deliver(tabs, path, make_packet(tabs.plan, path.source, path.dest), rate)
+    except DepletedLinkError as err:
+        return ("raised", str(err))
+    fields = [(f.name, getattr(record, f.name)) for f in dataclasses.fields(record)]
+    assert type(record.consumed) is type(record.on_demand) is list
+    return repr(fields)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(tabs=ladder_tables(), data=st.data())
+def test_one_read_delivery_gives_what_the_two_walk_reference_gives(tabs, data):
+    # stale paths (delivered ``lag`` requests late, or with a link depleted
+    # behind the resolver's back) retry, fallbacks cross links no table
+    # holds, and a walk back over its first link can spend that link itself;
+    # over the examples about 1,000 deliveries retry, 110 charge a segment
+    # on demand and 15 raise
+    n = tabs.n_e
+    lag = data.draw(st.integers(0, 3))
+    pending: deque = deque()
+    for _ in range(data.draw(st.integers(1, 25))):
+        source, dest = data.draw(st.permutations(range(n)))[:2]
+        pending.append(resolve(tabs, source, dest))
+        if len(pending) <= lag:
+            continue
+        path = pending.popleft()
+        if path.resolved and data.draw(st.booleans()):
+            a, b = path.nodes[data.draw(st.integers(0, len(path.nodes) - 2)):][:2]
+            entry = tabs.table(a).find(b) or tabs.table(b).find(a)
+            if entry is not None:
+                entry.ebits = 0
+        if data.draw(st.booleans()) and len(path.nodes) > 1:
+            path = path._replace(repeaters=(path.nodes[1], path.source, *path.repeaters))
+        rate = data.draw(st.integers(0, 2))
+        before = delivery_state(tabs)
+        expected = delivered(reference_swap_and_replenish, tabs, path, rate)
+        after = delivery_state(tabs)
+        restore(tabs, before)
+        assert delivery_state(tabs) == before
+        assert delivered(swap_and_replenish, tabs, path, rate) == expected
+        assert delivery_state(tabs) == after
+
+
+def test_a_walk_back_over_a_link_with_one_ebit_raises_as_the_reference_does():
+    g = generate_graph("grid_torus", 16, {}, HOP, seed=0)
+    for deliver in (reference_swap_and_replenish, swap_and_replenish):
+        tabs = build_partial_scheme(g, HOP, k=4, ebit_budget=1)
+        path = resolve(tabs, 0, 1)
+        assert path.case is Case.CASE_I
+        # 0 -> 1 -> 0 -> 1: the second crossing finds the link spent by the first
+        walk = path._replace(repeaters=(1, 0))
+        with pytest.raises(DepletedLinkError, match=r"link \(1,0\) has no ebits at 1"):
+            deliver(tabs, walk, make_packet(tabs.plan, 0, 1))
+        assert tabs.table(0).find(1).ebits == tabs.table(1).find(0).ebits == 0
+        assert list(tabs.debited) == [(0, 1), (1, 0)]
 
 
 def test_replenish_rejects_a_negative_rate():

@@ -186,9 +186,16 @@ def cmd_qsearch(args) -> int:
     return 0
 
 
+def _load_config(path: str) -> dict:
+    doc = load_json(path)
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: a config must be a JSON object")
+    return doc
+
+
 def cmd_compare(args) -> int:
-    config_a = harness.ExperimentConfig.from_dict(load_json(args.config_a))
-    config_b = harness.ExperimentConfig.from_dict(load_json(args.config_b))
+    config_a = harness.ExperimentConfig.from_dict(_load_config(args.config_a))
+    config_b = harness.ExperimentConfig.from_dict(_load_config(args.config_b))
     doc = harness.compare_schemes(config_a, config_b)
     dump_json(doc, args.out)
     print(f"wrote {args.out}")
@@ -196,9 +203,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_report(args) -> int:
-    doc = load_json(args.config) if args.config else {}
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{args.config}: a config must be a JSON object")
+    doc = _load_config(args.config) if args.config else {}
     config = harness.ExperimentConfig.from_dict(
         {**_config_flags(args), **{k: v for k, v in doc.items() if v is not None}}
     )

@@ -39,6 +39,14 @@ logger = logging.getLogger(__name__)
 CONNECTIVITY_RETRIES = 100
 
 
+def _checked_cost(i: int, j: int, cost: float) -> float:
+    if i == j:
+        raise ValueError("self-loops are not allowed")
+    if not 0 < cost < math.inf:
+        raise ValueError(f"link costs must be positive and finite, got {cost}")
+    return cost
+
+
 @dataclass
 class NetworkGraph:
     """Undirected cost-weighted graph over ESP nodes."""
@@ -51,10 +59,7 @@ class NetworkGraph:
             self.adjacency.setdefault(v, {})
 
     def add_edge(self, i: int, j: int, cost: float) -> None:
-        if i == j:
-            raise ValueError("self-loops are not allowed")
-        if not 0 < cost < math.inf:
-            raise ValueError(f"link costs must be positive and finite, got {cost}")
+        _checked_cost(i, j, cost)
         self.adjacency[i][j] = cost
         self.adjacency[j][i] = cost
 
@@ -95,7 +100,8 @@ def load_graph(path: str) -> NetworkGraph:
 
     An unreadable file raises ``InputFileError``; a bad header or edge line,
     or an edge listed twice in either orientation, raises ``GraphFileError``
-    naming the line.
+    naming the line. So do too few edges to connect ``n_e`` nodes, checked
+    before anything of size ``n_e`` is built.
     """
     try:
         fh = open(path)
@@ -105,19 +111,25 @@ def load_graph(path: str) -> NetworkGraph:
         header = fh.readline().split()
         if len(header) != 2 or header[0] != "n_e" or not header[1].isdigit():
             raise GraphFileError(f"{path}:1: expected the header 'n_e <count>'")
-        graph = NetworkGraph(n_e=int(header[1]))
+        n_e = int(header[1])
+        links: dict[tuple[int, int], float] = {}
         for lineno, line in enumerate(fh, start=2):
             try:
                 if line.strip():
                     i, j, c = line.split()
                     i, j = int(i), int(j)
-                    if not (0 <= i < graph.n_e and 0 <= j < graph.n_e):
-                        raise ValueError(f"node ids must lie in [0, {graph.n_e})")
-                    if graph.has_edge(i, j):
+                    if not (0 <= i < n_e and 0 <= j < n_e):
+                        raise ValueError(f"node ids must lie in [0, {n_e})")
+                    if (j, i) in links or (i, j) in links:
                         raise ValueError(f"edge {i}-{j} is listed twice")
-                    graph.add_edge(i, j, float(c))
+                    links[i, j] = _checked_cost(i, j, float(c))
             except ValueError as err:
                 raise GraphFileError(f"{path}:{lineno}: {err}") from None
+    if len(links) < n_e - 1:
+        raise GraphFileError(f"{path}: {len(links)} edges cannot connect {n_e} nodes")
+    graph = NetworkGraph(n_e=n_e)
+    for (i, j), cost in links.items():
+        graph.add_edge(i, j, cost)
     return graph
 
 

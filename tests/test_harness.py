@@ -1,4 +1,5 @@
 import csv
+import itertools
 import json
 import math
 import os
@@ -33,6 +34,7 @@ from qnroute.harness import (
     run_experiment,
     run_trial,
 )
+from qnroute.metrics import Composition, metric_by_name
 from qnroute.rng import stream
 from qnroute.routing import evaluate_all_pairs, resolve
 from qnroute.serialize import load_json, scheme_from_dict, scheme_to_dict
@@ -49,7 +51,6 @@ def torus_config(**overrides) -> ExperimentConfig:
         scheme="partial",
         seeds=[0, 1, 2],
         k_override=3,
-        chain_samples=20,
         name="torus16",
     )
     base.update(overrides)
@@ -88,8 +89,9 @@ def test_config_round_trip_and_unknown_fields():
         ({"n_e": 16, "m": 1e999}, "m: oversampling constant must be positive and finite"),
         ({"n_e": 16, "capacity_cap": "x"}, "capacity_cap: 'x' is not int or null"),
         ({"n_e": 16, "capacity_cap": 0}, "capacity_cap: must be positive or null"),
-        ({"n_e": 16, "chain_samples": "x"}, "chain_samples: 'x' is not int"),
-        ({"n_e": 16, "chain_samples": -1}, "chain_samples: must be at least 0"),
+        # the chain replay's sample size is the constant ``CHAIN_SAMPLES``
+        ({"n_e": 16, "chain_samples": 100}, "unknown config fields: ['chain_samples']"),
+        ({"n_e": 16, "ebit_budget": 0}, "ebit_budget: must be at least 1"),
         ({"n_e": 16, "seeds": ["a"]}, "seeds: 'a' is not int"),
         ({"n_e": 16, "seeds": [False]}, "seeds: False is not int"),
         ({"n_e": 16, "seeds": 3}, "seeds: 3 is not list"),
@@ -235,9 +237,9 @@ def test_chain_replay_samples_the_case_two_and_three_rows(monkeypatch):
 
     def replay(samples: int) -> list:
         replayed.clear()
-        checked, _ = harness._sample_chain_checks(
-            tabs, ev, replace(config, chain_samples=samples), 0
-        )
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(harness, "CHAIN_SAMPLES", samples)
+            checked, _ = harness._sample_chain_checks(tabs, ev, 0)
         assert checked == len(replayed)
         return list(replayed)
 
@@ -266,9 +268,8 @@ def replayed_pairs(tabs, ev, samples: int, seed: int, resolved=resolve) -> list:
         mp.setattr(harness, "resolve", resolved)
         mp.setattr(harness, "verify_bound_chain",
                    lambda path, metric, costs: replayed.append((path.source, path.dest)))
-        checked, violations = harness._sample_chain_checks(
-            tabs, ev, ExperimentConfig(n_e=tabs.n_e, chain_samples=samples), seed
-        )
+        mp.setattr(harness, "CHAIN_SAMPLES", samples)
+        checked, violations = harness._sample_chain_checks(tabs, ev, seed)
     assert (checked, violations) == (len(replayed), [])
     return replayed
 
@@ -286,9 +287,9 @@ def test_chain_draw_on_the_benchmark_config_equals_the_draw_over_every_position(
     tabs, _ = build_scheme_for_trial(config, 0)
     ev = evaluate_all_pairs(tabs)
     for seed in (0, 3):
-        drawn = replayed_pairs(tabs, ev, config.chain_samples, seed)
-        assert len(drawn) == config.chain_samples
-        assert drawn == reference_chain_draw(ev.code, config.chain_samples, seed)
+        drawn = replayed_pairs(tabs, ev, harness.CHAIN_SAMPLES, seed)
+        assert len(drawn) == harness.CHAIN_SAMPLES
+        assert drawn == reference_chain_draw(ev.code, harness.CHAIN_SAMPLES, seed)
 
 
 def test_chain_draw_holds_no_array_of_positions():
@@ -587,7 +588,7 @@ def test_cli_route_prints_strict_json_for_an_unresolved_pair(tmp_path, monkeypat
 def test_cli_report_exit_code_and_lines(tmp_path, capsys):
     config = dict(
         n_e=16, graph_model="grid_torus", metric="hop", scheme="partial",
-        seeds=[0], k_override=3, name="cli_report", chain_samples=10,
+        seeds=[0], k_override=3, name="cli_report",
         output_dir=str(tmp_path),
     )
     cfg_path = tmp_path / "exp.json"
@@ -602,6 +603,7 @@ def test_broken_chain_reports_a_fail_line_with_its_witness(tmp_path, monkeypatch
         raise ChainViolationError("inequality chain broken at: three-fold composed bound")
 
     monkeypatch.setattr(harness, "verify_bound_chain", broken_chain)
+    monkeypatch.setattr(harness, "CHAIN_SAMPLES", 20)
     cfg = tmp_path / "exp.json"
     config = torus_config(seeds=[0], name="broken", output_dir=str(tmp_path))
     cfg.write_text(json.dumps(config.to_dict()))
@@ -659,13 +661,33 @@ def test_stretch_claims_with_no_resolved_pair_are_vacuous(metric, scheme, stretc
     assert all(isinstance(a.checked, int) for a in assertions)
 
 
+def test_every_composition_and_scheme_has_one_stretch_claim():
+    assert set(harness._STRETCH_CLAIMS) == set(itertools.product(Composition, harness._SCHEMES))
+
+
+@pytest.mark.parametrize("metric", ["hop", "capacity"])
+@pytest.mark.parametrize("scheme", ["partial", "full"])
+def test_stretch_claim_fails_just_past_its_bound(metric, scheme):
+    config = torus_config(metric=metric, scheme=scheme)
+    name, bound = harness._STRETCH_CLAIMS[metric_by_name(metric).composition, scheme]
+
+    def passed(worst: float) -> bool:
+        trial = replace(trial_with_no_resolved_pair(0), max_stretch=worst, mean_stretch=1.0,
+                        case_counts={"II": 1})
+        (claim,) = [a for a in harness._build_assertions(config, [trial]) if a.name == name]
+        assert claim.checked == 1 and claim.detail == f"worst resolved stretch {worst}"
+        return claim.passed
+
+    assert passed(1.0) and passed(bound) and passed(bound + 1e-10)
+    assert not passed(bound + 1e-8)
+
+
 def test_cli_output_dir_env_var(tmp_path, monkeypatch):
     target = tmp_path / "outputs"
     monkeypatch.setenv("QNROUTE_OUTPUT_DIR", str(target))
     config = dict(
         n_e=9, graph_model="grid_torus", graph_params={"rows": 3, "cols": 3},
-        metric="hop", scheme="partial", seeds=[0], k_override=2,
-        chain_samples=5, name="envtest",
+        metric="hop", scheme="partial", seeds=[0], k_override=2, name="envtest",
     )
     cfg_path = tmp_path / "exp.json"
     cfg_path.write_text(json.dumps(config))
@@ -676,7 +698,7 @@ def test_cli_output_dir_env_var(tmp_path, monkeypatch):
 def test_cli_compare(tmp_path):
     base = dict(
         n_e=16, graph_model="grid_torus", metric="hop",
-        seeds=[0, 1], k_override=3, chain_samples=5,
+        seeds=[0, 1], k_override=3,
     )
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
@@ -689,12 +711,28 @@ def test_cli_compare(tmp_path):
     assert len(doc["per_seed"]) == 2
 
 
+@pytest.mark.parametrize("side", ["a", "b"])
+@pytest.mark.parametrize("body", ["5", "[{}]"])
+def test_cli_compare_config_that_is_not_an_object_exits_two(tmp_path, capsys, side, body):
+    configs = {name: tmp_path / f"{name}.json" for name in "ab"}
+    for name, path in configs.items():
+        path.write_text(body if name == side else json.dumps({"n_e": 9, "k_override": 2}))
+    out = tmp_path / "cmp.json"
+    argv = ["compare", "--config-a", str(configs["a"]), "--config-b", str(configs["b"]),
+            "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"error: {configs[side]}: a config must be a JSON object" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_cli_config_file_overrides_flags(tmp_path, capsys):
     cfg = tmp_path / "exp.json"
     cfg.write_text(json.dumps(dict(
         n_e=9, graph_model="grid_torus", graph_params={"rows": 3, "cols": 3},
         metric="hop", scheme="partial", seeds=[0], k_override=2,
-        chain_samples=5, name="filewins", output_dir=str(tmp_path),
+        name="filewins", output_dir=str(tmp_path),
     )))
     # the flag asks for 16 nodes but the config file pins 9
     assert main(["report", "--config", str(cfg), "--n-e", "16"]) == 0
@@ -764,6 +802,8 @@ def test_cli_missing_scheme_file_exits_two(tmp_path, capsys):
         ("n_e 4\n0 1 0\n", ":2: link costs must be positive and finite, got 0.0"),
         ("n_e 3\n0 1 1.0\n1 2 1.0\n0 1 5.0\n", ":4: edge 0-1 is listed twice"),
         ("n_e 3\n0 1 1.0\n1 2 1.0\n1 0 5.0\n", ":4: edge 1-0 is listed twice"),
+        ("n_e 5\n0 1 1.0\n1 2 1.0\n3 4 1.0\n", ": 3 edges cannot connect 5 nodes"),
+        ("n_e 1000\n", ": 0 edges cannot connect 1000 nodes"),
     ],
 )
 def test_cli_malformed_graph_file_exits_two(tmp_path, capsys, body, message):

@@ -436,8 +436,8 @@ def depleted_pairs_csv(out_dir):
 
 def report_pairs_csv(out_dir, **fields):
     """Run a two-seed report; return the path of its per-pair CSV."""
-    run_experiment(ExperimentConfig(seeds=[0, 1], chain_samples=20, name="pinned",
-                                    output_dir=str(out_dir), **fields))
+    run_experiment(ExperimentConfig(seeds=[0, 1], name="pinned", output_dir=str(out_dir),
+                                    **fields))
     return out_dir / "pinned_pairs.csv"
 
 

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qnroute.errors import NeighborhoodSizeError, UnreachableError
+from qnroute import topology
+from qnroute.errors import GraphFileError, NeighborhoodSizeError, UnreachableError
 from qnroute.metrics import (
     capacity_metric,
     fold,
@@ -364,6 +365,25 @@ def test_graph_file_with_zero_cost_link_is_rejected(tmp_path):
     path = tmp_path / "zero.graph"
     path.write_text("n_e 3\n0 2 1.0\n2 1 0.0\n")
     with pytest.raises(ValueError, match="positive"):
+        load_graph(str(path))
+
+
+def test_graph_file_with_too_few_edges_is_refused_before_the_graph_is_built(
+    tmp_path, monkeypatch
+):
+    class SmallGraph(NetworkGraph):
+        def __post_init__(self):
+            assert self.n_e <= 10**6, f"built a graph of {self.n_e} nodes"
+            super().__post_init__()
+
+    monkeypatch.setattr(topology, "NetworkGraph", SmallGraph)
+    path = tmp_path / "huge.graph"
+    path.write_text("n_e 1000000000\n0 1 1.0\n")
+    with pytest.raises(GraphFileError, match="1 edges cannot connect 1000000000 nodes"):
+        load_graph(str(path))
+    # a line error still names its line
+    path.write_text("n_e 1000000000\n0 1 1.0\n0 1 2.0\n")
+    with pytest.raises(GraphFileError, match=":3: edge 0-1 is listed twice"):
         load_graph(str(path))
 
 

@@ -204,9 +204,13 @@ def cmd_compare(args) -> int:
 
 def cmd_report(args) -> int:
     doc = _load_config(args.config) if args.config else {}
-    config = harness.ExperimentConfig.from_dict(
-        {**_config_flags(args), **{k: v for k, v in doc.items() if v is not None}}
-    )
+    # a null known field takes its flag or its default; an unknown field is
+    # kept, null or not, so that ``from_dict`` refuses it
+    known = harness.ExperimentConfig.__dataclass_fields__
+    config = harness.ExperimentConfig.from_dict({
+        **_config_flags(args),
+        **{k: v for k, v in doc.items() if v is not None or k not in known},
+    })
     report = harness.run_experiment(config)
     for line in harness.assertion_lines(report):
         print(line)

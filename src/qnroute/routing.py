@@ -22,7 +22,7 @@ import itertools
 import math
 import statistics
 from collections import Counter
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -366,9 +366,11 @@ _FALLBACK_REASONS = (
     "source anchor holds no usable entry for the target",
     "anchor mesh links unusable",
 )
-# the first ``_BatchLadder.run`` code of a fallback; the code of reason r is
+# the first ``_BatchLadder.fill`` code of a fallback; the code of reason r is
 # ``_FALLBACK + r``
 _FALLBACK = 4
+# the number of sources ``evaluate_all_pairs`` resolves at once
+BLOCK = 32
 
 
 def _fallback_or_failure(
@@ -541,11 +543,12 @@ def resolve(
 @dataclass(eq=False)
 class PairEvaluation(Sequence):
     """Aggregate of resolving every ordered pair once: ``code[i, d]`` and
-    ``cost[i, d]`` are the pair's ``_BatchLadder.run`` code and cost. It is
-    the sequence of its rows ``(source, dest, case, cost, optimal, stretch)``
-    in row-major pair order, each built when read, of Python numbers: the
-    CSV writes their repr. ``fallback_reasons`` counts every pair that took
-    the fallback by the ``EntangledPath.reason`` ``resolve`` gives it."""
+    ``cost[i, d]`` are the pair's case code and cost, which the batch pass
+    fills ``BLOCK`` source rows at a time (``_BatchLadder.fill``). It is the
+    sequence of its rows ``(source, dest, case, cost, optimal, stretch)`` in
+    row-major pair order, each built when read, of Python numbers: the CSV
+    writes their repr. ``fallback_reasons`` counts every pair that took the
+    fallback by the ``EntangledPath.reason`` ``resolve`` gives it."""
 
     code: np.ndarray
     cost: np.ndarray
@@ -574,23 +577,58 @@ class PairEvaluation(Sequence):
         return i, d, CASE_BY_CODE[self.code.item(i, d)], cost, optimal, cost / optimal
 
 
+def _flatten(lists: Sequence[Iterable[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """The (row, item) pairs of ``lists``, row by row, each row in its own order."""
+    sizes = np.fromiter(map(len, lists), np.intp, len(lists))
+    items = np.fromiter(itertools.chain.from_iterable(lists), np.intp, int(sizes.sum()))
+    return np.repeat(np.arange(len(lists)), sizes), items
+
+
+def _csr(rows: np.ndarray, cols: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (row, col) pairs as compressed sparse rows over n rows: the
+    offsets, and every row's columns in ascending order."""
+    ptr = np.zeros(n + 1, np.intp)
+    np.cumsum(np.bincount(rows, minlength=n), out=ptr[1:])
+    return ptr, cols[np.lexsort((cols, rows))]
+
+
+def _expand(ptr: np.ndarray, cols: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every column of the compressed sparse rows ``keys``: the position in
+    ``keys`` of its row, and the column."""
+    start = ptr[keys]
+    count = ptr[keys + 1] - start
+    which = np.repeat(np.arange(len(keys)), count)
+    before = np.cumsum(count) - count
+    return which, cols[np.arange(len(which)) + np.repeat(start - before, count)]
+
+
 class _BatchLadder:
-    """The case ladder from one source to every target at once.
+    """The case ladder from a block of sources to every target at once.
 
-    ``evaluate_all_pairs`` debits no ebit, so each case is a fixed masked
-    (min, +) or (min, min) reduction over matrices built once per call from
-    the tables as they stand, rows by owner and columns by peer: ``held``
-    holds whether an entry exists and ``usable`` is ``resolve``'s link rule for
-    every pair (its diagonal is False, as no table holds its owner); every
-    cost is read from ``pair``. Only totals are reduced: candidates that tie
-    share their total, so the scalar tie rules cannot change a row.
+    ``evaluate_all_pairs`` debits no ebit, so the ladder's indexes are built
+    once per call from the tables as they stand: ``usable`` is ``resolve``'s
+    link rule for every pair (its diagonal is False, as no table holds its
+    owner), and ``direct[a, b]`` whether a's table holds an entry for b over
+    a usable link, case I's rule.
+    Candidates come from the scheme's repeater indexes, as in ``resolve``,
+    as compressed sparse rows with their columns ascending:
 
-    Candidates come from the scheme's repeater indexes, as in ``resolve``:
-    ``relay[j, d]`` is whether j can be case II's repeater toward d, that is
-    j is in ``holders[d]`` and holds a usable entry for d, and ``exit[d, c]``
-    whether anchor ``hubs[c]`` is an exit hub of target d, that is in
-    ``anchor_hubs[d]`` over a usable link, or d itself. ``hops[i]`` holds
-    i's e-neighbors in ``(cost, id)`` order.
+    - ``hop_ptr``/``hops``: each source's e-neighbors;
+    - ``relay_ptr``/``relay_to``: the targets d that repeater j can be case
+      II's repeater toward, that is j is in ``holders[d]`` and holds a usable
+      entry for d;
+    - ``exit_ptr``/``exit_hubs``, partial-anchor: each target's exit hubs,
+      its anchor e-neighbors over a usable link and the target itself when
+      it is an anchor; ``exit_of`` names the target of each listed hub, and
+      ``exit_targets`` the targets with at least one.
+
+    ``entry[i]`` holds source i's entry hubs in table order, padded with -1:
+    i alone when i is an anchor, else its anchor e-neighbors over a usable
+    link. Every cost is read from ``pair``, the tables' own array. Only
+    totals are reduced, each candidate composed through the same left fold
+    as ``resolve`` and min-reduced, which does not depend on order; so
+    candidates that tie share their total, and the scalar tie rules cannot
+    change a row.
     """
 
     def __init__(self, tables: SchemeTables):
@@ -598,112 +636,148 @@ class _BatchLadder:
         self.tables = tables
         self.op = tables.metric.composition.array_op
         self.pair = tables.pair_costs
-        owner, peer, low = [], [], []
-        for a, table in enumerate(tables.tables):
-            for entry in table.entries:
-                owner.append(a)
-                peer.append(entry.e_hop)
-                low.append(entry.ebits < 1)
-        self.held = np.zeros((n, n), bool)
-        self.held[owner, peer] = True
-        depleted = np.zeros((n, n), bool)
-        depleted[owner, peer] = low
-        self.usable = (self.held | self.held.T) & ~(depleted | depleted.T)
-        self.hops = [np.array(nb.members, np.intp) for nb in tables.neighborhoods]
+        entries = [table.entries for table in tables.tables]
+        owner, peer = _flatten([[entry.e_hop for entry in row] for row in entries])
+        low = np.fromiter(
+            (entry.ebits < 1 for row in entries for entry in row), bool, len(peer)
+        )
+        direct = self.direct = np.zeros((n, n), bool)
+        direct[owner, peer] = True
+        usable = self.usable = direct | direct.T
+        # a depleted entry makes its link unusable from either end
+        usable[owner[low], peer[low]] = False
+        usable[peer[low], owner[low]] = False
+        direct &= usable
 
-        self.relay = np.zeros((n, n), bool)
-        for d, holders in enumerate(tables.holders):
-            self.relay[list(holders), d] = True
-        self.relay &= self.held
-        self.relay &= self.usable
+        self.hop_ptr, self.hops = _csr(*_flatten([nb.members for nb in tables.neighborhoods]), n)
+        d, j = _flatten(tables.holders)
+        relay = direct[j, d]
+        self.relay_ptr, self.relay_to = _csr(j[relay], d[relay], n)
         if tables.scheme is Scheme.FULL_ANCHOR:
             return
-        self.hubs = np.array(sorted(tables.anchors.members), dtype=np.intp)
-        self.column = {hub: c for c, hub in enumerate(self.hubs.tolist())}
-        self.is_hub = np.zeros(n, bool)
-        self.is_hub[self.hubs] = True
-        self.exit = np.zeros((n, len(self.hubs)), bool)
-        for d, hubs in enumerate(tables.anchor_hubs):
-            self.exit[d, [self.column[hub] for hub in hubs]] = True
-        self.exit &= self.usable[:, self.hubs]
-        self.exit[self.hubs, np.arange(len(self.hubs))] = True
-        self.from_hub = self.pair[self.hubs].T.copy()  # from_hub[d, c] = pair[hubs[c], d]
+        anchors = np.array(sorted(tables.anchors.members), np.intp)
+        v, hub = _flatten(tables.anchor_hubs)
+        linked = usable[v, hub]
+        self.exit_ptr, self.exit_hubs = _csr(
+            np.concatenate([v[linked], anchors]), np.concatenate([hub[linked], anchors]), n
+        )
+        exits = np.diff(self.exit_ptr)
+        self.exit_of = np.repeat(np.arange(n), exits)
+        self.exit_targets = np.flatnonzero(exits)
+        self.is_anchor = np.zeros(n, bool)
+        self.is_anchor[anchors] = True
+        linked &= ~self.is_anchor[v]
+        v, hub = v[linked], hub[linked]
+        rank = np.arange(len(v)) - np.searchsorted(v, v)
+        self.entry = np.full((n, int(rank.max(initial=0)) + 1), -1, np.intp)
+        self.entry[v, rank] = hub
+        self.entry[anchors, 0] = anchors
 
-    def run(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """Each target's case code (1-3 for cases I-III, ``_FALLBACK`` plus
-        the index of its reason in ``_FALLBACK_REASONS`` where no case
-        resolves it, -1 at ``i`` itself) and its cost: the composed cost, or
-        the optimal cost for a fallback."""
-        n = self.tables.n_e
-        code = np.zeros(n, np.int8)
-        total = np.zeros(n)
-        code[i] = -1
+    def fill(self, start: int, code: np.ndarray, cost: np.ndarray) -> None:
+        """Fill the rows of the sources ``start``, ``start + 1``, ... of
+        ``code`` and ``cost``: each target's case code (1-3 for cases I-III,
+        ``_FALLBACK`` plus the index of its reason in ``_FALLBACK_REASONS``
+        where no case resolves it, -1 at the source itself) and its cost,
+        the composed cost or, for a fallback, the optimal cost.
 
-        direct = self.held[i] & self.usable[i]
-        code[direct] = 1
-        total[direct] = self.pair[i, direct]
+        Case II expands every (source, usable e-neighbor j) over j's relay
+        targets, keeps the pairs case I left open and min-reduces each
+        pair's candidates."""
+        pair, usable, op = self.pair, self.usable, self.op
+        stop = start + len(code)
+        local = np.arange(len(code))
+        np.copyto(code, self.direct[start:stop])
+        code[local, local + start] = -1
+        cost[:] = pair[start:stop]
 
-        hops = self.hops[i]
-        j = hops[self.usable[i, hops]]
-        if j.size:
-            ok = self.relay[j]
-            via = np.where(ok, self.op(self.pair[i, j][:, None], self.pair[j]), math.inf)
-            two = ok.any(0) & (code == 0)
-            code[two] = 2
-            total[two] = via.min(0)[two]
+        src = np.repeat(local, np.diff(self.hop_ptr[start:stop + 1]))
+        j = self.hops[self.hop_ptr[start]:self.hop_ptr[stop]]
+        linked = usable[src + start, j]
+        src, j = src[linked], j[linked]
+        w, d = _expand(self.relay_ptr, self.relay_to, j)
+        src, j = src[w], j[w]
+        open_ = code[src, d] == 0
+        src, j, d = src[open_], j[open_], d[open_]
+        # reduced over flat positions, as ``ufunc.at`` is slow on an index tuple
+        best = np.full(code.shape, math.inf)
+        np.minimum.at(best.reshape(-1), src * code.shape[1] + d,
+                      op(pair[src + start, j], pair[j, d]))
+        two = np.zeros(code.shape, bool)
+        two[src, d] = True
+        code[two] = 2
+        cost[two] = best[two]
 
         if self.tables.scheme is Scheme.PARTIAL_ANCHOR:
-            self._case_three(i, code, total)
+            self._case_three(start, code, cost)
         else:
             code[code == 0] = _FALLBACK
-        fallback = code >= _FALLBACK
-        total[fallback] = self.pair[i, fallback]
-        return code, total
 
-    def _case_three(self, i: int, code: np.ndarray, total: np.ndarray) -> None:
-        """``_case_three`` for every target still open, entry hub by entry
-        hub in table order: a hub resolves each target it has a path for.
-        Each target left open gets the fallback code of the reason
-        ``_case_three`` gives it."""
-        op, pair, usable, hubs = self.op, self.pair, self.usable, self.hubs
-        if self.is_hub[i]:
-            entry_hubs = [i]
-        else:
-            entry_hubs = [l for l in self.tables.anchor_hubs[i] if usable[i, l]]
-            if not entry_hubs:
-                code[code == 0] = _FALLBACK + 1
-                return
-        open_ = np.flatnonzero(code == 0)
-        for l in entry_hubs:
-            if not open_.size:
-                return
-            exit_ = self.exit[open_]
-            # four-node paths i-l-k-d: k = l drops out by ``usable``'s false
-            # diagonal and k = d by the last mask; either is the three-node
-            # path i-l-d below, or, with l = i, a direct link, which case
-            # III never takes
-            valid = exit_ & usable[l, hubs] & (hubs != open_[:, None])
-            first = pair[i, hubs] if l == i else op(pair[i, l], pair[l, hubs])
-            best = np.where(valid, op(first, self.from_hub[open_]), math.inf).min(1)
-            found = valid.any(1)
-            if l != i:
-                # composed without the zero diagonal: min(x, 0) is not x
-                three = exit_[:, self.column[l]] | (self.is_hub[open_] & usable[l, open_])
-                best = np.where(three, np.minimum(best, op(pair[i, l], pair[l, open_])), best)
-                found |= three
-            code[open_[found]] = 3
-            total[open_[found]] = best[found]
-            open_ = open_[~found]
-        # no exit hub; else a hub source whose every candidate is the direct
-        # link, as its exit hubs are itself and the target; else the mesh
-        exit_ = self.exit[open_]
-        direct_only = self.is_hub[i] & ~(exit_ & (hubs != i) & (hubs != open_[:, None])).any(1)
-        reason = np.where(direct_only, 3, 4)
-        reason[~exit_.any(1)] = 2
-        code[open_] = _FALLBACK + reason
+    def _case_three(self, start: int, code: np.ndarray, cost: np.ndarray) -> None:
+        """``_case_three`` for every pair of the block still open, one round
+        per entry-hub rank. A round takes each source that has an entry hub l
+        of that rank and an open pair, pairs each target t with each of its
+        exit hubs k over the sorted exit-hub list, min-reduces the path
+        costs per target, adds the three-node path i-l-t, and resolves each
+        open pair it finds a path for. Each pair left open gets the fallback
+        code of the reason ``_case_three`` gives it."""
+        pair, usable, op = self.pair, self.usable, self.op
+        hub, to, targets = self.exit_hubs, self.exit_of, self.exit_targets
+        seg = self.exit_ptr[targets]
+        entry = self.entry[start:start + len(code)]
+        open_ = code == 0
+        lone = open_ & (entry[:, :1] < 0)
+        code[lone] = _FALLBACK + 1
+        open_ &= ~lone
+        # the four-node path i-l-k-t over the mesh link l-k, from which k = l
+        # drops out by ``usable``'s false diagonal and k = t by this mask; with
+        # l = i, the path i-k-t
+        mesh = hub != to
+        tail = pair[hub, to]
+        for hubs in entry.T:
+            rows = np.flatnonzero((hubs >= 0) & open_.any(1))
+            if not rows.size:
+                break
+            l = hubs[rows]
+            via = (l != rows + start)[:, None]
+            near = pair[rows + start, l][:, None]
+            at_l, from_l = usable[l], pair[l]
+            ok = at_l[:, hub] & mesh
+            # composed in place, and without the zero diagonal where l = i:
+            # min(0, x) is not x
+            total = from_l[:, hub]
+            np.copyto(total, op(near, total), where=via)
+            op(total, tail, out=total)
+            total[~ok] = math.inf
+            best = np.full((len(rows), code.shape[1]), math.inf)
+            best[:, targets] = np.minimum.reduceat(total, seg, axis=1)
+            found = np.zeros(best.shape, bool)
+            found[:, targets] = np.logical_or.reduceat(ok, seg, axis=1)
+            # the three-node path i-l-t, through the exit hub l or, when t is
+            # an anchor, over the mesh link l-t
+            three = np.zeros(best.shape, bool)
+            three[:, targets] = np.logical_or.reduceat(hub == l[:, None], seg, axis=1)
+            three |= self.is_anchor & at_l
+            three &= via
+            np.copyto(best, np.minimum(best, op(near, from_l)), where=three)
+            found |= three
+            found &= open_[rows]
+            code[rows] = np.where(found, 3, code[rows])
+            cost[rows] = np.where(found, best, cost[rows])
+            open_[rows] &= ~found
+        # no exit hub; else a hub source whose exit hubs are itself and the
+        # target, so that its every candidate is the direct link; else the mesh
+        src, d = np.nonzero(open_)
+        exits = np.diff(self.exit_ptr)[d]
+        reason = np.where(exits > 0, 4, 2)
+        own = np.flatnonzero(self.is_anchor[src + start] & (exits > 0))
+        w, k = _expand(self.exit_ptr, hub, d[own])
+        other = np.zeros(len(own), bool)
+        other[w[(k != src[own][w] + start) & (k != d[own][w])]] = True
+        reason[own[~other]] = 3
+        code[src, d] = _FALLBACK + reason
 
 
-# each ``_BatchLadder.run`` code's case name, the ``Case`` value itself, so
+# each ``_BatchLadder.fill`` code's case name, the ``Case`` value itself, so
 # rows share one string object per case; code -1, the source, is dropped
 CASE_BY_CODE = (
     "", Case.CASE_I.value, Case.CASE_II.value, Case.CASE_III.value,
@@ -715,21 +789,33 @@ def evaluate_all_pairs(tables: SchemeTables) -> PairEvaluation:
     """Resolve every ordered pair once; fallback pairs are excluded from the
     stretch figures and reported separately.
 
-    Cases I-III run as one batched pass per source (``_BatchLadder``), which
-    also gives each pair it leaves open its fallback row and reason: the
-    optimal cost as both cost and optimal, at stretch 1.0, the row
-    ``resolve`` gives. No pair goes through ``resolve`` or ``optimal_cost``;
-    ``resolve`` stays the reference the pass is tested against. The pass
-    fills one n x n code array and one cost array and copies no pair cost;
-    the case counts are reduced from the codes in one pass, and the stretch
-    figures one source row at a time.
+    Cases I-III run as one batched pass over blocks of ``BLOCK`` sources
+    (``_BatchLadder``), which also gives each pair it leaves open its
+    fallback row and reason: the optimal cost as both cost and optimal, at
+    stretch 1.0, the row ``resolve`` gives. No pair goes through ``resolve``
+    or ``optimal_cost``; ``resolve`` stays the reference the pass is tested
+    against. The pass fills one n x n code array and one cost array and
+    copies no pair cost; the stretch figures are reduced from each row block
+    as it is filled, and the case counts from the codes in one pass.
     """
     ladder = _BatchLadder(tables)
     n, pair = tables.n_e, tables.pair_costs
     code = np.empty((n, n), np.int8)
     cost = np.empty((n, n))
-    for i in range(n):
-        code[i], cost[i] = ladder.run(i)
+    block_max: list[float] = []
+
+    def stretch_blocks():
+        for start in range(0, n, BLOCK):
+            rows = slice(start, start + BLOCK)
+            ladder.fill(start, code[rows], cost[rows])
+            ok = (code[rows] >= 1) & (code[rows] < _FALLBACK)
+            ratios = (cost[rows][ok] / pair[rows][ok]).tolist()
+            block_max.append(max(ratios, default=0.0))
+            yield ratios
+
+    # the mean is ``statistics.fmean``'s, ``math.fsum`` of every resolved
+    # stretch over their count, summed across the blocks without a list
+    stretch_sum = math.fsum(itertools.chain.from_iterable(stretch_blocks()))
     # counted code by code, as ``np.bincount`` would widen every code to
     # 8 bytes; the diagonal's code, -1, is no case's
     counts = [int(np.count_nonzero(code == c)) for c in range(len(CASE_BY_CODE))]
@@ -740,20 +826,8 @@ def evaluate_all_pairs(tables: SchemeTables) -> PairEvaluation:
             case_counts[CASE_BY_CODE[c]] += count
             if c >= _FALLBACK:
                 reasons[_FALLBACK_REASONS[c - _FALLBACK]] = count
-    row_max: list[float] = []
-
-    def stretch_rows():
-        for i in range(n):
-            ok = (code[i] >= 1) & (code[i] < _FALLBACK)
-            ratios = (cost[i, ok] / pair[i, ok]).tolist()
-            row_max.append(max(ratios, default=0.0))
-            yield ratios
-
-    # the mean is ``statistics.fmean``'s, ``math.fsum`` of every resolved
-    # stretch over their count, summed across the rows without a list
-    stretch_sum = math.fsum(itertools.chain.from_iterable(stretch_rows()))
     resolved = sum(counts[1:_FALLBACK])
-    max_stretch = max(row_max, default=0.0)
+    max_stretch = max(block_max, default=0.0)
     total = n * (n - 1)
     return PairEvaluation(
         code=code,

@@ -111,6 +111,21 @@ def test_cli_report_mistyped_config_field_exits_two(tmp_path, capsys, config, me
     assert not list(tmp_path.glob("*_pairs.csv"))
 
 
+def test_cli_report_refuses_an_unknown_field_even_when_null(tmp_path, capsys):
+    # a null known field takes its default, while a null unknown field is
+    # refused before the report writes anything
+    cfg = tmp_path / "exp.json"
+    base = {"n_e": 9, "graph_model": "grid_torus", "k_override": 2, "name": "null",
+            "output_dir": str(tmp_path)}
+    cfg.write_text(json.dumps({**base, "bogus": None}))
+    assert main(["report", "--config", str(cfg)]) == 2
+    assert "error: unknown config fields: ['bogus']" in capsys.readouterr().err
+    assert not (tmp_path / "null_pairs.csv").exists()
+    cfg.write_text(json.dumps({**base, "capacity_cap": None}))
+    assert main(["report", "--config", str(cfg)]) == 0
+    assert (tmp_path / "null_pairs.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # experiments
 

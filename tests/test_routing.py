@@ -338,6 +338,31 @@ def test_all_pairs_rows_equal_the_scalar_ladder(tabs):
     assert ev.fallback_reasons == Counter(p.reason for p in paths if not p.resolved)
 
 
+@pytest.mark.parametrize("config, cases", [
+    (ExperimentConfig(n_e=2 * routing.BLOCK + 5, graph_params={"edge_prob": 0.1},
+                      anchor_method="random", k_override=4, capacity_cap=4),
+     {Case.CASE_I, Case.CASE_II, Case.CASE_III, Case.FALLBACK}),
+    (ExperimentConfig(n_e=2 * routing.BLOCK + 5, graph_params={"edge_prob": 0.1},
+                      scheme="full", k_override=5),
+     {Case.CASE_I, Case.CASE_II, Case.FALLBACK}),
+], ids=["partial", "full"])
+def test_all_pairs_rows_equal_the_scalar_ladder_across_source_blocks(config, cases):
+    # ``ladder_tables`` draws one block of sources at most; these schemes
+    # span two full blocks and a ragged last one, whose rows meet every case
+    tabs, _ = build_scheme_for_trial(config, 0)
+    deplete(tabs, 0.15, 0)
+    n = tabs.n_e
+    assert config.scheme == "full" or any(table.dropped for table in tabs.tables)
+    paths = [resolve(tabs, i, d) for i in range(n) for d in range(n) if i != d]
+    ev = evaluate_all_pairs(tabs)
+    expected = [(p.source, p.dest, p.case.value, p.total_cost, p.optimal, p.stretch)
+                for p in paths]
+    assert repr(list(ev)) == repr(expected)
+    assert ev.case_counts == Counter(p.case.value for p in paths)
+    assert ev.fallback_reasons == Counter(p.reason for p in paths if not p.resolved)
+    assert {p.case for p in paths if p.source >= 2 * routing.BLOCK} == cases
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(tabs=ladder_tables())
 def test_resolve_picks_what_a_scan_of_the_entries_picks(tabs):
@@ -574,7 +599,12 @@ def test_the_pair_costs_are_one_read_only_array(metric):
         tabs.cost_rows[0][1] = 0.5
     assert all(np.shares_memory(row, costs[i]) for i, row in enumerate(tabs.cost_rows))
     assert type(tabs.cost_rows[0][1]) is float
-    assert routing._BatchLadder(tabs).pair is costs
+    # the pass reads every cost from the tables' array: its ladder holds
+    # that array and no other float array, only node ids and link masks
+    ladder = routing._BatchLadder(tabs)
+    assert ladder.pair is costs
+    assert [name for name, value in vars(ladder).items()
+            if isinstance(value, np.ndarray) and value.dtype.kind == "f"] == ["pair"]
     assert evaluate_all_pairs(tabs).pair_costs is costs
 
 

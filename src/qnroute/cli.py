@@ -18,7 +18,7 @@ import os
 import sys
 
 from . import harness
-from .errors import ConfigError, InvalidRequestError, QnrouteError
+from .errors import ConfigError, InvalidRequestError, QnrouteError, make_output_dir
 from .metrics import metric_by_name
 from .qsearch import instance_from_table, run_search
 from .routing import evaluate_all_pairs, resolve
@@ -140,9 +140,9 @@ def cmd_route(args) -> int:
 
 def cmd_eval(args) -> int:
     tables, _, _ = scheme_from_dict(load_json(args.scheme))
-    evaluation = evaluate_all_pairs(tables)
     out_dir = harness.resolve_output_dir(args.out_dir)
-    os.makedirs(out_dir, exist_ok=True)
+    make_output_dir(out_dir)
+    evaluation = evaluate_all_pairs(tables)
     csv_path = os.path.join(out_dir, args.prefix + "_pairs.csv")
     harness.write_pairs_csv(csv_path, [(tables.seed, evaluation)])
     summary = {

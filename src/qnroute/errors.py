@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the two calls that make
+an output path: ``open_output`` and ``make_output_dir``."""
+
+import os
 
 
 class QnrouteError(Exception):
@@ -75,3 +78,25 @@ class GraphFileError(InputFileError, ValueError):
 class SchemeDocumentError(QnrouteError):
     """A scheme document has another schema version, a missing or unknown field, or an
     invalid value."""
+
+
+class OutputPathError(QnrouteError):
+    """An output file or directory cannot be made where its path points."""
+
+
+def open_output(path, newline=None):
+    """``path`` opened for writing text; an ``OutputPathError`` naming it if
+    it cannot be."""
+    try:
+        return open(path, "w", newline=newline)
+    except OSError as err:
+        raise OutputPathError(f"cannot write {path}: {err.strerror}") from None
+
+
+def make_output_dir(path) -> None:
+    """Make the directory ``path`` and its parents unless it exists; an
+    ``OutputPathError`` naming it if it cannot be made."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as err:
+        raise OutputPathError(f"cannot make directory {path}: {err.strerror}") from None

@@ -32,7 +32,13 @@ from .clustering import (
     neighborhood_size,
     verify_coverage,
 )
-from .errors import ChainViolationError, ConfigError, MismatchedSeedsError
+from .errors import (
+    ChainViolationError,
+    ConfigError,
+    MismatchedSeedsError,
+    make_output_dir,
+    open_output,
+)
 from . import metrics, topology
 from .metrics import Composition, check_axioms, metric_by_name
 from .qsearch import routing_lookup_via_search
@@ -61,6 +67,12 @@ QSEARCH_CHECK_SIGMAS = 4.0
 # 128 to 1024, a 2-vCPU host), so 2-3 ms a trial; a chain broken on a share p
 # of the pairs escapes one trial's sample with probability (1 - p)^100.
 CHAIN_SAMPLES = 100
+# Off-diagonal cells the CSV writer groups at a time, in whole source rows.
+# Sized in cells, a block holds about as many tails at any n: the writer
+# peaked at 0.38 MB under tracemalloc at n = 1024 (ER hop), where blocks of 32
+# rows peaked at 2.04 MB, and at 0.96 MB at n = 256 (uniform costs, nearly
+# every tail distinct).
+CSV_BLOCK_CELLS = 4096
 
 
 def resolve_output_dir(path: str | None) -> str:
@@ -518,8 +530,11 @@ def _build_assertions(config: ExperimentConfig, trials: list[TrialResult]) -> li
 
 
 def run_experiment(config: ExperimentConfig, write_outputs: bool = True) -> StretchReport:
-    """Run every seed, evaluate the claim assertions, and emit CSV + JSON."""
+    """Run every seed, evaluate the claim assertions, and emit CSV + JSON;
+    an output directory that cannot be made is refused before any trial."""
     config.validate()
+    if write_outputs:
+        make_output_dir(resolve_output_dir(config.output_dir))
     trials = [run_trial(config, seed) for seed in sorted(config.seeds)]
     report = StretchReport(
         config=config,
@@ -535,13 +550,12 @@ def write_report(report: StretchReport) -> tuple[str, str]:
     """Write the per-pair CSV and the summary JSON, whose paths it returns,
     and the ``<name>_timings.json`` sidecar with each trial's wall time, in
     all and per stage, and ``write_s``, the wall time of writing the CSV
-    (``pairs_csv``) and the summary (``summary``). The sidecar is written
-    last, so it can time both."""
+    (``pairs_csv``) and the summary (``summary``), into the output directory
+    ``run_experiment`` made. The sidecar is written last, so it can time
+    both."""
     from .serialize import dump_json
 
-    out_dir = resolve_output_dir(report.config.output_dir)
-    os.makedirs(out_dir, exist_ok=True)
-    base = os.path.join(out_dir, report.config.name)
+    base = os.path.join(resolve_output_dir(report.config.output_dir), report.config.name)
     csv_path = base + "_pairs.csv"
     json_path = base + "_summary.json"
 
@@ -570,38 +584,61 @@ def write_pairs_csv(path: str, trials) -> None:
     write it here.
 
     A row is its ``seed,source,dest,`` head and a ``case,cost,optimal,stretch``
-    tail, each number its ``repr``. Many rows of one source share a
-    ``(code, cost, optimal)`` triple, so each source keeps a memo from the
-    triple to its tail and formats each distinct tail once; the memo is new
-    at every source, so it never holds more than n - 1 tails. Every cost is
-    positive and finite, so a row whose cost is its optimal has stretch
-    exactly 1.0.
+    tail, each number its ``repr``. A trial is written in blocks of whole
+    source rows, about ``CSV_BLOCK_CELLS`` off-diagonal cells each, whose
+    tails ``_block_tails`` gives. A source's row is one join over a list of
+    pieces kept for the whole trial: its head, each destination's ``d,``
+    column and the destination's tail.
     """
-    with open(path, "w", newline="\n") as fh:
+    with open_output(path, newline="\n") as fh:
         fh.write(f"# schema_version={SCHEMA_VERSION}\n")
         fh.write("seed,source,dest,case,cost,optimal,stretch\n")
         for seed, evaluation in trials:
-            for i, optimal in enumerate(evaluation.pair_costs):
-                head = f"{seed},{i},"
-                tails: dict[tuple, str] = {}
-                lines = []
-                rows = zip(
-                    evaluation.code[i].tolist(), evaluation.cost[i].tolist(), optimal.tolist()
-                )
-                for d, key in enumerate(rows):
-                    if d == i:
-                        continue
-                    tail = tails.get(key)
-                    if tail is None:
-                        c, x, o = key
-                        if x == o:
-                            r = repr(x)
-                            tail = f"{CASE_BY_CODE[c]},{r},{r},1.0\n"
-                        else:
-                            tail = f"{CASE_BY_CODE[c]},{x!r},{o!r},{x / o!r}\n"
-                        tails[key] = tail
-                    lines.append(f"{head}{d},{tail}")
-                fh.write("".join(lines))
+            n = len(evaluation.code)
+            rows = max(1, CSV_BLOCK_CELLS // n)
+            cols = [f"{d}," for d in range(n)]
+            pieces = [""] * (3 * (n - 1))
+            # source 0's columns; source i's differ from source i - 1's only
+            # at column i - 1, which takes the place of i
+            pieces[1::3] = cols[1:]
+            for b in range(0, n, rows):
+                for i, cells in enumerate(_block_tails(evaluation, b, min(b + rows, n)), b):
+                    if i:
+                        pieces[3 * i - 2] = cols[i - 1]
+                    pieces[0::3] = [f"{seed},{i},"] * (n - 1)
+                    pieces[2::3] = cells
+                    fh.write("".join(pieces))
+
+
+def _block_tails(evaluation, b: int, e: int) -> list[list[str]]:
+    """The CSV tails of source rows ``b`` to ``e - 1``, one list a row in
+    destination order, without the source itself.
+
+    One ``np.lexsort`` over the block's (code, cost, optimal) cells groups
+    the equal triples; each distinct tail is formatted once from Python
+    floats, and numpy gathers it into every cell of its group. Every cost is
+    positive and finite, so a row whose cost is its optimal has stretch
+    exactly 1.0.
+    """
+    off = np.ones((e - b, len(evaluation.code)), bool)
+    off[np.arange(e - b), np.arange(b, e)] = False
+    keys = [a[b:e][off] for a in (evaluation.code, evaluation.cost, evaluation.pair_costs)]
+    order = np.lexsort(keys[::-1])
+    first = np.zeros(len(order), bool)
+    first[0] = True
+    for key in keys:
+        ranked = key[order]
+        first[1:] |= ranked[1:] != ranked[:-1]
+    group = np.empty(len(order), np.intp)
+    group[order] = np.cumsum(first) - 1
+    tails = []
+    for c, x, o in zip(*(key[order[first]].tolist() for key in keys)):
+        if x == o:
+            r = repr(x)
+            tails.append(f"{CASE_BY_CODE[c]},{r},{r},1.0\n")
+        else:
+            tails.append(f"{CASE_BY_CODE[c]},{x!r},{o!r},{x / o!r}\n")
+    return np.array(tails, object)[group].reshape(e - b, -1).tolist()
 
 
 def compare_schemes(

@@ -13,7 +13,13 @@ from __future__ import annotations
 import json
 import re
 
-from .errors import ConfigError, InputFileError, MetricError, SchemeDocumentError
+from .errors import (
+    ConfigError,
+    InputFileError,
+    MetricError,
+    SchemeDocumentError,
+    open_output,
+)
 from .harness import ExperimentConfig, build_scheme
 from .metrics import metric_by_name
 from .routing import SchemeTables
@@ -139,12 +145,12 @@ def write_delivery_log(records, path: str) -> None:
             f"{'-'.join(map(str, route.nodes))},{int(rec.success)},{int(rec.retried)},"
             f"{consumed},{on_demand},{rec.detail}\n"
         )
-    with open(path, "w", newline="\n") as fh:
+    with open_output(path, newline="\n") as fh:
         fh.write("".join(rows))
 
 
 def dump_json(doc: dict, path: str) -> None:
-    with open(path, "w") as fh:
+    with open_output(path) as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 

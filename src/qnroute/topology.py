@@ -31,6 +31,7 @@ from .errors import (
     InputFileError,
     NeighborhoodSizeError,
     UnreachableError,
+    open_output,
 )
 from .metrics import Composition, EntanglingMetric, fold
 
@@ -89,7 +90,7 @@ class NetworkGraph:
 
 def save_graph(graph: NetworkGraph, path: str) -> None:
     """Write the text format: header ``n_e <count>``, then ``i j cost`` lines."""
-    with open(path, "w") as fh:
+    with open_output(path) as fh:
         fh.write(f"n_e {graph.n_e}\n")
         for i, j, c in graph.edges():
             fh.write(f"{i} {j} {c!r}\n")

@@ -844,6 +844,38 @@ def test_cli_missing_graph_file_exits_two(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, path", [
+    (["generate", "--model", "grid_torus", "--n-e", "16", "--out", "blocker/n.graph"],
+     "blocker/n.graph"),
+    (["cluster", "--graph", "net.graph", "--k", "3", "--out", "blocker/s.json"], "blocker/s.json"),
+    (["route", "--scheme", "scheme.json", "--source", "0", "--dest", "10", "--send", "2",
+      "--delivery-log", "blocker/dl.csv"], "blocker/dl.csv"),
+    (["eval", "--scheme", "scheme.json", "--out-dir", "blocker/sub"], "blocker/sub"),
+    (["report", "--config", "blocked.json"], "blocker/o"),
+    (["compare", "--config-a", "blocked.json", "--config-b", "blocked.json",
+      "--out", "blocker/cmp.json"], "blocker/cmp.json"),
+], ids=["generate", "cluster", "route", "eval", "report", "compare"])
+def test_cli_output_path_under_a_regular_file_exits_two(
+    torus_scheme_file, capsys, monkeypatch, argv, path
+):
+    # a regular file stands where an output directory should be
+    open("blocker", "w").close()
+    with open("blocked.json", "w") as fh:
+        json.dump({"n_e": 9, "graph_model": "grid_torus", "k_override": 2,
+                   "output_dir": "blocker/o", "name": "blocked"}, fh)
+    trials = []
+    run_trial = harness.run_trial
+    monkeypatch.setattr(harness, "run_trial", lambda *a: trials.append(a) or run_trial(*a))
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [err.rstrip("\n")]
+    assert err.startswith("error: ") and path in err
+    assert os.path.isfile("blocker")
+    if argv[0] == "report":
+        assert not trials
+
+
 def rewrite_scheme(path, edit):
     doc = load_json(path)
     edit(doc)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qnroute import routing
+from qnroute import harness, routing
 from qnroute.addressing import AddressPlan
 from qnroute.clustering import build_anchor_set_greedy
 from qnroute.errors import ChainViolationError, DepletedLinkError
@@ -485,11 +485,29 @@ def report_pairs_csv(out_dir, **fields):
         (functools.partial(report_pairs_csv, n_e=48, graph_params={"edge_prob": 0.15},
                            scheme="partial", f=3, k_override=6),
          "182abf898988983ab0512e013112479e418097a0bd71329e87f5aa24154d1bfe"),
+        # rows of 200 nodes: each trial is written in 10 blocks of 20 sources
+        (functools.partial(report_pairs_csv, n_e=200, graph_params={"edge_prob": 0.12},
+                           k_override=14),
+         "a94c515501e5116934d449504c79b06743bc4f2fdfe1f7602155415a3e0f86f4"),
+        # 6,883 fallback rows in 6 blocks of 27 sources a trial, the last short
+        (functools.partial(report_pairs_csv, n_e=150, graph_params={"edge_prob": 0.1},
+                           metric="uniform", scheme="full", k_override=12),
+         "0e6f223b5813e494c7e37476661215812b6b0a3a6506b0dcca6733f4f6d356a6"),
     ],
-    ids=["capacity", "random-anchors", "depleted", "full-f2", "partial-f3"],
+    ids=["capacity", "random-anchors", "depleted", "full-f2", "partial-f3", "er200",
+         "full-uniform150"],
 )
 def test_pairs_csv_bytes_are_pinned(tmp_path, write, expected):
     assert hashlib.sha256(write(tmp_path).read_bytes()).hexdigest() == expected
+
+
+@pytest.mark.parametrize("cells", [1, 100, 47 * 48, 48 * 48])
+def test_the_pairs_csv_bytes_do_not_depend_on_the_block_size(tmp_path, monkeypatch, cells):
+    # over 48 sources: blocks of one source, of two, of 47 and a last of one,
+    # and one block of every source
+    expected = depleted_pairs_csv(tmp_path).read_bytes()
+    monkeypatch.setattr(harness, "CSV_BLOCK_CELLS", cells)
+    assert depleted_pairs_csv(tmp_path).read_bytes() == expected
 
 
 def test_evaluation_resolves_no_pair_one_by_one(monkeypatch):
@@ -534,7 +552,10 @@ def test_evaluation_resolves_no_pair_one_by_one(monkeypatch):
     # min composition: every row costs its optimal
     (ExperimentConfig(n_e=36, graph_model="grid_torus", metric="capacity",
                       anchor_method="random", k_override=5), 3),
-], ids=["partial", "full", "uniform", "capacity"])
+    # 130 sources are written in 5 blocks of 31, the last of 6
+    (ExperimentConfig(n_e=130, graph_params={"edge_prob": 0.1}, metric="uniform",
+                      anchor_method="random", k_override=11), 4),
+], ids=["partial", "full", "uniform", "capacity", "uniform130"])
 def test_rows_read_by_index_equal_the_iterated_rows_and_resolve(tmp_path, config, seed):
     # a report's rows are read by index, as the benchmark's query check reads them;
     # the CSV must format each row's numbers as their three reprs
@@ -608,14 +629,16 @@ def test_the_pair_costs_are_one_read_only_array(metric):
     assert evaluate_all_pairs(tabs).pair_costs is costs
 
 
-def test_writing_the_pairs_csv_holds_one_source_of_tails(tmp_path):
+@pytest.mark.parametrize("n, metric", [(256, "uniform"), (1024, "hop")])
+def test_writing_the_pairs_csv_holds_one_block_of_tails(tmp_path, n, metric):
     # uniform costs make nearly every tail distinct: the writer peaked at
-    # 0.11 MB under tracemalloc (n = 256, k = 16), where a tail memo shared
-    # by all sources holds one tail per row and peaked at 12.1 MB
-    n = 256
+    # 0.96 MB under tracemalloc (n = 256, k = 16), where a tail memo shared
+    # by all sources holds one tail per row and peaked at 12.1 MB; at
+    # n = 1024 hop it peaked at 0.38 MB, where blocks of 32 sources, not of
+    # 4,096 cells, peaked at 2.04 MB
     tabs, _ = build_scheme_for_trial(ExperimentConfig(
         n_e=n, graph_params={"edge_prob": max(0.12, 2 * math.log(n) / n)},
-        metric="uniform", k_override=math.isqrt(n),
+        metric=metric, k_override=math.isqrt(n),
     ), 0)
     ev = evaluate_all_pairs(tabs)
     tracemalloc.start()

@@ -18,7 +18,9 @@ import os
 import sys
 
 from . import harness
-from .errors import ConfigError, InvalidRequestError, QnrouteError, make_output_dir
+from .errors import (
+    ConfigError, InvalidRequestError, QnrouteError, check_output_dir, make_output_dir,
+)
 from .metrics import metric_by_name
 from .qsearch import instance_from_table, run_search
 from .routing import evaluate_all_pairs, resolve
@@ -92,6 +94,8 @@ def cmd_route(args) -> int:
     _check_node(tables, "--dest", args.dest)
     if args.source == args.dest:
         raise InvalidRequestError("--source and --dest must name different nodes")
+    if args.delivery_log:
+        check_output_dir(args.delivery_log)
     path = resolve(
         tables, args.source, args.dest, allow_fallback=not args.no_fallback
     )
@@ -196,6 +200,7 @@ def _load_config(path: str) -> dict:
 def cmd_compare(args) -> int:
     config_a = harness.ExperimentConfig.from_dict(_load_config(args.config_a))
     config_b = harness.ExperimentConfig.from_dict(_load_config(args.config_b))
+    check_output_dir(args.out)
     doc = harness.compare_schemes(config_a, config_b)
     dump_json(doc, args.out)
     print(f"wrote {args.out}")

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the two calls that make
-an output path: ``open_output`` and ``make_output_dir``."""
+"""Exception types shared across the package, the one call that reads an
+input file, and the calls that make or check an output path."""
 
 import os
 
@@ -68,7 +68,16 @@ class InvalidRequestError(QnrouteError):
 
 
 class InputFileError(QnrouteError):
-    """An input file cannot be read or is not valid JSON."""
+    """An input file cannot be read, is not UTF-8 text, or is not valid JSON."""
+
+
+class EdgeListError(QnrouteError, ValueError):
+    """An edge list breaks a rule of ``topology.graph_from_edges``. ``position``
+    is the bad edge's index, or None when the list has too few edges."""
+
+    def __init__(self, message, position=None):
+        super().__init__(message)
+        self.position = position
 
 
 class GraphFileError(InputFileError, ValueError):
@@ -82,6 +91,18 @@ class SchemeDocumentError(QnrouteError):
 
 class OutputPathError(QnrouteError):
     """An output file or directory cannot be made where its path points."""
+
+
+def read_text(path) -> str:
+    """The text of the UTF-8 file at ``path``; an ``InputFileError`` naming it
+    if it cannot be read or decoded."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as err:
+        raise InputFileError(f"cannot read {path}: {err.strerror}") from None
+    except UnicodeDecodeError as err:
+        raise InputFileError(f"{path} is not UTF-8: {err.reason} at byte {err.start}") from None
 
 
 def open_output(path, newline=None):
@@ -100,3 +121,11 @@ def make_output_dir(path) -> None:
         os.makedirs(path, exist_ok=True)
     except OSError as err:
         raise OutputPathError(f"cannot make directory {path}: {err.strerror}") from None
+
+
+def check_output_dir(path) -> None:
+    """An ``OutputPathError`` naming ``path`` unless the directory it would be
+    written in exists, so that a command can refuse it before any work."""
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise OutputPathError(f"cannot write {path}: {parent} is not a directory")

@@ -17,6 +17,7 @@ import contextlib
 import itertools
 import math
 import os
+import sys
 import time
 import types
 import typing
@@ -136,8 +137,13 @@ class ExperimentConfig:
             raise ConfigError("m: oversampling constant must be positive and finite")
         if self.k_override is not None and not 1 <= self.k_override < self.n_e:
             raise ConfigError(f"k_override {self.k_override}: must be in [1, {self.n_e})")
-        if not 1 <= self.f <= self.effective_k():
-            raise ConfigError(f"f {self.f}: must be in [1, k={self.effective_k()}]")
+        try:
+            k = self.effective_k()
+        except OverflowError:
+            name = "m" if self.n_e <= sys.float_info.max else "n_e"
+            raise ConfigError(f"{name}: too large; (1 + m) sqrt(n_e) ln(n_e) overflows") from None
+        if not 1 <= self.f <= k:
+            raise ConfigError(f"f {self.f}: must be in [1, k={k}]")
         if not self.seeds:
             raise ConfigError("seeds: at least one seed is required")
         if self.ebit_budget < 1:

@@ -15,15 +15,17 @@ import re
 
 from .errors import (
     ConfigError,
+    EdgeListError,
     InputFileError,
     MetricError,
     SchemeDocumentError,
     open_output,
+    read_text,
 )
 from .harness import ExperimentConfig, build_scheme
 from .metrics import metric_by_name
 from .routing import SchemeTables
-from .topology import NetworkGraph
+from .topology import graph_from_edges
 
 SCHEME_SCHEMA_VERSION = 4
 DELIVERY_LOG_SCHEMA_VERSION = 2
@@ -86,6 +88,8 @@ def scheme_from_dict(doc: dict) -> tuple[SchemeTables, str, dict]:
         raise SchemeDocumentError(f"scheme document: unknown fields {unknown}")
     try:
         return _read_scheme(doc)
+    except EdgeListError as err:
+        raise SchemeDocumentError(f"scheme document: graph: {err}") from None
     except ConfigError as err:
         message = str(err)
         name = re.match(r"\w+", message)[0]
@@ -109,22 +113,7 @@ def _read_scheme(doc: dict) -> tuple[SchemeTables, str, dict]:
         capacity_cap=doc["capacity_cap"], seeds=[doc["seed"]],
     )
     config.validate()
-    n_e, edges = config.n_e, graph_doc["edges"]
-    if len(edges) < n_e - 1:
-        # checked before anything of size n_e is built
-        raise ValueError(f"graph: {len(edges)} edges cannot connect {n_e} nodes")
-    graph = NetworkGraph(n_e=n_e)
-    for i, j, c in edges:
-        for v in (i, j):
-            # int() would read "0_11", " 011" or 3.7 as a node
-            if type(v) is not int or not 0 <= v < n_e:
-                raise ValueError(f"graph: edge endpoint {v!r} is not a node id in [0, {n_e})")
-        # float() would read true or "1.0" as a cost
-        if type(c) not in (int, float):
-            raise ValueError(f"graph: edge cost {c!r} is not a number")
-        if graph.has_edge(i, j):
-            raise ValueError(f"graph: edge {i}-{j} is listed twice")
-        graph.add_edge(i, j, float(c))
+    graph = graph_from_edges(config.n_e, graph_doc["edges"])
     metric = metric_by_name(config.metric, **config.metric_params)
     tables = build_scheme(config, graph, metric, doc["seed"])
     return tables, config.metric, config.metric_params
@@ -157,9 +146,7 @@ def dump_json(doc: dict, path: str) -> None:
 
 def load_json(path: str) -> dict:
     try:
-        with open(path) as fh:
-            return json.load(fh)
-    except OSError as err:
-        raise InputFileError(f"cannot read {path}: {err.strerror}") from None
-    except json.JSONDecodeError as err:
+        return json.loads(read_text(path))
+    except (RecursionError, ValueError) as err:
+        # not only JSONDecodeError: an int of too many digits, arrays nested too deep
         raise InputFileError(f"{path} is not valid JSON: {err}") from None

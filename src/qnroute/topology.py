@@ -20,18 +20,20 @@ import math
 import random
 import typing
 from collections import deque
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (
+    EdgeListError,
     GenerationFailedError,
     GraphFileError,
-    InputFileError,
     NeighborhoodSizeError,
+    QnrouteError,
     UnreachableError,
     open_output,
+    read_text,
 )
 from .metrics import Composition, EntanglingMetric, fold
 
@@ -64,9 +66,6 @@ class NetworkGraph:
         self.adjacency[i][j] = cost
         self.adjacency[j][i] = cost
 
-    def has_edge(self, i: int, j: int) -> bool:
-        return j in self.adjacency[i]
-
     def cost(self, i: int, j: int) -> float:
         return self.adjacency[i][j]
 
@@ -97,40 +96,76 @@ def save_graph(graph: NetworkGraph, path: str) -> None:
 
 
 def load_graph(path: str) -> NetworkGraph:
-    """Read the text format written by ``save_graph``.
-
-    An unreadable file raises ``InputFileError``; a bad header or edge line,
-    or an edge listed twice in either orientation, raises ``GraphFileError``
-    naming the line. So do too few edges to connect ``n_e`` nodes, checked
-    before anything of size ``n_e`` is built.
-    """
+    """Read the text format written by ``save_graph``: UTF-8, the header count
+    and node ids in ASCII decimal digits. An unreadable file raises
+    ``InputFileError``; a bad header or edge line, or an edge list that
+    ``graph_from_edges`` refuses, raises ``GraphFileError`` naming the line."""
+    header, *lines = read_text(path).split("\n")
+    words = header.split()
     try:
-        fh = open(path)
-    except OSError as err:
-        raise InputFileError(f"cannot read {path}: {err.strerror}") from None
-    with fh:
-        header = fh.readline().split()
-        if len(header) != 2 or header[0] != "n_e" or not header[1].isdigit():
-            raise GraphFileError(f"{path}:1: expected the header 'n_e <count>'")
-        n_e = int(header[1])
-        links: dict[tuple[int, int], float] = {}
-        for lineno, line in enumerate(fh, start=2):
+        if len(words) != 2 or words[0] != "n_e":
+            raise ValueError
+        n_e = _decimal(words[1])
+    except ValueError:
+        raise GraphFileError(f"{path}:1: expected the header 'n_e <count>'") from None
+    numbered = [(lineno, line) for lineno, line in enumerate(lines, start=2) if line.strip()]
+
+    def edges():  # lazy, so that the line errors come in file order
+        for position, (_, line) in enumerate(numbered):
             try:
-                if line.strip():
-                    i, j, c = line.split()
-                    i, j = int(i), int(j)
-                    if not (0 <= i < n_e and 0 <= j < n_e):
-                        raise ValueError(f"node ids must lie in [0, {n_e})")
-                    if (j, i) in links or (i, j) in links:
-                        raise ValueError(f"edge {i}-{j} is listed twice")
-                    links[i, j] = _checked_cost(i, j, float(c))
+                i, j, c = line.split()
+                # float() would also read "1_0" and non-ASCII digits
+                if not c.isascii() or "_" in c:
+                    raise ValueError(f"could not convert string to float: {c!r}")
+                edge = _decimal(i), _decimal(j), float(c)
             except ValueError as err:
-                raise GraphFileError(f"{path}:{lineno}: {err}") from None
-    if len(links) < n_e - 1:
-        raise GraphFileError(f"{path}: {len(links)} edges cannot connect {n_e} nodes")
+                raise EdgeListError(str(err), position) from None
+            yield edge
+
+    try:
+        return graph_from_edges(n_e, edges())
+    except EdgeListError as err:
+        line = "" if err.position is None else f":{numbered[err.position][0]}"
+        raise GraphFileError(f"{path}{line}: {err}") from None
+
+
+def _decimal(token: str) -> int:
+    # int() would also read "0_1", "+1" and "١"
+    if not (token.isascii() and token.isdigit()):
+        raise ValueError(f"invalid literal for int() with base 10: {token!r}")
+    return int(token)
+
+
+def graph_from_edges(n_e: int, edges: Iterable) -> NetworkGraph:
+    """The graph on nodes ``0..n_e-1`` with the ``(i, j, cost)`` triples
+    ``edges``: the one check of an edge list, for graph files and scheme
+    documents. In list order, each endpoint must be an ``int`` in ``[0, n_e)``,
+    the cost an ``int`` or ``float``, the edge no self-loop, the cost positive
+    and finite, and the edge new in either orientation; then there must be
+    ``n_e - 1`` edges at least. The first broken rule raises ``EdgeListError``,
+    before anything of size ``n_e`` is built."""
+    adjacency: dict[int, dict[int, float]] = {}
+    for position, (i, j, c) in enumerate(edges):
+        try:
+            for v in (i, j):
+                # int() would read "0_11", " 011" or 3.7 as a node
+                if type(v) is not int or not 0 <= v < n_e:
+                    raise ValueError(f"edge endpoint {v!r} is not a node id in [0, {n_e})")
+            # float() would read true or "1.0" as a cost
+            if type(c) not in (int, float):
+                raise ValueError(f"edge cost {c!r} is not a number")
+            cost = _checked_cost(i, j, float(c))
+            if j in adjacency.get(i, ()):
+                raise ValueError(f"edge {i}-{j} is listed twice")
+            # in add_edge's order, so that each node's links keep list order
+            adjacency.setdefault(i, {})[j] = adjacency.setdefault(j, {})[i] = cost
+        except ValueError as err:
+            raise EdgeListError(str(err), position) from None
+    count = sum(map(len, adjacency.values())) // 2
+    if count < n_e - 1:
+        raise EdgeListError(f"{count} edges cannot connect {n_e} nodes")
     graph = NetworkGraph(n_e=n_e)
-    for (i, j), cost in links.items():
-        graph.add_edge(i, j, cost)
+    graph.adjacency.update(adjacency)  # the nodes keep their id order
     return graph
 
 
@@ -449,9 +484,13 @@ def all_pairs_optimal(graph: NetworkGraph, metric: EntanglingMetric) -> np.ndarr
         if len(link_costs) == 1:
             _fill_levels(graph, float(link_costs.pop()), to)
         else:
-            _relax(graph, to)
+            with np.errstate(over="ignore"):  # an overflowing sum is refused below
+                _relax(graph, to)
         if np.isinf(to).any():
-            raise _disconnected(graph)
+            if not graph.is_connected():
+                raise _disconnected(graph)
+            s, u = np.argwhere(np.isinf(to.T))[0]
+            raise QnrouteError(f"the path cost from node {s} to node {u} overflows a float")
         costs = to.T.copy()
     else:
         _, _, c = _min_edge(graph)

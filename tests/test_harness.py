@@ -809,7 +809,7 @@ def test_cli_missing_scheme_file_exits_two(tmp_path, capsys):
     [
         ("n_e 4\n0 1 1.0\n1 2\n", ":3: not enough values to unpack"),
         ("n_e 4\n0 one 1.0\n", ":2: invalid literal"),
-        ("n_e 4\n0 1 1.0\n2 4 1.0\n", ":3: node ids must lie in [0, 4)"),
+        ("n_e 4\n0 1 1.0\n2 4 1.0\n", ":3: edge endpoint 4 is not a node id in [0, 4)"),
         ("n_e 4\n0 1 abc\n", ":2: could not convert"),
         ("nodes 4\n0 1 1.0\n", ":1: expected the header"),
         ("n_e 4\n0 1 1.0\n1 2 inf\n2 3 1.0\n", ":3: link costs must be positive and finite, got inf"),
@@ -868,12 +868,104 @@ def test_cli_output_path_under_a_regular_file_exits_two(
     monkeypatch.setattr(harness, "run_trial", lambda *a: trials.append(a) or run_trial(*a))
     capsys.readouterr()
     assert main(argv) == 2
-    err = capsys.readouterr().err
+    captured = capsys.readouterr()
+    err = captured.err
     assert err.splitlines() == [err.rstrip("\n")]
     assert err.startswith("error: ") and path in err
     assert os.path.isfile("blocker")
-    if argv[0] == "report":
+    # every command refuses its output path before any work: no trial runs,
+    # and route prints neither its path nor a delivered line
+    if argv[0] in ("report", "compare"):
         assert not trials
+    assert captured.out == ""
+
+
+def _scheme_with_non_utf8_byte():
+    with open("scheme.json", "rb") as fh:
+        return fh.read().replace(b'"scheme"', b'"sch\xffeme"')
+
+
+CLUSTER_BAD = ["cluster", "--graph", "bad.input", "--k", "2", "--out", "out.json"]
+
+
+@pytest.mark.parametrize("argv, body, message", [
+    (CLUSTER_BAD, "n_e ²\n0 1 1.0\n".encode(), "bad.input:1: expected the header 'n_e <count>'"),
+    (CLUSTER_BAD, b"n_e " + b"1" * 5000 + b"\n0 1 1.0\n", "bad.input:1: expected the header"),
+    (CLUSTER_BAD, b"n_e 4\n0_1 2 1.0\n",
+     "bad.input:2: invalid literal for int() with base 10: '0_1'"),
+    (CLUSTER_BAD, b"n_e 4\n0 +1 1.0\n",
+     "bad.input:2: invalid literal for int() with base 10: '+1'"),
+    (CLUSTER_BAD, "n_e 4\n0 1 1.0\n\n1 \u0661 1.0\n".encode(),
+     "bad.input:4: invalid literal for int() with base 10: '\u0661'"),
+    (CLUSTER_BAD, b"n_e 4\n0 1 1.0\n1 " + b"2" * 5000 + b" 1.0\n",
+     "bad.input:3: Exceeds the limit"),
+    (CLUSTER_BAD, b"n_e 4\n0 1 1_0\n", "bad.input:2: could not convert string to float: '1_0'"),
+    (CLUSTER_BAD, b"n_e \xff4\n0 1 1.0\n",
+     "bad.input is not UTF-8: invalid start byte at byte 4"),
+    (CLUSTER_BAD, b"n_e 4\n0 1 1.0\n1 2 \xff\n",
+     "bad.input is not UTF-8: invalid start byte at byte 18"),
+    (["eval", "--scheme", "bad.input"], _scheme_with_non_utf8_byte,
+     "bad.input is not UTF-8: invalid start byte"),
+    (["eval", "--scheme", "bad.input"], b'{"schema_version": ' + b"4" * 5000 + b"}",
+     "bad.input is not valid JSON: Exceeds the limit"),
+    (["eval", "--scheme", "bad.input"], b"[" * 100000, "bad.input is not valid JSON: maximum"),
+    (["report", "--config", "bad.input"], b'{"n_e": 9, "name": "\xff"}',
+     "bad.input is not UTF-8: invalid start byte at byte 20"),
+], ids=["superscript-count", "long-count", "underscore-id", "signed-id", "arabic-indic-id",
+        "long-id", "underscore-cost", "non-utf8-header", "non-utf8-edge", "non-utf8-scheme",
+        "long-json-int", "deep-json", "non-utf8-config"])
+def test_cli_input_refused_in_one_error_line_and_no_output(
+    torus_scheme_file, capsys, argv, body, message
+):
+    with open("bad.input", "wb") as fh:
+        fh.write(body() if callable(body) else body)
+    before = sorted(os.listdir("."))
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {message}")
+    assert len(captured.err.splitlines()) == 1 and captured.out == ""
+    assert sorted(os.listdir(".")) == before
+
+
+@pytest.mark.parametrize("argv, body", [
+    (["cluster", "--graph", "bad.input", "--k", "1", "--out", "out.json"],
+     b"n_e 3\n0 1 1e308\n1 2 1e308\n"),
+    # distinct costs: the relaxation pass, whose overflow numpy would warn of
+    (["cluster", "--graph", "bad.input", "--k", "1", "--out", "out.json"],
+     b"n_e 3\n0 1 1.7e308\n1 2 2e307\n"),
+    (["report", "--config", "bad.input"],
+     b'{"n_e": 16, "graph_model": "grid_torus", "metric": "uniform", "k_override": 3, '
+     b'"metric_params": {"low": 1e308, "high": 1e308}, "name": "over"}'),
+], ids=["cluster", "cluster-relaxed", "report"])
+def test_cli_path_cost_past_the_float_range_exits_two(tmp_path, monkeypatch, capsys, argv, body):
+    """Finite link costs whose path sums overflow are no disconnected graph."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.input").write_bytes(body)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == "error: the path cost from node 0 to node 2 overflows a float\n"
+    assert sorted(os.listdir(".")) == ["bad.input"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["cluster", "--graph", "net.graph", "--m", "1e308", "--out", "out.json"], "m: too large"),
+    (["report", "--n-e", "16", "--graph-model", "grid_torus", "--m", "1e308"], "m: too large"),
+    (["report", "--config", "huge.json"], "n_e: too large"),
+], ids=["cluster-m", "report-m", "report-n_e"])
+def test_cli_neighborhood_size_overflow_exits_two_before_any_graph(
+    torus_scheme_file, monkeypatch, capsys, argv, message
+):
+    with open("huge.json", "w") as fh:
+        fh.write('{"n_e": 1' + "0" * 400 + "}")
+    generated = []
+    monkeypatch.setattr(harness, "generate_graph", lambda *a, **k: generated.append(a))
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}; (1 + m) sqrt(n_e) ln(n_e) overflows")
+    assert not generated
+    assert not os.path.exists("out.json") and not os.path.exists("experiment_pairs.csv")
 
 
 def rewrite_scheme(path, edit):

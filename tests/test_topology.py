@@ -6,19 +6,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qnroute import topology
-from qnroute.errors import GraphFileError, NeighborhoodSizeError, UnreachableError
+from qnroute.errors import (
+    EdgeListError,
+    GraphFileError,
+    NeighborhoodSizeError,
+    QnrouteError,
+    SchemeDocumentError,
+    UnreachableError,
+)
+from qnroute.harness import ExperimentConfig, build_scheme
 from qnroute.metrics import (
     capacity_metric,
     fold,
     hop_count_metric,
     uniform_weight_metric,
 )
+from qnroute.serialize import scheme_from_dict, scheme_to_dict
 from qnroute.topology import (
     ENeighborhood,
     NetworkGraph,
     all_neighborhoods,
     all_pairs_optimal,
     generate_graph,
+    graph_from_edges,
     load_graph,
     optimal_cost,
     save_graph,
@@ -272,6 +282,15 @@ def test_disconnected_graph_has_no_cost_matrix(metric):
         assert str(err.value) == "graph disconnected: " + message
 
 
+@pytest.mark.parametrize("costs", [(1e308, 1e308), (1.7e308, 2e307)])
+def test_connected_graph_whose_path_cost_overflows_is_not_called_disconnected(costs):
+    g = path_graph(list(costs))
+    with pytest.raises(QnrouteError) as err:
+        all_pairs_optimal(g, uniform_weight_metric())
+    assert not isinstance(err.value, UnreachableError)
+    assert str(err.value) == "the path cost from node 0 to node 2 overflows a float"
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(graph=integral_cost_graphs(), k=st.integers(1, 5))
 def test_integral_fill_gives_dijkstra_witnesses_and_rankings(graph, k):
@@ -358,7 +377,7 @@ def test_add_edge_rejects_nonpositive_cost(cost):
     g = NetworkGraph(n_e=2)
     with pytest.raises(ValueError, match="positive"):
         g.add_edge(0, 1, cost)
-    assert not g.has_edge(0, 1) and not g.has_edge(1, 0)
+    assert g.adjacency == {0: {}, 1: {}}
 
 
 def test_graph_file_with_zero_cost_link_is_rejected(tmp_path):
@@ -394,3 +413,55 @@ def test_graph_file_round_trip(tmp_path):
     again = load_graph(str(path))
     assert again.n_e == g.n_e
     assert again.edges() == g.edges()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(graph=st.sampled_from([HOP, uniform_weight_metric()]).flatmap(small_graphs))
+def test_graph_file_round_trip_keeps_every_edge(tmp_path_factory, graph):
+    path = str(tmp_path_factory.mktemp("round_trip") / "net.graph")
+    save_graph(graph, path)
+    again = load_graph(path)
+    assert (again.n_e, again.edges()) == (graph.n_e, graph.edges())
+
+
+def test_graph_file_round_trip_keeps_a_large_finite_cost(tmp_path):
+    g = path_graph([1.0, 1e300, 0.1 + 0.2])
+    path = str(tmp_path / "net.graph")
+    save_graph(g, path)
+    assert load_graph(path).edges() == g.edges() == [(0, 1, 1.0), (1, 2, 1e300), (2, 3, 0.1 + 0.2)]
+
+
+@pytest.mark.parametrize("edges, line, message", [
+    ([(0, 1, 1.0), (1, 4, 1.0), (2, 3, 1.0)], ":3", "edge endpoint 4 is not a node id in [0, 4)"),
+    ([(0, 1, 1.0), (1, 2, 1.0), (2, 1, 2.0)], ":4", "edge 2-1 is listed twice"),
+    ([(0, 1, 1.0), (2, 3, 1.0)], "", "2 edges cannot connect 4 nodes"),
+    # a line error comes before the count, and in list order
+    ([(0, 1, 1.0), (1, 1, 1.0), (9, 0, 1.0)], ":3", "self-loops are not allowed"),
+])
+def test_an_edge_list_is_refused_alike_in_both_formats(tmp_path, edges, line, message):
+    """The graph file and the scheme document check their edge lists in one
+    function, so one bad list gives one message, at each format's location."""
+    path = str(tmp_path / "bad.graph")
+    with open(path, "w") as fh:
+        fh.write("n_e 4\n" + "".join(f"{i} {j} {c!r}\n" for i, j, c in edges))
+    with pytest.raises(GraphFileError) as err:
+        load_graph(path)
+    assert str(err.value) == f"{path}{line}: {message}"
+
+    config = ExperimentConfig(n_e=4, k_override=2)
+    doc = scheme_to_dict(build_scheme(config, path_graph([1.0] * 3), HOP, 0), "hop")
+    doc["graph"]["edges"] = [list(edge) for edge in edges]
+    with pytest.raises(SchemeDocumentError) as err:
+        scheme_from_dict(doc)
+    assert str(err.value) == f"scheme document: graph: {message}"
+
+
+def test_graph_from_edges_names_the_bad_edge_position():
+    with pytest.raises(EdgeListError) as err:
+        graph_from_edges(3, [(0, 1, 1.0), (1, 2, 0.0)])
+    assert str(err.value) == "link costs must be positive and finite, got 0.0"
+    assert err.value.position == 1
+    with pytest.raises(EdgeListError) as err:
+        graph_from_edges(3, [(0, 1, 1.0)])
+    assert err.value.position is None
+    assert graph_from_edges(3, [(1, 2, 2), (0, 1, 1.5)]).edges() == [(0, 1, 1.5), (1, 2, 2.0)]

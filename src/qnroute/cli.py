@@ -4,8 +4,9 @@ Subcommands mirror the pipeline stages: ``generate`` a graph file,
 ``cluster`` it into a scheme document, ``route``/``eval``/``qsearch``
 against a scheme document, ``compare`` two configurations, and ``report``
 to run a full experiment from a config file. Exit code 0 means every
-enabled assertion passed. Precedence: built-in defaults, then command-line
-flags, then the config file's values; a null in the file sets nothing.
+enabled assertion passed. ``report`` reads every setting from its config
+file, a null for a known field standing for the field's default;
+``--out-dir`` applies only where the file sets no ``output_dir``.
 """
 
 from __future__ import annotations
@@ -65,19 +66,17 @@ def cmd_generate(args) -> int:
 
 def cmd_cluster(args) -> int:
     graph = load_graph(args.graph)
-    metric_params = _parse_params(args.metric_param)
-    config = harness.ExperimentConfig(
-        n_e=graph.n_e, metric=args.metric, metric_params=metric_params,
-        scheme=args.scheme, anchor_method=args.anchors, m=args.m, f=args.f,
-        ebit_budget=args.ebit_budget, capacity_cap=args.capacity_cap, k_override=args.k,
-    )
+    known = harness.ExperimentConfig.__dataclass_fields__
+    fields = {k: v for k, v in vars(args).items() if k in known}
+    if "metric_params" in fields:
+        fields["metric_params"] = _parse_params(fields["metric_params"])
+    config = harness.ExperimentConfig(n_e=graph.n_e, **fields)
     config.validate()
-    metric = metric_by_name(args.metric, **metric_params)
-    tables = harness.build_scheme(config, graph, metric, args.seed)
-    dump_json(scheme_to_dict(tables, args.metric, metric_params), args.out)
+    tables = harness.build_scheme(config, graph, args.seed)
+    dump_json(scheme_to_dict(tables, config.metric, config.metric_params), args.out)
     sizes = [len(t) for t in tables.tables]
     print(
-        f"wrote {args.out}: scheme={args.scheme} k={config.effective_k()} "
+        f"wrote {args.out}: scheme={config.scheme} k={config.effective_k()} "
         f"tables max={max(sizes)} mean={sum(sizes) / len(sizes):.1f}"
     )
     return 0
@@ -208,14 +207,13 @@ def cmd_compare(args) -> int:
 
 
 def cmd_report(args) -> int:
-    doc = _load_config(args.config) if args.config else {}
-    # a null known field takes its flag or its default; an unknown field is
-    # kept, null or not, so that ``from_dict`` refuses it
+    # a null known field takes its default; an unknown field is kept, null
+    # or not, so that ``from_dict`` refuses it
     known = harness.ExperimentConfig.__dataclass_fields__
-    config = harness.ExperimentConfig.from_dict({
-        **_config_flags(args),
-        **{k: v for k, v in doc.items() if v is not None or k not in known},
-    })
+    doc = {k: v for k, v in _load_config(args.config).items() if v is not None or k not in known}
+    if args.out_dir:
+        doc.setdefault("output_dir", args.out_dir)
+    config = harness.ExperimentConfig.from_dict(doc)
     report = harness.run_experiment(config)
     for line in harness.assertion_lines(report):
         print(line)
@@ -224,29 +222,6 @@ def cmd_report(args) -> int:
     )
     print(f"outputs: {csv_path}, {config.name}_summary.json and {config.name}_timings.json")
     return 0 if report.passed else 1
-
-
-def _config_flags(args) -> dict:
-    out = {}
-    for name in (
-        "n_e",
-        "graph_model",
-        "metric",
-        "scheme",
-        "anchor_method",
-        "m",
-        "f",
-        "ebit_budget",
-        "name",
-    ):
-        value = getattr(args, name, None)
-        if value is not None:
-            out[name] = value
-    if getattr(args, "seeds", None):
-        out["seeds"] = args.seeds
-    if getattr(args, "out_dir", None):
-        out["output_dir"] = args.out_dir
-    return out
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -272,17 +247,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("cluster", parents=[common], help="build neighborhoods, cover, and tables")
+    # a flag whose destination is an ExperimentConfig field is absent unless
+    # given, so the config's default applies
+    p = sub.add_parser("cluster", parents=[common], argument_default=argparse.SUPPRESS,
+                       help="build neighborhoods, cover, and tables")
     p.add_argument("--graph", required=True)
-    p.add_argument("--scheme", choices=["partial", "full"], default="partial")
-    p.add_argument("--metric", default="hop")
-    p.add_argument("--metric-param", action="append", metavar="KEY=VALUE")
-    p.add_argument("--m", type=float, default=1.0)
-    p.add_argument("--k", type=int, default=None, help="override the derived neighborhood size")
-    p.add_argument("--anchors", choices=["greedy", "random"], default="greedy")
-    p.add_argument("--f", type=int, default=1)
-    p.add_argument("--ebit-budget", type=int, default=4)
-    p.add_argument("--capacity-cap", type=int, default=None)
+    p.add_argument("--scheme", choices=["partial", "full"])
+    p.add_argument("--metric")
+    p.add_argument("--metric-param", dest="metric_params", action="append", metavar="KEY=VALUE")
+    p.add_argument("--m", type=float)
+    p.add_argument("--k", dest="k_override", type=int, metavar="K",
+                   help="override the derived neighborhood size")
+    p.add_argument("--anchors", dest="anchor_method", choices=["greedy", "random"])
+    p.add_argument("--f", type=int)
+    p.add_argument("--ebit-budget", type=int)
+    p.add_argument("--capacity-cap", type=int)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_cluster)
@@ -319,18 +298,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("report", parents=[common], help="run an experiment config end to end")
-    p.add_argument("--config", default=None)
-    p.add_argument("--n-e", dest="n_e", type=int, default=None)
-    p.add_argument("--graph-model", default=None)
-    p.add_argument("--metric", default=None)
-    p.add_argument("--scheme", choices=["partial", "full"], default=None)
-    p.add_argument("--anchor-method", choices=["greedy", "random"], default=None)
-    p.add_argument("--m", type=float, default=None)
-    p.add_argument("--f", type=int, default=None)
-    p.add_argument("--ebit-budget", type=int, default=None)
-    p.add_argument("--seeds", type=int, nargs="+", default=None)
-    p.add_argument("--name", default=None)
-    p.add_argument("--out-dir", default=None)
+    p.add_argument("--config", required=True)
+    p.add_argument("--out-dir", default=None,
+                   help="output directory where the config sets no output_dir")
     p.set_defaults(func=cmd_report)
 
     return parser

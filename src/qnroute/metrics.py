@@ -27,7 +27,9 @@ from numpy.typing import ArrayLike
 
 from .errors import MetricError, UnknownMetricError
 
-AXIOM_TOL = 1e-9
+# Relative slack of an axiom's inequality, so that the check means the same at
+# every cost scale; definiteness is exact.
+AXIOM_TOL = 1e-12
 
 # Above this many checks per axiom family, fall back to seeded sampling
 # of AXIOM_SAMPLES checks.
@@ -179,39 +181,43 @@ def check_axioms(
     def cost(i: int, j: int) -> float:
         return rows[i][j]
 
+    def exceeds(a: float, b: float) -> bool:
+        """``a`` is above ``b`` by more than ``AXIOM_TOL`` of ``b``'s size."""
+        return a - b > abs(b) * AXIOM_TOL
+
     violations: list[tuple[str, tuple[int, ...]]] = []
     checked = 0
 
     for i in nodes:
         checked += 1
-        if abs(cost(i, i)) > AXIOM_TOL:
+        if cost(i, i) != 0:
             violations.append(("definiteness", (i, i)))
     for i, j in itertools.permutations(nodes, 2):
         checked += 1
         wij = cost(i, j)
-        if wij <= AXIOM_TOL:
+        if not wij > 0:
             violations.append(("definiteness", (i, j)))
-        if wij < -AXIOM_TOL:
+        if wij < 0:
             violations.append(("non-negativity", (i, j)))
-        if i < j and abs(wij - cost(j, i)) > AXIOM_TOL:
+        if i < j and not math.isclose(wij, cost(j, i), rel_tol=AXIOM_TOL):
             violations.append(("symmetry", (i, j)))
 
     def triangle(i: int, j: int, k: int) -> None:
-        if cost(i, j) > compose(metric, cost(i, k), cost(k, j)) + AXIOM_TOL:
+        if exceeds(cost(i, j), compose(metric, cost(i, k), cost(k, j))):
             violations.append(("triangle", (i, j, k)))
 
     def isotone(i: int, j: int, k: int, l: int) -> None:
         wjl, wjk = cost(j, l), cost(j, k)
-        if wjl < wjk - AXIOM_TOL:
+        if exceeds(wjk, wjl):
             left_l = compose(metric, cost(i, j), wjl)
             left_k = compose(metric, cost(i, j), wjk)
-            if left_l > left_k + AXIOM_TOL:
+            if exceeds(left_l, left_k):
                 violations.append(("left-isotone", (i, j, k, l)))
         wlj, wkj = cost(l, j), cost(k, j)
-        if wlj < wkj - AXIOM_TOL:
+        if exceeds(wkj, wlj):
             right_l = compose(metric, wlj, cost(j, i))
             right_k = compose(metric, wkj, cost(j, i))
-            if right_l > right_k + AXIOM_TOL:
+            if exceeds(right_l, right_k):
                 violations.append(("right-isotone", (i, j, k, l)))
 
     rng = random.Random(seed)

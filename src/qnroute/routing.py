@@ -35,7 +35,9 @@ from .metrics import EntanglingMetric, fold
 from .qsearch import partition_neighborhood
 from .topology import ENeighborhood, NetworkGraph, optimal_cost
 
-CHAIN_TOL = 1e-9
+# Relative slack of a chain step: each side composes a handful of pair costs,
+# so its rounding error is a few ulps of its size, whatever the cost scale.
+CHAIN_TOL = 1e-12
 
 
 class Origin(enum.Enum):
@@ -555,6 +557,7 @@ class PairEvaluation(Sequence):
     pair_costs: np.ndarray
     case_counts: Counter
     max_stretch: float
+    min_stretch: float
     mean_stretch: float
     max_stretch_with_fallback: float
     fallback_fraction: float
@@ -803,15 +806,18 @@ def evaluate_all_pairs(tables: SchemeTables) -> PairEvaluation:
     code = np.empty((n, n), np.int8)
     cost = np.empty((n, n))
     block_max: list[float] = []
+    block_min: list[float] = []
 
     def stretch_blocks():
         for start in range(0, n, BLOCK):
             rows = slice(start, start + BLOCK)
             ladder.fill(start, code[rows], cost[rows])
             ok = (code[rows] >= 1) & (code[rows] < _FALLBACK)
-            ratios = (cost[rows][ok] / pair[rows][ok]).tolist()
-            block_max.append(max(ratios, default=0.0))
-            yield ratios
+            ratios = cost[rows][ok] / pair[rows][ok]
+            if ratios.size:
+                block_max.append(ratios.max().item())
+                block_min.append(ratios.min().item())
+            yield ratios.tolist()
 
     # the mean is ``statistics.fmean``'s, ``math.fsum`` of every resolved
     # stretch over their count, summed across the blocks without a list
@@ -835,6 +841,7 @@ def evaluate_all_pairs(tables: SchemeTables) -> PairEvaluation:
         pair_costs=pair,
         case_counts=case_counts,
         max_stretch=max_stretch,
+        min_stretch=min(block_min, default=0.0),
         mean_stretch=stretch_sum / resolved if resolved else 0.0,
         # a fallback row's stretch is 1.0, and no row here fails
         max_stretch_with_fallback=max(max_stretch, 1.0) if reasons else max_stretch,
@@ -856,7 +863,8 @@ class ChainStep:
 
     @property
     def holds(self) -> bool:
-        return self.lhs <= self.rhs + CHAIN_TOL
+        # a difference, not ``rhs * (1 + CHAIN_TOL)``, which could overflow
+        return self.lhs - self.rhs <= self.rhs * CHAIN_TOL
 
 
 @dataclass(frozen=True)
@@ -898,7 +906,7 @@ def verify_bound_chain(
     if len(path.repeaters) == 1:
         (m,) = path.repeaters
         bound3 = fold(metric, [wid, w(d, i), wid])
-        if w(i, m) <= w(i, d) + CHAIN_TOL:
+        if w(i, m) <= w(i, d):
             mid = fold(metric, [w(i, m), w(m, i), w(i, d)])
             steps.append(ChainStep("triangle on far segment", total, mid))
             steps.append(ChainStep("near hop within source neighborhood", mid, bound3))

@@ -23,7 +23,6 @@ from .errors import (
     read_text,
 )
 from .harness import ExperimentConfig, build_scheme
-from .metrics import metric_by_name
 from .routing import SchemeTables
 from .topology import graph_from_edges
 
@@ -114,8 +113,7 @@ def _read_scheme(doc: dict) -> tuple[SchemeTables, str, dict]:
     )
     config.validate()
     graph = graph_from_edges(config.n_e, graph_doc["edges"])
-    metric = metric_by_name(config.metric, **config.metric_params)
-    tables = build_scheme(config, graph, metric, doc["seed"])
+    tables = build_scheme(config, graph, doc["seed"])
     return tables, config.metric, config.metric_params
 
 

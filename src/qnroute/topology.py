@@ -18,6 +18,7 @@ import inspect
 import logging
 import math
 import random
+import sys
 import typing
 from collections import deque
 from collections.abc import Iterable, Sequence
@@ -40,6 +41,9 @@ from .metrics import Composition, EntanglingMetric, fold
 logger = logging.getLogger(__name__)
 
 CONNECTIVITY_RETRIES = 100
+# The largest additive pair cost a scheme takes: the five-fold stretch bound
+# composes five pair costs, and must stay finite to mean anything.
+PAIR_COST_LIMIT = sys.float_info.max / 5
 
 
 def _checked_cost(i: int, j: int, cost: float) -> float:
@@ -475,6 +479,9 @@ def all_pairs_optimal(graph: NetworkGraph, metric: EntanglingMetric) -> np.ndarr
       a round lowers nothing. Float addition is monotone and every cost
       positive, so the fixed point is the least such sum over all walks,
       again Dijkstra's value bit for bit.
+
+    An additive pair cost that overflows a float, or exceeds
+    ``PAIR_COST_LIMIT``, raises ``QnrouteError``.
     """
     n = graph.n_e
     if metric.composition is Composition.ADDITIVE:
@@ -486,11 +493,16 @@ def all_pairs_optimal(graph: NetworkGraph, metric: EntanglingMetric) -> np.ndarr
         else:
             with np.errstate(over="ignore"):  # an overflowing sum is refused below
                 _relax(graph, to)
-        if np.isinf(to).any():
+        worst = to.max().item()
+        if worst == math.inf:
             if not graph.is_connected():
                 raise _disconnected(graph)
             s, u = np.argwhere(np.isinf(to.T))[0]
             raise QnrouteError(f"the path cost from node {s} to node {u} overflows a float")
+        if worst > PAIR_COST_LIMIT:
+            s, u = np.unravel_index(np.argmax(to.T), to.shape)
+            raise QnrouteError(f"the path cost from node {s} to node {u}, {worst!r}, exceeds a "
+                               "fifth of the float range: five times it overflows")
         costs = to.T.copy()
     else:
         _, _, c = _min_edge(graph)

@@ -390,10 +390,10 @@ def ladder_tables(draw):
                                             ("full", "greedy")]))
     k = draw(st.integers(2, 4))
     config = ExperimentConfig(
-        n_e=graph.n_e, scheme=scheme, anchor_method=anchors, k_override=k,
+        n_e=graph.n_e, metric=metric.name, scheme=scheme, anchor_method=anchors, k_override=k,
         f=draw(st.integers(1, 2)), capacity_cap=draw(st.sampled_from([None, k])),
     )
-    tabs = build_scheme(config, graph, metric, draw(st.integers(0, 2**16)))
+    tabs = build_scheme(config, graph, draw(st.integers(0, 2**16)))
     deplete(tabs, draw(st.sampled_from([0.0, 0.15, 0.5])), draw(st.integers(0, 2**16)))
     return tabs
 
@@ -443,6 +443,7 @@ def build_documented_scheme(
     """The scheme ``harness.build_scheme`` builds, the only kind a scheme
     document describes: greedy anchors for partial, seeded tracking for full."""
     config = ExperimentConfig(
-        n_e=graph.n_e, scheme=scheme, k_override=k, f=f, capacity_cap=capacity_cap
+        n_e=graph.n_e, metric=metric.name, scheme=scheme, k_override=k, f=f,
+        capacity_cap=capacity_cap,
     )
-    return build_scheme(config, graph, metric, seed)
+    return build_scheme(config, graph, seed)

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tracemalloc
 import types
+import warnings
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qnroute import harness, qsearch
+from qnroute import harness, qsearch, routing
 from qnroute.cli import main
 from qnroute.errors import (
     ChainViolationError,
@@ -217,7 +218,8 @@ def test_summary_trials_hold_every_field_but_rows(tmp_path):
     report = run_experiment(config)
     assert report.trials[0].rows
     expected = [
-        {k: v for k, v in asdict(t).items() if k not in ("rows", "runtime_s", "stage_s")}
+        {k: v for k, v in asdict(t).items()
+         if k not in ("rows", "runtime_s", "stage_s", "min_stretch")}
         for t in report.trials
     ]
     assert report.summary_dict()["trials"] == expected
@@ -473,8 +475,8 @@ def test_cli_full_pipeline(tmp_path, monkeypatch):
 
 def test_report_and_eval_pair_csv_headers(torus_scheme_file, tmp_path):
     # a scheme document carries its seed, so eval writes report's columns
-    assert main(["report", "--n-e", "16", "--graph-model", "grid_torus", "--seeds", "0",
-                 "--out-dir", "."]) == 0
+    (tmp_path / "exp.json").write_text(json.dumps({"n_e": 16, "graph_model": "grid_torus"}))
+    assert main(["report", "--config", "exp.json", "--out-dir", "."]) == 0
     assert main(["eval", "--scheme", torus_scheme_file, "--prefix", "torus"]) == 0
     heads = {
         path.name: path.read_text().splitlines()[:2] for path in tmp_path.glob("*_pairs.csv")
@@ -639,9 +641,9 @@ def test_broken_chain_reports_a_fail_line_with_its_witness(tmp_path, monkeypatch
 
 def test_chain_check_with_no_sampled_path_is_vacuous(tmp_path, capsys):
     # every pair of a 16-node torus resolves in case I, so no chain is replayed
-    argv = ["report", "--n-e", "16", "--graph-model", "grid_torus", "--seeds", "0",
-            "--out-dir", str(tmp_path)]
-    assert main(argv) == 0
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({"n_e": 16, "graph_model": "grid_torus", "seeds": [0]}))
+    assert main(["report", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert "VACUOUS bound-chain-replays-clean: 0 sampled paths verified" in out
     assert "PASS bound-chain-replays-clean" not in out
@@ -649,7 +651,8 @@ def test_chain_check_with_no_sampled_path_is_vacuous(tmp_path, capsys):
 
 def trial_with_no_resolved_pair(seed: int) -> TrialResult:
     return TrialResult(
-        seed=seed, max_stretch=0.0, mean_stretch=0.0, max_stretch_with_fallback=2.0,
+        seed=seed, max_stretch=0.0, min_stretch=0.0, mean_stretch=0.0,
+        max_stretch_with_fallback=2.0,
         case_counts={"fallback": 240}, fallback_fraction=1.0, failure_fraction=0.0,
         coverage_failure_fraction=0.0, table_stats={}, chain_checked=0, chain_violations=[],
         qsearch_agreement=None, axiom_report=None, runtime_s=0.0,
@@ -674,6 +677,23 @@ def test_stretch_claims_with_no_resolved_pair_are_vacuous(metric, scheme, stretc
             f"VACUOUS {name}"
         ]
     assert all(isinstance(a.checked, int) for a in assertions)
+
+
+def test_one_resolved_stretch_below_one_fails_though_the_mean_is_above(monkeypatch):
+    fill = routing._BatchLadder.fill
+
+    def lowered(ladder, start, code, cost):
+        fill(ladder, start, code, cost)
+        if start == 0:
+            i, d = np.argwhere((code >= 1) & (code <= 3))[0]
+            cost[i, d] = 0.99 * ladder.pair[i, d]
+
+    monkeypatch.setattr(routing._BatchLadder, "fill", lowered)
+    report = run_experiment(torus_config(seeds=[0]), write_outputs=False)
+    (trial,) = report.trials
+    assert trial.min_stretch == pytest.approx(0.99) and trial.mean_stretch > 1.0
+    (claim,) = [a for a in report.assertions if a.name == "resolved-stretch-at-least-one"]
+    assert not claim.passed
 
 
 def test_every_composition_and_scheme_has_one_stretch_claim():
@@ -742,17 +762,44 @@ def test_cli_compare_config_that_is_not_an_object_exits_two(tmp_path, capsys, si
     assert not out.exists()
 
 
-def test_cli_config_file_overrides_flags(tmp_path, capsys):
+def test_cli_config_output_dir_beats_the_out_dir_flag(tmp_path):
     cfg = tmp_path / "exp.json"
     cfg.write_text(json.dumps(dict(
         n_e=9, graph_model="grid_torus", graph_params={"rows": 3, "cols": 3},
         metric="hop", scheme="partial", seeds=[0], k_override=2,
-        name="filewins", output_dir=str(tmp_path),
+        name="filewins", output_dir=str(tmp_path / "file"),
     )))
-    # the flag asks for 16 nodes but the config file pins 9
-    assert main(["report", "--config", str(cfg), "--n-e", "16"]) == 0
-    doc = json.loads((tmp_path / "filewins_summary.json").read_text())
-    assert doc["config"]["n_e"] == 9
+    flag_dir = tmp_path / "flag"
+    assert main(["report", "--config", str(cfg), "--out-dir", str(flag_dir)]) == 0
+    doc = json.loads((tmp_path / "file" / "filewins_summary.json").read_text())
+    assert doc["config"]["output_dir"] == str(tmp_path / "file")
+    assert not flag_dir.exists()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--n-e", "16"), ("--graph-model", "grid_torus"), ("--metric", "hop"),
+    ("--scheme", "full"), ("--anchor-method", "random"), ("--m", "2"), ("--f", "2"),
+    ("--ebit-budget", "2"), ("--seeds", "0"), ("--name", "flagged"),
+])
+def test_cli_report_takes_no_config_field_flag(tmp_path, monkeypatch, capsys, flag, value):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(harness.OUTPUT_DIR_ENV, raising=False)
+    (tmp_path / "exp.json").write_text(json.dumps({"n_e": 9, "graph_model": "grid_torus",
+                                                   "k_override": 2}))
+    with pytest.raises(SystemExit) as exit_:
+        main(["report", "--config", "exp.json", flag, value])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert os.listdir(".") == ["exp.json"]
+
+
+def test_cli_report_requires_a_config(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exit_:
+        main(["report", "--n-e", "16", "--graph-model", "grid_torus"])
+    assert exit_.value.code == 2
+    assert "--config" in capsys.readouterr().err
+    assert os.listdir(".") == []
 
 
 @pytest.fixture
@@ -948,9 +995,33 @@ def test_cli_path_cost_past_the_float_range_exits_two(tmp_path, monkeypatch, cap
     assert sorted(os.listdir(".")) == ["bad.input"]
 
 
+@pytest.mark.parametrize("v, code", [(4e306, 0), (1.2e307, 2), (4e307, 2)])
+def test_cli_report_refuses_pair_costs_past_a_fifth_of_the_float_range(
+    tmp_path, monkeypatch, capsys, v, code
+):
+    """Every link costs v, so the longest pair cost is 4v: a five-fold bound
+    of 4v overflows from v = 9e306 on."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(harness.OUTPUT_DIR_ENV, raising=False)
+    (tmp_path / "exp.json").write_text(json.dumps({
+        "n_e": 16, "graph_model": "grid_torus", "metric": "uniform", "k_override": 3,
+        "metric_params": {"low": v, "high": v}, "axiom_check": True, "name": "scaled",
+    }))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["report", "--config", "exp.json"]) == code
+    captured = capsys.readouterr()
+    if code == 0:
+        assert [line.split()[0] for line in captured.out.splitlines()[:-1]] == ["PASS"] * 5
+        return
+    assert captured.err.startswith("error: the path cost from node 0 to node 10, ")
+    assert captured.err.endswith(" exceeds a fifth of the float range: five times it overflows\n")
+    assert captured.out == "" and os.listdir(".") == ["exp.json"]
+
+
 @pytest.mark.parametrize("argv, message", [
     (["cluster", "--graph", "net.graph", "--m", "1e308", "--out", "out.json"], "m: too large"),
-    (["report", "--n-e", "16", "--graph-model", "grid_torus", "--m", "1e308"], "m: too large"),
+    (["report", "--config", "big_m.json"], "m: too large"),
     (["report", "--config", "huge.json"], "n_e: too large"),
 ], ids=["cluster-m", "report-m", "report-n_e"])
 def test_cli_neighborhood_size_overflow_exits_two_before_any_graph(
@@ -958,6 +1029,8 @@ def test_cli_neighborhood_size_overflow_exits_two_before_any_graph(
 ):
     with open("huge.json", "w") as fh:
         fh.write('{"n_e": 1' + "0" * 400 + "}")
+    with open("big_m.json", "w") as fh:
+        fh.write('{"n_e": 16, "graph_model": "grid_torus", "m": 1e308}')
     generated = []
     monkeypatch.setattr(harness, "generate_graph", lambda *a, **k: generated.append(a))
     capsys.readouterr()

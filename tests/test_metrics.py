@@ -91,6 +91,20 @@ def test_asymmetric_cost_fixture_reports_symmetry_witness():
     assert any(name == "symmetry" for name, _ in report.violations)
 
 
+@pytest.mark.parametrize("v", [1e-12, 1.0, 4e306])
+def test_axiom_check_means_the_same_at_every_cost_scale(v):
+    # every link costs v: the hop torus's costs scaled by v, which an absolute
+    # slack would call indefinite at 1e-12
+    metric = metric_by_name("uniform", low=v, high=v)
+    costs = all_pairs_optimal(generate_graph("grid_torus", 16, {}, metric, seed=0), metric)
+    assert check_axioms(metric, costs).passed
+    # nodes 0 and 5 are two links apart, through node 1
+    skewed = costs.copy()
+    skewed[0, 5] *= 1.01
+    violations = check_axioms(metric, skewed).violations
+    assert ("symmetry", (0, 5)) in violations and ("triangle", (0, 5, 1)) in violations
+
+
 def test_violations_empty_iff_passed():
     metric = hop_count_metric()
     graph = generate_graph("grid_torus", 9, {"rows": 3, "cols": 3}, metric, seed=0)

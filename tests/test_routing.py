@@ -784,6 +784,25 @@ def test_chain_violation_raised_for_fabricated_far_hub():
     assert err.value.trace is not None
 
 
+@pytest.mark.parametrize("v", [1e-12, 1.0, 4e306])
+def test_chain_replay_means_the_same_at_every_cost_scale(v):
+    # every link costs v, so the pair costs are the hop torus's scaled by v:
+    # an absolute slack would pass every inflated path at 1e-12 and break
+    # sound ones by an ulp at 4e306
+    config = ExperimentConfig(n_e=16, graph_model="grid_torus", metric="uniform",
+                              metric_params={"low": v, "high": v}, k_override=3)
+    tabs, _ = build_scheme_for_trial(config, 0)
+    code = evaluate_all_pairs(tabs).code
+    pairs = np.argwhere((code == 2) | (code == 3)).tolist()
+    assert len(pairs) == 164
+    for i, d in pairs:
+        path = resolve(tabs, i, d)
+        assert verify_bound_chain(path, tabs.metric, tabs.pair_costs).ok
+        inflated = path._replace(total_cost=path.total_cost * 1.01 + 3 * path.optimal)
+        with pytest.raises(ChainViolationError):
+            verify_bound_chain(inflated, tabs.metric, tabs.pair_costs)
+
+
 # ---------------------------------------------------------------------------
 # ebit lifecycle
 
@@ -1031,6 +1050,38 @@ def test_a_built_scheme_changes_only_its_ebits(scheme):
     replenish(tabs, 1)
     assert not tabs.debited and ebit_counts(tabs) == ebits
     assert scheme_structure(tabs) == built
+
+
+@pytest.mark.parametrize("scheme", ["partial", "full"])
+def test_a_links_two_entries_always_hold_equal_ebits(scheme):
+    # a delivery debits both ends of a link and a refill grants both alike,
+    # so one counter per link would hold the same state
+    config = ExperimentConfig(n_e=48, graph_params={"edge_prob": 0.12}, scheme=scheme,
+                              k_override=4, ebit_budget=1)
+    tabs, _ = build_scheme_for_trial(config, 0)
+    links = [
+        (entry, tabs.table(entry.e_hop).find(table.owner))
+        for table in tabs.tables for entry in table.entries
+        if table.owner < entry.e_hop and tabs.table(entry.e_hop).find(table.owner)
+    ]
+    assert links
+    rng = random.Random(0)
+    seen: Counter = Counter()
+    pending: deque = deque()
+    for step in range(1200):
+        source, dest = rng.sample(range(config.n_e), 2)
+        pending.append(resolve(tabs, source, dest))
+        if len(pending) > 3:
+            path = pending.popleft()
+            packet = make_packet(tabs.plan, path.source, path.dest)
+            record = swap_and_replenish(tabs, path, packet, replenish_rate=int(step % 10 == 0))
+            seen.update(retried=record.retried, failed=not record.success)
+        if step % 100 == 99:
+            replenish(tabs, 1)
+        if step % 50 == 25:
+            assert [a.ebits for a, _ in links] == [b.ebits for _, b in links]
+            seen.update(spent=any(a.ebits < tabs.ebit_budget for a, _ in links))
+    assert seen["retried"] and seen["failed"] and seen["spent"]
 
 
 @st.composite

@@ -449,7 +449,7 @@ def test_an_edge_list_is_refused_alike_in_both_formats(tmp_path, edges, line, me
     assert str(err.value) == f"{path}{line}: {message}"
 
     config = ExperimentConfig(n_e=4, k_override=2)
-    doc = scheme_to_dict(build_scheme(config, path_graph([1.0] * 3), HOP, 0), "hop")
+    doc = scheme_to_dict(build_scheme(config, path_graph([1.0] * 3), 0), "hop")
     doc["graph"]["edges"] = [list(edge) for edge in edges]
     with pytest.raises(SchemeDocumentError) as err:
         scheme_from_dict(doc)
